@@ -22,15 +22,28 @@ scalar path: with ``n_i`` the virtual time after submission ``i``,
 (float ``a + max(b, c)`` equals ``max(a+b, a+c)`` bitwise by
 monotonicity), so one ``cumsum`` reproduces the scalar clock walk.
 
-When exact per-event semantics cannot be replayed in bulk — an armed
-fault injector, an enabled inline validator, or a clock switch on an
-API-restricted board — the batch falls back to the per-event scalar
-path, which *is* the reference semantics.
+Faults split a batch instead of sending it back to the per-event path.
+The only fault site polled here is the backend's clock-set call
+(``nvml.set_clocks``), once per attempt, and the first attempt of
+switch ``i`` lands at ``clockline[i] + OH``, which is known before
+anything commits. :meth:`FaultInjector.quiet_prefix` finds the first
+clock-set that fires; the batch commits in bulk up to that submission,
+runs that one submission per event (retries, backoff and degrade
+included) with its already-resolved clocks, and continues with the
+tail. A retried switch that succeeds leaves the board where the plan put
+it; a degrade resets the board, so the tail's effective clocks and
+switch mask are re-derived from the board state.
+
+Three cases still replay the whole batch per event, which *is* the
+reference semantics (``BatchResult.fallback`` names them): an enabled
+inline validator, a clock switch on an API-restricted board, and an
+armed ``nvml.gpu_lost`` or ``hw.thermal_throttle`` site, which the
+per-event path polls on every NVML call or every kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -48,16 +61,23 @@ from repro.sycl.event import Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.queue import SynergyQueue
 
+#: Fault sites the per-event path polls outside the clock-set call (on
+#: every NVML call, on every kernel): while one is armed, a batch replays
+#: per event.
+PER_EVENT_FAULT_SITES: tuple[str, ...] = ("nvml.gpu_lost", "hw.thermal_throttle")
+
 
 @dataclass(frozen=True)
 class BatchResult:
     """Outcome of one batched submission, in struct-of-arrays form.
 
     ``core_mhz`` holds the *executed* (possibly throttled) core clocks;
-    ``app_core_mhz``/``app_mem_mhz`` the effective application clocks
-    (``None`` when the batch ran through the scalar fallback, which does
-    not reconstruct them). ``fallback`` names the reason the scalar path
-    was used, or ``None`` for the vectorized fast path.
+    ``app_core_mhz``/``app_mem_mhz`` the application clocks in effect
+    while each kernel ran. ``fallback`` is ``None`` when the batch took
+    the vectorized path, including a batch split at failing clock-sets;
+    otherwise it names why the batch replayed per event: ``"validator"``,
+    ``"restricted"``, or the armed fault site (``"nvml.gpu_lost"``,
+    ``"hw.thermal_throttle"``).
     """
 
     events: tuple[Event, ...]
@@ -68,8 +88,8 @@ class BatchResult:
     avg_power_w: np.ndarray
     core_mhz: np.ndarray
     mem_mhz: np.ndarray
-    app_core_mhz: np.ndarray | None = None
-    app_mem_mhz: np.ndarray | None = None
+    app_core_mhz: np.ndarray
+    app_mem_mhz: np.ndarray
     n_switches: int = 0
     fallback: str | None = None
 
@@ -79,8 +99,7 @@ class BatchResult:
             self.avg_power_w, self.core_mhz, self.mem_mhz,
             self.app_core_mhz, self.app_mem_mhz,
         ):
-            if arr is not None:
-                arr.setflags(write=False)
+            arr.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -111,10 +130,31 @@ def _empty_result() -> BatchResult:
     )
 
 
-def _result_from_events(
-    events: list[Event], n_switches: int, fallback: str
+def _submit_one(queue: "SynergyQueue", kernel, request) -> Event:
+    """One per-event ``SynergyQueue.submit`` in the request's own form."""
+    cgf = lambda h, k=kernel: h.parallel_for(k.work_items, k)  # noqa: E731
+    if isinstance(request, EnergyTarget):
+        return queue.submit(request, cgf)
+    if isinstance(request, tuple):
+        return queue.submit(request[0], request[1], cgf)
+    return queue.submit(cgf)
+
+
+def _fallback_scalar(
+    queue: "SynergyQueue", batch: KernelBatch, reason: str
 ) -> BatchResult:
+    """Replay the batch through the per-event reference path."""
+    gpu = queue.device.gpu
+    switches_before = queue.scaler.switch_count
+    events: list[Event] = []
+    app_clocks: list[tuple[int, int]] = []
+    for kernel, request in zip(batch.kernels, batch.requests):
+        events.append(_submit_one(queue, kernel, request))
+        # Clocks change only in ``_pre_kernel``: what the board holds now
+        # is what the kernel ran under.
+        app_clocks.append((gpu.core_mhz, gpu.mem_mhz))
     records = [e.record for e in events]
+    app = np.asarray(app_clocks, dtype=int)
     return BatchResult(
         events=tuple(events),
         start_s=np.asarray([r.start_s for r in records], dtype=float),
@@ -124,27 +164,10 @@ def _result_from_events(
         avg_power_w=np.asarray([r.avg_power_w for r in records], dtype=float),
         core_mhz=np.asarray([r.core_mhz for r in records], dtype=int),
         mem_mhz=np.asarray([r.mem_mhz for r in records], dtype=int),
-        n_switches=n_switches,
-        fallback=fallback,
-    )
-
-
-def _fallback_scalar(
-    queue: "SynergyQueue", batch: KernelBatch, reason: str
-) -> BatchResult:
-    """Replay the batch through the per-event reference path."""
-    switches_before = queue.scaler.switch_count
-    events: list[Event] = []
-    for kernel, request in zip(batch.kernels, batch.requests):
-        cgf = lambda h, k=kernel: h.parallel_for(k.work_items, k)  # noqa: E731
-        if isinstance(request, EnergyTarget):
-            events.append(queue.submit(request, cgf))
-        elif isinstance(request, tuple):
-            events.append(queue.submit(request[0], request[1], cgf))
-        else:
-            events.append(queue.submit(cgf))
-    return _result_from_events(
-        events, queue.scaler.switch_count - switches_before, reason
+        app_core_mhz=app[:, 0].copy(),
+        app_mem_mhz=app[:, 1].copy(),
+        n_switches=queue.scaler.switch_count - switches_before,
+        fallback=reason,
     )
 
 
@@ -270,6 +293,63 @@ def _choose_operating_points(
     )
 
 
+@dataclass
+class _Plan:
+    """Per-submission clocks and operating points of one batch.
+
+    Resolved once per batch. The entries of a submission run per event
+    are overwritten with what the board did; after a degrade the tail is
+    re-derived from the board state (:meth:`rederive_tail`).
+    """
+
+    #: Effective application clocks (int MHz).
+    mem_mhz: np.ndarray
+    core_mhz: np.ndarray
+    #: True where the submission changes the board clocks.
+    switches: np.ndarray
+    #: Throttled operating point: executed core clock, timing and power.
+    exec_core: np.ndarray
+    time_s: np.ndarray
+    u_core: np.ndarray
+    u_mem: np.ndarray
+    power_w: np.ndarray
+
+    @classmethod
+    def derive(cls, queue: "SynergyQueue", rb: ResolvedBatch) -> "_Plan":
+        return cls(
+            rb.mem_mhz, rb.core_mhz, rb.switches,
+            *_choose_operating_points(queue, rb),
+        )
+
+    def rederive_tail(
+        self, queue: "SynergyQueue", batch: KernelBatch, resolved, lo: int
+    ) -> None:
+        """Recompute submissions ``lo:`` from the board's current clocks."""
+        gpu = queue.device.gpu
+        tail = KernelBatch(batch.kernels[lo:], batch.requests[lo:])
+        rb = with_core_index(
+            resolve_effective_clocks(
+                tail, resolved[lo:], (gpu.core_mhz, gpu.mem_mhz)
+            ),
+            gpu.spec,
+        )
+        new = _Plan.derive(queue, rb)
+        for f in fields(self):
+            getattr(self, f.name)[lo:] = getattr(new, f.name)
+
+
+def _fallback_reason(queue: "SynergyQueue") -> str | None:
+    """Why the batch must replay per event, or ``None`` for the fast path."""
+    if queue.validator.enabled:
+        return "validator"
+    injector = queue.device.gpu.fault_injector
+    if injector is not None:
+        for site in PER_EVENT_FAULT_SITES:
+            if injector.armed(site):
+                return site
+    return None
+
+
 def execute_batch(queue: "SynergyQueue", batch: KernelBatch) -> BatchResult:
     """Advance one queue through a whole batch of kernel submissions."""
     gpu = queue.device.gpu
@@ -289,8 +369,8 @@ def execute_batch(queue: "SynergyQueue", batch: KernelBatch) -> BatchResult:
         return _empty_result()
 
     batch.validate_explicit_clocks(gpu.spec)
-    if gpu.fault_injector is not None or queue.validator.enabled:
-        reason = "faults" if gpu.fault_injector is not None else "validator"
+    reason = _fallback_reason(queue)
+    if reason is not None:
         return _traced_fallback(queue, batch, reason)
 
     resolved = _resolve_requests(queue, batch)
@@ -305,18 +385,21 @@ def execute_batch(queue: "SynergyQueue", batch: KernelBatch) -> BatchResult:
     rb = with_core_index(rb, gpu.spec)
 
     if not tr.enabled:
-        return _execute_fast(queue, rb)
+        return _execute_segmented(queue, rb, resolved)[0]
     with tr.span(
         gpu.clock, track, "engine.batch", f"batch[{n}]",
     ) as sp:
-        result = _execute_fast(queue, rb)
+        result, fast_events, fast_switches = _execute_segmented(
+            queue, rb, resolved
+        )
         sp.set(kernels=n, switches=result.n_switches, fallback=None)
     tr.count("engine.batches")
     tr.count("engine.batched_kernels", n)
     # Tenancy tag, attached only when the queue has an owner (the service
     # plane) so ownerless golden traces stay byte-identical.
     extra = {} if queue.owner is None else {"owner": queue.owner}
-    for event in result.events:
+    # Submissions split out to the per-event path traced themselves.
+    for event in fast_events:
         record = event.record
         tr.add_span(
             track, "queue.kernel", record.kernel_name,
@@ -329,9 +412,9 @@ def execute_batch(queue: "SynergyQueue", batch: KernelBatch) -> BatchResult:
         )
         tr.observe("kernel.time_s", record.time_s)
         tr.observe("kernel.energy_j", record.energy_j)
-    tr.count("queue.kernels_executed", n)
-    if result.n_switches:
-        tr.count("freq.switches", result.n_switches)
+    tr.count("queue.kernels_executed", len(fast_events))
+    if fast_switches:
+        tr.count("freq.switches", fast_switches)
     return result
 
 
@@ -353,40 +436,135 @@ def _traced_fallback(
     return result
 
 
-def _execute_fast(queue: "SynergyQueue", rb: ResolvedBatch) -> BatchResult:
-    """The vectorized commit: physics, timeline, and bulk state update."""
+def _execute_segmented(
+    queue: "SynergyQueue", rb: ResolvedBatch, resolved
+) -> tuple[BatchResult, list[Event], int]:
+    """Commit the batch in bulk segments split at failing clock-sets.
+
+    Returns ``(result, fast_events, fast_switches)``: the batch result,
+    the events committed in bulk, and the switches charged in bulk (the
+    submissions run per event trace and count their own).
+    """
     gpu = queue.device.gpu
     scaler = queue.scaler
-    n = len(rb)
-    exec_core, time_s, u_core, u_mem, power_w = _choose_operating_points(
-        queue, rb
-    )
-
-    # Virtual-time walk, in the scalar path's exact float order:
-    # n_i = n_(i-1) + max(d_i, OH·switch_i), start_i = n_(i-1).
     oh = scaler.switch_overhead_s
-    step = np.where(rb.switches, np.maximum(time_s, oh), time_s)
-    # cumsum folds left-to-right, the same float order as the scalar
-    # `clock.advance` walk; seeding with `now` keeps the origin in-fold.
-    clockline = np.cumsum(np.concatenate(([gpu.clock.now], step)))
-    start_s = clockline[:-1]
-    end_s = start_s + time_s
-    energy_j = power_w * time_s
+    injector = gpu.fault_injector
+    site = scaler.backend.clock_set_site
+    if site is None or injector is None or not injector.armed(site):
+        injector = None
+    kernels = rb.batch.kernels
+    n = len(rb)
+    plan = _Plan.derive(queue, rb)
+    out = (np.empty(n), np.empty(n), np.empty(n))  # start_s, end_s, energy_j
+    # Records and clock plan share one boxed int per distinct clock value.
+    box: dict[int, int] = {}
+    switches_before = scaler.switch_count
+    events: list[Event] = []
+    fast_events: list[Event] = []
+    fast_switches = 0
+    lo = 0
+    while lo < n:
+        # Virtual-time walk of the tail, in the scalar path's exact float
+        # order: n_i = n_(i-1) + max(d_i, OH·switch_i), start_i = n_(i-1).
+        # cumsum folds left-to-right, the same float order as the scalar
+        # `clock.advance` walk; seeding with `now` keeps the origin in-fold.
+        tail = slice(lo, n)
+        step = np.where(
+            plan.switches[tail], np.maximum(plan.time_s[tail], oh), plan.time_s[tail]
+        )
+        clockline = np.cumsum(np.concatenate(([gpu.clock.now], step)))
+        hi = n
+        if injector is not None:
+            # Switch i's first clock-set attempt lands at start_i + OH.
+            sw = np.flatnonzero(plan.switches[tail])
+            k = injector.quiet_prefix(site, gpu.index, clockline[sw] + oh)
+            if k < sw.size:
+                hi = lo + int(sw[k])
+        if hi > lo:
+            seg_events, seg_switches = _commit_segment(
+                queue, kernels, plan, slice(lo, hi), clockline[: hi - lo + 1],
+                out, box,
+            )
+            events.extend(seg_events)
+            fast_events.extend(seg_events)
+            fast_switches += seg_switches
+        if hi == n:
+            break
+        # The clock-set of submission `hi` fails: run it per event with
+        # its resolved clocks, then record what the board actually did.
+        event = _submit_one(
+            queue, kernels[hi], (int(plan.mem_mhz[hi]), int(plan.core_mhz[hi]))
+        )
+        record = event.record
+        events.append(event)
+        out[0][hi], out[1][hi] = record.start_s, record.end_s
+        out[2][hi] = record.energy_j
+        plan.power_w[hi] = record.avg_power_w
+        plan.exec_core[hi] = record.core_mhz
+        plan.core_mhz[hi], plan.mem_mhz[hi] = gpu.core_mhz, gpu.mem_mhz
+        lo = hi + 1
+        if scaler.last_degraded and lo < n:
+            plan.rederive_tail(queue, rb.batch, resolved, lo)
+    start_s, end_s, energy_j = out
+    result = BatchResult(
+        events=tuple(events),
+        start_s=start_s,
+        end_s=end_s,
+        time_s=end_s - start_s,
+        energy_j=energy_j,
+        avg_power_w=plan.power_w,
+        core_mhz=plan.exec_core,
+        mem_mhz=plan.mem_mhz.copy(),
+        app_core_mhz=plan.core_mhz,
+        app_mem_mhz=plan.mem_mhz,
+        n_switches=scaler.switch_count - switches_before,
+    )
+    return result, fast_events, fast_switches
 
-    # Commit: clock plan, scaler charges, power timeline, clock advance.
-    switch_idx = np.flatnonzero(rb.switches)
+
+def _commit_segment(
+    queue: "SynergyQueue",
+    kernels,
+    plan: _Plan,
+    seg: slice,
+    clockline: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
+    box: dict[int, int],
+) -> tuple[list[Event], int]:
+    """Bulk commit of submissions ``seg``: clock plan, scaler charges,
+    power timeline, clock advance, records and events.
+
+    ``clockline`` is the segment's virtual-time walk, starting at the
+    current time; the segment's start/end times and energies land in
+    ``out``. Returns the segment's events and switch count.
+    """
+    gpu = queue.device.gpu
+    scaler = queue.scaler
+    start_s = clockline[:-1]
+    time_s = plan.time_s[seg]
+    end_s = start_s + time_s
+    power_w = plan.power_w[seg]
+    energy_j = power_w * time_s
+    out[0][seg], out[1][seg], out[2][seg] = start_s, end_s, energy_j
+
+    # Box every value once: the records, the power timeline and the
+    # clock plan share the same Python floats and ints.
+    starts, ends, powers = start_s.tolist(), end_s.tolist(), power_w.tolist()
+    cores = _interned(plan.exec_core[seg], box)
+    mems = _interned(plan.mem_mhz[seg], box)
+    switch_idx = np.flatnonzero(plan.switches[seg])
     if switch_idx.size:
         gpu.apply_clock_plan(
-            (start_s[switch_idx] + oh).tolist(),
+            (start_s[switch_idx] + scaler.switch_overhead_s).tolist(),
             list(
                 zip(
-                    rb.core_mhz[switch_idx].tolist(),
-                    rb.mem_mhz[switch_idx].tolist(),
+                    _interned(plan.core_mhz[seg][switch_idx], box),
+                    [mems[i] for i in switch_idx.tolist()],
                 )
             ),
         )
         scaler.charge_batched(int(switch_idx.size))
-    gpu.extend_power_timeline(start_s, end_s, power_w)
+    gpu.extend_power_timeline(starts, ends, powers)
     final = float(clockline[-1])
     if final > gpu.clock.now:
         gpu.clock.advance_to(final)
@@ -400,15 +578,15 @@ def _execute_fast(queue: "SynergyQueue", rb: ResolvedBatch) -> BatchResult:
             kernel.name, device_name, core, mem, t0, t1, e, p, uc, um
         )
         for kernel, core, mem, t0, t1, e, p, uc, um in zip(
-            rb.batch.kernels,
-            exec_core.tolist(),
-            rb.mem_mhz.tolist(),
-            start_s.tolist(),
-            end_s.tolist(),
+            kernels[seg],
+            cores,
+            mems,
+            starts,
+            ends,
             energy_j.tolist(),
-            power_w.tolist(),
-            u_core.tolist(),
-            u_mem.tolist(),
+            powers,
+            plan.u_core[seg].tolist(),
+            plan.u_mem[seg].tolist(),
         )
     ]
     gpu.records.extend(records)
@@ -417,16 +595,10 @@ def _execute_fast(queue: "SynergyQueue", rb: ResolvedBatch) -> BatchResult:
         for record in records
     ]
     queue._absorb_events(events)
-    return BatchResult(
-        events=tuple(events),
-        start_s=start_s,
-        end_s=end_s,
-        time_s=end_s - start_s,
-        energy_j=energy_j,
-        avg_power_w=power_w.copy(),
-        core_mhz=exec_core.copy(),
-        mem_mhz=rb.mem_mhz.copy(),
-        app_core_mhz=rb.core_mhz.copy(),
-        app_mem_mhz=rb.mem_mhz.copy(),
-        n_switches=int(switch_idx.size),
-    )
+    return events, int(switch_idx.size)
+
+
+def _interned(values: np.ndarray, box: dict[int, int]) -> list[int]:
+    """``values.tolist()`` with every distinct int boxed once, via ``box``."""
+    items = values.tolist()
+    return list(map(box.setdefault, items, items))

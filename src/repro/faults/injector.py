@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.common.errors import FaultInjectionError
 from repro.common.rng import derive_seed, make_rng
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -199,6 +201,51 @@ class FaultInjector:
             self.log.record_fault(now, site, target, detail)
             return spec
         return None
+
+    def quiet_prefix(self, site: str, target: object, times) -> int:
+        """How many of the next invocations of a one-shot site fire nothing.
+
+        ``times`` holds the virtual timestamps of the next ``fires(site,
+        t, target)`` calls, in call order. Returns ``k``: the first ``k``
+        calls would all return ``None`` and call ``k`` (if any) would
+        fire. Exactly the draws those ``k`` quiet calls make are
+        consumed, so call ``k`` can then go through :meth:`fires` and
+        every stream continues as if each call had.
+
+        A quiet call fires no spec, so the live specs (matching
+        ``target``, count not exhausted) stay the same over the prefix
+        and each live probabilistic spec draws once per call. A
+        probabilistic spec first fires at its first draw below its
+        probability; a scheduled spec at the first timestamp at or after
+        ``at_s``. ``Generator.random(k)`` equals ``k`` scalar draws, so
+        the search draws in bulk, restores the stream, and consumes ``k``.
+        """
+        times = np.asarray(times, dtype=float)
+        k = times.size
+        streams = []
+        for i, spec in self._by_site.get(site, ()):
+            if not spec.matches(target):
+                continue
+            if spec.count and self._fired[i] >= spec.count:
+                continue
+            if spec.scheduled:
+                due = np.flatnonzero(times >= spec.at_s)
+                if due.size:
+                    k = min(k, int(due[0]))
+            else:
+                streams.append((self._rngs[i], spec.probability))
+        for rng, probability in streams:
+            if k == 0:
+                return 0
+            state = rng.bit_generator.state
+            hits = np.flatnonzero(rng.random(k) < probability)
+            rng.bit_generator.state = state
+            if hits.size:
+                k = int(hits[0])
+        if k:
+            for rng, _ in streams:
+                rng.random(k)
+        return k
 
     # -------------------------------------------------------------- windows
 

@@ -15,7 +15,8 @@ asserts the engine differential contract:
 - **identical aggregates**: scaler counters, queue summaries, job states
   and traced metric counters match.
 
-Zero-kernel and zero-job batches are checked to be well-formed no-ops.
+Zero-kernel and zero-job batches are checked to be well-formed no-ops,
+and batches under armed clock-set faults to split rather than fall back.
 """
 
 from __future__ import annotations
@@ -349,6 +350,124 @@ def check_traced_counter_parity(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult
     ]
 
 
+def check_faulted_batch(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
+    """Clock-set faults split a batch; it keeps the fast path and parity.
+
+    Twin traced queues run the same workload under a seeded transient
+    plan and under a plan that fails every attempt of the first switch
+    (retry exhaustion, then a successful reset to driver defaults). The
+    batch must emit one ``engine.batch`` span with ``fallback=None`` and
+    no ``engine.fallbacks``, and match the scalar twin's records, scaler
+    counters, fault log and traced retry, fault, kernel, switch and
+    plan-lookup counters.
+    """
+    from repro.core.frequency import DEFAULT_MAX_RETRIES
+    from repro.engine.payload import plan_from_sweeps
+    from repro.faults.plan import FaultPlan, FaultSpec, transient_nvml_plan
+    from repro.obs.session import TraceSession
+
+    kernels = _kernels()
+    plan = plan_from_sweeps(spec, kernels, _targets())
+    requests = _workload(spec, kernels, rounds=4)
+    fault_plans = {
+        "transient": transient_nvml_plan(0.3, seed=7),
+        "degrade": FaultPlan(
+            seed=7,
+            specs=(
+                FaultSpec(
+                    site="nvml.set_clocks",
+                    probability=1.0,
+                    count=DEFAULT_MAX_RETRIES + 1,
+                ),
+            ),
+        ),
+    }
+    results: list[CheckResult] = []
+    for label, fault_plan in fault_plans.items():
+        name = f"engine.faulted_{label}"
+        context = f"{label} clock-set faults, {len(requests)} submissions@{spec.name}"
+        tr1, tr2 = TraceSession(), TraceSession()
+        scalar_q, batched_q = _twin_queues(spec, plan, trace_pair=(tr1, tr2))
+        scalar_q.gpu.fault_injector = fault_plan.injector(tr1)
+        batched_q.gpu.fault_injector = fault_plan.injector(tr2)
+        _run_scalar(scalar_q, requests)
+        result = batched_q.submit_batch(requests)
+        batched_q.wait()
+
+        results += _record_checks(name, context, scalar_q.gpu, batched_q.gpu)
+        batch_spans = [
+            sp for sp in tr2.tracer.spans if sp.category == "engine.batch"
+        ]
+        fallbacks = tr2.metrics.counter("engine.fallbacks").value
+        results.append(
+            check(
+                f"{name}_fast_path",
+                result.fallback is None
+                and len(batch_spans) == 1
+                and batch_spans[0].attrs.get("fallback", "?") is None
+                and fallbacks == 0,
+                f"{context}: fallback={result.fallback!r}, "
+                f"{len(batch_spans)} engine.batch spans, {fallbacks} fallbacks",
+            )
+        )
+        sc1, sc2 = scalar_q.scaler, batched_q.scaler
+        scalar_counts = (sc1.switch_count, sc1.retry_count, sc1.failed_switches)
+        batched_counts = (sc2.switch_count, sc2.retry_count, sc2.failed_switches)
+        results.append(
+            check(
+                f"{name}_scaler_counters",
+                scalar_counts == batched_counts
+                and sc1.retry_count > 0
+                and (label != "degrade" or sc1.failed_switches > 0),
+                f"{context}: switches/retries/failed {scalar_counts} vs "
+                f"{batched_counts}",
+            )
+        )
+        degraded = [
+            [r["degraded"] for r in q.kernel_stats()] for q in (scalar_q, batched_q)
+        ]
+        log1 = scalar_q.gpu.fault_injector.log.to_dicts()
+        log2 = batched_q.gpu.fault_injector.log.to_dicts()
+        results.append(
+            check(
+                f"{name}_fault_log",
+                degraded[0] == degraded[1]
+                and [{**e, "t": None} for e in log1]
+                == [{**e, "t": None} for e in log2],
+                f"{context}: {len(log1)} vs {len(log2)} log entries, "
+                f"{sum(degraded[0])} vs {sum(degraded[1])} degraded kernels",
+            )
+        )
+        if len(log1) == len(log2):
+            results.append(
+                _arrays_equal(
+                    f"{name}_fault_times",
+                    context,
+                    ([e["t"] for e in log1], [e["t"] for e in log2]),
+                    rtol=SCALAR_PATH_RTOL,
+                )
+            )
+        names = (
+            "freq.retries",
+            "faults.injected",
+            "queue.kernels_executed",
+            "freq.switches",
+            "predict.plan_lookups",
+        )
+        values = {
+            n: (tr1.metrics.counter(n).value, tr2.metrics.counter(n).value)
+            for n in names
+        }
+        results.append(
+            check(
+                f"{name}_traced_counters",
+                all(a == b for a, b in values.values()),
+                f"{context}: counter mismatch: {values}",
+            )
+        )
+    return results
+
+
 def check_scheduler_batched_vs_scalar(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
     """Twin clusters: ``submit_many``+batched payloads vs scalar jobs."""
     from repro.engine.batch import JobBatch
@@ -427,5 +546,6 @@ def run_engine_checks(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
         + check_empty_batches(spec)
         + check_profiler_window_energies(spec)
         + check_traced_counter_parity(spec)
+        + check_faulted_batch(spec)
         + check_scheduler_batched_vs_scalar(spec)
     )

@@ -5,7 +5,10 @@ edges, fallback gates, the bulk device APIs) plus a Hypothesis property
 suite driving random kernel mixes, explicit clock pairs and energy
 targets (including DEADLINE and SLA) through ``submit_batch`` and the
 scalar reference loop side by side: element-wise parity of the resulting
-records, and permutation invariance of the aggregate batch energy.
+records, and permutation invariance of the aggregate batch energy. Under
+random clock-set fault plans the batch splits at failing switches; the
+same suite holds it to the scalar twin's records, scaler counters,
+degraded flags and fault log.
 """
 
 from __future__ import annotations
@@ -360,7 +363,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
 @st.composite
-def request_streams(draw, explicit_only: bool = False):
+def request_streams(draw, explicit_only: bool = False, max_size: int = 12):
     """A random submission stream over the fixed kernel pool.
 
     Items cover every submit form: bare kernels (skipped when
@@ -372,7 +375,7 @@ def request_streams(draw, explicit_only: bool = False):
 
     kernels = [get_benchmark(n).kernel for n in ("gemm", "sobel3", "median")]
     table = NVIDIA_V100.core_freqs_mhz
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_size))
     items = []
     for _ in range(n):
         kernel = kernels[draw(st.integers(0, len(kernels) - 1))]
@@ -416,3 +419,122 @@ class TestBatchScalarProperties:
         e_base = float(np.sum(base.submit_batch(requests).energy_j))
         e_perm = float(np.sum(perm.submit_batch(shuffled).energy_j))
         assert e_perm == pytest.approx(e_base, rel=1e-9)
+
+
+@st.composite
+def clock_set_faults(draw):
+    """``(rate, count, target, at_frac, seed)`` of a random clock-set plan.
+
+    Rate 1.0 fails every attempt: retry exhaustion, then a degrade whose
+    reset fails too (``count=0``) or succeeds (``count=5`` stops the
+    failures after the retry budget). ``at_frac`` places a scheduled
+    fault that far into the clean batch's run; ``target`` is the twin
+    boards' index (0), another board's, or unrestricted.
+    """
+    return (
+        draw(st.sampled_from((0.02, 0.3, 1.0))),
+        draw(st.sampled_from((0, 5))),
+        draw(st.sampled_from((None, 0, 1))),
+        draw(st.none() | st.floats(0.05, 0.95)),
+        draw(st.integers(0, 2**16)),
+    )
+
+
+def _faulted_twins(plan, requests, faults, validate=False):
+    """Scalar replay and ``submit_batch`` on twin boards, one fault plan."""
+    from repro.faults import FaultPlan, FaultSpec
+
+    rate, count, target, at_frac, seed = faults
+    specs = [
+        FaultSpec(
+            site="nvml.set_clocks", probability=rate, count=count, target=target
+        )
+    ]
+    if at_frac is not None:
+        clean = SimulatedGPU(NVIDIA_V100, index=0)
+        SynergyQueue(clean, plan=plan).submit_batch(requests)
+        specs.append(FaultSpec(site="nvml.set_clocks", at_s=at_frac * clean.clock.now))
+    fault_plan = FaultPlan(seed=seed, specs=tuple(specs))
+    queues = []
+    for _ in range(2):
+        gpu = SimulatedGPU(NVIDIA_V100, index=0)
+        gpu.fault_injector = fault_plan.injector()
+        queues.append(SynergyQueue(gpu, plan=plan, validate=validate))
+    scalar_q, batched_q = queues
+    _scalar_replay(scalar_q, requests)
+    result = batched_q.submit_batch(requests)
+    batched_q.wait()
+    return scalar_q, batched_q, result
+
+
+class TestFaultedBatchProperties:
+    @given(request_streams(max_size=24), clock_set_faults())
+    @settings(max_examples=40, deadline=None)
+    def test_faulted_batch_matches_scalar_twin(self, plan, requests, faults):
+        scalar_q, batched_q, result = _faulted_twins(plan, requests, faults)
+        assert result.fallback is None
+        _assert_twin_parity(scalar_q.gpu, batched_q.gpu)
+        for counter in ("switch_count", "retry_count", "failed_switches"):
+            assert getattr(batched_q.scaler, counter) == getattr(
+                scalar_q.scaler, counter
+            )
+        assert result.n_switches == scalar_q.scaler.switch_count
+        assert [r["degraded"] for r in batched_q.kernel_stats()] == [
+            r["degraded"] for r in scalar_q.kernel_stats()
+        ]
+        log_s = scalar_q.gpu.fault_injector.log.to_dicts()
+        log_b = batched_q.gpu.fault_injector.log.to_dicts()
+        assert [{**e, "t": None} for e in log_b] == [{**e, "t": None} for e in log_s]
+        np.testing.assert_allclose(
+            [e["t"] for e in log_b], [e["t"] for e in log_s], rtol=RTOL
+        )
+
+    @given(request_streams(max_size=24), clock_set_faults())
+    @settings(max_examples=15, deadline=None)
+    def test_app_clocks_match_the_per_event_replay(self, plan, requests, faults):
+        """Split and per-event batches report the same application clocks."""
+        _, _, split = _faulted_twins(plan, requests, faults)
+        _, _, replayed = _faulted_twins(plan, requests, faults, validate=True)
+        assert replayed.fallback == "validator"
+        assert split.app_core_mhz.tolist() == replayed.app_core_mhz.tolist()
+        assert split.app_mem_mhz.tolist() == replayed.app_mem_mhz.tolist()
+        assert split.core_mhz.tolist() == replayed.core_mhz.tolist()
+
+
+class TestFaultFallbacks:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"site": "nvml.gpu_lost", "at_s": 1e3},
+            {
+                "site": "hw.thermal_throttle",
+                "at_s": 1e3,
+                "duration_s": 1.0,
+                "param": 900,
+            },
+        ],
+        ids=["gpu_lost", "thermal_throttle"],
+    )
+    def test_per_event_sites_fall_back_by_name(self, kernel_pool, spec):
+        from repro.faults import FaultPlan, FaultSpec
+
+        gpu = SimulatedGPU(NVIDIA_V100)
+        gpu.fault_injector = FaultPlan(specs=(FaultSpec(**spec),)).injector()
+        result = SynergyQueue(gpu).submit_batch([(877, 1380, kernel_pool[0])])
+        assert result.fallback == spec["site"]
+
+    def test_clock_set_faults_on_rocm_take_the_plain_fast_path(self, kernel_pool):
+        from repro.faults import transient_nvml_plan
+        from repro.hw.specs import AMD_MI100
+
+        spec = AMD_MI100
+        gpu = SimulatedGPU(spec)
+        gpu.fault_injector = transient_nvml_plan(1.0).injector()
+        core = spec.core_freqs_mhz
+        queue = SynergyQueue(gpu)
+        result = queue.submit_batch(
+            [(spec.default_mem_mhz, c, kernel_pool[0]) for c in (core[0], core[-1])]
+        )
+        assert result.fallback is None
+        assert queue.scaler.retry_count == 0
+        assert gpu.fault_injector.total_faults == 0

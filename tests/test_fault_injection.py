@@ -150,6 +150,123 @@ class TestInjectorMechanics:
         assert [e["kind"] for e in inj.log.to_dicts()] == ["fault", "recovery"]
 
 
+SITE = "nvml.set_clocks"
+
+
+def _streams(inj):
+    return {i: rng.bit_generator.state for i, rng in inj._rngs.items()}
+
+
+class TestQuietPrefix:
+    """``quiet_prefix`` answers a run of ``fires`` calls in one query."""
+
+    @staticmethod
+    def _assert_matches_fires(plan, times, target=0, primed=()):
+        """Bulk query vs calling ``fires`` until one fires, on twin injectors.
+
+        ``primed`` timestamps go through ``fires`` on both injectors first
+        (to exhaust counts). The stream state after the query must equal
+        the state after the ``k`` quiet ``fires`` calls, and the next call
+        must fire the same spec on both.
+        """
+        scalar, bulk = plan.injector(), plan.injector()
+        for t in primed:
+            scalar.fires(SITE, t, target=target)
+            bulk.fires(SITE, t, target=target)
+        k_ref = len(times)
+        for i, t in enumerate(times):
+            before = _streams(scalar)
+            if scalar.fires(SITE, t, target=target) is not None:
+                k_ref = i
+                break
+        else:
+            before = _streams(scalar)
+        k = bulk.quiet_prefix(SITE, target, times)
+        assert k == k_ref
+        assert _streams(bulk) == before
+        if k < len(times):
+            assert bulk.fires(SITE, times[k], target=target) is not None
+            assert bulk.log.to_dicts() == scalar.log.to_dicts()
+            assert _streams(bulk) == _streams(scalar)
+        return k
+
+    def test_bulk_draws_equal_scalar_draws(self):
+        from repro.common.rng import make_rng
+
+        bulk, scalar = make_rng(11), make_rng(11)
+        assert bulk.random(257).tolist() == [scalar.random() for _ in range(257)]
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_probabilistic_spec_matches_fires(self, seed):
+        plan = FaultPlan(seed=seed, specs=(FaultSpec(site=SITE, probability=0.05),))
+        times = [0.001 * i for i in range(200)]
+        assert self._assert_matches_fires(plan, times) < len(times)
+
+    def test_no_firing_consumes_every_draw(self):
+        plan = FaultPlan(seed=2, specs=(FaultSpec(site=SITE, probability=1e-9),))
+        assert self._assert_matches_fires(plan, [0.0] * 50) == 50
+
+    def test_target_restricted_spec(self):
+        plan = FaultPlan(
+            seed=4,
+            specs=(
+                FaultSpec(site=SITE, probability=0.5, target=1),
+                FaultSpec(site=SITE, probability=0.02),
+            ),
+        )
+        times = [0.01 * i for i in range(100)]
+        for target in (0, 1):
+            self._assert_matches_fires(plan, times, target=target)
+
+    def test_count_exhausted_spec_draws_nothing(self):
+        plan = FaultPlan(
+            seed=5,
+            specs=(
+                FaultSpec(site=SITE, probability=1.0, count=1),
+                FaultSpec(site=SITE, probability=0.03),
+            ),
+        )
+        inj = plan.injector()
+        inj.fires(SITE, 0.0, target=0)
+        exhausted = inj._rngs[0].bit_generator.state
+        inj.quiet_prefix(SITE, 0, [0.1] * 40)
+        assert inj._rngs[0].bit_generator.state == exhausted
+        self._assert_matches_fires(plan, [0.1 * i for i in range(1, 80)], primed=[0.0])
+
+    @pytest.mark.parametrize("at_s", [0.25, 0.5, 10.0])
+    def test_scheduled_and_probabilistic_on_one_site(self, at_s):
+        plan = FaultPlan(
+            seed=6,
+            specs=(
+                FaultSpec(site=SITE, probability=0.01),
+                FaultSpec(site=SITE, at_s=at_s),
+            ),
+        )
+        times = [0.005 * i for i in range(150)]
+        self._assert_matches_fires(plan, times)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [FaultSpec(site=SITE, probability=1.0), FaultSpec(site=SITE, at_s=0.0)],
+        ids=["certain", "scheduled-now"],
+    )
+    def test_zero_when_first_invocation_fires(self, spec):
+        plan = FaultPlan(seed=8, specs=(spec,))
+        inj = plan.injector()
+        before = _streams(inj)
+        assert inj.quiet_prefix(SITE, 0, [0.0, 1.0, 2.0]) == 0
+        assert _streams(inj) == before
+        assert self._assert_matches_fires(plan, [0.0, 1.0, 2.0]) == 0
+
+    def test_unarmed_site_and_empty_query(self):
+        inj = FaultPlan(
+            specs=(FaultSpec(site="nvml.power_read", probability=1.0),)
+        ).injector()
+        assert inj.quiet_prefix(SITE, 0, [0.0, 1.0]) == 2
+        assert inj.quiet_prefix("nvml.power_read", 0, []) == 0
+
+
 # ------------------------------------------------------------- vendor layer
 
 
