@@ -384,13 +384,8 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    print(
-        f"benchmarking fast paths (quick={args.quick}, jobs={args.jobs}) ...",
-        file=sys.stderr,
-    )
-    report = run_perf_pipeline(
-        quick=args.quick, n_jobs=args.jobs, json_path=args.json or None
-    )
+    print(f"benchmarking fast paths (quick={args.quick}) ...", file=sys.stderr)
+    report = run_perf_pipeline(quick=args.quick, json_path=args.json or None)
     rows = [
         [
             s["name"],
@@ -421,7 +416,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             title="Keyed sweep cache",
         )
     )
-    print(f"parallel forest deterministic: {report['forest_deterministic']}")
     if args.json:
         print(f"wrote {args.json}", file=sys.stderr)
     return 0
@@ -1085,8 +1079,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perf", help="benchmark the vectorized fast paths")
     p.add_argument("--quick", action="store_true",
                    help="shrink every scale for a smoke run")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="extra worker count to verify forest determinism with")
     p.add_argument("--json", default="BENCH_perf.json",
                    help="report output path ('' disables)")
     p.set_defaults(fn=_cmd_perf)

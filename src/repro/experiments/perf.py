@@ -9,13 +9,12 @@ speed or equivalence are visible across commits:
   V100 core-frequency table vs the per-clock scalar loop (target ≥ 5×),
 - ``sweep_2d`` — :func:`~repro.experiments.sweep.sweep_kernel_2d` over the
   Titan X (memory × core) grid vs the nested scalar loop (target ≥ 5×),
-- ``forest_fit`` / ``forest_predict`` — presorted, vectorized random
-  forest vs the per-node-argsort / node-walk reference (target ≥ 3×, and
+- ``forest_fit`` / ``forest_predict`` — level-synchronous random forest
+  training and stacked prediction vs the per-node oracle / row-by-row
+  walk of :mod:`repro.validate.reference` (target ≥ 3×, and
   bitwise-identical results),
 - ``sweep_cache`` — cold vs warm pass over the training sweeps through
   the keyed sweep cache, with hit/miss counters,
-- ``forest_determinism`` — serial vs multi-worker training must produce
-  bitwise-identical forests,
 - ``scenario_batched`` — a full cluster scenario (one exclusive 64-node
   job, hundreds of mixed-target kernels per board) through the batched
   virtual-time engine (``Scheduler.submit_many`` + ``submit_batch`` +
@@ -48,7 +47,11 @@ from repro.experiments.sweep import sweep_kernel_2d, sweep_kernel_2d_scalar
 from repro.hw.specs import NVIDIA_TITAN_X, NVIDIA_V100
 from repro.kernelir.microbench import generate_microbenchmarks
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.serialization import serialize_estimator
+from repro.validate.reference import (
+    forest_reference,
+    predict_reference,
+    trees_equal,
+)
 
 #: Speed targets the tentpole commits to (checked by the perf benchmark).
 SPEEDUP_TARGETS: dict[str, float] = {
@@ -180,7 +183,6 @@ def _batched_scenario(
 
 def run_perf_pipeline(
     quick: bool = False,
-    n_jobs: int | None = None,
     json_path: str | Path | None = None,
     repeats: int = 1,
 ) -> dict:
@@ -241,33 +243,22 @@ def run_perf_pipeline(
     params = dict(
         n_estimators=n_trees, max_depth=14, min_samples_leaf=2, seed=11
     )
-    fast_forest = RandomForestRegressor(n_jobs=1, **params)
-    base_forest = RandomForestRegressor(n_jobs=1, **params)
-    fast_s, _ = _timed(lambda: fast_forest.fit(X, y))
-    base_s, _ = _timed(lambda: base_forest.fit_scalar(X, y))
-    identical_fit = serialize_estimator(fast_forest) == serialize_estimator(
-        base_forest
-    )
-    assert identical_fit, "presorted forest fit diverged from reference"
+    forest = RandomForestRegressor(**params)
+    fast_s, _ = _timed(lambda: forest.fit(X, y))
+    base_s, reference = _timed(lambda: forest_reference(forest, X, y))
+    assert all(
+        trees_equal(tree.flat_tree(), ref)
+        for tree, ref in zip(forest.trees_, reference)
+    ), "level-synchronous forest fit diverged from the oracle"
     sections.append(_record("forest_fit", base_s, fast_s, 0.0))
 
     Xq = np.tile(X, (predict_tile, 1))
-    fast_s, pred_fast = _timed(lambda: fast_forest.predict(Xq), repeats)
-    base_s, pred_base = _timed(lambda: fast_forest.predict_scalar(Xq))
+    fast_s, pred_fast = _timed(lambda: forest.predict(Xq), repeats)
+    base_s, pred_base = _timed(lambda: predict_reference(reference, Xq))
     assert np.array_equal(pred_fast, pred_base), (
-        "flat forest prediction diverged from node walk"
+        "flat forest prediction diverged from the row-by-row walk"
     )
     sections.append(_record("forest_predict", base_s, fast_s, 0.0))
-
-    # --- parallel-training determinism -----------------------------------
-    parallel_forest = RandomForestRegressor(n_jobs=2, **params).fit(X, y)
-    forest_deterministic = serialize_estimator(
-        parallel_forest
-    ) == serialize_estimator(fast_forest)
-    assert forest_deterministic, "parallel forest differs from serial"
-    if n_jobs is not None and n_jobs != 2:
-        extra = RandomForestRegressor(n_jobs=n_jobs, **params).fit(X, y)
-        assert serialize_estimator(extra) == serialize_estimator(fast_forest)
 
     # --- batched cluster scenario vs the scalar reference ----------------
     n_nodes = 8 if quick else 64
@@ -304,7 +295,6 @@ def run_perf_pipeline(
         },
         "sections": sections,
         "sweep_cache": cache_section,
-        "forest_deterministic": forest_deterministic,
         "global_caches": fastpath_cache_report(),
     }
     if json_path is not None:

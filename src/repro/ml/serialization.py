@@ -19,7 +19,7 @@ from repro.ml.lasso import Lasso
 from repro.ml.linear import LinearRegression, Ridge
 from repro.ml.preprocessing import StandardScaler
 from repro.ml.svr import SVR
-from repro.ml.tree import DecisionTreeRegressor, _Node
+from repro.ml.tree import DecisionTreeRegressor, FlatTree
 
 
 def _array(value) -> list:
@@ -28,27 +28,39 @@ def _array(value) -> list:
 
 # --------------------------------------------------------------------- trees
 
-def _node_to_dict(node: _Node) -> dict[str, Any]:
-    if node.is_leaf:
-        return {"value": node.value}
-    assert node.left is not None and node.right is not None
-    return {
-        "value": node.value,
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
+def _tree_to_dict(flat: FlatTree, node: int = 0) -> dict[str, Any]:
+    """Nested-dict form of the subtree at ``node`` (leaves carry only a value)."""
+    data: dict[str, Any] = {"value": float(flat.value[node])}
+    if flat.feature[node] >= 0:
+        data["feature"] = int(flat.feature[node])
+        data["threshold"] = float(flat.threshold[node])
+        data["left"] = _tree_to_dict(flat, int(flat.left[node]))
+        data["right"] = _tree_to_dict(flat, int(flat.right[node]))
+    return data
 
 
-def _node_from_dict(data: dict[str, Any]) -> _Node:
-    node = _Node(value=float(data["value"]))
-    if "feature" in data:
-        node.feature = int(data["feature"])
-        node.threshold = float(data["threshold"])
-        node.left = _node_from_dict(data["left"])
-        node.right = _node_from_dict(data["right"])
-    return node
+def _tree_from_dict(root: dict[str, Any]) -> FlatTree:
+    """Preorder :class:`FlatTree` of a nested-dict tree."""
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
+
+    def add(data: dict[str, Any]) -> int:
+        i = len(value)
+        value.append(float(data["value"]))
+        feature.append(int(data.get("feature", -1)))
+        threshold.append(float(data.get("threshold", 0.0)))
+        left.append(-1)
+        right.append(-1)
+        if "feature" in data:
+            left[i] = add(data["left"])
+            right[i] = add(data["right"])
+        return i
+
+    add(root)
+    return FlatTree.from_lists(feature, threshold, left, right, value)
 
 
 # ---------------------------------------------------------------- estimators
@@ -69,12 +81,12 @@ def serialize_estimator(estimator: Estimator) -> dict[str, Any]:
             data["alpha"] = estimator.alpha
         return data
     if isinstance(estimator, DecisionTreeRegressor):
-        if estimator._root is None:
+        if estimator._flat is None:
             raise ValidationError("cannot serialize an unfitted tree")
         return {
             "type": "DecisionTreeRegressor",
             "n_features": estimator.n_features_,
-            "root": _node_to_dict(estimator._root),
+            "root": _tree_to_dict(estimator._flat),
         }
     if isinstance(estimator, RandomForestRegressor):
         if estimator.trees_ is None:
@@ -118,7 +130,7 @@ def deserialize_estimator(data: dict[str, Any]) -> Estimator:
     if kind == "DecisionTreeRegressor":
         tree = DecisionTreeRegressor()
         tree.n_features_ = int(data["n_features"])
-        tree._root = _node_from_dict(data["root"])
+        tree._flat = _tree_from_dict(data["root"])
         return tree
     if kind == "RandomForestRegressor":
         forest = RandomForestRegressor(n_estimators=max(len(data["trees"]), 1))

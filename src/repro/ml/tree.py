@@ -1,27 +1,45 @@
-"""CART regression tree.
+"""CART regression tree, grown level-synchronously.
 
-Standard variance-reduction splitting with sorted-scan split search: for each
-candidate feature the samples are scanned in sorted order and prefix sums of
-``y`` and ``y²`` give every split's SSE in O(n). Supports per-node feature
-subsampling (``max_features``) for random-forest use.
+Standard variance-reduction splitting: for each candidate feature a node's
+samples are scanned in sorted order and prefix sums of ``y`` and ``y²``
+give every split's SSE. Supports per-node feature subsampling
+(``max_features``) for random-forest use.
 
-Two fast paths (both bitwise-equivalent to the reference implementation,
-which stays callable as :meth:`DecisionTreeRegressor.fit_scalar` /
-:meth:`DecisionTreeRegressor.predict_scalar`):
+:func:`grow_trees` grows any number of trees together, one depth at a
+time: every frontier node of every tree at a depth is handled by a few
+array passes instead of a recursive per-node walk. The fitted trees come
+out directly in struct-of-arrays form (:class:`FlatTree`), which batches
+of rows descend level-synchronously at prediction time.
 
-- **presorted fitting** — features are stable-argsorted once per tree;
-  every node filters the parent's sorted index columns instead of
-  re-sorting, and the SSE scan runs over all candidate features in one
-  2-D NumPy pass instead of a Python loop,
-- **flattened prediction** — the fitted node graph is flattened into
-  struct-of-arrays form (``feature/threshold/left/right/value``) and
-  batches of rows descend the tree level-synchronously with vectorized
-  gathers instead of walking node objects row-by-row.
+Growth protocol (the per-node oracle in :mod:`repro.validate.reference`
+implements the same protocol one node at a time and matches bitwise):
+
+- a tree's sample is a list of row indices into ``X`` (a bootstrap
+  resample, or every row); ties in a feature are ordered by sample
+  position,
+- a node's sums of ``y`` and ``y²`` accumulate sequentially over its
+  samples in sample order; its value is ``sum / m``,
+- a node is *splittable* when it has ``m >= min_samples_split`` samples,
+  room for two leaves (``m >= 2 * min_samples_leaf``), is shallower than
+  ``max_depth`` and its targets are not all equal,
+- **feature draws:** at each depth, each tree's Generator makes one
+  ``rng.random((s, p))`` draw for its ``s`` splittable nodes, taken in
+  left-to-right order; a node's candidate features are the first ``k``
+  entries of the stable argsort of its row. When ``k == p`` nothing is
+  drawn and the candidates are ``arange(p)``,
+- the split is the first-minimum SSE position per candidate (left size in
+  ``[min_samples_leaf, m - min_samples_leaf]``, between distinct x), then
+  the first-maximum gain across candidates; a gain of at most 1e-12 makes
+  a leaf. The threshold is the midpoint of the straddling x values (the
+  lower one if the midpoint rounds up to the upper) and samples with
+  ``x <= threshold`` go left,
+- nodes are numbered breadth-first per tree (node 0 is the root).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -29,25 +47,14 @@ from repro.common.errors import ValidationError
 from repro.common.rng import make_rng
 from repro.ml.base import Estimator, check_Xy
 
-
-@dataclass
-class _Node:
-    """Tree node: either a leaf (``value``) or an internal split."""
-
-    value: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+#: Cap on the elements of one padded scan chunk (nodes × rows × width):
+#: bounds the grower's transient memory independently of forest size.
+_CHUNK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
 class FlatTree:
-    """Struct-of-arrays form of a fitted tree (preorder node layout).
+    """Struct-of-arrays form of a fitted tree (breadth-first node layout).
 
     Leaves carry ``feature == -1`` and ``left == right == -1``; internal
     nodes index their children into the same arrays.
@@ -63,36 +70,16 @@ class FlatTree:
     def n_nodes(self) -> int:
         return int(self.value.shape[0])
 
-
-def _flatten_tree(root: _Node) -> FlatTree:
-    """Flatten a node graph into preorder arrays."""
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
-    def add(node: _Node) -> int:
-        i = len(value)
-        value.append(node.value)
-        feature.append(node.feature if not node.is_leaf else -1)
-        threshold.append(node.threshold)
-        left.append(-1)
-        right.append(-1)
-        if not node.is_leaf:
-            assert node.left is not None and node.right is not None
-            left[i] = add(node.left)
-            right[i] = add(node.right)
-        return i
-
-    add(root)
-    return FlatTree(
-        feature=np.asarray(feature, dtype=np.intp),
-        threshold=np.asarray(threshold, dtype=float),
-        left=np.asarray(left, dtype=np.intp),
-        right=np.asarray(right, dtype=np.intp),
-        value=np.asarray(value, dtype=float),
-    )
+    @classmethod
+    def from_lists(cls, feature, threshold, left, right, value) -> "FlatTree":
+        """Build from per-node sequences (any node order; node 0 is the root)."""
+        return cls(
+            feature=np.asarray(feature, dtype=np.intp),
+            threshold=np.asarray(threshold, dtype=float),
+            left=np.asarray(left, dtype=np.intp),
+            right=np.asarray(right, dtype=np.intp),
+            value=np.asarray(value, dtype=float),
+        )
 
 
 def _flat_predict(flat: FlatTree, X: np.ndarray) -> np.ndarray:
@@ -108,112 +95,234 @@ def _flat_predict(flat: FlatTree, X: np.ndarray) -> np.ndarray:
     return flat.value[nodes]
 
 
-def _best_split(
-    X: np.ndarray, y: np.ndarray, features: np.ndarray, min_leaf: int
-) -> tuple[int, float, float] | None:
-    """Reference best ``(feature, threshold, sse_gain)`` (argsort per node).
+def n_candidate_features(max_features: int | float | None, p: int) -> int:
+    """Number of candidate features ``k`` drawn per node out of ``p``."""
+    if max_features is None:
+        return p
+    if isinstance(max_features, float):
+        if not 0.0 < max_features <= 1.0:
+            raise ValidationError(
+                f"fractional max_features must be in (0, 1] ({max_features!r})"
+            )
+        return max(1, int(round(max_features * p)))
+    if max_features < 1:
+        raise ValidationError(f"max_features must be >= 1 ({max_features!r})")
+    return min(int(max_features), p)
 
-    Kept as the scalar baseline the fast presorted path is verified (and
-    benchmarked) against. Returns ``None`` when no split satisfies the
-    leaf-size constraint or improves the SSE.
+
+def _dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Per-column dense ranks of ``X`` plus a sentinel row ``n`` of rank ``n``.
+
+    Equal values share a rank, so comparing ranks is comparing values; the
+    sentinel row pads scan chunks and sorts after every real sample.
     """
-    n = y.shape[0]
-    total_sum = float(y.sum())
-    total_sq = float((y**2).sum())
-    parent_sse = total_sq - total_sum**2 / n
+    n, p = X.shape
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    dense = np.zeros((n, p), dtype=np.intp)
+    np.cumsum(xs[1:] != xs[:-1], axis=0, out=dense[1:])
+    ranks = np.full((n + 1, p), n, dtype=np.intp)
+    np.put_along_axis(ranks[:n], order, dense, axis=0)
+    return ranks
 
-    best: tuple[int, float, float] | None = None
-    for j in features:
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        # Candidate split positions: between distinct consecutive x values,
-        # honouring the minimum leaf size on both sides.
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys**2)
-        idx = np.arange(1, n)  # left part has idx samples
-        valid = (xs[1:] != xs[:-1]) & (idx >= min_leaf) & (n - idx >= min_leaf)
-        if not np.any(valid):
-            continue
-        k = idx[valid]
-        left_sum, left_sq = csum[k - 1], csq[k - 1]
+
+def _chunks(sizes: np.ndarray, per_node: int):
+    """Yield ``(nodes, width)``: nodes bucketed by padded width.
+
+    Widths step by a quarter octave (sizes 9..16 pad to 10/12/14/16), so
+    padding wastes at most ~25%. Node order is kept within a bucket; each
+    chunk holds at most :data:`_CHUNK_ELEMENTS` padded elements
+    (``per_node`` rows per node).
+    """
+    step = 1 << np.maximum(np.frexp(sizes - 1)[1] - 3, 0)
+    widths = -(-sizes // step) * step
+    for width in np.unique(widths):
+        nodes = np.flatnonzero(widths == width)
+        per_chunk = max(1, _CHUNK_ELEMENTS // (int(width) * per_node))
+        for i in range(0, nodes.size, per_chunk):
+            yield nodes[i : i + per_chunk], int(width)
+
+
+def _padded_rows(rows, starts, sizes, width, pad_row):
+    """``(B, width)`` block of each node's rows, padded with ``pad_row``."""
+    offs = np.arange(width)
+    idx = np.minimum(starts[:, None] + offs, rows.size - 1)
+    return np.where(offs < sizes[:, None], rows[idx], pad_row)
+
+
+def _node_sums(y, rows, starts, sizes):
+    """Per-node sums of ``y`` and ``y²``, accumulated in sample order."""
+    sums = np.empty(sizes.size)
+    sqs = np.empty(sizes.size)
+    for nodes, width in _chunks(sizes, 1):
+        m = sizes[nodes]
+        ys = y[_padded_rows(rows, starts[nodes], m, width, y.size - 1)]
+        last = (np.arange(nodes.size), m - 1)
+        sums[nodes] = np.cumsum(ys, axis=1)[last]
+        sqs[nodes] = np.cumsum(ys**2, axis=1)[last]
+    return sums, sqs
+
+
+def _best_splits(X, y, ranks, rows, starts, sizes, cand, sums, sqs, min_leaf):
+    """Best ``(feature, threshold, gain)`` of each scanned node.
+
+    Each chunk gathers its nodes' samples into a ``(B, k, W)`` block padded
+    with the sentinel row, sorts every candidate row by ``(rank, sample
+    position)`` — one integer key, so a plain sort is stable — and scans
+    one ``cumsum`` per row, so every prefix sum starts at its own node.
+    Positions outside the leaf-size band or between equal x values score
+    ``inf``.
+    """
+    feature = np.zeros(sizes.size, dtype=np.intp)
+    threshold = np.zeros(sizes.size)
+    gain = np.full(sizes.size, -np.inf)
+    lo = min_leaf - 1
+    for nodes, width in _chunks(sizes, cand.shape[1]):
+        m, c = sizes[nodes], cand[nodes]
+        r = _padded_rows(rows, starts[nodes], m, width, ranks.shape[0] - 1)
+        # One sortable key per sample: rank in the high bits, position low.
+        shift = (width - 1).bit_length()
+        key_dtype = np.int32 if ranks.shape[0] << shift < 2**31 else np.int64
+        keys = ranks[r[:, None, :], c[:, :, None]].astype(key_dtype)
+        keys <<= shift
+        keys |= np.arange(width)
+        keys.sort(axis=2)
+        srows = r[np.arange(nodes.size)[:, None, None], keys & ((1 << shift) - 1)]
+        skeys = keys >> shift
+        ys = y[srows]
+        csum = np.cumsum(ys, axis=2)
+        csq = np.cumsum(ys**2, axis=2)
+        counts = np.arange(lo + 1, width)            # left sizes at positions lo..W-2
+        total_sum = sums[nodes, None, None]
+        total_sq = sqs[nodes, None, None]
+        left_sum = csum[:, :, lo : width - 1]
+        left_sq = csq[:, :, lo : width - 1]
         right_sum = total_sum - left_sum
         right_sq = total_sq - left_sq
+        right_n = np.maximum(m[:, None, None] - counts, 1)
         sse = (
             left_sq
-            - left_sum**2 / k
+            - left_sum**2 / counts
             + right_sq
-            - right_sum**2 / (n - k)
+            - right_sum**2 / right_n
         )
-        i = int(np.argmin(sse))
-        gain = parent_sse - float(sse[i])
-        if gain <= 1e-12:
-            continue
-        split_at = k[i]
-        threshold = float((xs[split_at - 1] + xs[split_at]) / 2.0)
-        if best is None or gain > best[2]:
-            best = (int(j), threshold, gain)
-    return best
+        valid = (skeys[:, :, lo + 1 :] != skeys[:, :, lo : width - 1]) & (
+            counts <= (m - min_leaf)[:, None, None]
+        )
+        sse = np.where(valid, sse, np.inf)
+        pos = np.argmin(sse, axis=2)                 # first minimum per feature
+        best_sse = np.take_along_axis(sse, pos[:, :, None], axis=2)[:, :, 0]
+        parent_sse = sqs[nodes] - sums[nodes] ** 2 / m
+        gains = np.where(
+            np.isfinite(best_sse), parent_sse[:, None] - best_sse, -np.inf
+        )
+        j = np.argmax(gains, axis=1)                 # first maximum wins ties
+        b = np.arange(nodes.size)
+        split_at = pos[b, j] + lo + 1
+        f = c[b, j]
+        x_lo = X[srows[b, j, split_at - 1], f]
+        x_hi = X[srows[b, j, split_at], f]
+        mid = (x_lo + x_hi) / 2.0
+        feature[nodes] = f
+        threshold[nodes] = np.where(mid < x_hi, mid, x_lo)
+        gain[nodes] = gains[b, j]
+    return feature, threshold, gain
 
 
-def _best_split_presorted(
+def _draw_candidates(rngs, node_tree: np.ndarray, p: int, k: int) -> np.ndarray:
+    """Candidate features of one depth's splittable nodes (``(s, k)``)."""
+    if k >= p:
+        return np.broadcast_to(np.arange(p), (node_tree.size, p))
+    counts = np.bincount(node_tree, minlength=len(rngs))
+    draws = [rngs[t].random((counts[t], p)) for t in np.flatnonzero(counts)]
+    return np.argsort(np.concatenate(draws), axis=1, kind="stable")[:, :k]
+
+
+def grow_trees(
     X: np.ndarray,
     y: np.ndarray,
-    sorted_cols: np.ndarray,
-    features: np.ndarray,
-    min_leaf: int,
-    total_sum: float,
-    total_sq: float,
-) -> tuple[int, float] | None:
-    """Vectorized best split over all candidate features in one pass.
+    samples: Sequence[np.ndarray],
+    rngs: Sequence[np.random.Generator],
+    *,
+    n_candidates: int,
+    max_depth: int | None,
+    min_samples_split: int,
+    min_samples_leaf: int,
+) -> list[FlatTree]:
+    """Grow one tree per ``(sample, rng)`` pair, all depths in lockstep.
 
-    ``sorted_cols`` has shape ``(p, m)``: row ``j`` holds the node's row
-    indices sorted (stably) by feature ``j`` (row-major so per-feature
-    scans run over contiguous memory). Produces the identical
-    ``(feature, threshold)`` choice as :func:`_best_split` — same
-    elementwise arithmetic, same first-wins tie-breaking — without a
-    per-node argsort or a Python loop over features.
-
-    The SSE scan is restricted to the band of split positions that can
-    satisfy the leaf-size constraint (left part size in
-    ``[min_leaf, m - min_leaf]``); positions outside the band are invalid
-    for every feature, so the restriction cannot change the selected
-    first-minimum position.
+    The frontier is kept as one array of sample rows, node after node (tree
+    by tree, left to right), each node's rows in sample order. Per depth:
+    node sums, the splittable mask, the feature draws, one bucketed scan
+    over every scanned node, and a stable partition of the rows of the
+    nodes that split into their children.
     """
-    m = sorted_cols.shape[1]
-    lo = min_leaf - 1                            # band of positions i where
-    hi = m - min_leaf                            # left size i+1 is feasible
-    if hi <= lo:
-        return None
-    parent_sse = total_sq - total_sum**2 / m
+    p = X.shape[1]
+    ranks = _dense_ranks(X)
+    y_pad = np.append(y, 0.0)                       # row n: the pad sentinel
+    rows = np.concatenate(samples).astype(np.intp, copy=False)
+    sizes = np.array([s.shape[0] for s in samples], dtype=np.intp)
+    node_tree = np.arange(len(samples), dtype=np.intp)
+    levels = []
+    depth = 0
+    while sizes.size:
+        starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+        sums, sqs = _node_sums(y_pad, rows, starts, sizes)
+        ys = y[rows]
+        splittable = (sizes >= max(min_samples_split, 2 * min_samples_leaf)) & (
+            np.minimum.reduceat(ys, starts) != np.maximum.reduceat(ys, starts)
+        )
+        if max_depth is not None and depth >= max_depth:
+            splittable[:] = False
+        feature = np.full(sizes.size, -1, dtype=np.intp)
+        threshold = np.zeros(sizes.size)
+        split = np.zeros(sizes.size, dtype=bool)
+        scan = np.flatnonzero(splittable)
+        if scan.size:
+            cand = _draw_candidates(rngs, node_tree[scan], p, n_candidates)
+            f, thr, gain = _best_splits(
+                X, y_pad, ranks, rows, starts[scan], sizes[scan], cand,
+                sums[scan], sqs[scan], min_samples_leaf,
+            )
+            won = gain > 1e-12
+            split[scan[won]] = True
+            feature[scan[won]] = f[won]
+            threshold[scan[won]] = thr[won]
+        levels.append((node_tree, sums / sizes, feature, threshold))
+        # Children rows: each split node's rows, left then right, in order.
+        seg = np.repeat(np.arange(sizes.size), sizes)
+        keep = split[seg]
+        rows, seg = rows[keep], seg[keep]
+        go_right = X[rows, feature[seg]] > threshold[seg]
+        child = 2 * (np.cumsum(split) - 1)[seg] + go_right
+        rows = rows[np.argsort(child, kind="stable")]
+        sizes = np.bincount(child, minlength=2 * int(split.sum()))
+        node_tree = np.repeat(node_tree[split], 2)
+        depth += 1
+    return _split_by_tree(levels, len(samples))
 
-    order = sorted_cols[features]                # (k, m)
-    xs = X[order, features[:, None]]             # node values, sorted per row
-    ys = y[order]
-    csum = np.cumsum(ys, axis=1)
-    csq = np.cumsum(ys**2, axis=1)
-    counts = np.arange(lo + 1, hi + 1)           # left sizes inside the band
-    valid = xs[:, lo + 1 : hi + 1] != xs[:, lo:hi]
-    left_sum = csum[:, lo:hi]
-    left_sq = csq[:, lo:hi]
-    right_sum = total_sum - left_sum
-    right_sq = total_sq - left_sq
-    sse = (
-        left_sq
-        - left_sum**2 / counts
-        + right_sq
-        - right_sum**2 / (m - counts)
+
+def _split_by_tree(levels, n_trees: int) -> list[FlatTree]:
+    """Per-tree breadth-first :class:`FlatTree` s from per-depth node arrays."""
+    tree, value, feature, threshold = (np.concatenate(a) for a in zip(*levels))
+    left = np.full(tree.size, -1, dtype=np.intp)
+    base = 0
+    for level in levels:
+        inner = np.flatnonzero(level[2] >= 0)
+        left[base + inner] = base + level[2].size + 2 * np.arange(inner.size)
+        base += level[2].size
+    right = np.where(left >= 0, left + 1, -1)
+    order = np.argsort(tree, kind="stable")
+    counts = np.bincount(tree, minlength=n_trees)
+    local = np.empty(tree.size, dtype=np.intp)
+    local[order] = np.arange(tree.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    left = np.where(left >= 0, local[left], -1)
+    right = np.where(right >= 0, local[right], -1)
+    bounds = np.cumsum(counts)[:-1]
+    parts = (
+        np.split(a[order], bounds) for a in (feature, threshold, left, right, value)
     )
-    sse = np.where(valid, sse, np.inf)
-    pos = np.argmin(sse, axis=1)                 # first minimum per feature
-    best_sse = sse[np.arange(features.shape[0]), pos]
-    gains = np.where(np.isfinite(best_sse), parent_sse - best_sse, -np.inf)
-    j = int(np.argmax(gains))                    # first maximum wins ties
-    if gains[j] <= 1e-12:
-        return None
-    split_at = int(pos[j]) + lo + 1
-    threshold = float((xs[j, split_at - 1] + xs[j, split_at]) / 2.0)
-    return int(features[j]), threshold
+    return [FlatTree(*arrays) for arrays in zip(*parts)]
 
 
 class DecisionTreeRegressor(Estimator):
@@ -242,206 +351,74 @@ class DecisionTreeRegressor(Estimator):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self._root: _Node | None = None
         self._flat: FlatTree | None = None
         self.n_features_: int | None = None
 
-    def _n_candidate_features(self, p: int) -> int:
-        if self.max_features is None:
-            return p
-        if isinstance(self.max_features, float):
-            if not 0.0 < self.max_features <= 1.0:
-                raise ValidationError(
-                    f"fractional max_features must be in (0, 1] "
-                    f"({self.max_features!r})"
-                )
-            return max(1, int(round(self.max_features * p)))
-        if self.max_features < 1:
-            raise ValidationError(f"max_features must be >= 1 ({self.max_features!r})")
-        return min(int(self.max_features), p)
-
     def fit(self, X, y) -> "DecisionTreeRegressor":
-        """Fit via the presorted fast path (identical trees to fit_scalar)."""
+        """Fit on every row (no resampling), seeded by ``seed``."""
         X, y = check_Xy(X, y)
         assert y is not None
-        self.n_features_ = X.shape[1]
-        rng = make_rng(self.seed)
-        k = self._n_candidate_features(X.shape[1])
-        rows = np.arange(X.shape[0], dtype=np.intp)
-        sorted_cols = np.ascontiguousarray(
-            np.argsort(X, axis=0, kind="stable").T
-        )
-        scratch = np.zeros(X.shape[0], dtype=bool)
-        self._root = self._grow_presorted(
-            X, y, rows, sorted_cols, 0, rng, k, scratch
-        )
-        self._flat = _flatten_tree(self._root)
+        (fitted,) = self.fit_batch(X, y, [np.arange(X.shape[0])], [self.seed])
+        self._flat, self.n_features_ = fitted._flat, fitted.n_features_
         return self
 
-    def fit_scalar(self, X, y) -> "DecisionTreeRegressor":
-        """Reference fit (argsort per node per feature); kept as baseline."""
-        X, y = check_Xy(X, y)
-        assert y is not None
-        self.n_features_ = X.shape[1]
-        rng = make_rng(self.seed)
-        k = self._n_candidate_features(X.shape[1])
-        self._root = self._grow(X, y, depth=0, rng=rng, k_features=k)
-        self._flat = None
-        return self
-
-    def _grow(
-        self, X: np.ndarray, y: np.ndarray, depth: int, rng, k_features: int
-    ) -> _Node:
-        node = _Node(value=float(y.mean()))
-        n, p = X.shape
-        if (
-            n < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or np.all(y == y[0])
-        ):
-            return node
-        if k_features < p:
-            features = rng.choice(p, size=k_features, replace=False)
-        else:
-            features = np.arange(p)
-        split = _best_split(X, y, features, self.min_samples_leaf)
-        if split is None:
-            return node
-        feature, threshold, _gain = split
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(X[mask], y[mask], depth + 1, rng, k_features)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1, rng, k_features)
-        return node
-
-    def _grow_presorted(
+    def fit_batch(
         self,
         X: np.ndarray,
         y: np.ndarray,
-        rows: np.ndarray,
-        sorted_cols: np.ndarray,
-        depth: int,
-        rng,
-        k_features: int,
-        scratch: np.ndarray,
-    ) -> _Node:
-        """Presorted twin of :meth:`_grow`.
+        samples: Sequence[np.ndarray],
+        seeds: Sequence[int | None],
+    ) -> list["DecisionTreeRegressor"]:
+        """Fitted copies of this tree, one per ``(sample, seed)``, grown together.
 
-        ``rows`` holds the node's sample indices in original row order (so
-        all reductions see the same operand order as the reference path);
-        ``sorted_cols`` carries one stably-sorted index row per feature,
-        maintained by mask-filtering the parent's rows — which preserves
-        stable order, so every split scan sees the exact sequences the
-        per-node argsort would have produced. ``scratch`` is a shared
-        full-length boolean buffer (always all-False between calls) that
-        avoids an O(n) allocation at every node.
+        ``X``/``y`` must already be validated; each sample is an array of
+        row indices (a bootstrap resample, or every row).
         """
-        y_node = y[rows]
-        total_sum = float(y_node.sum())
-        m = rows.shape[0]
-        node = _Node(value=total_sum / m)
-        p = X.shape[1]
-        if (
-            m < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or np.all(y_node == y_node[0])
-        ):
-            return node
-        if k_features < p:
-            features = rng.choice(p, size=k_features, replace=False)
-        else:
-            features = np.arange(p)
-        split = _best_split_presorted(
-            X,
-            y,
-            sorted_cols,
-            np.asarray(features, dtype=np.intp),
-            self.min_samples_leaf,
-            total_sum,
-            float((y_node**2).sum()),
+        flats = grow_trees(
+            X, y, samples, [make_rng(s) for s in seeds],
+            n_candidates=n_candidate_features(self.max_features, X.shape[1]),
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
         )
-        if split is None:
-            return node
-        feature, threshold = split
-        go_left = X[rows, feature] <= threshold
-        rows_left = rows[go_left]
-        rows_right = rows[~go_left]
-        scratch[rows_left] = True
-        sel = scratch[sorted_cols]                  # (p, m)
-        sorted_left = sorted_cols[sel].reshape(p, rows_left.shape[0])
-        sorted_right = sorted_cols[~sel].reshape(p, rows_right.shape[0])
-        scratch[rows_left] = False
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow_presorted(
-            X, y, rows_left, sorted_left, depth + 1, rng, k_features, scratch
-        )
-        node.right = self._grow_presorted(
-            X, y, rows_right, sorted_right, depth + 1, rng, k_features, scratch
-        )
-        return node
+        trees = []
+        for seed, flat in zip(seeds, flats):
+            tree = DecisionTreeRegressor(
+                self.max_depth, self.min_samples_split, self.min_samples_leaf,
+                self.max_features, seed,
+            )
+            tree._flat, tree.n_features_ = flat, X.shape[1]
+            trees.append(tree)
+        return trees
 
     def flat_tree(self) -> FlatTree:
-        """The flattened array form of the fitted tree (built lazily)."""
-        self._check_fitted("_root")
-        assert self._root is not None
-        if self._flat is None:
-            self._flat = _flatten_tree(self._root)
+        """The fitted tree's array form."""
+        self._check_fitted("_flat")
+        assert self._flat is not None
         return self._flat
 
-    def _check_predict_input(self, X) -> np.ndarray:
+    def predict(self, X) -> np.ndarray:
+        """Vectorized batched prediction over the flattened tree."""
+        flat = self.flat_tree()
         X, _ = check_Xy(X)
-        assert self.n_features_ is not None
         if X.shape[1] != self.n_features_:
             raise ValidationError(
                 f"feature count mismatch: fitted {self.n_features_}, "
                 f"got {X.shape[1]}"
             )
-        return X
-
-    def predict(self, X) -> np.ndarray:
-        """Vectorized batched prediction over the flattened tree."""
-        self._check_fitted("_root")
-        X = self._check_predict_input(X)
-        return _flat_predict(self.flat_tree(), X)
-
-    def predict_scalar(self, X) -> np.ndarray:
-        """Reference row-by-row node walk; kept as baseline."""
-        self._check_fitted("_root")
-        X = self._check_predict_input(X)
-        out = np.empty(X.shape[0], dtype=float)
-        for i, row in enumerate(X):
-            node = self._root
-            assert node is not None
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-                assert node is not None
-            out[i] = node.value
-        return out
+        return _flat_predict(flat, X)
 
     def depth(self) -> int:
         """Actual depth of the fitted tree (a root-only tree has depth 0)."""
-        self._check_fitted("_root")
-
-        def _depth(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            assert node.left is not None and node.right is not None
-            return 1 + max(_depth(node.left), _depth(node.right))
-
-        assert self._root is not None
-        return _depth(self._root)
+        flat = self.flat_tree()
+        depth, frontier = 0, np.zeros(1, dtype=np.intp)
+        while True:
+            inner = frontier[flat.feature[frontier] >= 0]
+            if not inner.size:
+                return depth
+            frontier = np.concatenate([flat.left[inner], flat.right[inner]])
+            depth += 1
 
     def n_leaves(self) -> int:
         """Number of leaves in the fitted tree."""
-        self._check_fitted("_root")
-
-        def _count(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            assert node.left is not None and node.right is not None
-            return _count(node.left) + _count(node.right)
-
-        assert self._root is not None
-        return _count(self._root)
+        return int(np.count_nonzero(self.flat_tree().feature < 0))

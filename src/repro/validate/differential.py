@@ -10,7 +10,6 @@ through both sides of each pair and asserts equivalence:
   ``pow`` differ by ~1 ulp),
 - cached vs uncached :class:`~repro.core.sweepcache.SweepCache` runs
   (bitwise, plus the hit/miss accounting),
-- parallel vs serial random-forest training (bitwise predictions),
 - traced (``trace=``) vs untraced execution of a tuned queue workload
   (identical per-kernel records and profiled energies).
 """
@@ -135,31 +134,6 @@ def check_cached_vs_uncached(
     return results
 
 
-def check_forest_parallel_vs_serial(
-    spec: GPUSpec = NVIDIA_V100, n_estimators: int = 8, seed: int = 11
-) -> list[CheckResult]:
-    """Parallel forest training is bitwise-identical to serial training."""
-    from repro.experiments.training import microbench_training_set
-    from repro.ml.forest import RandomForestRegressor
-
-    training = microbench_training_set(spec, freq_stride=24, random_count=2)
-    X = training.X
-    y = np.log(np.maximum(training.energy_j, 1e-300))
-    serial = RandomForestRegressor(
-        n_estimators=n_estimators, seed=seed, n_jobs=1
-    ).fit(X, y)
-    parallel = RandomForestRegressor(
-        n_estimators=n_estimators, seed=seed, n_jobs=2
-    ).fit(X, y)
-    return [
-        _arrays_equal(
-            "diff.forest_parallel_vs_serial",
-            f"{n_estimators} trees on {spec.name} microbenchmarks",
-            (serial.predict(X), parallel.predict(X)),
-        )
-    ]
-
-
 def _tuned_workload(trace) -> tuple[list[dict], float, float]:
     """A seeded single-GPU MIN_EDP workload returning its physics.
 
@@ -229,6 +203,5 @@ def run_differential_checks(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
         check_sweep_vectorized_vs_scalar(spec)
         + check_sweep2d_vectorized_vs_scalar(spec)
         + check_cached_vs_uncached(spec)
-        + check_forest_parallel_vs_serial(spec)
         + check_traced_vs_untraced()
     )

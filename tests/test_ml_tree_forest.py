@@ -1,5 +1,7 @@
 """CART tree and random forest."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,16 @@ class TestDecisionTree:
         with pytest.raises(ValidationError):
             tree.predict(np.ones((2, 3)))
 
+    def test_adjacent_floats_split_exactly(self):
+        # The midpoint of these neighbours rounds up to the upper value; the
+        # threshold falls back to the lower one so both leaves stay non-empty.
+        lo = np.nextafter(1.0, 2.0)
+        hi = np.nextafter(lo, 2.0)
+        assert (lo + hi) / 2.0 == hi
+        tree = DecisionTreeRegressor().fit([[lo], [hi]], [0.0, 1.0])
+        assert tree.predict([[lo], [hi]]).tolist() == [0.0, 1.0]
+        assert tree.n_leaves() == 2
+
     def test_invalid_params(self):
         with pytest.raises(ValidationError):
             DecisionTreeRegressor(max_depth=0)
@@ -122,3 +134,30 @@ class TestRandomForest:
         X, y = smooth_data
         forest = RandomForestRegressor(n_estimators=30, seed=2).fit(X, y)
         assert forest.score(X, y) > 0.93
+
+
+#: tracemalloc peak of ``EnergyModelBundle().fit`` on the default V100
+#: stride-24 training set (531 rows) with the recursive per-node grower.
+RECURSIVE_GROWER_PEAK_BYTES = 13_838_404
+
+
+def test_bundle_fit_peak_memory_bounded():
+    """Level-synchronous growth stays within 1.5x the recursive grower's peak.
+
+    Measured peaks (tracemalloc, one default bundle fit, stride-24 V100
+    training set): 13.84 MB for the recursive grower, whose node objects
+    dominate; 6.29 MB for the level-synchronous grower, which never copies
+    ``X`` per tree and caps each padded scan chunk.
+    """
+    from repro.core.models import EnergyModelBundle
+    from repro.experiments.training import microbench_training_set
+    from repro.hw.specs import NVIDIA_V100
+
+    training = microbench_training_set(NVIDIA_V100, freq_stride=24)
+    tracemalloc.start()
+    try:
+        EnergyModelBundle().fit(training)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * RECURSIVE_GROWER_PEAK_BYTES

@@ -9,9 +9,10 @@ tests pin the equivalence contract at tier-1 scale:
   (vectorized NumPy pow differs from scalar libm pow by ~1 ulp),
 - ``measure_sweep`` / ``sweep_kernel_2d`` vs their scalar baselines,
 - the ``effective_bandwidth`` array/scalar contract,
-- presorted tree fitting and flattened prediction vs the reference
-  node-walk implementation — **exact** equality,
-- parallel forest training vs serial — **bitwise identical** trees,
+- level-synchronous tree and forest growth (fit and refresh) vs the
+  per-node oracle of ``repro.validate.reference`` — **bitwise identical**
+  trees, over Hypothesis-drawn data with tied x values, duplicate rows
+  and constant targets; flattened prediction vs the row-by-row walk,
 - the keyed sweep cache (hits, read-only results, fingerprint semantics),
 - memoization of derived sweep arrays and predictor curves.
 """
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.models import measure_sweep, measure_sweep_scalar
 from repro.core.predictor import FrequencyPredictor
@@ -40,9 +43,14 @@ from repro.kernelir.instructions import InstructionMix
 from repro.kernelir.kernel import KernelIR
 from repro.metrics.targets import EnergyTarget
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.serialization import serialize_estimator
 from repro.ml.tree import DecisionTreeRegressor
 from repro.common.rng import make_rng
+from repro.validate.reference import (
+    forest_reference,
+    grow_tree_reference,
+    predict_reference,
+    trees_equal,
+)
 
 RTOL = 1e-12
 
@@ -153,67 +161,134 @@ def _training_data(n=400, p=8, seed=5):
     return X, y
 
 
+def _assert_tree_matches_oracle(tree, X, y, sample=None):
+    ref = grow_tree_reference(
+        X, y, np.arange(X.shape[0]) if sample is None else sample, tree.seed,
+        max_features=tree.max_features, max_depth=tree.max_depth,
+        min_samples_split=tree.min_samples_split,
+        min_samples_leaf=tree.min_samples_leaf,
+    )
+    assert trees_equal(tree.flat_tree(), ref)
+
+
 def test_tree_presorted_fit_identical_to_reference():
     X, y = _training_data()
-    fast = DecisionTreeRegressor(max_depth=9, min_samples_leaf=2, seed=3).fit(X, y)
-    ref = DecisionTreeRegressor(max_depth=9, min_samples_leaf=2, seed=3)
-    ref.fit_scalar(X, y)
-    assert serialize_estimator(fast) == serialize_estimator(ref)
+    tree = DecisionTreeRegressor(max_depth=9, min_samples_leaf=2, seed=3).fit(X, y)
+    _assert_tree_matches_oracle(tree, X, y)
 
 
 def test_tree_presorted_fit_identical_with_feature_subsampling():
     X, y = _training_data()
-    fast = DecisionTreeRegressor(max_features=3, seed=7).fit(X, y)
-    ref = DecisionTreeRegressor(max_features=3, seed=7)
-    ref.fit_scalar(X, y)
-    assert serialize_estimator(fast) == serialize_estimator(ref)
+    tree = DecisionTreeRegressor(max_features=3, seed=7).fit(X, y)
+    _assert_tree_matches_oracle(tree, X, y)
 
 
 def test_flat_predict_matches_node_walk():
     X, y = _training_data()
     tree = DecisionTreeRegressor(max_depth=8, seed=1).fit(X, y)
     Xq, _ = _training_data(n=257, seed=9)
-    np.testing.assert_array_equal(tree.predict(Xq), tree.predict_scalar(Xq))
-
-
-def test_flat_predict_after_scalar_fit():
-    X, y = _training_data(n=120)
-    tree = DecisionTreeRegressor(max_depth=5, seed=2)
-    tree.fit_scalar(X, y)  # no flat form precomputed; built lazily
-    np.testing.assert_array_equal(tree.predict(X), tree.predict_scalar(X))
-
-
-def test_forest_parallel_fit_bitwise_identical_to_serial():
-    X, y = _training_data(n=300)
-    serial = RandomForestRegressor(n_estimators=8, seed=13, n_jobs=1).fit(X, y)
-    parallel = RandomForestRegressor(n_estimators=8, seed=13, n_jobs=2).fit(X, y)
-    assert serialize_estimator(serial) == serialize_estimator(parallel)
-    np.testing.assert_array_equal(serial.predict(X), parallel.predict(X))
-
-
-def test_forest_fit_matches_scalar_reference():
-    X, y = _training_data(n=300)
-    fast = RandomForestRegressor(n_estimators=6, seed=21, n_jobs=1).fit(X, y)
-    ref = RandomForestRegressor(n_estimators=6, seed=21, n_jobs=1)
-    ref.fit_scalar(X, y)
-    assert serialize_estimator(fast) == serialize_estimator(ref)
+    np.testing.assert_array_equal(
+        tree.predict(Xq), predict_reference([tree.flat_tree()], Xq)
+    )
 
 
 def test_forest_stacked_predict_matches_per_tree_walks():
     X, y = _training_data(n=300)
-    forest = RandomForestRegressor(n_estimators=6, seed=21, n_jobs=1).fit(X, y)
+    forest = RandomForestRegressor(n_estimators=6, seed=21).fit(X, y)
     Xq, _ = _training_data(n=111, seed=4)
-    np.testing.assert_array_equal(forest.predict(Xq), forest.predict_scalar(Xq))
+    flats = [tree.flat_tree() for tree in forest.trees_]
+    np.testing.assert_array_equal(forest.predict(Xq), predict_reference(flats, Xq))
 
 
-def test_forest_env_jobs_knob(monkeypatch):
-    X, y = _training_data(n=200)
-    monkeypatch.setenv("REPRO_JOBS", "2")
-    monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-    env_forest = RandomForestRegressor(n_estimators=4, seed=2).fit(X, y)
-    monkeypatch.delenv("REPRO_JOBS")
-    serial = RandomForestRegressor(n_estimators=4, seed=2).fit(X, y)
-    assert serialize_estimator(env_forest) == serialize_estimator(serial)
+#: Coarse grid: many tied x values (and tied targets) per column.
+_GRID = st.integers(-4, 4).map(lambda v: v / 2.0)
+
+
+@st.composite
+def _datasets(draw, max_rows: int = 30, p: int | None = None):
+    """``(X, y)`` with tied x values, duplicate rows and constant targets."""
+    n = draw(st.integers(1, max_rows))
+    p = draw(st.integers(1, 5)) if p is None else p
+    X = np.array(
+        draw(st.lists(st.lists(_GRID, min_size=p, max_size=p), min_size=n, max_size=n))
+    )
+    duplicates = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    X = np.vstack([X, X[duplicates]])
+    if draw(st.booleans()):
+        y = np.full(X.shape[0], draw(_GRID))
+    else:
+        values = st.one_of(_GRID, st.floats(-100.0, 100.0))
+        y = np.array(draw(st.lists(values, min_size=X.shape[0], max_size=X.shape[0])))
+    return X, y
+
+
+_MAX_FEATURES = st.one_of(st.none(), st.floats(0.05, 1.0), st.integers(1, 6))
+_MAX_DEPTH = st.one_of(st.none(), st.integers(1, 6))
+
+
+class TestGrowerMatchesOracle:
+    """The level-synchronous grower equals the per-node oracle, bitwise."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=_datasets(),
+        max_depth=_MAX_DEPTH,
+        min_samples_split=st.integers(2, 5),
+        min_samples_leaf=st.integers(1, 4),
+        max_features=_MAX_FEATURES,
+        seed=st.integers(0, 2**32),
+    )
+    def test_tree(self, data, max_depth, min_samples_split, min_samples_leaf,
+                  max_features, seed):
+        X, y = data
+        tree = DecisionTreeRegressor(
+            max_depth=max_depth, min_samples_split=min_samples_split,
+            min_samples_leaf=min_samples_leaf, max_features=max_features,
+            seed=seed,
+        ).fit(X, y)
+        _assert_tree_matches_oracle(tree, X, y)
+        np.testing.assert_array_equal(
+            tree.predict(X), predict_reference([tree.flat_tree()], X)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=_datasets(),
+        draw=st.data(),
+        n_estimators=st.integers(1, 5),
+        max_depth=_MAX_DEPTH,
+        min_samples_leaf=st.integers(1, 4),
+        max_features=_MAX_FEATURES,
+        bootstrap=st.booleans(),
+        fraction=st.floats(0.1, 1.0),
+        seed=st.integers(0, 2**32),
+    )
+    def test_forest_fit_and_refresh(self, data, draw, n_estimators, max_depth,
+                                    min_samples_leaf, max_features, bootstrap,
+                                    fraction, seed):
+        X, y = data
+        forest = RandomForestRegressor(
+            n_estimators=n_estimators, max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf, max_features=max_features,
+            bootstrap=bootstrap, seed=seed,
+        ).fit(X, y)
+        fitted = forest_reference(forest, X, y)
+        assert all(
+            trees_equal(tree.flat_tree(), ref)
+            for tree, ref in zip(forest.trees_, fitted, strict=True)
+        )
+        Xw, yw = draw.draw(_datasets(max_rows=12, p=X.shape[1]))
+        forest.refresh(Xw, yw, fraction=fraction)
+        refreshed = forest_reference(
+            forest, Xw, yw, generation=1, fraction=fraction
+        )
+        expected = refreshed + fitted[len(refreshed):]
+        assert all(
+            trees_equal(tree.flat_tree(), ref)
+            for tree, ref in zip(forest.trees_, expected, strict=True)
+        )
+        flats = [tree.flat_tree() for tree in forest.trees_]
+        np.testing.assert_array_equal(forest.predict(X), predict_reference(flats, X))
 
 
 # ------------------------------------------------------------------ caching

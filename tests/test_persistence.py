@@ -111,3 +111,30 @@ class TestBundlePersistence:
         )
         loaded = SynergyCompiler(restored, NVIDIA_V100).compile([kernel], [MIN_EDP])
         assert original.plan.entries == loaded.plan.entries
+
+
+def test_v1_tree_dict_loads_and_predicts_its_structure():
+    # x0 <= 1.5 ? (x1 <= 0.0 ? 10 : 20) : 30, in the nested v1 tree format.
+    payload = {
+        "type": "DecisionTreeRegressor",
+        "n_features": 2,
+        "root": {
+            "value": 17.0, "feature": 0, "threshold": 1.5,
+            "left": {
+                "value": 15.0, "feature": 1, "threshold": 0.0,
+                "left": {"value": 10.0},
+                "right": {"value": 20.0},
+            },
+            "right": {"value": 30.0},
+        },
+    }
+    tree = deserialize_estimator(payload)
+    X = [[0.0, -1.0], [1.5, 0.0], [1.0, 2.0], [1.6, -5.0], [9.0, 9.0]]
+    assert tree.predict(X).tolist() == [10.0, 10.0, 20.0, 30.0, 30.0]
+    assert (tree.depth(), tree.n_leaves()) == (2, 3)
+    assert serialize_estimator(tree) == payload
+    stump = {"type": "DecisionTreeRegressor", "n_features": 2, "root": {"value": 4.0}}
+    forest = deserialize_estimator(
+        {"type": "RandomForestRegressor", "trees": [payload, stump]}
+    )
+    assert forest.predict(X).tolist() == [7.0, 7.0, 12.0, 17.0, 17.0]
