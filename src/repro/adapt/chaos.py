@@ -1,7 +1,11 @@
 """Seeded thermal-drift chaos scenario: adaptive ladder vs stale static plan.
 
 Four runs on fresh V100 boards, all over the same kernel stream and the
-same per-stream deadlines (derived from a clean top-clock reference run):
+same per-stream deadlines (derived from a clean top-clock reference run).
+Streams are released periodically: stream ``k`` starts when stream
+``k - 1``'s deadline expires, with the board idle in between, so every
+release time — and with it every throttle window — is fixed by the
+deadlines alone, not by the clocks any run chose before it:
 
 - ``max-perf``      — every launch at the top clock (clean board); its
   per-stream times, scaled by :data:`DEADLINE_SLACK`, define the deadlines
@@ -9,8 +13,9 @@ same per-stream deadlines (derived from a clean top-clock reference run):
 - ``static-clean``  — the compile-time SLA plan on a clean board: the
   pre-drift energy saving,
 - ``static-fault``  — the *same frozen plan* under two injected
-  ``hw.thermal_throttle`` windows: the plan is stale during the windows
-  and (by construction of the scenario) misses at least one deadline,
+  ``hw.thermal_throttle`` windows, each opening at a stream release: the
+  plan is stale during the windows and (by construction of the scenario)
+  misses at least one deadline,
 - ``adaptive-fault``— the :class:`~repro.adapt.controller
   .AdaptiveController` under the identical fault plan: drift detection,
   an incremental model refresh, static fallback and finally a MAX_PERF
@@ -59,16 +64,19 @@ STREAMS = 6
 DEADLINE_SLACK = 1.4
 COMPILE_SLACK = 1.35
 
-#: The two throttle windows, in units of the top-clock stream time ``T``:
-#: a sustained stream-2 cap that the model rungs ride out via drift-driven
-#: refreshes, and a harsh late cap that proves refreshing is no longer
-#: enough, forcing the static fallback and finally the MAX_PERF pin.
-WINDOW1 = {"start": 1.23, "duration": 0.3, "cap_mhz": 480}
-WINDOW2 = {"start": 5.38, "duration": 0.25, "cap_mhz": 550}
+#: The two throttle windows: each opens at the release of stream
+#: ``stream`` and lasts ``duration`` top-clock stream times ``T``. Both
+#: are shorter than the opening ``sobel7`` launch takes under their cap,
+#: so each throttles exactly that launch whatever clock was requested. The
+#: stream-1 cap is one the model rungs ride out via a drift-driven
+#: refresh; the last stream's cap repeats the drift, proving refreshing is
+#: no longer enough and forcing the static fallback and the MAX_PERF pin.
+WINDOW1 = {"stream": 1, "duration": 0.3, "cap_mhz": 480}
+WINDOW2 = {"stream": STREAMS - 1, "duration": 0.25, "cap_mhz": 550}
 
 #: Refresh window floor for the adaptive run: the first drift fires on
-#: stream 2's opening launch, when the rolling window holds stream 1's
-#: six rows plus the drifting launch itself.
+#: stream 1's opening launch (streams count from 0), when the rolling
+#: window holds stream 0's six rows plus the drifting launch itself.
 MIN_REFRESH_ROWS = 6
 
 
@@ -190,6 +198,20 @@ def train_adaptive_bundle(seed: int) -> EnergyModelBundle:
     ).fit(training)
 
 
+def release_times(deadlines: Sequence[float]) -> tuple[float, ...]:
+    """Stream ``k`` is released when stream ``k - 1``'s deadline expires."""
+    releases = [0.0]
+    for deadline in deadlines[:-1]:
+        releases.append(releases[-1] + float(deadline))
+    return tuple(releases)
+
+
+def _await_release(gpu: SimulatedGPU, release_s: float) -> None:
+    """Idle the board until ``release_s`` (no-op if a stream overran it)."""
+    if gpu.clock.now < release_s:
+        gpu.clock.advance_to(release_s)
+
+
 def _summarize(
     label: str,
     gpu: SimulatedGPU,
@@ -198,11 +220,12 @@ def _summarize(
     deadlines: Sequence[float],
     submit_one,
 ) -> RunSummary:
-    """Run back-to-back deadline streams through ``submit_one``."""
+    """Run periodically released deadline streams through ``submit_one``."""
     stream_elapsed: list[float] = []
     stream_met: list[bool] = []
     total_energy = 0.0
-    for deadline in deadlines:
+    for deadline, release in zip(deadlines, release_times(deadlines)):
+        _await_release(gpu, release)
         t0 = gpu.clock.now
         n0 = len(queue.events)
         for _ in range(ROUNDS):
@@ -273,12 +296,14 @@ def _run_static(
     )
 
 
-def _fault_plan(seed: int, stream_s: float) -> FaultPlan:
-    """The two throttle windows, positioned in units of the stream time."""
+def _fault_plan(
+    seed: int, stream_s: float, releases: Sequence[float]
+) -> FaultPlan:
+    """The two throttle windows, opening at their streams' releases."""
     specs = tuple(
         FaultSpec(
             site="hw.thermal_throttle",
-            at_s=window["start"] * stream_s,
+            at_s=releases[window["stream"]],
             duration_s=window["duration"] * stream_s,
             param=window["cap_mhz"],
             target=0,
@@ -297,13 +322,14 @@ def run_thermal_drift_comparison(
     target = SLA_SLACK(COMPILE_SLACK)
     compiled = SynergyCompiler(bundle, NVIDIA_V100).compile(kernels, [target])
 
-    # Top-clock reference: defines deadlines, fault-window placement and
-    # the savings baseline. Probe one stream first to size the deadlines.
+    # Top-clock reference: defines deadlines, window lengths and the
+    # savings baseline. Probe one stream first to size the deadlines.
     probe = _run_max_perf(kernels, (float("inf"),))
     stream_s = probe.stream_elapsed_s[0]
     deadlines = tuple(DEADLINE_SLACK * stream_s for _ in range(STREAMS))
+    releases = release_times(deadlines)
     max_perf = _run_max_perf(kernels, deadlines)
-    fault_plan = _fault_plan(seed, stream_s)
+    fault_plan = _fault_plan(seed, stream_s, releases)
 
     static_clean = _run_static(
         "static-clean", compiled.plan, target, kernels, deadlines, None
@@ -326,10 +352,12 @@ def run_thermal_drift_comparison(
         trace=trace,
         min_refresh_rows=MIN_REFRESH_ROWS,
     )
-    reports = [
-        controller.run_stream(kernels, deadline_s=deadline, rounds=ROUNDS)
-        for deadline in deadlines
-    ]
+    reports = []
+    for deadline, release in zip(deadlines, releases):
+        _await_release(gpu, release)
+        reports.append(
+            controller.run_stream(kernels, deadline_s=deadline, rounds=ROUNDS)
+        )
     adaptive = RunSummary(
         label="adaptive-fault",
         streams_met=sum(report.met for report in reports),

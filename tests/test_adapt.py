@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adapt.chaos import run_thermal_drift_comparison
+from repro.adapt.chaos import (
+    DEADLINE_SLACK,
+    WINDOW1,
+    WINDOW2,
+    release_times,
+    run_thermal_drift_comparison,
+    scenario_kernels,
+)
 from repro.adapt.controller import AdaptiveController
 from repro.adapt.drift import DriftDetector
 from repro.adapt.ladder import DegradationLadder, LadderLevel
@@ -310,6 +317,26 @@ class TestThermalDriftChaos:
     def test_static_goes_stale_adaptive_does_not(self, comparison):
         assert comparison.static_fault.streams_missed >= 1
         assert comparison.adaptive_fault.streams_missed == 0
+
+    def test_each_window_throttles_only_its_streams_opening_launch(
+        self, comparison
+    ):
+        # Streams are released one deadline apart and each window opens
+        # at a release, then closes before the opening launch can finish
+        # under its cap (a lower requested clock only runs longer): which
+        # launch a window hits cannot depend on any clock chosen earlier.
+        deadlines = comparison.deadlines_s
+        assert release_times(deadlines) == pytest.approx(
+            [k * deadlines[0] for k in range(len(deadlines))]
+        )
+        stream_s = deadlines[0] / DEADLINE_SLACK
+        opening = scenario_kernels()[0]
+        timing = SimulatedGPU(NVIDIA_V100, index=0).timing_model
+        for window in (WINDOW1, WINDOW2):
+            capped = timing.execute(
+                opening, window["cap_mhz"], NVIDIA_V100.default_mem_mhz
+            )
+            assert window["duration"] * stream_s < capped.time_s
 
     def test_recovers_half_the_pre_drift_saving(self, comparison):
         assert comparison.adaptive_saving > 0.0
