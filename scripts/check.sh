@@ -27,9 +27,6 @@ python -m repro.cli lint
 echo "== static certification (scenario brackets + DEADLINE demo, strict) =="
 python -m repro.cli certify --strict
 
-echo "== static-analysis plane (kernel bank + certificates, strict) =="
-python -m repro.cli validate --only analysis --strict
-
 if python -c "import ruff" >/dev/null 2>&1 || command -v ruff >/dev/null 2>&1; then
     echo "== ruff (rules pinned in pyproject.toml) =="
     python -m ruff check src tests 2>/dev/null || ruff check src tests
@@ -37,20 +34,10 @@ else
     echo "== ruff not installed; skipping style lint =="
 fi
 
-echo "== validation plane (invariants + differentials, strict) =="
+# One run covers every section (adapt, engine, service, distributed,
+# analysis included) at the default seed; per-section reruns add nothing.
+echo "== validation plane (all sections, strict) =="
 python -m repro.cli validate --strict
-
-echo "== adaptive plane (deadline semantics + thermal-drift chaos, strict) =="
-python -m repro.cli validate --only adapt --strict
-
-echo "== batched engine (vectorized vs scalar differential contract, strict) =="
-python -m repro.cli validate --only engine --strict
-
-echo "== service plane (tenancy invariants + replay identity, strict) =="
-python -m repro.cli validate --only service --strict
-
-echo "== distributed plane (graph soundness + multi-rank parity + global energy target, strict) =="
-python -m repro.cli validate --only distributed --strict
 
 echo "== loadgen smoke (quick: 8 tenants x 2k submissions, no JSON) =="
 python -m repro.cli loadgen --quick --json ''

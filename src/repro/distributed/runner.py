@@ -17,7 +17,11 @@ Two execution paths share the semantics of a :class:`CommandGraph`:
 :func:`run_graph` picks the batched path when its exactness
 preconditions hold (no armed fault plane, no power caps, homogeneous
 boards) and otherwise falls back to the scalar reference, mirroring
-:func:`repro.engine.executor.execute_batch`.
+:func:`repro.engine.executor.execute_batch`. The power-cap fallback
+remains (it is reported as ``fallback="powercap"``), but its per-event
+throttled operating point is an exact memo lookup
+(:class:`repro.hw.cache.OperatingPoints`), not a scan down the core
+table per launch.
 """
 
 from __future__ import annotations
@@ -193,8 +197,11 @@ def run_graph(
     ``engine="batched"`` uses the wave-vectorized multi-rank engine
     unless a precondition forces the scalar reference: an attached fault
     injector (per-event RNG draws must happen in per-event order), a
-    power-capped board (throttle scans are per-event), or heterogeneous
-    board specs. ``engine="scalar"`` always runs the reference.
+    power-capped board, or heterogeneous board specs.
+    ``engine="scalar"`` always runs the reference. On a capped board each
+    per-event launch finds its throttled clock by one exact memo lookup
+    per (kernel, ceiling, memory clock, cap); the fallback itself still
+    happens and is still reported.
 
     The batched path is a pure computation — it leaves the communicator's
     devices untouched — while the scalar path commits events, records and

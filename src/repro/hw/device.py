@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.common.clock import VirtualClock
 from repro.common.errors import ConfigurationError, ReproError, SimulationError
-from repro.hw.cache import models_for
+from repro.hw.cache import models_for, operating_points_for
 from repro.hw.specs import GPUSpec
 from repro.kernelir.kernel import KernelIR
 
@@ -69,6 +69,7 @@ class SimulatedGPU:
         self.clock = clock if clock is not None else VirtualClock()
         self.index = next(_device_ids) if index is None else index
         self.timing_model, self.power_model = models_for(spec)
+        self._operating_points = operating_points_for(spec)
 
         self._core_mhz = spec.default_core_mhz
         self._mem_mhz = spec.default_mem_mhz
@@ -328,42 +329,22 @@ class SimulatedGPU:
         (≤ the application clock) whose power fits. The lowest table clock
         is used if nothing fits. An active injected thermal-throttle window
         additionally caps the core clock at the window's MHz parameter.
+        The point itself comes from the spec's exact memo
+        (:class:`~repro.hw.cache.OperatingPoints`).
         """
         ceiling = self._core_mhz
         if self.fault_injector is not None:
+            # Checked on every launch: the first check inside a window
+            # logs its activation.
             at = self.clock.now if start_s is None else start_s
             throttle = self.fault_injector.active(
                 "hw.thermal_throttle", at, target=self.index
             )
             if throttle is not None and throttle.param is not None:
                 ceiling = min(ceiling, int(throttle.param))
-        candidates = [f for f in self.spec.core_freqs_mhz if f <= ceiling]
-        if not candidates:
-            # Thermal cap below the table minimum: the board pins its
-            # lowest supported clock.
-            candidates = [self.spec.min_core_mhz]
-        for core_mhz in reversed(candidates):
-            timing = self.timing_model.execute(kernel, core_mhz, self._mem_mhz)
-            power = float(
-                self.power_model.power(
-                    core_mhz,
-                    self._mem_mhz,
-                    timing.core_power_utilization,
-                    timing.u_mem,
-                )
-            )
-            if power <= self.power_limit_w or core_mhz == candidates[0]:
-                return core_mhz, timing, power
-        # Application clock below the table minimum cannot happen (clocks
-        # are validated), but keep a defensive fallback.
-        core_mhz = self.spec.min_core_mhz  # pragma: no cover
-        timing = self.timing_model.execute(kernel, core_mhz, self._mem_mhz)
-        power = float(
-            self.power_model.power(
-                core_mhz, self._mem_mhz, timing.core_power_utilization, timing.u_mem
-            )
+        return self._operating_points.lookup(
+            kernel, ceiling, self._mem_mhz, self.power_limit_w
         )
-        return core_mhz, timing, power  # pragma: no cover
 
     def extend_power_timeline(self, starts, ends, powers) -> None:
         """Append a run of busy segments in one call (engine fast path).

@@ -30,6 +30,7 @@ class PowerModel:
     #: Utilization-independent fraction of memory-domain dynamic power.
     mem_floor: float = 0.12
     curve: VoltageCurve = field(init=False)
+    _peak_power_w: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.core_floor < 1.0 or not 0.0 <= self.mem_floor < 1.0:
@@ -43,6 +44,16 @@ class PowerModel:
                 v_min=self.spec.v_min,
                 v_max=self.spec.v_max,
                 gamma=self.spec.v_gamma,
+            ),
+        )
+        # Pure per-spec value read by every board constructor: computed once.
+        object.__setattr__(
+            self,
+            "_peak_power_w",
+            float(
+                self.power(
+                    self.spec.max_core_mhz, self.spec.mem_freqs_mhz[-1], 1.0, 1.0
+                )
             ),
         )
 
@@ -86,11 +97,7 @@ class PowerModel:
 
     def peak_power(self) -> float:
         """Board power at maximum clocks and full utilization (≈ TDP)."""
-        return float(
-            self.power(
-                self.spec.max_core_mhz, self.spec.mem_freqs_mhz[-1], 1.0, 1.0
-            )
-        )
+        return self._peak_power_w
 
     def power_bounds(self) -> tuple[float, float]:
         """The reachable ``[P_idle, P_peak]`` average-power envelope (W).

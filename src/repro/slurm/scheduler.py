@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Protocol
 
-from repro.common.errors import ConfigurationError, ValidationError
+from repro.common.errors import ConfigurationError
 from repro.faults import NodeFailure
 from repro.obs.session import TraceSession, resolve_trace
 from repro.slurm.cluster import Cluster, Node
@@ -115,10 +115,10 @@ class Scheduler:
         from repro.engine.batch import JobBatch
 
         # Validate up front: an unknown mode must fail even for an empty
-        # batch, instead of silently returning [] (or surfacing later as
-        # a per-job ConfigurationError from ``submit``).
+        # batch, instead of silently returning []. Same error type as
+        # ``submit``: an unknown mode is a configuration error.
         if accounting not in ("scalar", "batched"):
-            raise ValidationError(
+            raise ConfigurationError(
                 f"accounting must be 'scalar' or 'batched' ({accounting!r})"
             )
 

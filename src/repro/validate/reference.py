@@ -6,6 +6,8 @@ node and one candidate feature at a time, on the growth protocol of
 The level-synchronous grower must match it bitwise.
 :func:`forest_reference` replays a forest's bootstrap and seed derivation
 on top of it, and :func:`predict_reference` walks one row at a time.
+:func:`throttled_operating_point_reference` is the uncached per-launch
+power-cap scan that :class:`repro.hw.cache.OperatingPoints` memoizes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import fields
 import numpy as np
 
 from repro.common.rng import derive_seed, make_rng
+from repro.hw.power import PowerModel
+from repro.hw.timing import TimingModel
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import FlatTree, n_candidate_features
 
@@ -142,3 +146,29 @@ def predict_reference(flats: list[FlatTree], X) -> np.ndarray:
                 node = flat.left[node] if go_left else flat.right[node]
             out[t, i] = flat.value[node]
     return out.mean(axis=0)
+
+
+def throttled_operating_point_reference(
+    spec, kernel, ceiling_mhz, mem_mhz, power_limit_w
+):
+    """``(core_mhz, timing, power_w)`` of one launch, scanned from scratch.
+
+    Walks down the core table from the highest clock at or below
+    ``ceiling_mhz`` and stops at the first clock whose modeled power fits
+    ``power_limit_w``; the lowest table clock is used if nothing fits or
+    the ceiling is below the table. Fresh models on every call: nothing
+    is shared with the memoized launch path.
+    """
+    timing_model, power_model = TimingModel(spec), PowerModel(spec)
+    candidates = [f for f in spec.core_freqs_mhz if f <= ceiling_mhz]
+    if not candidates:
+        candidates = [spec.min_core_mhz]
+    for core_mhz in reversed(candidates):
+        timing = timing_model.execute(kernel, core_mhz, mem_mhz)
+        power = float(
+            power_model.power(
+                core_mhz, mem_mhz, timing.core_power_utilization, timing.u_mem
+            )
+        )
+        if power <= power_limit_w or core_mhz == candidates[0]:
+            return core_mhz, timing, power

@@ -23,6 +23,18 @@ def test_peak_power_near_tdp(pm):
     assert 250.0 < pm.peak_power() < 360.0
 
 
+@pytest.mark.parametrize("floors", [{}, {"core_floor": 0.3, "mem_floor": 0.0}])
+def test_peak_power_is_bitwise_the_max_clock_full_load_power(floors):
+    """Computed once per model, and equal to the direct evaluation."""
+    for spec in (NVIDIA_V100, AMD_MI100):
+        model = PowerModel(spec, **floors)
+        direct = float(
+            model.power(spec.max_core_mhz, spec.mem_freqs_mhz[-1], 1.0, 1.0)
+        )
+        assert model.peak_power().hex() == direct.hex()
+        assert model.power_bounds() == (spec.idle_power_w, direct)
+
+
 def test_power_increases_with_core_utilization(pm):
     f = NVIDIA_V100.default_core_mhz
     low = pm.power(f, 877, 0.1, 0.5)

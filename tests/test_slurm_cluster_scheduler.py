@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.clock import VirtualClock
-from repro.common.errors import ConfigurationError, ValidationError
+from repro.common.errors import ConfigurationError
 from repro.hw.device import SimulatedGPU
 from repro.hw.specs import NVIDIA_V100
 from repro.kernelir.instructions import InstructionMix
@@ -138,11 +138,32 @@ class TestScheduler:
         """
         spec = JobSpec(name="one", n_nodes=1, payload=_work_payload)
         for bad in ("", "batchd", "BATCHED"):
-            with pytest.raises(ValidationError):
+            with pytest.raises(ConfigurationError):
                 scheduler.submit_many([], accounting=bad)
-            with pytest.raises(ValidationError):
+            with pytest.raises(ConfigurationError):
                 scheduler.submit_many([spec], accounting=bad)
         assert scheduler.submit_many([], accounting="batched") == []
+
+    @pytest.mark.parametrize("bad", ["", "batchd", "BATCHED"])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            pytest.param(lambda s, spec, bad: s.submit(spec, accounting=bad),
+                         id="submit"),
+            pytest.param(lambda s, spec, bad: s.submit_many([spec], accounting=bad),
+                         id="submit_many"),
+            pytest.param(lambda s, spec, bad: s.submit_many([], accounting=bad),
+                         id="submit_many_empty"),
+        ],
+    )
+    def test_unknown_accounting_raises_configuration_error(
+        self, scheduler, entry, bad
+    ):
+        """Every entry point rejects an unknown mode with one error type."""
+        spec = JobSpec(name="one", n_nodes=1, payload=_work_payload)
+        with pytest.raises(ConfigurationError, match="accounting"):
+            entry(scheduler, spec, bad)
+        assert scheduler.jobs == {}
 
     def test_sequential_jobs_get_increasing_ids(self, scheduler):
         a = scheduler.submit(JobSpec(name="a", n_nodes=1, payload=_work_payload))
