@@ -39,5 +39,5 @@ fi
 echo "== validation plane (all sections, strict) =="
 python -m repro.cli validate --strict
 
-echo "== loadgen smoke (quick: 8 tenants x 2k submissions, no JSON) =="
-python -m repro.cli loadgen --quick --json ''
+echo "== service smoke (seed 7: 8 tenants x 2k submissions, 4 partitions, 8 cycles) =="
+python -m repro.cli serve

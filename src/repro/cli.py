@@ -15,8 +15,6 @@ exposes the deployment and analysis workflows:
 - ``adapt`` — the deadline-aware adaptive-DVFS chaos comparison: drift
   detection and the degradation ladder vs a stale static plan under
   injected thermal-throttle windows (see ``docs/RESILIENCE.md``),
-- ``perf`` — benchmark the vectorized fast paths against their scalar
-  baselines and write ``BENCH_perf.json``,
 - ``trace`` — run a seeded observability scenario and export its Chrome
   trace and metrics documents (see ``docs/OBSERVABILITY.md``),
 - ``validate`` — run the invariant catalog and differential harness over
@@ -29,9 +27,11 @@ exposes the deployment and analysis workflows:
 - ``lint`` — the repo-wide determinism linter (banned wall-clock reads,
   global RNG state, exact float equality),
 - ``distributed`` — run the distributed command-graph scheduler over a
-  halo-exchange stencil (global energy-target plan, batched or scalar
-  engine) or its weak-scaling benchmark (``--bench``; see
+  halo-exchange stencil under a global energy-target plan (see
   ``docs/DISTRIBUTED.md``).
+
+Performance is measured by the end-to-end harness in ``bench/`` (see
+``bench/README.md``), not by a subcommand.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from repro.experiments.export import (
     write_json,
 )
 from repro.experiments.faults import DEFAULT_RATES, run_fault_sweep
-from repro.experiments.perf import run_perf_pipeline
 from repro.experiments.report import format_table
 from repro.experiments.scaling import run_scaling_experiment
 from repro.experiments.sweep import sweep_kernel
@@ -383,44 +382,6 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    print(f"benchmarking fast paths (quick={args.quick}) ...", file=sys.stderr)
-    report = run_perf_pipeline(quick=args.quick, json_path=args.json or None)
-    rows = [
-        [
-            s["name"],
-            f"{s['baseline_s']:.4f}",
-            f"{s['fast_s']:.4f}",
-            f"{s['speedup']:.1f}x",
-            "-" if s["target"] is None else f">={s['target']:.0f}x",
-            f"{s['max_rel_err']:.1e}",
-        ]
-        for s in report["sections"]
-    ]
-    print(
-        format_table(
-            ["fast path", "baseline (s)", "fast (s)", "speedup", "target",
-             "max rel err"],
-            rows,
-            title="Vectorized fast paths vs scalar baselines",
-        )
-    )
-    cache = report["sweep_cache"]
-    print(
-        format_table(
-            ["cold (s)", "warm (s)", "warm speedup", "hits", "misses",
-             "entries"],
-            [[f"{cache['cold_s']:.4f}", f"{cache['warm_s']:.4f}",
-              f"{cache['warm_speedup']:.0f}x", cache["hits"],
-              cache["misses"], cache["entries"]]],
-            title="Keyed sweep cache",
-        )
-    )
-    if args.json:
-        print(f"wrote {args.json}", file=sys.stderr)
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.export import write_metrics_json, write_trace_json
     from repro.obs.scenarios import run_scenario
@@ -699,115 +660,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.common.errors import ConfigurationError, ValidationError
-    from repro.service.loadgen import run_loadgen
-
-    print(
-        f"load-generating (seed={args.seed}, quick={args.quick}) ...",
-        file=sys.stderr,
-    )
-    try:
-        section = run_loadgen(
-            seed=args.seed,
-            quick=args.quick,
-            n_tenants=args.tenants,
-            n_submissions=args.submissions,
-            n_partitions=args.partitions,
-            n_cycles=args.cycles,
-            json_path=args.json or None,
-        )
-    except (ConfigurationError, ValidationError) as exc:
-        print(f"loadgen: {exc}", file=sys.stderr)
-        return 2
-    print(
-        format_table(
-            _TENANT_HEADERS,
-            _tenant_rows(section["tenants"]),
-            title="Per-tenant accounting",
-        )
-    )
-    print(
-        format_table(
-            ["submissions", "drained", "rejected", "wall (s)", "sub/s",
-             "p50 lat (s)", "p99 lat (s)", "saved (J)"],
-            [[
-                section["n_submissions"],
-                section["drained"],
-                section["rejected"],
-                f"{section['wall_s']:.2f}",
-                f"{section['submissions_per_s']:.0f}",
-                f"{section['p50_latency_s']:.3f}",
-                f"{section['p99_latency_s']:.3f}",
-                f"{section['saved_j']:.3f}",
-            ]],
-            title=f"Loadgen ({section['n_tenants']} tenants, "
-            f"{section['n_partitions']} partitions)",
-        )
-    )
-    if args.json:
-        print(f"merged loadgen section into {args.json}", file=sys.stderr)
-    return 0
-
-
 def _cmd_distributed(args: argparse.Namespace) -> int:
     from repro.common.errors import ConfigurationError, ValidationError
     from repro.core.compiler import plan_global_frequencies
     from repro.core.sweepcache import scoped_cache
     from repro.distributed import build_comm, build_stencil_graph, run_graph
 
-    if args.bench:
-        from repro.distributed.bench import run_distributed_bench
-
-        print(
-            f"distributed weak-scaling benchmark (quick={args.quick}) ...",
-            file=sys.stderr,
-        )
-        section = run_distributed_bench(
-            quick=args.quick, json_path=args.json or None
-        )
-        base = section["base"]
-        print(
-            format_table(
-                ["ranks", "nodes", "speedup", "parity rel err", "switches",
-                 "completion (s)", "energy (J)"],
-                [[
-                    base["ranks"], base["nodes"],
-                    f"{base['speedup']:.1f}x",
-                    f"{base['parity_rel_err']:.1e}",
-                    "equal" if base["switches_equal"] else "DIFFER",
-                    f"{base['completion_s']:.6f}",
-                    f"{base['energy_j']:.2f}",
-                ]],
-                title=f"Batched vs scalar parity ({section['device']})",
-            )
-        )
-        print(
-            format_table(
-                ["ranks", "nodes", "completion (s)", "MAX_PERF (s)",
-                 "energy (J)", "MAX_PERF (J)", "saved"],
-                [[
-                    s["ranks"], s["nodes"],
-                    f"{s['completion_s']:.6f}",
-                    f"{s['maxperf_completion_s']:.6f}",
-                    f"{s['energy_j']:.2f}",
-                    f"{s['maxperf_energy_j']:.2f}",
-                    f"{100 * s['saved_frac']:.1f}%",
-                ] for s in section["scales"]],
-                title="Weak scaling (batched engine)",
-            )
-        )
-        if args.json:
-            print(
-                f"merged distributed section into {args.json}",
-                file=sys.stderr,
-            )
-        return 0
-
     print(
         f"distributed stencil graph (device={args.device}, "
-        f"ranks={args.ranks}, steps={args.steps}, sla={args.sla}, "
-        f"engine={args.engine}) ...",
+        f"ranks={args.ranks}, steps={args.steps}, sla={args.sla}) ...",
         file=sys.stderr,
     )
     try:
@@ -822,11 +683,8 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
                 spec, graph.rank_kernels(), sla_factor=args.sla,
                 objective="MAX_PERF", cache=True,
             )
-            result = run_graph(graph, comm, plan, engine=args.engine)
-            ref = run_graph(
-                graph, build_comm(spec, args.ranks), baseline,
-                engine=args.engine,
-            )
+            result = run_graph(graph, comm, plan)
+            ref = run_graph(graph, build_comm(spec, args.ranks), baseline)
     except (ConfigurationError, ValidationError) as exc:
         print(f"distributed: {exc}", file=sys.stderr)
         return 2
@@ -875,7 +733,6 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
             "ranks": args.ranks,
             "steps": args.steps,
             "sla_factor": args.sla,
-            "engine": args.engine,
             "graph": {
                 "nodes": len(graph.nodes), "waves": graph.n_waves, **counts,
             },
@@ -1076,13 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, help="export results to a JSON file")
     p.set_defaults(fn=_cmd_adapt)
 
-    p = sub.add_parser("perf", help="benchmark the vectorized fast paths")
-    p.add_argument("--quick", action="store_true",
-                   help="shrink every scale for a smoke run")
-    p.add_argument("--json", default="BENCH_perf.json",
-                   help="report output path ('' disables)")
-    p.set_defaults(fn=_cmd_perf)
-
     p = sub.add_parser("fine-vs-coarse", help="tuning-granularity comparison")
     p.add_argument("--device", default="v100", choices=known_devices())
     p.add_argument("--benchmarks", nargs="+", required=True)
@@ -1163,43 +1013,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="export the full report to a JSON file")
     p.set_defaults(fn=_cmd_serve)
 
-    p = sub.add_parser("loadgen", help="drive the million-submission load "
-                       "generator, merge a BENCH loadgen section")
-    p.add_argument("--seed", type=int, default=7, help="generator seed")
-    p.add_argument("--quick", action="store_true",
-                   help="CI smoke configuration (8 tenants x 2k submissions)")
-    p.add_argument("--tenants", type=int, default=None,
-                   help="override tenant count")
-    p.add_argument("--submissions", type=int, default=None,
-                   help="override submission count")
-    p.add_argument("--partitions", type=int, default=None,
-                   help="override shard count")
-    p.add_argument("--cycles", type=int, default=None,
-                   help="override drain-cycle count")
-    p.add_argument("--json", default="BENCH_perf.json",
-                   help="benchmark document to merge the section into "
-                   "('' to skip)")
-    p.set_defaults(fn=_cmd_loadgen)
-
     p = sub.add_parser(
         "distributed",
         help="run the distributed command-graph scheduler over a "
-        "halo-exchange stencil, or its weak-scaling benchmark (--bench)",
+        "halo-exchange stencil",
     )
     p.add_argument("--device", default="A100", choices=known_devices())
     p.add_argument("--ranks", type=int, default=8)
     p.add_argument("--steps", type=int, default=4)
     p.add_argument("--sla", type=float, default=1.25,
                    help="global completion budget vs MAX_PERF (default 1.25)")
-    p.add_argument("--engine", choices=("batched", "scalar"),
-                   default="batched")
-    p.add_argument("--bench", action="store_true",
-                   help="run the Fig. 10 weak-scaling benchmark instead")
-    p.add_argument("--quick", action="store_true",
-                   help="with --bench: shrink rank counts for smoke use")
     p.add_argument("--json", default="",
-                   help="write the run summary (or merge the bench section) "
-                   "to this path")
+                   help="write the run summary to this path")
     p.set_defaults(fn=_cmd_distributed)
 
     return parser

@@ -23,7 +23,7 @@ from repro.core.multigpu import DistributedEvent, MultiGpuSynergyQueue
 from repro.core.online import OnlineFrequencyTuner, tune_kernel_online
 from repro.core.persistence import load_bundle, save_bundle
 from repro.core.predictor import FrequencyPredictor
-from repro.core.profiling import EnergyProfiler, fastpath_cache_report
+from repro.core.profiling import EnergyProfiler
 from repro.core.queue import SynergyQueue
 from repro.core.sweepcache import SweepCache, default_sweep_cache, reset_caches
 
@@ -47,5 +47,4 @@ __all__ = [
     "SweepCache",
     "default_sweep_cache",
     "reset_caches",
-    "fastpath_cache_report",
 ]

@@ -22,9 +22,7 @@ import numpy as np
 from repro.common.errors import ValidationError
 from repro.core.sweepcache import SweepCache, resolve_cache
 from repro.hw.cache import models_for
-from repro.hw.power import PowerModel
 from repro.hw.specs import GPUSpec
-from repro.hw.timing import TimingModel
 from repro.kernelir.features import FEATURE_NAMES, extract_features
 from repro.kernelir.kernel import KernelIR
 from repro.metrics.energy import ed2p, edp
@@ -135,34 +133,6 @@ def measure_sweep(
         store.sweep_key(spec, kernel, freqs),
         lambda: _compute_sweep(spec, kernel, freqs),
     )
-
-
-def measure_sweep_scalar(
-    spec: GPUSpec, kernel: KernelIR, core_freqs_mhz: Sequence[int] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-vectorization reference sweep (per-clock combine + power calls).
-
-    Kept callable as the baseline the perf benchmark suite measures
-    :func:`measure_sweep` against; results are identical.
-    """
-    freqs = np.asarray(
-        core_freqs_mhz if core_freqs_mhz is not None else spec.core_freqs_mhz,
-        dtype=float,
-    )
-    timing_model = TimingModel(spec)
-    power_model = PowerModel(spec)
-    mem = float(spec.default_mem_mhz)
-    times = np.empty(freqs.shape)
-    energies = np.empty(freqs.shape)
-    for i, timing in enumerate(timing_model.sweep_scalar(kernel, freqs, mem)):
-        power = float(
-            power_model.power(
-                freqs[i], mem, timing.core_power_utilization, timing.u_mem
-            )
-        )
-        times[i] = timing.time_s
-        energies[i] = power * timing.time_s
-    return freqs, times, energies
 
 
 def build_training_set(

@@ -149,16 +149,3 @@ class EnergyProfiler:
         """Restart the coarse-grained window at the current virtual time."""
         self.window_start_s = self.device.clock.now
 
-
-def fastpath_cache_report() -> dict[str, dict[str, float | int]]:
-    """Hit/miss counters of the vectorized fast-path caches.
-
-    Surfaces :func:`repro.core.sweepcache.cache_report` next to the energy
-    profiling utilities so experiment drivers have one place to read
-    measurement *and* measurement-avoidance statistics. Keys: ``"sweep"``
-    (the keyed analytic sweep cache, with its current entry count) and
-    ``"predict_curves"`` (the predictor-side curve memo).
-    """
-    from repro.core.sweepcache import cache_report
-
-    return cache_report()

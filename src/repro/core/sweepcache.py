@@ -15,17 +15,15 @@ inputs. Entries are keyed on content fingerprints:
 - **frequency-table hash** — the exact clock values swept.
 
 Cached arrays are frozen (``writeable=False``) and shared by reference;
-hit/miss counters are surfaced through
-:func:`repro.core.profiling.fastpath_cache_report` and the
-``repro-synergy perf`` report. Set ``REPRO_SWEEP_CACHE=0`` to disable the
-global cache.
+hit/miss counters are surfaced through :func:`cache_report`, which the
+observability plane copies into every scenario's metrics document.
+Pass ``cache=False`` at a call site to bypass caching.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -35,10 +33,6 @@ import numpy as np
 
 from repro.hw.specs import GPUSpec
 from repro.kernelir.kernel import KernelIR
-
-#: Environment knob: "0" disables the process-global sweep cache.
-CACHE_ENV_VAR = "REPRO_SWEEP_CACHE"
-
 
 def _digest(*parts: object) -> str:
     payload = "\x1f".join(repr(p) for p in parts).encode()
@@ -250,23 +244,15 @@ def default_sweep_cache() -> SweepCache:
     return _GLOBAL_CACHE
 
 
-def cache_enabled() -> bool:
-    """Whether the global cache participates (``REPRO_SWEEP_CACHE`` != 0)."""
-    return os.environ.get(CACHE_ENV_VAR, "1").strip() != "0"
-
-
 def resolve_cache(cache: "bool | SweepCache | None") -> SweepCache | None:
     """Map a call-site ``cache`` argument onto an actual cache (or None).
 
-    ``None`` → the global cache when enabled; ``True`` → the global cache
-    unconditionally; ``False`` → no caching; a :class:`SweepCache` → that
-    instance.
+    ``None`` or ``True`` → the global cache; ``False`` → no caching; a
+    :class:`SweepCache` → that instance.
     """
     if isinstance(cache, SweepCache):
         return cache
-    if cache is None:
-        return _GLOBAL_CACHE if cache_enabled() else None
-    return _GLOBAL_CACHE if cache else None
+    return _GLOBAL_CACHE if cache is None or cache else None
 
 
 def reset_caches() -> None:

@@ -26,7 +26,7 @@ table per launch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -189,19 +189,17 @@ def run_graph(
     comm: SimulatedComm,
     plan: GlobalFrequencyPlan,
     *,
-    engine: str = "batched",
     switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S,
 ) -> ExecutionResult:
     """Execute a graph, vectorized when exact bulk replay is possible.
 
-    ``engine="batched"`` uses the wave-vectorized multi-rank engine
-    unless a precondition forces the scalar reference: an attached fault
-    injector (per-event RNG draws must happen in per-event order), a
-    power-capped board, or heterogeneous board specs.
-    ``engine="scalar"`` always runs the reference. On a capped board each
-    per-event launch finds its throttled clock by one exact memo lookup
-    per (kernel, ceiling, memory clock, cap); the fallback itself still
-    happens and is still reported.
+    The wave-vectorized multi-rank engine runs unless a precondition
+    forces the scalar reference (:func:`run_graph_scalar`): an attached
+    fault injector (per-event RNG draws must happen in per-event order),
+    a power-capped board, or heterogeneous board specs. The result then
+    names that reason in ``fallback``. On a capped board each per-event
+    launch finds its throttled clock by one exact memo lookup per
+    (kernel, ceiling, memory clock, cap).
 
     The batched path is a pure computation — it leaves the communicator's
     devices untouched — while the scalar path commits events, records and
@@ -211,36 +209,17 @@ def run_graph(
     """
     from repro.engine.multirank import execute_graph_batched
 
-    if engine not in ("batched", "scalar"):
-        raise ValidationError(f"unknown engine {engine!r}")
-    fallback = None
-    if engine == "batched":
-        if comm.injector is not None:
-            fallback = "faults"
-        elif any(
-            g.power_limit_w < g.default_power_limit_w for g in comm.gpus
-        ):
-            fallback = "powercap"
-        elif len({g.spec.name for g in comm.gpus}) > 1:
-            fallback = "heterogeneous"
-        else:
-            return execute_graph_batched(
-                graph, comm, plan, switch_overhead_s=switch_overhead_s
-            )
+    if comm.injector is not None:
+        fallback = "faults"
+    elif any(g.power_limit_w < g.default_power_limit_w for g in comm.gpus):
+        fallback = "powercap"
+    elif len({g.spec.name for g in comm.gpus}) > 1:
+        fallback = "heterogeneous"
+    else:
+        return execute_graph_batched(
+            graph, comm, plan, switch_overhead_s=switch_overhead_s
+        )
     result = run_graph_scalar(
         graph, comm, plan, switch_overhead_s=switch_overhead_s
     )
-    if fallback is not None:
-        result = ExecutionResult(
-            mode="scalar",
-            fallback=fallback,
-            start_s=result.start_s.copy(),
-            finish_s=result.finish_s.copy(),
-            rank_time_s=result.rank_time_s.copy(),
-            rank_energy_j=result.rank_energy_j.copy(),
-            rank_switches=result.rank_switches.copy(),
-            completion_s=result.completion_s,
-            n_kernels=result.n_kernels,
-            n_transfers=result.n_transfers,
-        )
-    return result
+    return replace(result, fallback=fallback)

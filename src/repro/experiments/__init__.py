@@ -15,9 +15,7 @@ experiment index):
 - :mod:`~repro.experiments.scaling` — the §8.4 multi-node weak-scaling
   experiment on the simulated Marconi-100 (Fig. 10),
 - :mod:`~repro.experiments.report` — ASCII tables/series matching the
-  paper's presentation,
-- :mod:`~repro.experiments.perf` — the tracked perf benchmark of the
-  vectorized fast paths (docs/PERFORMANCE.md).
+  paper's presentation.
 """
 
 from repro.experiments.accuracy import AccuracyAnalysis, run_accuracy_analysis
@@ -26,7 +24,6 @@ from repro.experiments.characterization import (
     characterize,
     fine_vs_coarse,
 )
-from repro.experiments.perf import run_perf_pipeline
 from repro.experiments.report import format_series, format_table
 from repro.experiments.scaling import ScalingResult, run_scaling_experiment
 from repro.experiments.sweep import (
@@ -42,7 +39,6 @@ __all__ = [
     "FrequencySweep2D",
     "sweep_kernel",
     "sweep_kernel_2d",
-    "run_perf_pipeline",
     "CharacterizationResult",
     "characterize",
     "fine_vs_coarse",

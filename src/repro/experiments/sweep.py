@@ -17,9 +17,7 @@ import numpy as np
 from repro.core.models import measure_sweep
 from repro.core.sweepcache import SweepCache, resolve_cache
 from repro.hw.cache import models_for
-from repro.hw.power import PowerModel
 from repro.hw.specs import GPUSpec
-from repro.hw.timing import TimingModel
 from repro.kernelir.kernel import KernelIR
 from repro.metrics.energy import ed2p, edp
 from repro.metrics.pareto import pareto_front_mask
@@ -183,39 +181,6 @@ def sweep_kernel_2d(
             store.sweep2d_key(spec, kernel, core, mem),
             lambda: _compute_sweep_2d(spec, kernel, core, mem),
         )
-    return FrequencySweep2D(
-        kernel_name=kernel.name,
-        device_name=spec.name,
-        core_mhz=core,
-        mem_mhz=mem,
-        time_s=times,
-        energy_j=energies,
-    )
-
-
-def sweep_kernel_2d_scalar(spec: GPUSpec, kernel: KernelIR) -> FrequencySweep2D:
-    """Pre-vectorization 2-D sweep (per-row sweep, per-cell power call).
-
-    Kept callable as the baseline the perf benchmark suite measures
-    :func:`sweep_kernel_2d` against; results are identical.
-    """
-    timing_model = TimingModel(spec)
-    power_model = PowerModel(spec)
-    core = np.asarray(spec.core_freqs_mhz, dtype=float)
-    mem = np.asarray(spec.mem_freqs_mhz, dtype=float)
-    times = np.empty((mem.size, core.size))
-    energies = np.empty_like(times)
-    for i, fm in enumerate(mem):
-        for j, timing in enumerate(
-            timing_model.sweep_scalar(kernel, core, float(fm))
-        ):
-            power = float(
-                power_model.power(
-                    core[j], fm, timing.core_power_utilization, timing.u_mem
-                )
-            )
-            times[i, j] = timing.time_s
-            energies[i, j] = power * timing.time_s
     return FrequencySweep2D(
         kernel_name=kernel.name,
         device_name=spec.name,

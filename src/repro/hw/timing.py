@@ -133,8 +133,7 @@ class TimingModel:
     ) -> np.ndarray:
         """DRAM bandwidth (bytes/s) achievable at the given clocks.
 
-        Always returns an array (0-d for scalar inputs); use
-        :meth:`effective_bandwidth_scalar` for a typed ``float``.
+        Always returns an array (0-d for scalar inputs).
         """
         peak = self.spec.peak_bandwidth_gbs * 1e9
         mem_scale = np.asarray(mem_mhz, dtype=float) / float(
@@ -143,10 +142,6 @@ class TimingModel:
         knee_mhz = self.spec.bw_knee * self.spec.max_core_mhz
         issue_scale = np.minimum(1.0, np.asarray(core_mhz, dtype=float) / knee_mhz)
         return np.asarray(peak * mem_scale * issue_scale, dtype=float)
-
-    def effective_bandwidth_scalar(self, core_mhz: float, mem_mhz: float) -> float:
-        """Scalar DRAM bandwidth (bytes/s) for one clock pair."""
-        return float(self.effective_bandwidth(float(core_mhz), float(mem_mhz)))
 
     def execute(
         self, kernel: KernelIR, core_mhz: float, mem_mhz: float
@@ -189,24 +184,6 @@ class TimingModel:
             u_mem=u_mem,
             activity=self.switching_activity(kernel),
         )
-
-    def sweep_scalar(
-        self, kernel: KernelIR, core_mhz: np.ndarray, mem_mhz: float
-    ) -> list[KernelTiming]:
-        """Per-clock reference sweep (one scalar ``_combine`` per clock).
-
-        Kept as the baseline the perf benchmark suite measures
-        :meth:`sweep` against; results are identical.
-        """
-        core = np.asarray(core_mhz, dtype=float)
-        t_comp, t_mem = self._phase_times(kernel, core, mem_mhz)
-        t_comp = np.broadcast_to(np.asarray(t_comp, dtype=float), core.shape)
-        t_mem = np.broadcast_to(np.asarray(t_mem, dtype=float), core.shape)
-        activity = self.switching_activity(kernel)
-        return [
-            self._combine(float(c), float(m), activity)
-            for c, m in zip(t_comp, t_mem)
-        ]
 
     def _phase_times(
         self,

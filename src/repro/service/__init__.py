@@ -9,10 +9,10 @@ tenant queues through the batched engine (``Scheduler.submit_many`` +
 records every decision so a same-seed session replays byte-identically.
 
 See ``docs/SERVICE.md`` for the tenancy model and
-``repro-synergy loadgen`` for the million-submission harness.
+``repro-synergy serve`` for a seeded session from the command line.
 """
 
-from repro.service.loadgen import run_loadgen, run_service_session
+from repro.service.loadgen import run_service_session
 from repro.service.plane import SchedulingService
 from repro.service.shard import PartitionShard, TenantBatchPayload
 from repro.service.store import JobStore, fold_events
@@ -33,6 +33,5 @@ __all__ = [
     "TenantBatchPayload",
     "TenantRegistry",
     "fold_events",
-    "run_loadgen",
     "run_service_session",
 ]

@@ -9,25 +9,17 @@ admission, and drains in fixed cycles. Everything downstream of the
 byte-identical job stores — the replay contract ``validate --only
 service`` asserts.
 
-:func:`run_loadgen` wraps a session in wall-clock measurement and merges
-a ``loadgen`` section (p50/p99 scheduling latency, per-tenant joules
-saved, cluster energy vs the MAX_PERF baseline) into ``BENCH_perf.json``.
-The full configuration drives 160k submissions across 64 tenants; quick
-mode (CI) drives 2k across 8.
+``repro-synergy serve`` runs one session and prints its per-tenant
+accounting; the ``loadgen`` workload of ``bench/`` times it.
 """
 
 from __future__ import annotations
-
-import json
-import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.apps.syclbench.definitions import get_benchmark
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_seed, make_rng
-from repro.core.sweepcache import scoped_cache
 from repro.engine.payload import plan_from_sweeps
 from repro.experiments.sweep import sweep_kernel
 from repro.hw.specs import NVIDIA_V100, GPUSpec
@@ -52,19 +44,6 @@ DEFAULT_KERNELS: tuple[str, ...] = (
 
 #: Tenant energy targets, cycled across the fleet.
 _TENANT_TARGETS = (MIN_EDP, MIN_ENERGY, ES_50, PL_50)
-
-#: Full-run defaults (the acceptance configuration).
-FULL_TENANTS = 64
-FULL_SUBMISSIONS = 160_000
-FULL_PARTITIONS = 8
-FULL_CYCLES = 16
-
-#: Quick-mode defaults (the CI smoke configuration).
-QUICK_TENANTS = 8
-QUICK_SUBMISSIONS = 2_000
-QUICK_PARTITIONS = 4
-QUICK_CYCLES = 8
-
 
 def seeded_tenants(n_tenants: int, seed: int = 7) -> list[Tenant]:
     """A deterministic, attribute-diverse tenant fleet.
@@ -117,10 +96,10 @@ def baseline_energies(
 def run_service_session(
     *,
     seed: int = 7,
-    n_tenants: int = FULL_TENANTS,
-    n_submissions: int = FULL_SUBMISSIONS,
-    n_partitions: int = FULL_PARTITIONS,
-    n_cycles: int = FULL_CYCLES,
+    n_tenants: int = 64,
+    n_submissions: int = 160_000,
+    n_partitions: int = 8,
+    n_cycles: int = 16,
     mean_interarrival_s: float = 0.05,
     kernels: tuple[str, ...] = DEFAULT_KERNELS,
     spec: GPUSpec = NVIDIA_V100,
@@ -179,83 +158,3 @@ def run_service_session(
             service.drain(float(arrival_s[hi - 1]))
     return service
 
-
-def run_loadgen(
-    *,
-    seed: int = 7,
-    quick: bool = False,
-    n_tenants: int | None = None,
-    n_submissions: int | None = None,
-    n_partitions: int | None = None,
-    n_cycles: int | None = None,
-    json_path: str | Path | None = None,
-) -> dict:
-    """Measured loadgen run; returns (and optionally merges) the section.
-
-    With ``json_path`` the section lands under the ``loadgen`` key of the
-    benchmark document (created if missing, other sections preserved).
-    """
-    # Explicit None checks: an override of 0 must reach the session's
-    # validation (and fail there), not silently fall back to the default.
-    defaults = {
-        "n_tenants": QUICK_TENANTS if quick else FULL_TENANTS,
-        "n_submissions": QUICK_SUBMISSIONS if quick else FULL_SUBMISSIONS,
-        "n_partitions": QUICK_PARTITIONS if quick else FULL_PARTITIONS,
-        "n_cycles": QUICK_CYCLES if quick else FULL_CYCLES,
-    }
-    overrides = {
-        "n_tenants": n_tenants,
-        "n_submissions": n_submissions,
-        "n_partitions": n_partitions,
-        "n_cycles": n_cycles,
-    }
-    cfg = {
-        k: defaults[k] if overrides[k] is None else overrides[k]
-        for k in defaults
-    }
-    t0 = time.perf_counter()
-    with scoped_cache():
-        service = run_service_session(seed=seed, **cfg)
-    wall_s = time.perf_counter() - t0
-    report = service.report()
-    cluster = report["cluster"]
-    section = {
-        "seed": seed,
-        "quick": quick,
-        **cfg,
-        "wall_s": wall_s,
-        "submissions_per_s": cfg["n_submissions"] / wall_s if wall_s else None,
-        "admitted": cluster["submissions"],
-        "rejected": cluster["rejections"],
-        "drained": cluster["drained"],
-        "p50_latency_s": cluster["p50_latency_s"],
-        "p99_latency_s": cluster["p99_latency_s"],
-        "kernel_energy_j": cluster["kernel_energy_j"],
-        "board_energy_j": cluster["board_energy_j"],
-        "baseline_kernel_energy_j": cluster["baseline_kernel_energy_j"],
-        "saved_j": cluster["saved_j"],
-        "store_events": len(service.store),
-        "tenants": [
-            {
-                "tenant": row["tenant"],
-                "target": row["target"],
-                "priority": row["priority"],
-                "shard": row["shard"],
-                "admitted": row["admitted"],
-                "rejected": row["rejected"],
-                "drained": row["drained"],
-                "energy_j": row["energy_j"],
-                "baseline_j": row["baseline_j"],
-                "saved_j": row["saved_j"],
-                "p50_latency_s": row["p50_latency_s"],
-                "p99_latency_s": row["p99_latency_s"],
-            }
-            for row in report["tenants"]
-        ],
-    }
-    if json_path is not None:
-        path = Path(json_path)
-        doc = json.loads(path.read_text()) if path.exists() else {}
-        doc["loadgen"] = section
-        path.write_text(json.dumps(doc, indent=2))
-    return section

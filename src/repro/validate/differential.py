@@ -1,13 +1,12 @@
 """Differential validation: paired implementations must agree.
 
-The perf plane (PR 2) kept every scalar baseline callable next to its
-vectorized replacement, and the observability plane (PR 3) promised that
-tracing never perturbs the physics. This module replays seeded workloads
-through both sides of each pair and asserts equivalence:
+Every vectorized fast path has a one-point-at-a-time oracle in
+:mod:`repro.validate.reference`, and tracing must never perturb the
+physics. This module replays seeded workloads through both sides of
+each pair and asserts equivalence:
 
-- vectorized vs ``*_scalar`` sweep and 2-D sweep paths (to the perf
-  plane's documented rel-1e-12 contract: NumPy ``pow`` and scalar libm
-  ``pow`` differ by ~1 ulp),
+- the broadcasted sweep and 2-D sweep vs their per-clock oracles
+  (rel 1e-12: NumPy ``pow`` and scalar libm ``pow`` differ by ~1 ulp),
 - cached vs uncached :class:`~repro.core.sweepcache.SweepCache` runs
   (bitwise, plus the hit/miss accounting),
 - traced (``trace=``) vs untraced execution of a tuned queue workload
@@ -26,8 +25,8 @@ from repro.validate.result import CheckResult, check
 #: memory-bound and a balanced member of the §8 suite.
 DIFF_KERNEL_NAMES: tuple[str, ...] = ("gemm", "sobel3", "median")
 
-#: The vectorized/scalar agreement contract of the perf plane (NumPy pow
-#: vs scalar libm pow differ by ~1 ulp, so bitwise is too strict there).
+#: The vectorized/per-clock agreement contract (NumPy pow vs scalar libm
+#: pow differ by ~1 ulp, so bitwise is too strict there).
 SCALAR_PATH_RTOL = 1e-12
 
 
@@ -58,13 +57,14 @@ def _arrays_equal(name: str, context: str, *pairs, rtol: float = 0.0) -> CheckRe
 def check_sweep_vectorized_vs_scalar(
     spec: GPUSpec = NVIDIA_V100, names: tuple[str, ...] = DIFF_KERNEL_NAMES
 ) -> list[CheckResult]:
-    """``measure_sweep`` against ``measure_sweep_scalar`` (rel 1e-12)."""
-    from repro.core.models import measure_sweep, measure_sweep_scalar
+    """``measure_sweep`` against ``measure_sweep_reference`` (rel 1e-12)."""
+    from repro.core.models import measure_sweep
+    from repro.validate.reference import measure_sweep_reference
 
     results = []
     for kernel in _kernels(names):
         fast = measure_sweep(spec, kernel, cache=False)
-        slow = measure_sweep_scalar(spec, kernel)
+        slow = measure_sweep_reference(spec, kernel)
         results.append(
             _arrays_equal(
                 "diff.sweep_vectorized_vs_scalar",
@@ -79,13 +79,14 @@ def check_sweep_vectorized_vs_scalar(
 def check_sweep2d_vectorized_vs_scalar(
     spec: GPUSpec = NVIDIA_V100, names: tuple[str, ...] = DIFF_KERNEL_NAMES
 ) -> list[CheckResult]:
-    """``sweep_kernel_2d`` against ``sweep_kernel_2d_scalar`` (rel 1e-12)."""
-    from repro.experiments.sweep import sweep_kernel_2d, sweep_kernel_2d_scalar
+    """``sweep_kernel_2d`` against ``sweep_kernel_2d_reference`` (rel 1e-12)."""
+    from repro.experiments.sweep import sweep_kernel_2d
+    from repro.validate.reference import sweep_kernel_2d_reference
 
     results = []
     for kernel in _kernels(names):
         fast = sweep_kernel_2d(spec, kernel, cache=False)
-        slow = sweep_kernel_2d_scalar(spec, kernel)
+        slow = sweep_kernel_2d_reference(spec, kernel)
         results.append(
             _arrays_equal(
                 "diff.sweep2d_vectorized_vs_scalar",

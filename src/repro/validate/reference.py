@@ -8,6 +8,10 @@ The level-synchronous grower must match it bitwise.
 on top of it, and :func:`predict_reference` walks one row at a time.
 :func:`throttled_operating_point_reference` is the uncached per-launch
 power-cap scan that :class:`repro.hw.cache.OperatingPoints` memoizes.
+:func:`measure_sweep_reference` and :func:`sweep_kernel_2d_reference`
+evaluate the timing and power models one clock pair at a time; the
+broadcasted sweeps must match them to rel 1e-12 (NumPy ``pow`` and
+scalar libm ``pow`` differ by ~1 ulp).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import fields
 import numpy as np
 
 from repro.common.rng import derive_seed, make_rng
+from repro.experiments.sweep import FrequencySweep2D
 from repro.hw.power import PowerModel
 from repro.hw.timing import TimingModel
 from repro.ml.forest import RandomForestRegressor
@@ -146,6 +151,58 @@ def predict_reference(flats: list[FlatTree], X) -> np.ndarray:
                 node = flat.left[node] if go_left else flat.right[node]
             out[t, i] = flat.value[node]
     return out.mean(axis=0)
+
+
+def _measure_point(timing_model, power_model, kernel, core_mhz, mem_mhz):
+    """``(time_s, energy_j)`` of one launch at one clock pair."""
+    timing = timing_model.execute(kernel, core_mhz, mem_mhz)
+    power = float(
+        power_model.power(
+            core_mhz, mem_mhz, timing.core_power_utilization, timing.u_mem
+        )
+    )
+    return timing.time_s, power * timing.time_s
+
+
+def measure_sweep_reference(spec, kernel, core_freqs_mhz=None):
+    """``(freqs, time, energy)`` like ``measure_sweep``, one clock at a time."""
+    freqs = np.asarray(
+        core_freqs_mhz if core_freqs_mhz is not None else spec.core_freqs_mhz,
+        dtype=float,
+    )
+    timing_model, power_model = TimingModel(spec), PowerModel(spec)
+    mem = float(spec.default_mem_mhz)
+    points = [
+        _measure_point(timing_model, power_model, kernel, float(f), mem)
+        for f in freqs
+    ]
+    times, energies = np.asarray(points, dtype=float).reshape(-1, 2).T
+    return freqs, times, energies
+
+
+def sweep_kernel_2d_reference(spec, kernel) -> FrequencySweep2D:
+    """``sweep_kernel_2d`` over every (memory, core) pair, one at a time."""
+    timing_model, power_model = TimingModel(spec), PowerModel(spec)
+    core = np.asarray(spec.core_freqs_mhz, dtype=float)
+    mem = np.asarray(spec.mem_freqs_mhz, dtype=float)
+    points = np.asarray(
+        [
+            [
+                _measure_point(timing_model, power_model, kernel, float(fc), float(fm))
+                for fc in core
+            ]
+            for fm in mem
+        ],
+        dtype=float,
+    )
+    return FrequencySweep2D(
+        kernel_name=kernel.name,
+        device_name=spec.name,
+        core_mhz=core,
+        mem_mhz=mem,
+        time_s=points[..., 0],
+        energy_j=points[..., 1],
+    )
 
 
 def throttled_operating_point_reference(

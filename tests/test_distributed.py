@@ -241,6 +241,12 @@ class TestGraphDerivation:
         names0 = {k.name for k in per_rank[0]}
         names_mid = {k.name for k in per_rank[2]}
         assert "gemm" in names0 and "gemm" not in names_mid
+        # Weak scaling: the node count grows linearly with the rank count.
+        sizes = [
+            len(build_stencil_graph(build_comm(SPEC, n), steps=3).nodes)
+            for n in (12, 24)
+        ]
+        assert abs(sizes[1] / sizes[0] - 2.0) < 0.05 * 2.0
 
 
 # ------------------------------------------------------------ global planner
@@ -358,13 +364,8 @@ class TestExecutors:
     def test_engine_scalar_forced(self, stencil):
         _, graph, plan, _ = stencil
         comm = build_comm(SPEC, graph.n_ranks)
-        result = run_graph(graph, comm, plan, engine="scalar")
+        result = run_graph_scalar(graph, comm, plan)
         assert result.mode == "scalar" and result.fallback is None
-
-    def test_unknown_engine_rejected(self, stencil):
-        comm, graph, plan, _ = stencil
-        with pytest.raises(ValidationError):
-            run_graph(graph, comm, plan, engine="warp")
 
     def test_comm_size_mismatch_rejected(self, stencil):
         _, graph, plan, _ = stencil

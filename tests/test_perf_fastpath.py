@@ -1,14 +1,15 @@
 """Equivalence and correctness of the vectorized fast paths.
 
-Every fast path keeps its scalar reference implementation callable; these
-tests pin the equivalence contract at tier-1 scale:
+Every fast path has a one-point-at-a-time oracle (per-clock
+``TimingModel.execute`` or :mod:`repro.validate.reference`); these tests
+pin the equivalence contract at tier-1 scale:
 
-- vectorized ``TimingModel.sweep`` vs the per-clock scalar loop, across
+- vectorized ``TimingModel.sweep`` vs per-clock ``execute``, across
   vendors (V100/A100/MI100) and kernel regimes (compute-, memory- and
   divider-bound, high/low locality), at 1e-12 relative tolerance
   (vectorized NumPy pow differs from scalar libm pow by ~1 ulp),
-- ``measure_sweep`` / ``sweep_kernel_2d`` vs their scalar baselines,
-- the ``effective_bandwidth`` array/scalar contract,
+- ``measure_sweep`` / ``sweep_kernel_2d`` vs their per-clock oracles,
+- the ``effective_bandwidth`` array contract,
 - level-synchronous tree and forest growth (fit and refresh) vs the
   per-node oracle of ``repro.validate.reference`` — **bitwise identical**
   trees, over Hypothesis-drawn data with tied x values, duplicate rows
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.models import measure_sweep, measure_sweep_scalar
+from repro.core.models import measure_sweep
 from repro.core.predictor import FrequencyPredictor
 from repro.core.sweepcache import (
     CURVE_STATS,
@@ -32,11 +33,7 @@ from repro.core.sweepcache import (
     kernel_fingerprint,
     spec_fingerprint,
 )
-from repro.experiments.sweep import (
-    sweep_kernel,
-    sweep_kernel_2d,
-    sweep_kernel_2d_scalar,
-)
+from repro.experiments.sweep import sweep_kernel, sweep_kernel_2d
 from repro.hw.specs import AMD_MI100, NVIDIA_A100, NVIDIA_TITAN_X, NVIDIA_V100
 from repro.hw.timing import TimingModel
 from repro.kernelir.instructions import InstructionMix
@@ -48,7 +45,9 @@ from repro.common.rng import make_rng
 from repro.validate.reference import (
     forest_reference,
     grow_tree_reference,
+    measure_sweep_reference,
     predict_reference,
+    sweep_kernel_2d_reference,
     trees_equal,
 )
 
@@ -93,7 +92,8 @@ class TestVectorizedSweep:
         mem = float(spec.default_mem_mhz)
         vec = model.sweep(kernel, freqs, mem)
         assert len(vec) == freqs.size
-        for i, ref in enumerate(model.sweep_scalar(kernel, freqs, mem)):
+        for i, core in enumerate(freqs):
+            ref = model.execute(kernel, float(core), mem)
             assert vec.time_s[i] == pytest.approx(ref.time_s, rel=RTOL)
             assert vec.u_core[i] == pytest.approx(ref.u_core, rel=RTOL)
             assert vec.u_mem[i] == pytest.approx(ref.u_mem, rel=RTOL)
@@ -107,7 +107,7 @@ class TestVectorizedSweep:
         spec = SPECS[spec_name]
         kernel = KERNEL_MIXES[kernel_name]
         freqs_v, times_v, energies_v = measure_sweep(spec, kernel, cache=False)
-        freqs_s, times_s, energies_s = measure_sweep_scalar(spec, kernel)
+        freqs_s, times_s, energies_s = measure_sweep_reference(spec, kernel)
         np.testing.assert_array_equal(freqs_v, freqs_s)
         np.testing.assert_allclose(times_v, times_s, rtol=RTOL, atol=0)
         np.testing.assert_allclose(energies_v, energies_s, rtol=RTOL, atol=0)
@@ -128,7 +128,7 @@ def test_sweep_broadcasts_2d_grid():
 def test_sweep_kernel_2d_matches_scalar(spec):
     kernel = KERNEL_MIXES["compute"]
     fast = sweep_kernel_2d(spec, kernel, cache=False)
-    ref = sweep_kernel_2d_scalar(spec, kernel)
+    ref = sweep_kernel_2d_reference(spec, kernel)
     assert fast.time_s.shape == ref.time_s.shape
     np.testing.assert_allclose(fast.time_s, ref.time_s, rtol=RTOL, atol=0)
     np.testing.assert_allclose(fast.energy_j, ref.energy_j, rtol=RTOL, atol=0)
@@ -141,8 +141,7 @@ def test_effective_bandwidth_contract():
     mem = float(NVIDIA_V100.default_mem_mhz)
     arr = model.effective_bandwidth(np.asarray([800.0, 1200.0]), mem)
     assert isinstance(arr, np.ndarray) and arr.shape == (2,)
-    scalar = model.effective_bandwidth_scalar(800.0, mem)
-    assert isinstance(scalar, float)
+    scalar = float(model.effective_bandwidth(800.0, mem))
     assert scalar == pytest.approx(float(arr[0]), rel=RTOL)
     # 0-d array input stays an ndarray on the array path
     zero_d = model.effective_bandwidth(np.float64(800.0), mem)
