@@ -116,22 +116,38 @@ def test_accuracy_small(capsys):
 
 def test_serve_happy_path(tmp_path, capsys):
     store_path = tmp_path / "store.json"
-    report_path = tmp_path / "report.json"
     assert main(["serve", "--tenants", "4", "--submissions", "64",
                  "--partitions", "2", "--cycles", "2",
-                 "--store", str(store_path), "--json", str(report_path)]) == 0
+                 "--store", str(store_path)]) == 0
     out = capsys.readouterr().out
     assert "Per-tenant accounting" in out
     assert "t000" in out and "t003" in out
     assert "cluster:" in out and "saved" in out
     assert store_path.exists()
+
+
+def test_serve_bad_args_exit_code():
+    assert main(["serve", "--tenants", "0"]) == 2
+    assert main(["serve", "--submissions", "0"]) == 2
+    assert main(["serve", "--partitions", "0"]) == 2
+
+
+def test_loadgen_quick_merges_bench_section(tmp_path, capsys):
+    """The seeded load-generator session (``service.loadgen``), run through
+    ``serve`` at the old quick sizes; its ``--json`` report carries the
+    per-tenant rows and the cluster roll-up."""
+    report_path = tmp_path / "report.json"
+    assert main(["serve", "--tenants", "4", "--submissions", "200",
+                 "--partitions", "2", "--cycles", "2",
+                 "--json", str(report_path)]) == 0
+    assert "Per-tenant accounting" in capsys.readouterr().out
     report = json.loads(report_path.read_text())
     cluster, tenants = report["cluster"], report["tenants"]
     assert len(tenants) == 4
     assert all("saved_j" in row for row in tenants)
     # Accounting closes: every attempt is admitted or rejected, every
     # admitted job drains, and the per-tenant rows roll up to the cluster.
-    assert cluster["submissions"] + cluster["rejections"] == 64
+    assert cluster["submissions"] + cluster["rejections"] == 200
     assert cluster["drained"] == cluster["submissions"] > 0
     assert sum(row["drained"] for row in tenants) == cluster["drained"]
     assert 0.0 <= cluster["p50_latency_s"] <= cluster["p99_latency_s"]
@@ -142,11 +158,10 @@ def test_serve_happy_path(tmp_path, capsys):
     )
 
 
-def test_serve_bad_args_exit_code():
-    assert main(["serve", "--tenants", "0"]) == 2
-    assert main(["serve", "--submissions", "0"]) == 2
-    assert main(["serve", "--partitions", "0"]) == 2
-    assert main(["serve", "--cycles", "0"]) == 2
+def test_loadgen_bad_args_exit_code():
+    """Bad sizes for the seeded session exit with a usage error (2)."""
+    assert main(["serve", "--tenants", "0", "--json", ""]) == 2
+    assert main(["serve", "--cycles", "0", "--json", ""]) == 2
 
 
 # ------------------------------------------------------- smoke: completeness
