@@ -89,12 +89,11 @@ class EnergyProfiler:
         """Energies (J) of many kernel events in one accounting pass.
 
         The batched counterpart of looping :meth:`kernel_energy`: waits
-        once (to the latest event end), counts every measurement, and —
-        for ``true_value`` queries — integrates all windows in a single
-        vectorized pass over the power timeline
-        (:meth:`SimulatedGPU.energy_between_many`). Sampled queries stay
-        per-window: the sensor derives its noise seed from each window,
-        so batching must not change which samples a window sees.
+        once (to the latest event end), counts every measurement, and
+        answers each window on its own — ``true_value`` queries with the
+        window-sliced integral (:meth:`SimulatedGPU.energy_between`),
+        sampled ones with the sensor, which derives its noise seed from
+        each window.
         """
         import numpy as np
 
@@ -108,14 +107,8 @@ class EnergyProfiler:
         if self.device.clock.now < latest:
             self.device.clock.advance_to(latest)
         self.trace.count("profiler.kernel_measurements", len(events))
-        if true_value:
-            return self.device.energy_between_many(
-                np.asarray([e.start_s for e in events], dtype=float),
-                np.asarray([e.end_s for e in events], dtype=float),
-            )
-        return np.asarray(
-            [self._measure(e.start_s, e.end_s) for e in events], dtype=float
-        )
+        measure = self.device.energy_between if true_value else self._measure
+        return np.asarray([measure(e.start_s, e.end_s) for e in events], dtype=float)
 
     def _measure(self, t0: float, t1: float) -> float:
         """Sensor estimate with analytic fallback on sample dropout."""

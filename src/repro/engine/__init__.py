@@ -4,8 +4,7 @@ Batched scenario execution: many in-flight kernels (and many jobs)
 advance per NumPy pass instead of one per Python call. The struct-of-
 arrays batch representations live in :mod:`repro.engine.batch`, the
 batched advance in :mod:`repro.engine.executor`, and the declarative
-job payloads plus per-node energy reductions in
-:mod:`repro.engine.payload`.
+job payloads in :mod:`repro.engine.payload`.
 
 The per-event scalar path stays intact as the reference implementation:
 ``repro-synergy validate --only engine`` runs the differential contract
@@ -16,18 +15,13 @@ replaying through the scalar path byte-for-byte.
 
 from repro.engine.batch import JobBatch, KernelBatch
 from repro.engine.executor import BatchResult, execute_batch
-from repro.engine.payload import (
-    KernelBatchPayload,
-    board_energies,
-    plan_from_sweeps,
-)
+from repro.engine.payload import KernelBatchPayload, plan_from_sweeps
 
 __all__ = [
     "BatchResult",
     "JobBatch",
     "KernelBatch",
     "KernelBatchPayload",
-    "board_energies",
     "execute_batch",
     "plan_from_sweeps",
 ]

@@ -7,16 +7,15 @@ per-event scalar reference loop — the two modes the engine differential
 contract compares. :func:`plan_from_sweeps` compiles a
 :class:`FrequencyPlan` directly from measured sweeps (the §6.2 search on
 ground truth instead of model predictions), which lets scenarios use
-DEADLINE/SLA targets without training a predictor.
-:func:`board_energies` is the per-node accounting reduction.
+DEADLINE/SLA targets without training a predictor. Per-job energy
+accounting is not here: the scheduler integrates each board's window
+with :meth:`SimulatedGPU.energy_between`, whichever mode ran the payload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.core.compiler import FrequencyPlan
 from repro.core.frequency import DEFAULT_SWITCH_OVERHEAD_S
@@ -115,19 +114,3 @@ class KernelBatchPayload:
             queue.wait()
             summaries.append(queue.summary())
         return {"mode": "batched" if self.batched else "scalar", "gpus": summaries}
-
-
-def board_energies(gpus, t0_s: float, t1_s: float) -> np.ndarray:
-    """True board energy (J) per GPU over one accounting window.
-
-    One vectorized timeline reduction per board
-    (:meth:`SimulatedGPU.energy_between_many`); the scalar accounting
-    loop (:meth:`Scheduler._account_energy`) sums the same windows with
-    per-segment Python iteration.
-    """
-    window_t0 = np.asarray([t0_s], dtype=float)
-    window_t1 = np.asarray([t1_s], dtype=float)
-    return np.asarray(
-        [float(gpu.energy_between_many(window_t0, window_t1)[0]) for gpu in gpus],
-        dtype=float,
-    )

@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.common.clock import VirtualClock
 from repro.common.errors import ConfigurationError, ReproError, SimulationError
@@ -389,104 +392,43 @@ class SimulatedGPU:
         """True (analytic) board energy in joules over ``[t0, t1]``.
 
         Integrates busy segments exactly and fills gaps with idle power at
-        the clocks then in effect.
+        the clocks then in effect. Only the segments and clock records
+        overlapping the window are read (``bisect`` on the ascending
+        timeline), so the cost grows with the window, not with the
+        board's history. The window splits at every breakpoint inside it,
+        and the interval products are summed with :func:`math.fsum`: the
+        sum is correctly rounded, so the result is bitwise independent of
+        everything outside the window. Non-finite or reversed bounds raise
+        :class:`SimulationError`.
         """
+        t0, t1 = float(t0), float(t1)
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise SimulationError(f"energy window not finite: [{t0!r}, {t1!r}]")
         if t1 < t0:
             raise SimulationError(f"energy window reversed: [{t0!r}, {t1!r}]")
-        energy = 0.0
-        cursor = t0
-        for s, e, p in zip(self._seg_start, self._seg_end, self._seg_power):
-            if e <= t0:
-                continue
-            if s >= t1:
-                break
-            if s > cursor:
-                energy += self._idle_energy(cursor, min(s, t1))
-                cursor = min(s, t1)
-            lo, hi = max(s, cursor), min(e, t1)
-            if hi > lo:
-                energy += p * (hi - lo)
-                cursor = hi
-        if cursor < t1:
-            energy += self._idle_energy(cursor, t1)
-        return energy
-
-    def energy_between_many(self, t0s, t1s) -> "np.ndarray":
-        """True board energies (J) over many windows in one vectorized pass.
-
-        The batched counterpart of :meth:`energy_between`: the power
-        timeline is decomposed once into piecewise-constant intervals
-        (busy-segment and clock-change breakpoints), and every window
-        integrates as one overlap product against those intervals. Sums
-        accumulate positive contributions only, so there is no
-        cancellation; agreement with per-window :meth:`energy_between`
-        is within a few ulp per interval.
-        """
-        import numpy as np
-
-        t0 = np.asarray(t0s, dtype=float)
-        t1 = np.asarray(t1s, dtype=float)
-        if t0.shape != t1.shape:
-            raise SimulationError(
-                f"window arrays have mismatched shapes ({t0.shape} vs {t1.shape})"
-            )
-        if t0.size == 0:
-            return np.zeros_like(t0)
-        if np.any(t1 < t0):
-            i = int(np.argmax(t1 < t0))
-            raise SimulationError(
-                f"energy window reversed: [{t0.flat[i]!r}, {t1.flat[i]!r}]"
-            )
-        seg_s = np.asarray(self._seg_start, dtype=float)
-        seg_e = np.asarray(self._seg_end, dtype=float)
-        seg_p = np.asarray(self._seg_power, dtype=float)
-        clk_t = np.asarray(self._clock_times, dtype=float)
-        # Breakpoints: every instant the board's power can change, plus a
-        # floor below every query so the first interval covers all windows.
-        floor = min(float(t0.min()), float(clk_t[0]))
-        edges = np.unique(np.concatenate(([floor], seg_s, seg_e, clk_t)))
-        # Extend the last interval past every query (idle tail).
-        ceil = max(float(t1.max()), float(edges[-1])) + 1.0
-        lo, hi = edges, np.append(edges[1:], ceil)
-        # Power over each interval [lo, hi): the busy segment covering it,
-        # or idle power at the clocks then in effect.
-        if seg_s.size:
-            i = np.searchsorted(seg_s, lo, side="right") - 1
-            ic = np.clip(i, 0, None)
-            busy = (i >= 0) & (lo < seg_e[ic])
-            p_busy = seg_p[ic]
-        else:
-            busy = np.zeros(lo.shape, dtype=bool)
-            p_busy = np.zeros(lo.shape)
-        j = np.maximum(np.searchsorted(clk_t, lo, side="right") - 1, 0)
-        cores = np.asarray([c for c, _ in self._clock_values], dtype=float)[j]
-        mems = np.asarray([m for _, m in self._clock_values], dtype=float)[j]
-        p_idle = np.asarray(
-            self.power_model.power(cores, mems, 0.0, 0.0), dtype=float
+        # Segments ending after t0 and starting before t1; the clock record
+        # in effect at t0 through the last one before t1.
+        i0 = bisect.bisect_right(self._seg_end, t0)
+        i1 = bisect.bisect_left(self._seg_start, t1, i0)
+        c0 = max(bisect.bisect_right(self._clock_times, t0) - 1, 0)
+        c1 = max(bisect.bisect_left(self._clock_times, t1), c0 + 1)
+        seg_s = np.asarray(self._seg_start[i0:i1], dtype=float)
+        seg_e = np.asarray(self._seg_end[i0:i1], dtype=float)
+        clk_t = np.asarray(self._clock_times[c0:c1], dtype=float)
+        clk_v = np.asarray(self._clock_values[c0:c1], dtype=float)
+        edges = np.unique(
+            np.clip(np.concatenate(([t0, t1], seg_s, seg_e, clk_t)), t0, t1)
         )
-        p = np.where(busy, p_busy, p_idle)
-        # Window x interval overlap, chunked to bound peak memory.
-        flat0, flat1 = t0.reshape(-1), t1.reshape(-1)
-        out = np.empty(flat0.shape)
-        chunk = max(1, 2_000_000 // max(lo.size, 1))
-        for k in range(0, flat0.size, chunk):
-            o0 = flat0[k : k + chunk, None]
-            o1 = flat1[k : k + chunk, None]
-            overlap = np.minimum(hi[None, :], o1) - np.maximum(lo[None, :], o0)
-            out[k : k + chunk] = np.clip(overlap, 0.0, None) @ p
-        return out.reshape(t0.shape)
-
-    def _idle_energy(self, t0: float, t1: float) -> float:
-        """Idle energy over a gap, split at clock-change boundaries."""
-        energy = 0.0
-        cursor = t0
-        i = bisect.bisect_right(self._clock_times, t0)
-        boundaries = [t for t in self._clock_times[i:] if t < t1] + [t1]
-        for boundary in boundaries:
-            core, mem = self.clocks_at(cursor)
-            energy += self.power_model.idle_power(core, mem) * (boundary - cursor)
-            cursor = boundary
-        return energy
+        lo, hi = edges[:-1], edges[1:]
+        # Power over each interval [lo, hi): idle at the clocks then in
+        # effect, unless a busy segment covers it.
+        j = np.maximum(np.searchsorted(clk_t, lo, side="right") - 1, 0)
+        p = self.power_model.power(clk_v[j, 0], clk_v[j, 1], 0.0, 0.0)
+        if seg_s.size:
+            k = np.searchsorted(seg_s, lo, side="right") - 1
+            busy = (k >= 0) & (lo < seg_e[np.maximum(k, 0)])
+            p = np.where(busy, np.asarray(self._seg_power[i0:i1])[k], p)
+        return math.fsum((p * (hi - lo)).tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

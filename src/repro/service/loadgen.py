@@ -10,7 +10,9 @@ byte-identical job stores — the replay contract ``validate --only
 service`` asserts.
 
 ``repro-synergy serve`` runs one session and prints its per-tenant
-accounting; the ``loadgen`` workload of ``bench/`` times it.
+accounting; the ``loadgen`` workload of ``bench/`` times it. Each job's
+energy is integrated over its own window only, so a long session's late
+drain cycles cost about what its first ones do.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ posture with the ``nvgpufreq`` GRES so the plugin's privilege dance
 runs), its own :class:`Scheduler` with the :class:`NvGpuFreqPlugin`
 attached. Shards run cooperatively in virtual time — the plane advances
 every shard's clock to each drain boundary, and each shard then drains
-its tenants' queues through ``Scheduler.submit_many`` batched
-accounting. GPU indices and node names are offset per shard
-(``index_base``/``node_prefix``) so all shards can share one trace
-session without track collisions — the lumos-style fan-out.
+its tenants' queues through ``Scheduler.submit_many``, whose per-job
+accounting reads only each board's in-window timeline. GPU indices and
+node names are offset per shard (``index_base``/``node_prefix``) so all
+shards can share one trace session without track collisions — the
+lumos-style fan-out.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ class PartitionShard:
             )
             for tenant, reqs in queues
         ]
-        jobs = self.scheduler.submit_many(specs, accounting="batched")
+        jobs = self.scheduler.submit_many(specs)
         results = []
         for (tenant, reqs), job in zip(queues, jobs):
             payload_result = job.result or {}

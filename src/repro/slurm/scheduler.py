@@ -4,7 +4,10 @@ FIFO allocation over idle nodes with a plugin hook chain around each job:
 ``prologue(job, node)`` on every allocated node before the payload runs,
 ``epilogue(job, node)`` after it finishes (success or failure). Per-job GPU
 energy accounting integrates each allocated board's true energy over the
-job's window — SLURM's energy accounting (§2.3) at job granularity.
+job's window — SLURM's energy accounting (§2.3) at job granularity. Each
+board's integral reads only the timeline inside the window
+(:meth:`~repro.hw.device.SimulatedGPU.energy_between`), so accounting a
+job costs in proportion to the job, not to the board's history.
 
 Jobs run to completion at submit time (the virtual clock advances through
 the payload), so ``submit`` doubles as ``sbatch --wait``.
@@ -70,21 +73,14 @@ class Scheduler:
 
     # ------------------------------------------------------------- lifecycle
 
-    def submit(self, spec: JobSpec, *, accounting: str = "scalar") -> Job:
+    def submit(self, spec: JobSpec) -> Job:
         """Run a job to completion, requeuing after node failures.
 
         Returns the *last* job of the requeue chain (the one that actually
         completed, failed, or exhausted the requeue budget); earlier
         attempts stay queryable through ``jobs`` / ``requeued_as`` links.
-        ``accounting`` picks the per-job GPU-energy reduction: ``"scalar"``
-        (per-segment Python integration, the reference) or ``"batched"``
-        (one vectorized timeline reduction per board).
         """
-        if accounting not in ("scalar", "batched"):
-            raise ConfigurationError(
-                f"accounting must be 'scalar' or 'batched' ({accounting!r})"
-            )
-        job = self._run_one(spec, accounting=accounting)
+        job = self._run_one(spec)
         requeues = 0
         while job.state is JobState.NODE_FAIL and requeues < self.max_requeues:
             if len(self.cluster.idle_nodes()) < spec.n_nodes:
@@ -99,28 +95,19 @@ class Scheduler:
                 self.cluster.clock.now, "slurm", "slurm.requeue", spec.name,
                 prev_job_id=job.job_id,
             )
-            job = self._run_one(spec, requeue_of=job, accounting=accounting)
+            job = self._run_one(spec, requeue_of=job)
         return job
 
-    def submit_many(self, specs, *, accounting: str = "batched") -> list[Job]:
+    def submit_many(self, specs) -> list[Job]:
         """Run a batch of jobs to completion, in submission order.
 
         Accepts a sequence of :class:`JobSpec` or a
         :class:`~repro.engine.batch.JobBatch`. Each job goes through the
-        same :meth:`submit` core — allocation, requeue lineage, hooks —
-        but energy accounting defaults to the batched per-board reduction.
-        ``submit_many([])`` is a well-formed no-op: it emits an empty
-        ``slurm.submit_many`` span and returns no jobs.
+        same :meth:`submit` core — allocation, requeue lineage, hooks,
+        accounting. ``submit_many([])`` is a well-formed no-op: it emits
+        an empty ``slurm.submit_many`` span and returns no jobs.
         """
         from repro.engine.batch import JobBatch
-
-        # Validate up front: an unknown mode must fail even for an empty
-        # batch, instead of silently returning []. Same error type as
-        # ``submit``: an unknown mode is a configuration error.
-        if accounting not in ("scalar", "batched"):
-            raise ConfigurationError(
-                f"accounting must be 'scalar' or 'batched' ({accounting!r})"
-            )
 
         if isinstance(specs, JobBatch):
             specs = list(specs.specs)
@@ -136,32 +123,27 @@ class Scheduler:
                 )
             return []
         if not tr.enabled:
-            return [self.submit(spec, accounting=accounting) for spec in specs]
+            return [self.submit(spec) for spec in specs]
         with tr.span(
             self.cluster.clock, "slurm", "slurm.submit_many",
             f"submit_many[{len(specs)}]", jobs=len(specs),
         ) as sp:
-            jobs = [self.submit(spec, accounting=accounting) for spec in specs]
+            jobs = [self.submit(spec) for spec in specs]
             sp.set(
                 completed=sum(j.state is JobState.COMPLETED for j in jobs)
             )
         return jobs
 
-    def _run_one(
-        self,
-        spec: JobSpec,
-        requeue_of: Job | None = None,
-        accounting: str = "scalar",
-    ) -> Job:
+    def _run_one(self, spec: JobSpec, requeue_of: Job | None = None) -> Job:
         """Allocate, run hooks, execute the payload, account, clean up."""
         tr = self.trace
         if not tr.enabled:
-            return self._run_one_inner(spec, requeue_of, accounting)
+            return self._run_one_inner(spec, requeue_of)
         with tr.span(
             self.cluster.clock, "slurm", "slurm.job", spec.name,
             requeue=requeue_of is not None,
         ) as sp:
-            job = self._run_one_inner(spec, requeue_of, accounting)
+            job = self._run_one_inner(spec, requeue_of)
             sp.set(
                 job_id=job.job_id,
                 state=job.state.value,
@@ -169,12 +151,7 @@ class Scheduler:
             )
             return job
 
-    def _run_one_inner(
-        self,
-        spec: JobSpec,
-        requeue_of: Job | None = None,
-        accounting: str = "scalar",
-    ) -> Job:
+    def _run_one_inner(self, spec: JobSpec, requeue_of: Job | None = None) -> Job:
         job = self._allocate(spec, requeue_of)
         try:
             # The prologue is inside the try so a prologue fault (a real
@@ -205,7 +182,7 @@ class Scheduler:
             job.state = JobState.FAILED
             job.error = f"{type(exc).__name__}: {exc}"
         finally:
-            self._complete(job, accounting)
+            self._complete(job)
         return job
 
     # ------------------------------------------------------------ allocation
@@ -254,7 +231,7 @@ class Scheduler:
         job.start_time_s = start
         return job
 
-    def _complete(self, job: Job, accounting: str = "scalar") -> None:
+    def _complete(self, job: Job) -> None:
         """Finish a started job: end sync, accounting, epilogues, release.
 
         Runs in the ``finally`` of the job lifecycle, so cleanup happens
@@ -272,10 +249,7 @@ class Scheduler:
             for gpu in node.gpus:
                 gpu.clock.advance_to(end)
         job.end_time_s = end
-        if accounting == "batched":
-            job.gpu_energy_j = self._account_energy_batched(job)
-        else:
-            job.gpu_energy_j = self._account_energy(job)
+        job.gpu_energy_j = self._account_energy(job)
         for plugin in self.plugins:
             for node in nodes:
                 with self.trace.span(
@@ -318,25 +292,6 @@ class Scheduler:
             for gpu in node.gpus:
                 total += gpu.energy_between(job.start_time_s, job.end_time_s)
         return total
-
-    def _account_energy_batched(self, job: Job) -> float:
-        """Job GPU energy as one vectorized timeline reduction per board.
-
-        Same window and node-major summation order as
-        :meth:`_account_energy`; per-board values agree with the scalar
-        integration within a few ulp per timeline interval.
-        """
-        import numpy as np
-
-        from repro.engine.payload import board_energies
-
-        assert job.start_time_s is not None and job.end_time_s is not None
-        gpus = [gpu for node in job.nodes for gpu in node.gpus]
-        if not gpus:
-            return 0.0
-        return float(
-            np.sum(board_energies(gpus, job.start_time_s, job.end_time_s))
-        )
 
     def job_report(self, job_id: int) -> dict[str, object]:
         """``sacct``-style summary for one job."""

@@ -10,7 +10,10 @@ each pair and asserts equivalence:
 - cached vs uncached :class:`~repro.core.sweepcache.SweepCache` runs
   (bitwise, plus the hit/miss accounting),
 - traced (``trace=``) vs untraced execution of a tuned queue workload
-  (identical per-kernel records and profiled energies).
+  (identical per-kernel records and profiled energies),
+- the window-sliced energy integral vs the per-segment timeline walk, on
+  the engine twin-queue board and on a multi-tenant shard board
+  (rel 1e-12).
 """
 
 from __future__ import annotations
@@ -198,6 +201,66 @@ def check_traced_vs_untraced() -> list[CheckResult]:
     ]
 
 
+def _windows(gpu) -> list[tuple[float, float]]:
+    """Every record, every gap between records, and the whole history."""
+    bounds = [0.0]
+    for record in gpu.records:
+        bounds += [record.start_s, record.end_s]
+    bounds.append(gpu.clock.now)
+    return list(zip(bounds, bounds[1:])) + [(0.0, gpu.clock.now)]
+
+
+def check_energy_between_vs_reference(
+    spec: GPUSpec = NVIDIA_V100, seed: int = 7
+) -> list[CheckResult]:
+    """``energy_between`` against ``energy_between_reference`` (rel 1e-12).
+
+    Two boards with real histories: the batched twin of the engine
+    differential workload, and the first board of a multi-tenant
+    session's first shard (the golden scenario's sizes), checked over
+    every record, every gap and the whole history, plus — on the shard
+    board — every accounted job window.
+    """
+    from repro.core.sweepcache import scoped_cache
+    from repro.engine.payload import plan_from_sweeps
+    from repro.service.loadgen import run_service_session
+    from repro.validate.engine import _targets, _twin_queues, _workload
+    from repro.validate.reference import energy_between_reference
+
+    with scoped_cache():
+        kernels = _kernels(DIFF_KERNEL_NAMES)
+        plan = plan_from_sweeps(spec, kernels, _targets())
+        _, queue = _twin_queues(spec, plan)
+        queue.submit_batch(_workload(spec, kernels))
+        queue.wait()
+        shard = run_service_session(
+            seed=seed, n_tenants=8, n_submissions=128, n_partitions=4,
+            n_cycles=4, spec=spec,
+        ).shards[0]
+    twin, board = queue.device.gpu, shard.cluster.nodes[0].gpus[0]
+    jobs = [
+        (job.start_time_s, job.end_time_s)
+        for job in shard.scheduler.jobs.values()
+        if any(board in node.gpus for node in job.nodes)
+    ]
+    results = []
+    for context, gpu, windows in (
+        (f"engine twin queue@{spec.name}", twin, _windows(twin)),
+        (f"multi-tenant shard board@{spec.name}", board, _windows(board) + jobs),
+    ):
+        got = [gpu.energy_between(t0, t1) for t0, t1 in windows]
+        want = [energy_between_reference(gpu, t0, t1) for t0, t1 in windows]
+        results.append(
+            _arrays_equal(
+                "diff.energy_between_vs_reference",
+                f"{context}: {len(windows)} windows",
+                (got, want),
+                rtol=SCALAR_PATH_RTOL,
+            )
+        )
+    return results
+
+
 def run_differential_checks(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
     """The full differential harness on one device."""
     return (
@@ -205,4 +268,5 @@ def run_differential_checks(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
         + check_sweep2d_vectorized_vs_scalar(spec)
         + check_cached_vs_uncached(spec)
         + check_traced_vs_untraced()
+        + check_energy_between_vs_reference(spec)
     )

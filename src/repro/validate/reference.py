@@ -8,6 +8,11 @@ The level-synchronous grower must match it bitwise.
 on top of it, and :func:`predict_reference` walks one row at a time.
 :func:`throttled_operating_point_reference` is the uncached per-launch
 power-cap scan that :class:`repro.hw.cache.OperatingPoints` memoizes.
+:func:`energy_between_reference` walks a board's whole power timeline
+segment by segment; the window-sliced integral
+:meth:`repro.hw.device.SimulatedGPU.energy_between` must match it to
+rel 1e-12 (it splits busy segments at clock changes and sums with
+``math.fsum``, the walk accumulates in timeline order).
 :func:`measure_sweep_reference` and :func:`sweep_kernel_2d_reference`
 evaluate the timing and power models one clock pair at a time; the
 broadcasted sweeps must match them to rel 1e-12 (NumPy ``pow`` and
@@ -16,10 +21,12 @@ scalar libm ``pow`` differ by ~1 ulp).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import fields
 
 import numpy as np
 
+from repro.common.errors import SimulationError
 from repro.common.rng import derive_seed, make_rng
 from repro.experiments.sweep import FrequencySweep2D
 from repro.hw.power import PowerModel
@@ -229,3 +236,45 @@ def throttled_operating_point_reference(
         )
         if power <= power_limit_w or core_mhz == candidates[0]:
             return core_mhz, timing, power
+
+
+def energy_between_reference(gpu, t0: float, t1: float) -> float:
+    """Board energy (J) over ``[t0, t1]``, one timeline segment at a time.
+
+    Walks the board's busy segments from the start of its history,
+    integrates each exactly and fills the gaps with scalar idle power,
+    split at every clock change; contributions accumulate in timeline
+    order.
+    """
+    if t1 < t0:
+        raise SimulationError(f"energy window reversed: [{t0!r}, {t1!r}]")
+    energy = 0.0
+    cursor = t0
+    for s, e, p in zip(gpu._seg_start, gpu._seg_end, gpu._seg_power):
+        if e <= t0:
+            continue
+        if s >= t1:
+            break
+        if s > cursor:
+            energy += _gap_energy_reference(gpu, cursor, min(s, t1))
+            cursor = min(s, t1)
+        lo, hi = max(s, cursor), min(e, t1)
+        if hi > lo:
+            energy += p * (hi - lo)
+            cursor = hi
+    if cursor < t1:
+        energy += _gap_energy_reference(gpu, cursor, t1)
+    return energy
+
+
+def _gap_energy_reference(gpu, t0: float, t1: float) -> float:
+    """Idle energy over a gap, split at clock-change boundaries."""
+    energy = 0.0
+    cursor = t0
+    i = bisect.bisect_right(gpu._clock_times, t0)
+    boundaries = [t for t in gpu._clock_times[i:] if t < t1] + [t1]
+    for boundary in boundaries:
+        core, mem = gpu.clocks_at(cursor)
+        energy += gpu.power_model.idle_power(core, mem) * (boundary - cursor)
+        cursor = boundary
+    return energy

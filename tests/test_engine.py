@@ -27,7 +27,6 @@ from repro.engine import (
     JobBatch,
     KernelBatch,
     KernelBatchPayload,
-    board_energies,
     plan_from_sweeps,
 )
 from repro.hw.device import SimulatedGPU
@@ -172,15 +171,6 @@ class TestEmptyBatches:
         assert scheduler.jobs == {}
         assert trace.tracer.span_counts().get("slurm.submit_many") == 1
 
-    def test_submit_rejects_unknown_accounting(self):
-        from repro.slurm.cluster import Cluster
-        from repro.slurm.job import JobSpec
-        from repro.slurm.scheduler import Scheduler
-
-        cluster = Cluster.build(NVIDIA_V100, n_nodes=1, gpus_per_node=1)
-        scheduler = Scheduler(cluster)
-        with pytest.raises(ConfigurationError, match="accounting"):
-            scheduler.submit(JobSpec(name="j", n_nodes=1), accounting="magic")
 
 
 # ---------------------------------------------------------- fallback gates
@@ -254,15 +244,6 @@ class TestBulkDeviceAPIs:
             v100.apply_clock_plan([0.5, 1.0], [(1523, 877), (1523, 1)])
         assert v100._clock_values == history
 
-    def test_energy_between_many_matches_scalar(self, v100, kernel_pool):
-        queue = SynergyQueue(v100)
-        _scalar_replay(queue, [(877, f, kernel_pool[0]) for f in (1380, 900)])
-        t0 = np.asarray([0.0, v100.records[0].end_s])
-        t1 = np.asarray([v100.records[0].end_s, v100.clock.now])
-        many = v100.energy_between_many(t0, t1)
-        scalar = [v100.energy_between(a, b) for a, b in zip(t0, t1)]
-        np.testing.assert_allclose(many, scalar, rtol=RTOL)
-
     def test_window_energies_parity_and_device_check(self, v100, kernel_pool):
         queue = SynergyQueue(v100)
         result = queue.submit_batch([(877, 1380, k) for k in kernel_pool])
@@ -308,7 +289,7 @@ class TestSubmitMany:
                 for i in range(3)
             ]
             if batched:
-                return scheduler.submit_many(specs, accounting="batched")
+                return scheduler.submit_many(specs)
             return [scheduler.submit(spec) for spec in specs]
 
         scalar_jobs = run(False)
@@ -324,15 +305,6 @@ class TestSubmitMany:
             batched_agg["end_s"], scalar_agg["end_s"], rtol=RTOL
         )
 
-    def test_board_energies_matches_accounted_energy(self, kernel_pool):
-        gpu = SimulatedGPU(NVIDIA_V100)
-        queue = SynergyQueue(gpu)
-        queue.submit_batch([(877, 1380, k) for k in kernel_pool])
-        queue.wait()
-        (total,) = board_energies([gpu], 0.0, gpu.clock.now)
-        assert total == pytest.approx(
-            gpu.energy_between(0.0, gpu.clock.now), rel=RTOL
-        )
 
 
 # ----------------------------------------------------------- observability

@@ -1,19 +1,26 @@
 """Simulated GPU device state machine."""
 
+import math
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.core.sweepcache import cache_report
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.hw import cache as hw_cache
 from repro.hw.cache import clear_model_cache, operating_points_for
 from repro.hw.device import ClockPermissionError, SimulatedGPU
-from repro.hw.specs import NVIDIA_A100, NVIDIA_TITAN_X, NVIDIA_V100
+from repro.hw.specs import AMD_MI100, NVIDIA_A100, NVIDIA_TITAN_X, NVIDIA_V100
 from repro.kernelir.instructions import InstructionMix
 from repro.kernelir.kernel import KernelIR
-from repro.validate.reference import throttled_operating_point_reference
+from repro.validate.reference import (
+    energy_between_reference,
+    throttled_operating_point_reference,
+)
+from repro.vendor.portable import create_backend
 
 
 def test_initial_clocks_are_defaults(v100):
@@ -141,6 +148,135 @@ class TestEnergyAccounting:
         after = record.end_s + 1.0
         idle_p = v100.power_model.idle_power(v100.core_mhz, v100.mem_mhz)
         assert v100.instantaneous_power(after) == pytest.approx(idle_p)
+
+
+    @pytest.mark.parametrize(
+        "t0, t1",
+        [
+            (math.nan, 1.0),
+            (0.0, math.nan),
+            (math.nan, math.nan),
+            (0.0, math.inf),
+            (-math.inf, 1.0),
+            (1.0, 0.5),
+        ],
+    )
+    def test_bad_window_raises(self, v100, compute_kernel, t0, t1):
+        v100.execute(compute_kernel)
+        with pytest.raises(SimulationError, match="energy window"):
+            v100.energy_between(t0, t1)
+
+    @pytest.mark.parametrize("spec", [NVIDIA_V100, AMD_MI100])
+    def test_total_energy_counters_take_the_window_path(self, spec, compute_kernel):
+        gpu = SimulatedGPU(spec)
+        gpu.execute(compute_kernel)
+        gpu.clock.advance(0.25)
+        total = gpu.energy_between(0.0, gpu.clock.now)
+        # NVML counts whole millijoules; ROCm SMI integrates the timeline.
+        if spec is NVIDIA_V100:
+            total = int(round(total * 1000.0)) / 1000.0
+        assert create_backend(gpu).read_energy_j() == total
+        # A clock driven to NaN no longer yields a plausible-looking total.
+        gpu.clock.advance_to(math.nan)
+        with pytest.raises(SimulationError, match="not finite"):
+            create_backend(gpu).read_energy_j()
+
+
+# ------------------------------------------- window integral vs the oracle
+
+_CLOCK_PAIRS = tuple(
+    (core, mem)
+    for core in NVIDIA_V100.core_freqs_mhz[::24]
+    for mem in NVIDIA_V100.mem_freqs_mhz
+)
+_DURATIONS = st.one_of(st.just(0.0), st.floats(1e-6, 0.05))
+
+
+@st.composite
+def _timelines(draw):
+    """A V100 with a random power timeline and a window into it.
+
+    Busy segments with idle gaps (either may be zero-length), clock
+    changes on segment boundaries, inside gaps and inside busy segments,
+    and windows that may start before the first clock record, end past
+    the history or have zero width.
+    """
+    gpu = SimulatedGPU(NVIDIA_V100)
+    starts, ends, powers = [], [], []
+    t = 0.0
+    for _ in range(draw(st.integers(0, 12))):
+        t += draw(_DURATIONS)
+        starts.append(t)
+        t += draw(_DURATIONS)
+        ends.append(t)
+        powers.append(draw(st.floats(40.0, 300.0)))
+    gpu.extend_power_timeline(starts, ends, powers)
+    horizon = t + 0.01
+    instant = st.one_of(st.floats(0.0, horizon), st.sampled_from(starts + ends + [0.0]))
+    times = sorted(set(draw(st.lists(instant, max_size=8))))
+    if times:
+        gpu.apply_clock_plan(
+            times, [draw(st.sampled_from(_CLOCK_PAIRS)) for _ in times]
+        )
+    bound = st.one_of(
+        st.floats(-0.02, horizon + 0.02), st.sampled_from(starts + ends + times + [0.0])
+    )
+    t0 = draw(bound)
+    t1 = t0 if draw(st.booleans()) and draw(st.booleans()) else draw(bound)
+    return gpu, min(t0, t1), max(t0, t1)
+
+
+class TestWindowIntegral:
+    @settings(max_examples=300, deadline=None)
+    @given(_timelines())
+    def test_matches_reference_walk(self, case):
+        gpu, t0, t1 = case
+        got = gpu.energy_between(t0, t1)
+        want = energy_between_reference(gpu, t0, t1)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_timelines(), _DURATIONS, st.sampled_from(_CLOCK_PAIRS))
+    def test_bitwise_independent_of_later_history(self, case, gap, pair):
+        gpu, t0, t1 = case
+        before = gpu.energy_between(t0, t1)
+        after = max(t1, gpu.busy_until, gpu._clock_times[-1]) + gap
+        gpu.extend_power_timeline([after], [after + 0.01], [250.0])
+        gpu.apply_clock_plan([after + 0.005, after + 0.02], [pair, pair])
+        assert gpu.energy_between(t0, t1) == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(_timelines())
+    def test_bitwise_on_board_rebuilt_from_window_slice(self, case):
+        gpu, t0, t1 = case
+        keep = [
+            i for i, (s, e) in enumerate(zip(gpu._seg_start, gpu._seg_end))
+            if e > t0 and s < t1
+        ]
+        in_effect = max(
+            [i for i, t in enumerate(gpu._clock_times) if t <= t0], default=0
+        )
+        clocks = [in_effect] + [
+            i for i, t in enumerate(gpu._clock_times) if i > in_effect and t < t1
+        ]
+        fresh = SimulatedGPU(NVIDIA_V100)
+        fresh._seg_start = [gpu._seg_start[i] for i in keep]
+        fresh._seg_end = [gpu._seg_end[i] for i in keep]
+        fresh._seg_power = [gpu._seg_power[i] for i in keep]
+        fresh._clock_times = [gpu._clock_times[i] for i in clocks]
+        fresh._clock_values = [gpu._clock_values[i] for i in clocks]
+        assert fresh.energy_between(t0, t1) == gpu.energy_between(t0, t1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_timelines(), st.floats(0.0, 1.0))
+    def test_split_window_adds_up(self, case, frac):
+        gpu, t0, t1 = case
+        m = min(max(t0 + frac * (t1 - t0), t0), t1)
+        whole = gpu.energy_between(t0, t1)
+        split = gpu.energy_between(t0, m) + gpu.energy_between(m, t1)
+        assert split == pytest.approx(
+            whole, rel=4 * sys.float_info.epsilon, abs=0.0
+        )
 
 
 # ------------------------------------------------- operating-point memo

@@ -128,43 +128,6 @@ class TestScheduler:
         busy_energy = busy.energy_between(job.start_time_s, job.end_time_s)
         assert job.gpu_energy_j > busy_energy  # idle boards add in
 
-    def test_submit_many_rejects_unknown_accounting(self, scheduler):
-        """Regression: ``accounting=""`` used to be silently accepted.
-
-        An empty batch made the mode string unreachable, so typos (or an
-        empty string) sailed through and only failed — or worse, didn't —
-        on the next non-empty call. The mode is now validated up front,
-        for empty and non-empty batches alike.
-        """
-        spec = JobSpec(name="one", n_nodes=1, payload=_work_payload)
-        for bad in ("", "batchd", "BATCHED"):
-            with pytest.raises(ConfigurationError):
-                scheduler.submit_many([], accounting=bad)
-            with pytest.raises(ConfigurationError):
-                scheduler.submit_many([spec], accounting=bad)
-        assert scheduler.submit_many([], accounting="batched") == []
-
-    @pytest.mark.parametrize("bad", ["", "batchd", "BATCHED"])
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            pytest.param(lambda s, spec, bad: s.submit(spec, accounting=bad),
-                         id="submit"),
-            pytest.param(lambda s, spec, bad: s.submit_many([spec], accounting=bad),
-                         id="submit_many"),
-            pytest.param(lambda s, spec, bad: s.submit_many([], accounting=bad),
-                         id="submit_many_empty"),
-        ],
-    )
-    def test_unknown_accounting_raises_configuration_error(
-        self, scheduler, entry, bad
-    ):
-        """Every entry point rejects an unknown mode with one error type."""
-        spec = JobSpec(name="one", n_nodes=1, payload=_work_payload)
-        with pytest.raises(ConfigurationError, match="accounting"):
-            entry(scheduler, spec, bad)
-        assert scheduler.jobs == {}
-
     def test_sequential_jobs_get_increasing_ids(self, scheduler):
         a = scheduler.submit(JobSpec(name="a", n_nodes=1, payload=_work_payload))
         b = scheduler.submit(JobSpec(name="b", n_nodes=1, payload=_work_payload))
