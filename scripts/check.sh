@@ -24,8 +24,8 @@ fi
 echo "== determinism lint (repro-synergy lint) =="
 python -m repro.cli lint
 
-echo "== static certification (scenario brackets + DEADLINE demo, strict) =="
-python -m repro.cli certify --strict
+echo "== static certification (scenario brackets + DEADLINE demo) =="
+python -m repro.cli certify
 
 if python -c "import ruff" >/dev/null 2>&1 || command -v ruff >/dev/null 2>&1; then
     echo "== ruff (rules pinned in pyproject.toml) =="

@@ -1,15 +1,15 @@
-"""Certificates for the golden scenarios: static brackets vs. live runs.
+"""Certificates for the seeded scenarios: static brackets vs. live runs.
 
-Each certifier derives makespan/energy bounds for one seeded end-to-end
-scenario (the :mod:`repro.obs.scenarios` registry plus the distributed
-weak-scaling stencil graph) **without running it**, then replays the
-scenario and checks the measured quantities land inside the intervals.
-The static side only touches the timing/power models and the declared
+Each certifier derives makespan/energy bounds for one scenario of the
+:data:`repro.obs.scenarios.SCENARIOS` registry **without running it**,
+then checks that the measured quantities of that scenario's run — the
+outcome its registry ``run`` returned — land inside the intervals. The
+static side only touches the timing/power models and the declared
 scenario recipe (launch counts, plan clocks, network constants); the
-measured side is the same virtual-time machinery the golden-trace tests
-snapshot. A bracket failure therefore means the two independent
-derivations of the paper's §7 physics disagree — exactly the class of
-bug ``validate --only analysis`` exists to catch.
+measured side is the very run the golden-trace tests snapshot. A bracket
+failure therefore means the two independent derivations of the paper's
+§7 physics disagree — exactly the class of bug ``validate --only
+analysis`` exists to catch.
 
 Bound tightness varies by scenario, deliberately:
 
@@ -34,7 +34,6 @@ Bound tightness varies by scenario, deliberately:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,31 +45,22 @@ from repro.analysis.certify import (
 )
 from repro.analysis.graphaudit import audit_graph
 from repro.analysis.interval import Interval
-from repro.apps.cloverleaf import CloverLeaf
 from repro.apps.syclbench.definitions import get_benchmark
-from repro.common.errors import ConfigurationError
-from repro.core.compiler import FrequencyPlan, SynergyCompiler
+from repro.core.compiler import FrequencyPlan
 from repro.core.frequency import (
     DEFAULT_BACKOFF_CAP_S,
     DEFAULT_MAX_RETRIES,
     DEFAULT_SWITCH_OVERHEAD_S,
 )
-from repro.core.predictor import FrequencyPredictor
-from repro.core.queue import SynergyQueue
-from repro.core.sweepcache import scoped_cache
-from repro.faults.plan import FaultPlan, FaultSpec
 from repro.hw.cache import models_for
-from repro.hw.device import SimulatedGPU
-from repro.hw.specs import NVIDIA_V100, GPUSpec, get_spec
+from repro.hw.specs import NVIDIA_V100, GPUSpec
 from repro.kernelir.kernel import KernelIR
 from repro.metrics.targets import DEADLINE, MIN_EDP
-from repro.mpi.launcher import launch_ranks
 from repro.mpi.network import NetworkModel
-from repro.obs.scenarios import SINGLE_GPU_KERNELS, _train_linear
-from repro.slurm.cluster import NVGPUFREQ_GRES, Cluster
-from repro.slurm.job import JobSpec
-from repro.slurm.plugin import NvGpuFreqPlugin
-from repro.slurm.scheduler import Scheduler
+
+#: Kernels of the single-GPU scenario and the DEADLINE demo (a
+#: compute-bound, a memory-bound and a balanced member of the §8 suite).
+SINGLE_GPU_KERNELS: tuple[str, ...] = ("gemm", "sobel3", "median")
 
 
 # --------------------------------------------------------------- records
@@ -162,79 +152,50 @@ def _grid_hull(spec: GPUSpec, kernel: KernelIR) -> tuple[float, float, float, fl
 # ------------------------------------------------------------ single-gpu
 
 
-def certify_single_gpu(seed: int = 7) -> ScenarioCertificate:
+def certify_single_gpu(queue) -> ScenarioCertificate:
     """Symbolic replay of the single-V100 MIN_EDP tuning scenario.
 
     The predicted clocks are a pure function of the trained bundle, so
     the §4 queue recurrence (``advance = max(t, OH)`` on a switch, ``t``
     otherwise, plus one reset switch at the end) can be walked without a
     board. The lower endpoint drops every switch; the upper endpoint *is*
-    the schedule.
+    the schedule. ``queue`` is the scenario run's queue.
     """
-    spec = NVIDIA_V100
+    gpu = queue.device.gpu
+    spec = gpu.spec
     oh = DEFAULT_SWITCH_OVERHEAD_S
-    with scoped_cache():
-        bundle = _train_linear(seed)
-        predictor = FrequencyPredictor(bundle, spec)
-        kernels = [get_benchmark(name).kernel for name in SINGLE_GPU_KERNELS]
-        mid_core = int(spec.core_freqs_mhz[len(spec.core_freqs_mhz) // 2])
-        launches: list[tuple[KernelIR, int, int]] = []
-        for _round in range(2):
-            for kernel in kernels:
-                mem, core = predictor.predict_frequency(kernel, MIN_EDP)
-                launches.append((kernel, int(mem), int(core)))
-        fixed = kernels[0]
-        launches.append((fixed, int(spec.default_mem_mhz), mid_core))
+    kernels = [get_benchmark(name).kernel for name in SINGLE_GPU_KERNELS]
+    launches: list[tuple[KernelIR, int, int]] = []
+    for _round in range(2):
+        for kernel in kernels:
+            mem, core = queue.predictor.predict_frequency(kernel, MIN_EDP)
+            launches.append((kernel, int(mem), int(core)))
+    mid_core = int(spec.core_freqs_mhz[len(spec.core_freqs_mhz) // 2])
+    launches.append((kernels[0], int(spec.default_mem_mhz), mid_core))
 
-        compute = 0.0
-        energy = 0.0
-        now = 0.0
-        defaults = (spec.default_core_mhz, spec.default_mem_mhz)
-        current = defaults
-        for kernel, mem, core in launches:
-            t, p = static_operating_point(spec, kernel, core, mem)
-            switched = (core, mem) != current
-            now += max(t, oh) if switched else t
-            current = (core, mem)
-            compute += t
-            energy += p * t
-        if current != defaults:
-            now += oh  # queue.reset_frequency pays one switch back
-        makespan = Interval(compute, now)
-        energy_iv = Interval.point(energy)
-
-        # Measured: the golden scenario verbatim, minus the tracing.
-        gpu = SimulatedGPU(spec, index=0)
-        queue = SynergyQueue(gpu, predictor=FrequencyPredictor(bundle, spec))
-        events = []
-        for _round in range(2):
-            for kernel in kernels:
-                events.append(
-                    queue.submit(
-                        MIN_EDP,
-                        lambda h, k=kernel: h.parallel_for(k.work_items, k),
-                    )
-                )
-        events.append(
-            queue.submit(
-                int(spec.default_mem_mhz),
-                mid_core,
-                lambda h: h.parallel_for(fixed.work_items, fixed),
-            )
-        )
-        queue.kernel_energy_consumption(events[0])
-        queue.kernel_energy_consumption(events[-1])
-        queue.device_energy_consumption()
-        queue.profiler.reset_window()
-        queue.device_energy_consumption()
-        queue.reset_frequency()
-        measured_makespan = float(gpu.clock.now)
-        measured_energy = float(queue.summary()["kernel_energy_j"])
+    compute = 0.0
+    energy = 0.0
+    now = 0.0
+    defaults = (spec.default_core_mhz, spec.default_mem_mhz)
+    current = defaults
+    for kernel, mem, core in launches:
+        t, p = static_operating_point(spec, kernel, core, mem)
+        switched = (core, mem) != current
+        now += max(t, oh) if switched else t
+        current = (core, mem)
+        compute += t
+        energy += p * t
+    if current != defaults:
+        now += oh  # queue.reset_frequency pays one switch back
     return ScenarioCertificate(
         scenario="single-gpu",
         checks=(
-            BracketCheck("makespan_s", makespan, measured_makespan),
-            BracketCheck("kernel_energy_j", energy_iv, measured_energy),
+            BracketCheck("makespan_s", Interval(compute, now), float(gpu.clock.now)),
+            BracketCheck(
+                "kernel_energy_j",
+                Interval.point(energy),
+                float(queue.summary()["kernel_energy_j"]),
+            ),
         ),
         notes=(
             f"{len(launches)} launches; upper makespan endpoint replays "
@@ -246,7 +207,7 @@ def certify_single_gpu(seed: int = 7) -> ScenarioCertificate:
 # ----------------------------------------------------------- slurm-faults
 
 
-def certify_slurm_faults(seed: int = 7) -> ScenarioCertificate:
+def certify_slurm_faults(outcome) -> ScenarioCertificate:
     """Bracket the 4-node SLURM CloverLeaf run with one NVML fault.
 
     Compute and collective costs are exact (plan clocks × timing model,
@@ -254,80 +215,48 @@ def certify_slurm_faults(seed: int = 7) -> ScenarioCertificate:
     elapsed upper endpoint admits one clock switch per launch plus the
     full retry/backoff ladder for the single injected transient fault.
     Board energy includes idle draw, so its upper bound is the peak-power
-    envelope over the elapsed upper bound.
+    envelope over the elapsed upper bound. ``outcome`` is the scenario
+    run's ``(app, compiled, job)``.
     """
-    spec = NVIDIA_V100
+    app, compiled, job = outcome
+    spec = job.nodes[0].gpus[0].spec
     oh = DEFAULT_SWITCH_OVERHEAD_S
-    app = CloverLeaf(steps=2)
-    n_ranks = 4
-    with scoped_cache():
-        bundle = _train_linear(seed)
-        compiled = SynergyCompiler(bundle, spec).compile(
-            app.timestep_kernels(), [MIN_EDP]
-        )
-        step_time = 0.0
-        step_energy = 0.0
-        for kernel in compiled.kernels:
-            mem, core = compiled.plan.lookup(kernel.name, MIN_EDP)
-            t, p = static_operating_point(spec, kernel, core, mem)
-            step_time += t
-            step_energy += p * t
+    n_ranks = job.spec.n_nodes
+    step_time = 0.0
+    step_energy = 0.0
+    for kernel in compiled.kernels:
+        mem, core = compiled.plan.lookup(kernel.name, MIN_EDP)
+        t, p = static_operating_point(spec, kernel, core, mem)
+        step_time += t
+        step_energy += p * t
 
-        node_of_rank = list(range(n_ranks))  # 4 nodes × 1 GPU
-        net = NetworkModel()
-        halo = app.halo_bytes()
-        hop = [
-            max(
-                net.transfer_time(halo, node_of_rank[r], node_of_rank[(r - 1) % n_ranks]),
-                net.transfer_time(halo, node_of_rank[r], node_of_rank[(r + 1) % n_ranks]),
-            )
-            for r in range(n_ranks)
-        ]
-        reduce_s = net.allreduce_time(8.0, node_of_rank)
-        comm_lo = app.steps * (2.0 * min(hop) + reduce_s)
-        comm_hi = app.steps * (2.0 * max(hop) + reduce_s)
+    node_of_rank = list(range(n_ranks))  # one GPU per node
+    net = NetworkModel()
+    halo = app.halo_bytes()
+    hop = [
+        max(
+            net.transfer_time(halo, node_of_rank[r], node_of_rank[(r - 1) % n_ranks]),
+            net.transfer_time(halo, node_of_rank[r], node_of_rank[(r + 1) % n_ranks]),
+        )
+        for r in range(n_ranks)
+    ]
+    reduce_s = net.allreduce_time(8.0, node_of_rank)
+    comm_lo = app.steps * (2.0 * min(hop) + reduce_s)
+    comm_hi = app.steps * (2.0 * max(hop) + reduce_s)
 
-        launches = app.steps * len(compiled.kernels)  # per rank
-        fault_extra = DEFAULT_MAX_RETRIES * oh + DEFAULT_BACKOFF_CAP_S
-        compute = app.steps * step_time
-        elapsed = Interval(
-            compute + comm_lo,
-            compute + comm_hi + (launches + 2) * oh + fault_extra,
-        )
-        p_peak = models_for(spec)[1].power_bounds()[1]
-        energy_iv = Interval(
-            n_ranks * app.steps * step_energy,
-            n_ranks * elapsed.hi * p_peak,
-        )
-
-        # Measured: the golden scenario verbatim, minus the tracing.
-        fault_plan = FaultPlan(
-            seed=seed,
-            specs=(FaultSpec(site="nvml.set_clocks", at_s=0.0, count=1),),
-        )
-        cluster = Cluster.build(
-            spec,
-            n_nodes=n_ranks,
-            gpus_per_node=1,
-            gres={NVGPUFREQ_GRES},
-            fault_plan=fault_plan,
-        )
-        scheduler = Scheduler(cluster, plugins=[NvGpuFreqPlugin()])
-
-        def payload(context):
-            comm = launch_ranks(context)
-            return app.run(comm, target=MIN_EDP, plan=compiled.plan)
-
-        job = scheduler.submit(
-            JobSpec(
-                name="cloverleaf-min_edp",
-                n_nodes=n_ranks,
-                exclusive=True,
-                gres=frozenset({NVGPUFREQ_GRES}),
-                payload=payload,
-            )
-        )
-        report = job.result
+    launches = app.steps * len(compiled.kernels)  # per rank
+    fault_extra = DEFAULT_MAX_RETRIES * oh + DEFAULT_BACKOFF_CAP_S
+    compute = app.steps * step_time
+    elapsed = Interval(
+        compute + comm_lo,
+        compute + comm_hi + (launches + 2) * oh + fault_extra,
+    )
+    p_peak = models_for(spec)[1].power_bounds()[1]
+    energy_iv = Interval(
+        n_ranks * app.steps * step_energy,
+        n_ranks * elapsed.hi * p_peak,
+    )
+    report = job.result
     return ScenarioCertificate(
         scenario="slurm-faults",
         checks=(
@@ -348,52 +277,46 @@ def certify_slurm_faults(seed: int = 7) -> ScenarioCertificate:
 # ---------------------------------------------------------- thermal-drift
 
 
-def certify_thermal_drift(seed: int = 7) -> ScenarioCertificate:
+def certify_thermal_drift(comparison) -> ScenarioCertificate:
     """Bracket the four-way adaptive-chaos comparison with grid hulls.
 
     Throttle windows and ladder escalations move clocks unpredictably,
     but never off the board's table, so per-launch (mem × core) hulls
-    bound all four measured runs (the sizing probe is excluded from the
-    comparison's summaries, matching the measured side).
+    bound all four measured runs of the scenario's
+    :class:`~repro.adapt.chaos.ThermalDriftComparison` (the sizing probe
+    is excluded from the comparison's summaries, matching the measured
+    side).
     """
-    from repro.adapt.chaos import (
-        ROUNDS,
-        STREAMS,
-        run_thermal_drift_comparison,
-        scenario_kernels,
-    )
+    from repro.adapt.chaos import ROUNDS, STREAMS, scenario_kernels
 
     spec = NVIDIA_V100
     oh = DEFAULT_SWITCH_OVERHEAD_S
-    n_runs = 4
-    with scoped_cache():
-        kernels = scenario_kernels()
-        hulls = [_grid_hull(spec, kernel) for kernel in kernels]
-        per_kernel = n_runs * STREAMS * ROUNDS
-        run_launches = STREAMS * ROUNDS * len(kernels)
-        elapsed = Interval(
-            per_kernel * sum(h[0] for h in hulls),
-            per_kernel * sum(h[1] for h in hulls)
-            + n_runs * (run_launches + 4) * oh,
-        )
-        energy_iv = Interval(
-            per_kernel * sum(h[2] for h in hulls),
-            per_kernel * sum(h[3] for h in hulls),
-        )
-        comparison = run_thermal_drift_comparison(seed=seed)
-        runs = (
-            comparison.max_perf,
-            comparison.static_clean,
-            comparison.static_fault,
-            comparison.adaptive_fault,
-        )
-        measured_t = float(sum(r.elapsed_s for r in runs))
-        measured_e = float(sum(r.energy_j for r in runs))
+    runs = (
+        comparison.max_perf,
+        comparison.static_clean,
+        comparison.static_fault,
+        comparison.adaptive_fault,
+    )
+    kernels = scenario_kernels()
+    hulls = [_grid_hull(spec, kernel) for kernel in kernels]
+    per_kernel = len(runs) * STREAMS * ROUNDS
+    run_launches = STREAMS * ROUNDS * len(kernels)
+    elapsed = Interval(
+        per_kernel * sum(h[0] for h in hulls),
+        per_kernel * sum(h[1] for h in hulls)
+        + len(runs) * (run_launches + 4) * oh,
+    )
+    energy_iv = Interval(
+        per_kernel * sum(h[2] for h in hulls),
+        per_kernel * sum(h[3] for h in hulls),
+    )
     return ScenarioCertificate(
         scenario="thermal-drift",
         checks=(
-            BracketCheck("elapsed_s", elapsed, measured_t),
-            BracketCheck("kernel_energy_j", energy_iv, measured_e),
+            BracketCheck("elapsed_s", elapsed, float(sum(r.elapsed_s for r in runs))),
+            BracketCheck(
+                "kernel_energy_j", energy_iv, float(sum(r.energy_j for r in runs))
+            ),
         ),
         notes=(
             f"{per_kernel} launches per kernel across the four compared "
@@ -405,38 +328,35 @@ def certify_thermal_drift(seed: int = 7) -> ScenarioCertificate:
 # ----------------------------------------------------------- multi-tenant
 
 
-def certify_multi_tenant(seed: int = 7) -> ScenarioCertificate:
+def certify_multi_tenant(service) -> ScenarioCertificate:
     """Energy cap for the seeded 8-tenant service-plane session.
 
     Admission control may reject or leave submissions pending, so the
     only sound static statement is the upper bound: every drained
     submission runs its kernel once at some table operating point.
     Makespan is ill-defined for the plane (shards idle-wait between
-    seeded arrivals), so this certificate is energy-only.
+    seeded arrivals), so this certificate is energy-only. ``service`` is
+    the scenario run's :class:`~repro.service.plane.SchedulingService`.
     """
-    from repro.service.loadgen import DEFAULT_KERNELS, run_service_session
+    from repro.service.loadgen import DEFAULT_KERNELS
 
-    spec = NVIDIA_V100
-    n_submissions = 128
-    with scoped_cache():
-        cap = max(
-            _grid_hull(spec, get_benchmark(name).kernel)[3]
-            for name in DEFAULT_KERNELS
-        )
-        energy_iv = Interval(0.0, n_submissions * cap)
-        service = run_service_session(
-            seed=seed,
-            n_tenants=8,
-            n_submissions=n_submissions,
-            n_partitions=4,
-            n_cycles=4,
-        )
-        cluster = service.report()["cluster"]
-        measured = float(cluster["kernel_energy_j"])
-        drained = int(cluster["drained"])
+    cluster = service.report()["cluster"]
+    # Every tenant is registered, so each submission was either admitted
+    # or rejected: the two counts sum to the offered stream.
+    n_submissions = int(cluster["submissions"]) + int(cluster["rejections"])
+    cap = max(
+        _grid_hull(service.spec, get_benchmark(name).kernel)[3]
+        for name in DEFAULT_KERNELS
+    )
+    energy_iv = Interval(0.0, n_submissions * cap)
+    drained = int(cluster["drained"])
     return ScenarioCertificate(
         scenario="multi-tenant",
-        checks=(BracketCheck("kernel_energy_j", energy_iv, measured),),
+        checks=(
+            BracketCheck(
+                "kernel_energy_j", energy_iv, float(cluster["kernel_energy_j"])
+            ),
+        ),
         assertions=(
             ("drained submissions within the admitted cap", drained <= n_submissions),
         ),
@@ -450,7 +370,7 @@ def certify_multi_tenant(seed: int = 7) -> ScenarioCertificate:
 # ----------------------------------------------------------- weak-scaling
 
 
-def certify_weak_scaling(spec_name: str = "A100") -> ScenarioCertificate:
+def certify_weak_scaling(outcome) -> ScenarioCertificate:
     """Certify the distributed weak-scaling stencil graph end to end.
 
     Exercises all three analysis passes at once: the interval walk of
@@ -459,45 +379,39 @@ def certify_weak_scaling(spec_name: str = "A100") -> ScenarioCertificate:
     deadlock audit, and the bracket against the vectorized engine.
     Boot clocks are known (``build_comm`` boards start at driver
     defaults), so every interval is degenerate and the bracket is an
-    equality test at ``CONTAINS_RTOL``.
+    equality test at ``CONTAINS_RTOL``. ``outcome`` is the scenario
+    run's ``(comm, graph, plan, result)``.
     """
     from repro.core.compiler import plan_global_frequencies
-    from repro.distributed.runner import build_comm, run_graph
-    from repro.distributed.stencil import build_stencil_graph
 
-    spec = get_spec(spec_name)
-    with scoped_cache():
-        comm = build_comm(spec, 12)
-        graph = build_stencil_graph(comm, steps=3, elems_per_rank=1 << 18)
-        rank_kernels = graph.rank_kernels()
-        plan = plan_global_frequencies(
-            spec, rank_kernels, sla_factor=1.25, cache=True
+    comm, graph, plan, result = outcome
+    spec = comm.gpus[0].spec
+    baseline_plan = plan_global_frequencies(
+        spec,
+        graph.rank_kernels(),
+        sla_factor=plan.sla_factor,
+        objective="MAX_PERF",
+        cache=True,
+    )
+    baseline_cert = certify_graph(graph, baseline_plan, spec)
+    cert = certify_graph(graph, plan, spec, baseline=baseline_cert)
+    audit = audit_graph(graph)
+    checks = [
+        BracketCheck("completion_s", cert.completion_s, float(result.completion_s)),
+        BracketCheck(
+            "total_energy_j",
+            cert.total_energy_j,
+            float(result.rank_energy_j.sum()),
+        ),
+    ]
+    checks.extend(
+        BracketCheck(
+            f"rank{r}_energy_j",
+            cert.rank_energy_j[r],
+            float(result.rank_energy_j[r]),
         )
-        baseline_plan = plan_global_frequencies(
-            spec, rank_kernels, sla_factor=1.25, objective="MAX_PERF", cache=True
-        )
-        baseline_cert = certify_graph(graph, baseline_plan, spec)
-        cert = certify_graph(graph, plan, spec, baseline=baseline_cert)
-        audit = audit_graph(graph)
-        result = run_graph(graph, comm, plan)
-        checks = [
-            BracketCheck(
-                "completion_s", cert.completion_s, float(result.completion_s)
-            ),
-            BracketCheck(
-                "total_energy_j",
-                cert.total_energy_j,
-                float(result.rank_energy_j.sum()),
-            ),
-        ]
-        checks.extend(
-            BracketCheck(
-                f"rank{r}_energy_j",
-                cert.rank_energy_j[r],
-                float(result.rank_energy_j[r]),
-            )
-            for r in range(comm.size)
-        )
+        for r in range(comm.size)
+    )
     return ScenarioCertificate(
         scenario="weak-scaling",
         checks=tuple(checks),
@@ -517,58 +431,30 @@ def certify_weak_scaling(spec_name: str = "A100") -> ScenarioCertificate:
 # ---------------------------------------------------------- DEADLINE demo
 
 
-def deadline_demo(seed: int = 7) -> tuple[PlanCertificate, PlanCertificate]:
+def deadline_demo() -> tuple[PlanCertificate, PlanCertificate]:
     """A feasible and a deliberately infeasible DEADLINE certificate.
 
     Both plans pin the board's fastest clocks for the single-GPU kernel
     set. The feasible deadline doubles the slowest static time, so the
     proof goes through; the infeasible one halves the *fastest* static
     time, which no supported clock can meet — the refutation names the
-    first witness kernel. The ``seed`` argument is accepted for symmetry
-    with the scenario certifiers (the demo is deterministic either way).
+    first witness kernel. Static physics only: the demo is deterministic.
     """
-    del seed  # deterministic: static physics only
     spec = NVIDIA_V100
-    with scoped_cache():
-        kernels = [get_benchmark(name).kernel for name in SINGLE_GPU_KERNELS]
-        mem = int(spec.default_mem_mhz)
-        top = int(max(spec.core_freqs_mhz))
-        times = {
-            k.name: static_operating_point(spec, k, top, mem)[0]
-            for k in kernels
-        }
-        feasible = DEADLINE(2.0 * max(times.values()))
-        infeasible = DEADLINE(0.5 * min(times.values()))
-        entries = {}
-        for k in kernels:
-            entries[(k.name, feasible.name)] = (mem, top)
-            entries[(k.name, infeasible.name)] = (mem, top)
-        plan = FrequencyPlan(device_name=spec.name, entries=entries)
-        cert_ok = certify_frequency_plan(plan, kernels, [feasible], spec)
-        cert_bad = certify_frequency_plan(plan, kernels, [infeasible], spec)
+    kernels = [get_benchmark(name).kernel for name in SINGLE_GPU_KERNELS]
+    mem = int(spec.default_mem_mhz)
+    top = int(max(spec.core_freqs_mhz))
+    times = {
+        k.name: static_operating_point(spec, k, top, mem)[0]
+        for k in kernels
+    }
+    feasible = DEADLINE(2.0 * max(times.values()))
+    infeasible = DEADLINE(0.5 * min(times.values()))
+    entries = {}
+    for k in kernels:
+        entries[(k.name, feasible.name)] = (mem, top)
+        entries[(k.name, infeasible.name)] = (mem, top)
+    plan = FrequencyPlan(device_name=spec.name, entries=entries)
+    cert_ok = certify_frequency_plan(plan, kernels, [feasible], spec)
+    cert_bad = certify_frequency_plan(plan, kernels, [infeasible], spec)
     return cert_ok, cert_bad
-
-
-# --------------------------------------------------------------- registry
-
-
-CERTIFIERS: Mapping[str, Callable[..., ScenarioCertificate]] = {
-    "single-gpu": certify_single_gpu,
-    "slurm-faults": certify_slurm_faults,
-    "thermal-drift": certify_thermal_drift,
-    "multi-tenant": certify_multi_tenant,
-    "weak-scaling": lambda seed=7: certify_weak_scaling(),
-}
-
-
-def certify_scenarios(
-    seed: int = 7, scenarios: Sequence[str] | None = None
-) -> dict[str, ScenarioCertificate]:
-    """Run the named certifiers (all of them by default), in registry order."""
-    names = list(CERTIFIERS) if scenarios is None else list(scenarios)
-    unknown = sorted(set(names) - set(CERTIFIERS))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown scenario(s) {unknown}; known: {sorted(CERTIFIERS)}"
-        )
-    return {name: CERTIFIERS[name](seed=seed) for name in names}

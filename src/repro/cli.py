@@ -412,9 +412,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.validate.runner import GOLDEN_SCENARIOS, run_validation
+    from repro.obs.scenarios import golden_scenarios
+    from repro.validate.runner import run_validation
 
-    scenarios = tuple(args.scenario) if args.scenario else GOLDEN_SCENARIOS
+    scenarios = tuple(args.scenario) if args.scenario else golden_scenarios()
     only = tuple(args.only) if args.only else None
     print(
         f"running validation (scenarios={list(scenarios)}, "
@@ -770,56 +771,31 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    from repro.analysis.scenarios import certify_scenarios, deadline_demo
+    from repro.analysis.scenarios import deadline_demo
+    from repro.obs.scenarios import certify_scenarios
+    from repro.validate.analysis import (
+        check_deadline_demo,
+        check_scenario_certificates,
+    )
 
     scenarios = tuple(args.scenario) if args.scenario else None
     certificates = certify_scenarios(seed=args.seed, scenarios=scenarios)
-    rows = []
-    failures = 0
-    for name, cert in certificates.items():
-        for bracket in cert.checks:
-            ok = bracket.ok
-            failures += not ok
-            rows.append([
-                name,
-                bracket.quantity,
-                f"{bracket.interval}",
-                f"{bracket.measured:.6e}",
-                "ok" if ok else "OUTSIDE",
-            ])
-        for label, ok in cert.assertions:
-            failures += not ok
-            rows.append([name, "assert", label, "", "ok" if ok else "FAILED"])
+    cert_ok, cert_bad = deadline_demo()
+    # One verdict: the same checks ``validate --only analysis`` applies.
+    results = check_scenario_certificates(certificates) + check_deadline_demo(
+        cert_ok, cert_bad
+    )
+    failures = sum(not r.passed for r in results)
     print(
         format_table(
-            ["scenario", "quantity", "static interval", "measured", "verdict"],
-            rows,
+            ["check", "verdict", "detail"],
+            [[r.name, r.status, r.detail] for r in results],
             title=f"Plan certificates (seed={args.seed})",
         )
     )
     for name, cert in certificates.items():
         for note in cert.notes:
             print(f"  {name}: {note}", file=sys.stderr)
-
-    cert_ok, cert_bad = deadline_demo(seed=args.seed)
-    demo_ok = (
-        cert_ok.feasible
-        and not cert_bad.feasible
-        and cert_bad.witness is not None
-    )
-    failures += not demo_ok
-    print(
-        f"DEADLINE demo: feasible plan "
-        f"{'proved' if cert_ok.feasible else 'REFUTED (bug)'}; "
-        f"infeasible plan "
-        + (
-            f"refuted with witness {cert_bad.witness!r}"
-            if not cert_bad.feasible
-            else "NOT refuted (bug)"
-        )
-    )
-    if cert_bad.violations:
-        print(f"  {cert_bad.violations[0]}")
 
     if args.json:
         write_json(
@@ -841,8 +817,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
     verdict = "certified" if failures == 0 else f"{failures} FAILURES"
     print(f"certification {verdict} "
-          f"({len(certificates)} scenarios + DEADLINE demo"
-          f"{', strict' if args.strict else ''})")
+          f"({len(certificates)} scenarios + DEADLINE demo)")
     return 0 if failures == 0 else 1
 
 
@@ -958,7 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p.add_argument("--scenario", nargs="+", choices=sorted(SCENARIOS),
                    default=None,
-                   help="golden scenarios to replay (default: all)")
+                   help="scenarios to replay (default: those with goldens)")
     p.add_argument("--only", nargs="+", choices=SECTIONS, default=None,
                    help="restrict to these report sections")
     p.add_argument("--strict", action="store_true",
@@ -980,15 +955,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="statically certify frequency plans: "
                        "bracket the golden scenarios, audit the weak-scaling "
                        "graph, prove/refute DEADLINE feasibility")
-    from repro.analysis.scenarios import CERTIFIERS
-
-    p.add_argument("--scenario", nargs="+", choices=sorted(CERTIFIERS),
+    p.add_argument("--scenario", nargs="+", choices=sorted(SCENARIOS),
                    default=None,
                    help="scenarios to certify (default: all)")
     p.add_argument("--seed", type=int, default=7, help="scenario seed")
-    p.add_argument("--strict", action="store_true",
-                   help="accepted for symmetry with validate; certificates "
-                   "always gate hard")
     p.add_argument("--json", default=None,
                    help="export all certificates to a JSON file")
     p.set_defaults(fn=_cmd_certify)

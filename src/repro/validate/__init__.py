@@ -17,7 +17,7 @@ encodes both as executable checks:
   :meth:`~repro.slurm.cluster.Cluster.build` (no-op by default, like
   ``NULL_TRACE``),
 - :mod:`repro.validate.runner` — the ``repro-synergy validate`` driver
-  covering both golden scenarios.
+  covering the registry's golden scenarios.
 
 Only the result types and the inline hook are imported eagerly; the
 runner pulls in the experiment stack, which itself imports modules that

@@ -6,17 +6,22 @@ Three families of checks:
   lowers without diagnostics *and* passes the FE011–FE013 race/bounds
   pass; the footprint solver must also still flag a seeded racy kernel
   (the pass is not vacuously quiet).
-- **scenario certificates** — each golden scenario's static
-  makespan/energy intervals bracket the replayed run
-  (:mod:`repro.analysis.scenarios`), the weak-scaling graph certificate
-  brackets the vectorized engine, the command-graph audit is clean and
-  the global SLA bound is proved.
+- **scenario certificates** — each registry scenario's static
+  makespan/energy intervals bracket its run
+  (:func:`repro.obs.scenarios.certify_scenarios`), the weak-scaling
+  graph certificate brackets the vectorized engine, the command-graph
+  audit is clean and the global SLA bound is proved.
 - **DEADLINE demo** — the plan certifier proves a generous deadline and
   refutes an impossible one, naming a witness kernel.
 """
 
 from __future__ import annotations
 
+from typing import Mapping
+
+from repro.analysis.certify import PlanCertificate
+from repro.analysis.scenarios import ScenarioCertificate, deadline_demo
+from repro.obs.scenarios import certify_scenarios
 from repro.validate.result import CheckResult, check
 
 #: A deliberately racy kernel: every work item writes element 0.
@@ -58,12 +63,12 @@ def check_kernel_bank_clean() -> list[CheckResult]:
     return results
 
 
-def check_scenario_certificates(seed: int) -> list[CheckResult]:
-    """Every golden-scenario certificate must bracket its measured run."""
-    from repro.analysis.scenarios import certify_scenarios
-
+def check_scenario_certificates(
+    certificates: Mapping[str, ScenarioCertificate],
+) -> list[CheckResult]:
+    """Every scenario certificate must bracket its measured run."""
     results: list[CheckResult] = []
-    for name, cert in certify_scenarios(seed=seed).items():
+    for name, cert in certificates.items():
         for bracket in cert.checks:
             results.append(
                 check(
@@ -77,11 +82,10 @@ def check_scenario_certificates(seed: int) -> list[CheckResult]:
     return results
 
 
-def check_deadline_demo(seed: int) -> list[CheckResult]:
-    """Prove the feasible DEADLINE plan, refute the impossible one."""
-    from repro.analysis.scenarios import deadline_demo
-
-    cert_ok, cert_bad = deadline_demo(seed=seed)
+def check_deadline_demo(
+    cert_ok: PlanCertificate, cert_bad: PlanCertificate
+) -> list[CheckResult]:
+    """The feasible DEADLINE plan is proved, the impossible one refuted."""
     return [
         check(
             "analysis.deadline_feasible",
@@ -110,6 +114,6 @@ def run_analysis_checks(seed: int = 7) -> list[CheckResult]:
     """The full static-analysis harness."""
     return (
         check_kernel_bank_clean()
-        + check_scenario_certificates(seed)
-        + check_deadline_demo(seed)
+        + check_scenario_certificates(certify_scenarios(seed=seed))
+        + check_deadline_demo(*deadline_demo())
     )

@@ -22,11 +22,6 @@ from repro.validate.invariants import (
 )
 from repro.validate.result import ValidationReport
 
-#: The seeded golden scenarios of the observability plane.
-GOLDEN_SCENARIOS: tuple[str, ...] = (
-    "single-gpu", "slurm-faults", "thermal-drift", "multi-tenant",
-)
-
 #: Kernel/device grid the sweep invariants run over: the golden-scenario
 #: kernels plus the Fig. 4 and Fig. 2 protagonists.
 SWEEP_KERNEL_NAMES: tuple[str, ...] = (
@@ -145,8 +140,8 @@ def _distributed_section(report: ValidationReport) -> None:
 def _analysis_section(report: ValidationReport, seed: int) -> None:
     from repro.validate.analysis import run_analysis_checks
 
-    # No scoped_cache here: each certifier scopes its own cache so the
-    # static and measured sides of one scenario share a warm scope.
+    # No scoped_cache here: each scenario run and each certificate
+    # scopes its own cache.
     report.extend(run_analysis_checks(seed))
 
 
@@ -159,18 +154,21 @@ def _adapt_section(report: ValidationReport, seed: int) -> None:
 
 
 def run_validation(
-    scenarios: tuple[str, ...] | list[str] = GOLDEN_SCENARIOS,
+    scenarios: tuple[str, ...] | list[str] | None = None,
     *,
     seed: int = 7,
     only: tuple[str, ...] | list[str] | None = None,
 ) -> ValidationReport:
     """Run the validation plane and return its report.
 
-    ``scenarios`` selects which golden scenarios the trace checks replay;
-    ``only`` restricts the run to a subset of :data:`SECTIONS`. The
-    strict/non-strict verdict is the caller's call via
+    ``scenarios`` selects which registry scenarios the trace checks
+    replay (default: those with golden snapshots); ``only`` restricts the
+    run to a subset of :data:`SECTIONS`. Unknown names raise before any
+    section runs. The strict/non-strict verdict is the caller's call via
     :meth:`ValidationReport.ok`.
     """
+    from repro.obs.scenarios import get_scenario, golden_scenarios
+
     sections = tuple(only) if only else SECTIONS
     unknown = set(sections) - set(SECTIONS)
     if unknown:
@@ -178,13 +176,16 @@ def run_validation(
             f"unknown validation sections {sorted(unknown)}; known: "
             f"{list(SECTIONS)}"
         )
+    scenarios = golden_scenarios() if scenarios is None else tuple(scenarios)
+    for name in scenarios:
+        get_scenario(name)
     report = ValidationReport()
     if "sweeps" in sections:
         _sweep_section(report)
     if "powercap" in sections:
         _powercap_section(report, seed)
     if "scenarios" in sections:
-        _scenario_section(report, tuple(scenarios), seed)
+        _scenario_section(report, scenarios, seed)
     if "differential" in sections:
         _differential_section(report)
     if "frontend" in sections:

@@ -31,11 +31,11 @@ ALL_SUBCOMMANDS = [
 ]
 
 
-def _registered_subcommands() -> list[str]:
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
     parser = build_parser()
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return list(action.choices)
+            return dict(action.choices)
     raise AssertionError("CLI parser has no subparsers")
 
 
@@ -167,7 +167,17 @@ def test_loadgen_bad_args_exit_code():
 # ------------------------------------------------------- smoke: completeness
 
 def test_every_subcommand_is_known():
-    assert sorted(_registered_subcommands()) == sorted(ALL_SUBCOMMANDS)
+    assert sorted(_subparsers()) == sorted(ALL_SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("command", ["trace", "validate", "certify"])
+def test_scenario_choices_are_the_registry(command):
+    from repro.obs.scenarios import SCENARIOS
+
+    (action,) = [
+        a for a in _subparsers()[command]._actions if a.dest == "scenario"
+    ]
+    assert list(action.choices) == sorted(SCENARIOS)
 
 
 @pytest.mark.parametrize("name", ALL_SUBCOMMANDS)

@@ -39,7 +39,7 @@ from repro.metrics.targets import (
     MIN_ENERGY,
     SLA_SLACK,
 )
-from repro.obs.session import TraceSession, absorb_engine
+from repro.obs.session import TraceSession
 
 pytestmark = pytest.mark.engine
 
@@ -307,21 +307,10 @@ class TestSubmitMany:
 
 
 
-# ----------------------------------------------------------- observability
+# ------------------------------------------------------------ batch result
 
 
-class TestAbsorbEngine:
-    def test_absorb_engine_rolls_up_batch_totals(self, v100, kernel_pool):
-        trace = TraceSession()
-        queue = SynergyQueue(v100)
-        result = queue.submit_batch([(877, 1380, k) for k in kernel_pool])
-        absorb_engine(trace, result)
-        assert trace.metrics.counter("engine.kernels").value == 3
-        assert (
-            trace.metrics.counter("engine.switches").value
-            == result.n_switches
-        )
-
+class TestBatchResult:
     def test_batch_result_arrays_are_frozen(self, v100, kernel_pool):
         result = SynergyQueue(v100).submit_batch([kernel_pool[0]])
         with pytest.raises(ValueError):

@@ -15,8 +15,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.errors import ConfigurationError
+from repro.core.sweepcache import scoped_cache
 from repro.obs.export import chrome_trace, dump_json, metrics_document
-from repro.obs.scenarios import SCENARIOS, run_scenario
+from repro.obs.scenarios import (
+    SCENARIOS,
+    certify_scenarios,
+    golden_scenarios,
+    run_scenario,
+)
+from repro.obs.session import TraceSession
+from repro.validate.runner import run_validation
 
 pytestmark = pytest.mark.obs
 
@@ -56,7 +65,7 @@ def _render(name: str) -> tuple[object, str, str]:
     )
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(golden_scenarios()))
 def test_two_same_seed_runs_are_byte_identical(name):
     _, trace1, metrics1 = _render(name)
     _, trace2, metrics2 = _render(name)
@@ -64,7 +73,7 @@ def test_two_same_seed_runs_are_byte_identical(name):
     assert metrics1 == metrics2
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(golden_scenarios()))
 def test_export_matches_golden_snapshot(name, request):
     session, trace_doc, metrics_doc = _render(name)
     assert session.tracer.open_spans() == []
@@ -89,7 +98,7 @@ def test_every_instrumented_category_appears():
     """A traced end-to-end run records >0 events per site category."""
     span_cats: set[str] = set()
     instant_cats: set[str] = set()
-    for name in SCENARIOS:
+    for name in golden_scenarios():
         session = run_scenario(name)
         counts = session.tracer.span_counts()
         assert counts, f"scenario {name!r} recorded no spans"
@@ -132,3 +141,58 @@ def test_trace_document_shape():
     stamps = [e["ts"] for e in events if e["ph"] in ("X", "i")]
     assert stamps == sorted(stamps)
     assert all(e["dur"] >= 0.0 for e in events if e["ph"] == "X")
+
+
+# ---------------------------------------------------------------- registry
+
+
+def test_golden_dir_holds_exactly_the_golden_scenarios():
+    """One trace and one metrics snapshot per golden scenario, no orphans."""
+    expected = {
+        f"{name}.{kind}.json"
+        for name in golden_scenarios()
+        for kind in ("trace", "metrics")
+    }
+    assert {p.name for p in GOLDEN_DIR.iterdir()} == expected
+
+
+def test_weak_scaling_is_certified_but_has_no_golden():
+    assert golden_scenarios() == tuple(n for n in SCENARIOS if n != "weak-scaling")
+    session = run_scenario("weak-scaling")
+    assert session.tracer.spans == []
+    assert "cache.sweep.misses" in session.metrics.as_dict()["counters"]
+
+
+UNKNOWN_NAME_ENTRY_POINTS = {
+    "run_scenario": lambda: run_scenario("warp-drive"),
+    "certify_scenarios": lambda: certify_scenarios(
+        scenarios=["single-gpu", "warp-drive"]
+    ),
+    # The section runs no scenario, so only the up-front check can raise.
+    "run_validation": lambda: run_validation(["warp-drive"], only=["powercap"]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNKNOWN_NAME_ENTRY_POINTS))
+def test_unknown_scenario_raises_one_error_before_any_work(entry):
+    with pytest.raises(ConfigurationError) as exc:
+        UNKNOWN_NAME_ENTRY_POINTS[entry]()
+    assert str(exc.value) == (
+        f"unknown scenario 'warp-drive'; known: {sorted(SCENARIOS)}"
+    )
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_tracing_never_moves_a_measured_value(name):
+    """A certificate brackets the untraced run; the golden pins the traced
+    one. They must be the same run, bit for bit."""
+    scenario = SCENARIOS[name]
+    plain_outcome = scenario.run(7)
+    traced_outcome = scenario.run(7, trace=TraceSession())
+    with scoped_cache():
+        plain = scenario.certify(plain_outcome)
+        traced = scenario.certify(traced_outcome)
+    assert [(c.quantity, c.measured) for c in traced.checks] == [
+        (c.quantity, c.measured) for c in plain.checks
+    ]
+    assert traced.assertions == plain.assertions

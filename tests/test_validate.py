@@ -18,7 +18,6 @@ from repro.common.errors import ConfigurationError, ValidationError
 from repro.core.sweepcache import scoped_cache
 from repro.experiments.sweep import sweep_kernel
 from repro.hw.specs import AMD_MI100, NVIDIA_V100
-from repro.obs.session import NULL_TRACE, TraceSession, absorb_validation
 from repro.slurm.powercap import PowerCapPlugin, redistribute_caps
 from repro.validate import (
     CheckResult,
@@ -373,10 +372,11 @@ class TestRunner:
         assert not any(n.startswith("sweep.") for n in names)
 
     def test_service_section_registered(self):
-        from repro.validate.runner import GOLDEN_SCENARIOS, SECTIONS
+        from repro.obs.scenarios import golden_scenarios
+        from repro.validate.runner import SECTIONS
 
         assert "service" in SECTIONS
-        assert "multi-tenant" in GOLDEN_SCENARIOS
+        assert "multi-tenant" in golden_scenarios()
 
     def test_service_section_is_strict_clean(self):
         report = run_validation(only=("service",))
@@ -387,18 +387,3 @@ class TestRunner:
         assert report.ok(strict=True), [
             (r.name, r.detail) for r in report.results if not r.passed
         ]
-
-
-def test_absorb_validation_exports_verdict():
-    report = ValidationReport()
-    report.add(CheckResult("good", True))
-    report.add(CheckResult("meh", False, "edge", Severity.WARNING))
-    trace = TraceSession()
-    absorb_validation(trace, report)
-    doc = trace.metrics.as_dict()
-    assert doc["counters"]["validate.checks"] == 2
-    assert doc["counters"]["validate.failures"] == 0
-    assert doc["counters"]["validate.warnings"] == 1
-    assert doc["gauges"]["validate.passed"] == 1.0
-    # The no-op session ignores the report entirely.
-    absorb_validation(NULL_TRACE, report)
