@@ -85,31 +85,6 @@ class EnergyProfiler:
             return self.device.energy_between(self.window_start_s, now)
         return self._measure(self.window_start_s, now)
 
-    def window_energies(self, events, *, true_value: bool = False):
-        """Energies (J) of many kernel events in one accounting pass.
-
-        The batched counterpart of looping :meth:`kernel_energy`: waits
-        once (to the latest event end), counts every measurement, and
-        answers each window on its own — ``true_value`` queries with the
-        window-sliced integral (:meth:`SimulatedGPU.energy_between`),
-        sampled ones with the sensor, which derives its noise seed from
-        each window.
-        """
-        import numpy as np
-
-        events = list(events)
-        for event in events:
-            if event.device is not self.device:
-                raise ValidationError("event belongs to a different device")
-        if not events:
-            return np.zeros(0)
-        latest = max(event.end_s for event in events)
-        if self.device.clock.now < latest:
-            self.device.clock.advance_to(latest)
-        self.trace.count("profiler.kernel_measurements", len(events))
-        measure = self.device.energy_between if true_value else self._measure
-        return np.asarray([measure(e.start_s, e.end_s) for e in events], dtype=float)
-
     def _measure(self, t0: float, t1: float) -> float:
         """Sensor estimate with analytic fallback on sample dropout."""
         try:

@@ -41,7 +41,8 @@ class SynergyQueue(Queue):
         SynergyQueue(1215, 210, gpu_selector_v)      # fixed clocks (Listing 2)
 
     Keyword-only extras: ``plan`` (compiled frequency plan), ``predictor``
-    (live model inference for targets), ``switch_overhead_s``.
+    (live model inference for targets), ``switch_overhead_s``. A plan or
+    predictor built for another device raises :class:`ConfigurationError`.
     """
 
     def __init__(
@@ -67,6 +68,16 @@ class SynergyQueue(Queue):
                 "(mem, core, selector)"
             )
         super().__init__(selector_args[0] if selector_args else None)
+        board = self.device.gpu.spec.name
+        for what, device_name in (
+            ("frequency plan", None if plan is None else plan.device_name),
+            ("predictor", None if predictor is None else predictor.spec.name),
+        ):
+            if device_name is not None and device_name != board:
+                raise ConfigurationError(
+                    f"{what} is for {device_name}, but the queue's board "
+                    f"is a {board}"
+                )
 
         self.plan = plan
         self.predictor = predictor

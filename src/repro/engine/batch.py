@@ -1,10 +1,9 @@
 """Struct-of-arrays batch representations.
 
 :class:`KernelBatch` holds one queue's worth of kernel submissions as
-parallel tuples/arrays — kernels, clock requests, and (after resolution)
-the contiguous clock/frequency-plan-index arrays the executor broadcasts
-over. :class:`JobBatch` is the scheduler-level analogue for
-``Scheduler.submit_many``: job specs in, aggregate job arrays out.
+parallel tuples; :func:`resolve_effective_clocks` turns its clock
+requests into the contiguous per-submission clock arrays the executor
+broadcasts over.
 
 Request forms mirror :meth:`repro.core.queue.SynergyQueue.submit`:
 
@@ -18,7 +17,7 @@ Request forms mirror :meth:`repro.core.queue.SynergyQueue.submit`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -26,12 +25,6 @@ from repro.common.errors import ValidationError
 from repro.hw.specs import GPUSpec
 from repro.kernelir.kernel import KernelIR
 from repro.metrics.targets import EnergyTarget
-from repro.slurm.job import Job, JobSpec
-
-#: One submission request: kernel plus an optional clock request.
-#: ``request`` is ``None`` (no per-submission request), an
-#: :class:`EnergyTarget`, or an explicit ``(mem_mhz, core_mhz)`` pair.
-Request = "None | EnergyTarget | tuple[int, int]"
 
 
 @dataclass(frozen=True)
@@ -103,105 +96,23 @@ class KernelBatch:
             spec.validate_clocks(mem_mhz, core_mhz)
 
 
-@dataclass(frozen=True)
-class ResolvedBatch:
-    """A :class:`KernelBatch` with every clock request made concrete.
-
-    Contiguous arrays, one entry per submission: the effective
-    application clocks (after carrying queue clocks / previous clocks
-    forward for request-free submissions), the index of each core clock
-    in the device frequency table (the *frequency-plan index* the
-    executor gathers timing/power columns with), and the effective-
-    switch mask against the running clock state.
-    """
-
-    batch: KernelBatch
-    #: Effective application memory clock per submission (int MHz).
-    mem_mhz: np.ndarray
-    #: Effective application core clock per submission (int MHz).
-    core_mhz: np.ndarray
-    #: Index of ``core_mhz`` in ``spec.core_freqs_mhz``.
-    core_index: np.ndarray
-    #: True where applying submission ``i`` changes the board clocks.
-    switches: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.batch)
-
-    @property
-    def n_switches(self) -> int:
-        """Number of effective clock changes in the batch."""
-        return int(np.count_nonzero(self.switches))
-
-
-@dataclass(frozen=True)
-class JobBatch:
-    """A batch of job submissions for ``Scheduler.submit_many``."""
-
-    specs: tuple[JobSpec, ...]
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    @classmethod
-    def from_specs(cls, specs: Sequence[JobSpec]) -> "JobBatch":
-        """Assemble a job batch, rejecting non-``JobSpec`` items early."""
-        specs = tuple(specs)
-        for spec in specs:
-            if not isinstance(spec, JobSpec):
-                raise ValidationError(
-                    f"JobBatch items must be JobSpec, got {spec!r}"
-                )
-        return cls(specs=specs)
-
-    @property
-    def n_nodes(self) -> np.ndarray:
-        """Requested node counts, one entry per job."""
-        return np.asarray([s.n_nodes for s in self.specs], dtype=int)
-
-    @staticmethod
-    def collect(jobs: Sequence[Job]) -> dict[str, np.ndarray]:
-        """Struct-of-arrays view over completed jobs.
-
-        One aggregate pass over a ``submit_many`` result: ids, states,
-        start/end times and accounted GPU energies as contiguous arrays
-        (NaN where a job never started/ended or was not accounted).
-        """
-        return {
-            "job_id": np.asarray([j.job_id for j in jobs], dtype=int),
-            "state": np.asarray([j.state.value for j in jobs], dtype=object),
-            "start_s": np.asarray(
-                [np.nan if j.start_time_s is None else j.start_time_s for j in jobs],
-                dtype=float,
-            ),
-            "end_s": np.asarray(
-                [np.nan if j.end_time_s is None else j.end_time_s for j in jobs],
-                dtype=float,
-            ),
-            "gpu_energy_j": np.asarray(
-                [np.nan if j.gpu_energy_j is None else j.gpu_energy_j for j in jobs],
-                dtype=float,
-            ),
-        }
-
-
 def resolve_effective_clocks(
-    batch: KernelBatch,
     resolved: "list[tuple[int, int] | None]",
     current: tuple[int, int],
-) -> ResolvedBatch:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Carry clock requests forward into effective per-submission clocks.
 
     ``resolved`` holds one ``(mem_mhz, core_mhz)`` per submission (or
     ``None`` where the submission makes no request and inherits whatever
     clocks are then in effect); ``current`` is the board's
-    ``(core_mhz, mem_mhz)`` application-clock state at batch start. The
-    effective clocks replicate the scalar path exactly: a request-free
-    submission runs at the previous submission's effective clocks, and
-    the switch mask marks submissions whose request actually changes the
-    board state (the redundancy skip of ``FrequencyScaler``).
+    ``(core_mhz, mem_mhz)`` application-clock state at batch start.
+    Returns ``(mem_mhz, core_mhz, switches)`` arrays. The effective
+    clocks replicate the scalar path exactly: a request-free submission
+    runs at the previous submission's effective clocks, and the switch
+    mask marks submissions whose request actually changes the board
+    state (the redundancy skip of ``FrequencyScaler``).
     """
-    n = len(batch)
+    n = len(resolved)
     cur_core, cur_mem = current
     req_mem = np.empty(n, dtype=int)
     req_core = np.empty(n, dtype=int)
@@ -220,31 +131,4 @@ def resolve_effective_clocks(
     prev_core = np.concatenate(([cur_core], eff_core[:-1]))
     prev_mem = np.concatenate(([cur_mem], eff_mem[:-1]))
     switches = (eff_core != prev_core) | (eff_mem != prev_mem)
-    return ResolvedBatch(
-        batch=batch,
-        mem_mhz=eff_mem,
-        core_mhz=eff_core,
-        core_index=np.zeros(n, dtype=int),  # filled by the executor
-        switches=switches,
-    )
-
-
-# ``core_index`` is assigned by the executor once the device table is
-# known; keep the dataclass frozen by rebuilding instead of mutating.
-def with_core_index(resolved: ResolvedBatch, spec: GPUSpec) -> ResolvedBatch:
-    """Attach frequency-table indices for the effective core clocks."""
-    table = np.asarray(spec.core_freqs_mhz, dtype=int)
-    idx = np.searchsorted(table, resolved.core_mhz)
-    idx = np.clip(idx, 0, len(table) - 1)
-    if not np.array_equal(table[idx], resolved.core_mhz):
-        bad = resolved.core_mhz[table[idx] != resolved.core_mhz]
-        raise ValidationError(
-            f"core clocks not in the device table: {sorted(set(bad.tolist()))}"
-        )
-    return ResolvedBatch(
-        batch=resolved.batch,
-        mem_mhz=resolved.mem_mhz,
-        core_mhz=resolved.core_mhz,
-        core_index=idx,
-        switches=resolved.switches,
-    )
+    return eff_mem, eff_core, switches

@@ -48,12 +48,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.engine.batch import (
-    KernelBatch,
-    ResolvedBatch,
-    resolve_effective_clocks,
-    with_core_index,
-)
+from repro.common.errors import ValidationError
+from repro.engine.batch import KernelBatch, resolve_effective_clocks
 from repro.hw.device import KernelExecutionRecord
 from repro.metrics.targets import EnergyTarget
 from repro.sycl.event import Event
@@ -241,8 +237,24 @@ def _resolve_requests(queue: "SynergyQueue", batch: KernelBatch):
     return resolved
 
 
+def _core_index(spec, core_mhz: np.ndarray) -> np.ndarray:
+    """Index of each core clock in ``spec.core_freqs_mhz``.
+
+    The executor gathers timing/power columns with it; a clock missing
+    from the table raises :class:`ValidationError`.
+    """
+    table = np.asarray(spec.core_freqs_mhz, dtype=int)
+    idx = np.clip(np.searchsorted(table, core_mhz), 0, len(table) - 1)
+    if not np.array_equal(table[idx], core_mhz):
+        bad = core_mhz[table[idx] != core_mhz]
+        raise ValidationError(
+            f"core clocks not in the device table: {sorted(set(bad.tolist()))}"
+        )
+    return idx
+
+
 def _choose_operating_points(
-    queue: "SynergyQueue", resolved: ResolvedBatch
+    queue: "SynergyQueue", kernels, mem_mhz: np.ndarray, core_index: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Gather per-submission timing/power at the throttled operating point.
 
@@ -258,7 +270,7 @@ def _choose_operating_points(
     groups: dict[tuple[int, int], int] = {}
     members: list[tuple[object, int]] = []
     group_ids: list[int] = []
-    for kernel, mem in zip(resolved.batch.kernels, resolved.mem_mhz.tolist()):
+    for kernel, mem in zip(kernels, mem_mhz.tolist()):
         key = (id(kernel), mem)
         idx = groups.get(key)
         if idx is None:
@@ -273,7 +285,7 @@ def _choose_operating_points(
     u_mem_mat = np.stack([t[2] for t in tables])
     power_mat = np.stack([t[3] for t in tables])
 
-    req_idx = resolved.core_index
+    req_idx = core_index
     if gpu.power_limit_w >= gpu.default_power_limit_w:
         # Unconstrained board: modeled power is strictly below the peak
         # at every operating point, so throttling never engages.
@@ -297,9 +309,10 @@ def _choose_operating_points(
 class _Plan:
     """Per-submission clocks and operating points of one batch.
 
-    Resolved once per batch. The entries of a submission run per event
-    are overwritten with what the board did; after a degrade the tail is
-    re-derived from the board state (:meth:`rederive_tail`).
+    Resolved once per batch from :func:`resolve_effective_clocks`' arrays
+    and their device-table indices. The entries of a submission run per
+    event are overwritten with what the board did; after a degrade the
+    tail is re-derived from the board state (:meth:`rederive_tail`).
     """
 
     #: Effective application clocks (int MHz).
@@ -315,25 +328,26 @@ class _Plan:
     power_w: np.ndarray
 
     @classmethod
-    def derive(cls, queue: "SynergyQueue", rb: ResolvedBatch) -> "_Plan":
+    def derive(
+        cls, queue: "SynergyQueue", kernels, mem_mhz, core_mhz, switches, core_index
+    ) -> "_Plan":
         return cls(
-            rb.mem_mhz, rb.core_mhz, rb.switches,
-            *_choose_operating_points(queue, rb),
+            mem_mhz, core_mhz, switches,
+            *_choose_operating_points(queue, kernels, mem_mhz, core_index),
         )
 
     def rederive_tail(
-        self, queue: "SynergyQueue", batch: KernelBatch, resolved, lo: int
+        self, queue: "SynergyQueue", kernels, resolved, lo: int
     ) -> None:
         """Recompute submissions ``lo:`` from the board's current clocks."""
         gpu = queue.device.gpu
-        tail = KernelBatch(batch.kernels[lo:], batch.requests[lo:])
-        rb = with_core_index(
-            resolve_effective_clocks(
-                tail, resolved[lo:], (gpu.core_mhz, gpu.mem_mhz)
-            ),
-            gpu.spec,
+        mem_mhz, core_mhz, switches = resolve_effective_clocks(
+            resolved[lo:], (gpu.core_mhz, gpu.mem_mhz)
         )
-        new = _Plan.derive(queue, rb)
+        new = _Plan.derive(
+            queue, kernels[lo:], mem_mhz, core_mhz, switches,
+            _core_index(gpu.spec, core_mhz),
+        )
         for f in fields(self):
             getattr(self, f.name)[lo:] = getattr(new, f.name)
 
@@ -374,23 +388,23 @@ def execute_batch(queue: "SynergyQueue", batch: KernelBatch) -> BatchResult:
         return _traced_fallback(queue, batch, reason)
 
     resolved = _resolve_requests(queue, batch)
-    rb = resolve_effective_clocks(
-        batch, resolved, (gpu.core_mhz, gpu.mem_mhz)
+    mem_mhz, core_mhz, switches = resolve_effective_clocks(
+        resolved, (gpu.core_mhz, gpu.mem_mhz)
     )
-    if gpu.api_restricted and rb.n_switches:
+    if gpu.api_restricted and switches.any():
         # A clock change on a restricted board must fail exactly like the
         # per-event path (vendor error after the overhead charge); replay
         # scalar rather than emulating each vendor's failure shape.
         return _traced_fallback(queue, batch, "restricted")
-    rb = with_core_index(rb, gpu.spec)
+    clocks = (mem_mhz, core_mhz, switches, _core_index(gpu.spec, core_mhz))
 
     if not tr.enabled:
-        return _execute_segmented(queue, rb, resolved)[0]
+        return _execute_segmented(queue, batch.kernels, resolved, clocks)[0]
     with tr.span(
         gpu.clock, track, "engine.batch", f"batch[{n}]",
     ) as sp:
         result, fast_events, fast_switches = _execute_segmented(
-            queue, rb, resolved
+            queue, batch.kernels, resolved, clocks
         )
         sp.set(kernels=n, switches=result.n_switches, fallback=None)
     tr.count("engine.batches")
@@ -437,11 +451,12 @@ def _traced_fallback(
 
 
 def _execute_segmented(
-    queue: "SynergyQueue", rb: ResolvedBatch, resolved
+    queue: "SynergyQueue", kernels, resolved, clocks
 ) -> tuple[BatchResult, list[Event], int]:
     """Commit the batch in bulk segments split at failing clock-sets.
 
-    Returns ``(result, fast_events, fast_switches)``: the batch result,
+    ``clocks`` holds the batch's effective ``(mem_mhz, core_mhz,
+    switches, core_index)`` arrays. Returns ``(result, fast_events, fast_switches)``: the batch result,
     the events committed in bulk, and the switches charged in bulk (the
     submissions run per event trace and count their own).
     """
@@ -452,9 +467,8 @@ def _execute_segmented(
     site = scaler.backend.clock_set_site
     if site is None or injector is None or not injector.armed(site):
         injector = None
-    kernels = rb.batch.kernels
-    n = len(rb)
-    plan = _Plan.derive(queue, rb)
+    n = len(kernels)
+    plan = _Plan.derive(queue, kernels, *clocks)
     out = (np.empty(n), np.empty(n), np.empty(n))  # start_s, end_s, energy_j
     # Records and clock plan share one boxed int per distinct clock value.
     box: dict[int, int] = {}
@@ -504,7 +518,7 @@ def _execute_segmented(
         plan.core_mhz[hi], plan.mem_mhz[hi] = gpu.core_mhz, gpu.mem_mhz
         lo = hi + 1
         if scaler.last_degraded and lo < n:
-            plan.rederive_tail(queue, rb.batch, resolved, lo)
+            plan.rederive_tail(queue, kernels, resolved, lo)
     start_s, end_s, energy_j = out
     result = BatchResult(
         events=tuple(events),

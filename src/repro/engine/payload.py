@@ -1,15 +1,15 @@
 """Scheduler-facing pieces of the batched engine.
 
-:class:`KernelBatchPayload` is a job payload (batch-script body) that
-drives every allocated GPU through one :class:`KernelBatch`, either via
-the vectorized :meth:`SynergyQueue.submit_batch` fast path or via the
-per-event scalar reference loop — the two modes the engine differential
-contract compares. :func:`plan_from_sweeps` compiles a
+:class:`KernelBatchPayload` is the job payload (batch-script body) that
+drives every allocated GPU through one :class:`KernelBatch` via
+:meth:`SynergyQueue.submit_batch`; the scheduler twins of the engine
+differential contract replay it per event through
+:mod:`repro.validate.reference`. :func:`plan_from_sweeps` compiles a
 :class:`FrequencyPlan` directly from measured sweeps (the §6.2 search on
 ground truth instead of model predictions), which lets scenarios use
 DEADLINE/SLA targets without training a predictor. Per-job energy
 accounting is not here: the scheduler integrates each board's window
-with :meth:`SimulatedGPU.energy_between`, whichever mode ran the payload.
+with :meth:`SimulatedGPU.energy_between`.
 """
 
 from __future__ import annotations
@@ -17,9 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.core.compiler import FrequencyPlan
 from repro.core.frequency import DEFAULT_SWITCH_OVERHEAD_S
 from repro.core.queue import SynergyQueue
+from repro.engine.batch import KernelBatch
 from repro.experiments.sweep import sweep_kernel
 from repro.hw.specs import GPUSpec
 from repro.kernelir.kernel import KernelIR
@@ -28,11 +31,7 @@ from repro.slurm.job import JobContext
 
 
 def plan_from_sweeps(
-    spec: GPUSpec,
-    kernels: Sequence[KernelIR],
-    targets: Iterable[EnergyTarget],
-    *,
-    cache: object | None = None,
+    spec: GPUSpec, kernels: Sequence[KernelIR], targets: Iterable[EnergyTarget]
 ) -> FrequencyPlan:
     """Build a frequency plan from measured sweeps (no predictor).
 
@@ -45,7 +44,7 @@ def plan_from_sweeps(
     target_list = list(targets)
     entries: dict[tuple[str, str], tuple[int, int]] = {}
     for kernel in kernels:
-        sweep = sweep_kernel(spec, kernel, cache=cache)
+        sweep = sweep_kernel(spec, kernel)
         for target in target_list:
             idx = target.resolve_index(
                 sweep.freqs_mhz, sweep.time_s, sweep.energy_j, sweep.default_index
@@ -62,25 +61,26 @@ class KernelBatchPayload:
     """Job payload submitting one kernel batch per allocated GPU.
 
     ``requests`` holds submit-style items (bare :class:`KernelIR`,
-    ``(EnergyTarget, kernel)`` or ``(mem_mhz, core_mhz, kernel)``).
-    With ``batched=True`` each GPU runs through
-    :meth:`SynergyQueue.submit_batch`; with ``batched=False`` through the
-    per-event scalar loop — same requests, same clocks, same physics, so
-    twin clusters running the two modes must agree (the engine
-    differential contract). Returns per-GPU queue summaries.
+    ``(EnergyTarget, kernel)`` or ``(mem_mhz, core_mhz, kernel)``); each
+    GPU runs them through :meth:`SynergyQueue.submit_batch`. ``owner``
+    tags the queues (the service plane sets it to the tenant name, so
+    every ``queue.kernel`` span carries it). Returns the per-submission
+    start times, the modeled kernel energy summed over every GPU — the
+    order-invariant basis of per-tenant attribution — and the per-GPU
+    queue summaries.
     """
 
     requests: tuple
     plan: FrequencyPlan | None = None
     switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S
-    batched: bool = True
+    owner: str | None = None
 
     def __call__(self, context: JobContext) -> dict[str, object]:
-        from repro.engine.batch import KernelBatch
-
         # Assemble the batch once; every allocated GPU replays the same
         # immutable struct-of-arrays submission stream.
-        batch = KernelBatch.from_requests(self.requests) if self.batched else None
+        batch = KernelBatch.from_requests(self.requests)
+        start_s: list[float] = []
+        kernel_energy_j = 0.0
         summaries = []
         for gpu in context.gpus:
             queue = SynergyQueue(
@@ -89,28 +89,15 @@ class KernelBatchPayload:
                 switch_overhead_s=self.switch_overhead_s,
                 trace=context.trace,
                 validate=context.validator,
+                owner=self.owner,
             )
-            if self.batched:
-                queue.submit_batch(batch)
-            else:
-                for item in self.requests:
-                    if isinstance(item, KernelIR):
-                        queue.submit(
-                            lambda h, k=item: h.parallel_for(k.work_items, k)
-                        )
-                    elif len(item) == 2:
-                        target, kernel = item
-                        queue.submit(
-                            target,
-                            lambda h, k=kernel: h.parallel_for(k.work_items, k),
-                        )
-                    else:
-                        mem, core, kernel = item
-                        queue.submit(
-                            mem,
-                            core,
-                            lambda h, k=kernel: h.parallel_for(k.work_items, k),
-                        )
+            result = queue.submit_batch(batch)
             queue.wait()
+            start_s.extend(result.start_s.tolist())
+            kernel_energy_j += float(np.sum(result.energy_j))
             summaries.append(queue.summary())
-        return {"mode": "batched" if self.batched else "scalar", "gpus": summaries}
+        return {
+            "start_s": start_s,
+            "kernel_energy_j": kernel_energy_j,
+            "gpus": summaries,
+        }

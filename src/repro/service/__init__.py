@@ -14,7 +14,7 @@ See ``docs/SERVICE.md`` for the tenancy model and
 
 from repro.service.loadgen import run_service_session
 from repro.service.plane import SchedulingService
-from repro.service.shard import PartitionShard, TenantBatchPayload
+from repro.service.shard import PartitionShard
 from repro.service.store import JobStore, fold_events
 from repro.service.tenant import (
     AdmissionDecision,
@@ -30,7 +30,6 @@ __all__ = [
     "RejectReason",
     "SchedulingService",
     "Tenant",
-    "TenantBatchPayload",
     "TenantRegistry",
     "fold_events",
     "run_service_session",

@@ -81,13 +81,11 @@ def seeded_tenants(n_tenants: int, seed: int = 7) -> list[Tenant]:
     return tenants
 
 
-def baseline_energies(
-    spec: GPUSpec, kernels, *, cache: object | None = None
-) -> dict[str, float]:
+def baseline_energies(spec: GPUSpec, kernels) -> dict[str, float]:
     """Per-kernel MAX_PERF energy (J per execution) from measured sweeps."""
     baseline: dict[str, float] = {}
     for kernel in kernels:
-        sweep = sweep_kernel(spec, kernel, cache=cache)
+        sweep = sweep_kernel(spec, kernel)
         idx = MAX_PERF.resolve_index(
             sweep.freqs_mhz, sweep.time_s, sweep.energy_j, sweep.default_index
         )

@@ -17,64 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.common.clock import VirtualClock
 from repro.core.compiler import FrequencyPlan
 from repro.core.frequency import DEFAULT_SWITCH_OVERHEAD_S
-from repro.core.queue import SynergyQueue
+from repro.engine.payload import KernelBatchPayload
 from repro.hw.specs import GPUSpec
 from repro.obs.session import TraceSession
 from repro.slurm.cluster import NVGPUFREQ_GRES, Cluster
-from repro.slurm.job import Job, JobContext, JobSpec
+from repro.slurm.job import Job, JobSpec
 from repro.slurm.plugin import NvGpuFreqPlugin
 from repro.slurm.scheduler import Scheduler
-
-
-@dataclass(frozen=True)
-class TenantBatchPayload:
-    """Job payload draining one tenant's pending submissions.
-
-    Like :class:`~repro.engine.payload.KernelBatchPayload`, but tagged
-    with the owning tenant (the queue's ``owner``, so every
-    ``queue.kernel`` span carries the tenant name) and returning the
-    per-submission start times and modeled kernel energies the plane
-    needs for scheduling-latency percentiles and per-tenant energy
-    attribution.
-    """
-
-    tenant: str
-    requests: tuple
-    plan: FrequencyPlan | None = None
-    switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S
-
-    def __call__(self, context: JobContext) -> dict[str, object]:
-        from repro.engine.batch import KernelBatch
-
-        batch = KernelBatch.from_requests(self.requests)
-        start_s: list[float] = []
-        kernel_energy_j = 0.0
-        summaries = []
-        for gpu in context.gpus:
-            queue = SynergyQueue(
-                gpu,
-                plan=self.plan,
-                switch_overhead_s=self.switch_overhead_s,
-                trace=context.trace,
-                validate=context.validator,
-                owner=self.tenant,
-            )
-            result = queue.submit_batch(batch)
-            queue.wait()
-            start_s.extend(result.start_s.tolist())
-            kernel_energy_j += float(np.sum(result.energy_j))
-            summaries.append(queue.summary())
-        return {
-            "tenant": self.tenant,
-            "start_s": start_s,
-            "kernel_energy_j": kernel_energy_j,
-            "gpus": summaries,
-        }
 
 
 @dataclass(frozen=True)
@@ -148,11 +100,11 @@ class PartitionShard:
                 n_nodes=1,
                 exclusive=True,
                 gres=frozenset({NVGPUFREQ_GRES}),
-                payload=TenantBatchPayload(
-                    tenant=tenant,
+                payload=KernelBatchPayload(
                     requests=tuple(reqs),
                     plan=self.plan,
                     switch_overhead_s=self.switch_overhead_s,
+                    owner=tenant,
                 ),
             )
             for tenant, reqs in queues

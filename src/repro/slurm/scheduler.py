@@ -23,9 +23,9 @@ recorded on the job objects (``requeued_as`` / ``requeue_of``).
 from __future__ import annotations
 
 import itertools
-from typing import Protocol
+from typing import Iterable, Protocol
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ValidationError
 from repro.faults import NodeFailure
 from repro.obs.session import TraceSession, resolve_trace
 from repro.slurm.cluster import Cluster, Node
@@ -42,6 +42,18 @@ class SchedulerPlugin(Protocol):
     def epilogue(self, job: Job, node: Node) -> None:  # pragma: no cover
         """Runs on each allocated node after the job payload."""
         ...
+
+
+def _job_specs(specs: object) -> list[JobSpec]:
+    """``specs`` as a list, or :class:`ValidationError` unless every item
+    is a :class:`JobSpec` (a lone non-iterable or string is one item)."""
+    if isinstance(specs, str) or not isinstance(specs, Iterable):
+        specs = [specs]
+    specs = list(specs)
+    for spec in specs:
+        if not isinstance(spec, JobSpec):
+            raise ValidationError(f"jobs are submitted as JobSpec, got {spec!r}")
+    return specs
 
 
 class Scheduler:
@@ -80,6 +92,7 @@ class Scheduler:
         completed, failed, or exhausted the requeue budget); earlier
         attempts stay queryable through ``jobs`` / ``requeued_as`` links.
         """
+        _job_specs([spec])
         job = self._run_one(spec)
         requeues = 0
         while job.state is JobState.NODE_FAIL and requeues < self.max_requeues:
@@ -98,21 +111,16 @@ class Scheduler:
             job = self._run_one(spec, requeue_of=job)
         return job
 
-    def submit_many(self, specs) -> list[Job]:
+    def submit_many(self, specs: Iterable[JobSpec]) -> list[Job]:
         """Run a batch of jobs to completion, in submission order.
 
-        Accepts a sequence of :class:`JobSpec` or a
-        :class:`~repro.engine.batch.JobBatch`. Each job goes through the
-        same :meth:`submit` core — allocation, requeue lineage, hooks,
-        accounting. ``submit_many([])`` is a well-formed no-op: it emits
-        an empty ``slurm.submit_many`` span and returns no jobs.
+        Every item must be a :class:`JobSpec`; all are checked before any
+        job runs. Each job goes through the same :meth:`submit` core —
+        allocation, requeue lineage, hooks, accounting.
+        ``submit_many([])`` is a well-formed no-op: it emits an empty
+        ``slurm.submit_many`` span and returns no jobs.
         """
-        from repro.engine.batch import JobBatch
-
-        if isinstance(specs, JobBatch):
-            specs = list(specs.specs)
-        else:
-            specs = list(JobBatch.from_specs(specs).specs)
+        specs = _job_specs(specs)
         tr = self.trace
         if not specs:
             if tr.enabled:

@@ -1,10 +1,11 @@
 """Differential validation of the batched virtual-time engine.
 
-The scalar per-event path (``SynergyQueue.submit`` / ``Scheduler.submit``)
-is the reference semantics; the batched engine
-(:mod:`repro.engine`) must reproduce it exactly. Every check here runs
-the same seeded workload through both paths on twin devices/clusters and
-asserts the engine differential contract:
+The per-event path is the reference semantics: its twins are
+:func:`~repro.validate.reference.replay_per_event` on a queue and
+:class:`~repro.validate.reference.PerEventPayload` in a job. The batched
+engine (:mod:`repro.engine`) must reproduce it exactly. Every check here
+runs the same seeded workload through both paths on twin devices/clusters
+and asserts the engine differential contract:
 
 - **identical plans**: resolved clock pairs, effective-switch decisions
   and throttled operating points are equal as integers, and the boards'
@@ -24,6 +25,7 @@ from __future__ import annotations
 from repro.hw.specs import NVIDIA_V100, GPUSpec
 from repro.kernelir.kernel import KernelIR
 from repro.validate.differential import SCALAR_PATH_RTOL, _arrays_equal
+from repro.validate.reference import PerEventPayload, replay_per_event
 from repro.validate.result import CheckResult, check
 
 #: Kernel mix for the engine differentials: compute-bound, memory-bound
@@ -68,25 +70,6 @@ def _workload(spec: GPUSpec, kernels: list[KernelIR], rounds: int = 3) -> list:
                     )
                 )
     return requests
-
-
-def _run_scalar(queue, requests) -> None:
-    from repro.metrics.targets import EnergyTarget
-
-    for item in requests:
-        if isinstance(item, KernelIR):
-            queue.submit(lambda h, k=item: h.parallel_for(k.work_items, k))
-        elif isinstance(item[0], EnergyTarget):
-            target, kernel = item
-            queue.submit(
-                target, lambda h, k=kernel: h.parallel_for(k.work_items, k)
-            )
-        else:
-            mem, core, kernel = item
-            queue.submit(
-                mem, core, lambda h, k=kernel: h.parallel_for(k.work_items, k)
-            )
-    queue.wait()
 
 
 def _twin_queues(spec: GPUSpec, plan, trace_pair=(None, None), power_limit_w=None):
@@ -158,7 +141,7 @@ def check_queue_batched_vs_scalar(spec: GPUSpec = NVIDIA_V100) -> list[CheckResu
     plan = plan_from_sweeps(spec, kernels, _targets())
     requests = _workload(spec, kernels)
     scalar_q, batched_q = _twin_queues(spec, plan)
-    _run_scalar(scalar_q, requests)
+    replay_per_event(scalar_q, requests)
     result = batched_q.submit_batch(requests)
     batched_q.wait()
 
@@ -220,7 +203,7 @@ def check_throttled_batch(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
             )
         )
     scalar_q, batched_q = _twin_queues(spec, None, power_limit_w=limit)
-    _run_scalar(scalar_q, requests)
+    replay_per_event(scalar_q, requests)
     result = batched_q.submit_batch(requests)
     batched_q.wait()
     context = f"power limit {limit:.0f} W@{spec.name}"
@@ -288,38 +271,6 @@ def check_empty_batches(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
     return results
 
 
-def check_profiler_window_energies(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
-    """Batched window integration equals per-event profiling."""
-    from repro.engine.payload import plan_from_sweeps
-
-    kernels = _kernels()
-    plan = plan_from_sweeps(spec, kernels, _targets())
-    requests = _workload(spec, kernels, rounds=2)
-    _, queue = _twin_queues(spec, plan)
-    queue.submit_batch(requests)
-    queue.wait()
-    events = list(queue.events)
-    per_event_true = [
-        queue.kernel_energy_consumption(e, true_value=True) for e in events
-    ]
-    batched_true = queue.profiler.window_energies(events, true_value=True)
-    per_event_sampled = [queue.kernel_energy_consumption(e) for e in events]
-    batched_sampled = queue.profiler.window_energies(events)
-    return [
-        _arrays_equal(
-            "engine.window_energies_true",
-            f"{len(events)} windows@{spec.name}",
-            (per_event_true, batched_true),
-            rtol=SCALAR_PATH_RTOL,
-        ),
-        _arrays_equal(
-            "engine.window_energies_sampled",
-            f"{len(events)} windows@{spec.name}",
-            (per_event_sampled, batched_sampled),
-        ),
-    ]
-
-
 def check_traced_counter_parity(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
     """Batched runs count the same work the scalar path counts."""
     from repro.engine.payload import plan_from_sweeps
@@ -330,7 +281,7 @@ def check_traced_counter_parity(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult
     requests = _workload(spec, kernels, rounds=2)
     tr1, tr2 = TraceSession(), TraceSession()
     scalar_q, batched_q = _twin_queues(spec, plan, trace_pair=(tr1, tr2))
-    _run_scalar(scalar_q, requests)
+    replay_per_event(scalar_q, requests)
     batched_q.submit_batch(requests)
     batched_q.wait()
     names = ("queue.kernels_executed", "freq.switches", "predict.plan_lookups")
@@ -390,7 +341,7 @@ def check_faulted_batch(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
         scalar_q, batched_q = _twin_queues(spec, plan, trace_pair=(tr1, tr2))
         scalar_q.gpu.fault_injector = fault_plan.injector(tr1)
         batched_q.gpu.fault_injector = fault_plan.injector(tr2)
-        _run_scalar(scalar_q, requests)
+        replay_per_event(scalar_q, requests)
         result = batched_q.submit_batch(requests)
         batched_q.wait()
 
@@ -469,8 +420,9 @@ def check_faulted_batch(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
 
 
 def check_scheduler_batched_vs_scalar(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
-    """Twin clusters: ``submit_many``+batched payloads vs scalar jobs."""
-    from repro.engine.batch import JobBatch
+    """Twin clusters: ``submit_many``+batched payloads vs per-event jobs."""
+    import numpy as np
+
     from repro.engine.payload import KernelBatchPayload, plan_from_sweeps
     from repro.slurm.cluster import NVGPUFREQ_GRES, Cluster
     from repro.slurm.job import JobSpec
@@ -492,8 +444,8 @@ def check_scheduler_batched_vs_scalar(spec: GPUSpec = NVIDIA_V100) -> list[Check
                 n_nodes=1,
                 exclusive=True,
                 gres=frozenset({NVGPUFREQ_GRES}),
-                payload=KernelBatchPayload(
-                    requests=requests, plan=plan, batched=batched
+                payload=(KernelBatchPayload if batched else PerEventPayload)(
+                    requests=requests, plan=plan
                 ),
             )
             for i in range(4)
@@ -502,7 +454,17 @@ def check_scheduler_batched_vs_scalar(spec: GPUSpec = NVIDIA_V100) -> list[Check
             jobs = scheduler.submit_many(specs)
         else:
             jobs = [scheduler.submit(s) for s in specs]
-        return JobBatch.collect(jobs), jobs
+        # NaN where a job never started, ended or was accounted.
+        agg = {
+            key: np.asarray([getattr(j, attr) for j in jobs], dtype=float)
+            for key, attr in (
+                ("start_s", "start_time_s"),
+                ("end_s", "end_time_s"),
+                ("gpu_energy_j", "gpu_energy_j"),
+            )
+        }
+        agg["state"] = [j.state.value for j in jobs]
+        return agg, jobs
 
     scalar_agg, scalar_jobs = run(batched=False)
     batched_agg, batched_jobs = run(batched=True)
@@ -544,7 +506,6 @@ def run_engine_checks(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
         check_queue_batched_vs_scalar(spec)
         + check_throttled_batch(spec)
         + check_empty_batches(spec)
-        + check_profiler_window_energies(spec)
         + check_traced_counter_parity(spec)
         + check_faulted_batch(spec)
         + check_scheduler_batched_vs_scalar(spec)

@@ -17,22 +17,33 @@ rel 1e-12 (it splits busy segments at clock changes and sums with
 evaluate the timing and power models one clock pair at a time; the
 broadcasted sweeps must match them to rel 1e-12 (NumPy ``pow`` and
 scalar libm ``pow`` differ by ~1 ulp).
+:func:`replay_per_event` submits a request stream one
+``SynergyQueue.submit`` call at a time, and :class:`PerEventPayload`
+does so on every GPU of a job: the per-event twins of
+``SynergyQueue.submit_batch`` and
+:class:`repro.engine.payload.KernelBatchPayload` in the engine
+differential contract.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.common.errors import SimulationError
 from repro.common.rng import derive_seed, make_rng
+from repro.core.compiler import FrequencyPlan
+from repro.core.queue import SynergyQueue
 from repro.experiments.sweep import FrequencySweep2D
 from repro.hw.power import PowerModel
 from repro.hw.timing import TimingModel
+from repro.kernelir.kernel import KernelIR
+from repro.metrics.targets import EnergyTarget
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import FlatTree, n_candidate_features
+from repro.slurm.job import JobContext
 
 
 def _best_split(xb, yb, features, min_leaf, total_sum, total_sq):
@@ -278,3 +289,48 @@ def _gap_energy_reference(gpu, t0: float, t1: float) -> float:
         energy += gpu.power_model.idle_power(core, mem) * (boundary - cursor)
         cursor = boundary
     return energy
+
+
+def _launch(kernel: KernelIR):
+    """The command group of one dependency-free kernel launch."""
+    return lambda h: h.parallel_for(kernel.work_items, kernel)
+
+
+def replay_per_event(queue: SynergyQueue, requests) -> None:
+    """Submit ``requests`` one ``queue.submit`` call at a time, then wait.
+
+    Each submit-style item — a bare :class:`KernelIR`,
+    ``(EnergyTarget, kernel)`` or ``(mem_mhz, core_mhz, kernel)`` — is
+    submitted in its own form, so clock resolution, switch charges and
+    energy integration all take the per-event path.
+    """
+    for item in requests:
+        if isinstance(item, KernelIR):
+            queue.submit(_launch(item))
+        elif isinstance(item[0], EnergyTarget):
+            queue.submit(item[0], _launch(item[1]))
+        else:
+            queue.submit(item[0], item[1], _launch(item[2]))
+    queue.wait()
+
+
+@dataclass(frozen=True)
+class PerEventPayload:
+    """Job payload replaying ``requests`` per event on every allocated GPU.
+
+    Returns the per-GPU queue summaries under ``"gpus"``, like
+    :class:`repro.engine.payload.KernelBatchPayload`.
+    """
+
+    requests: tuple
+    plan: FrequencyPlan | None = None
+
+    def __call__(self, context: JobContext) -> dict[str, object]:
+        summaries = []
+        for gpu in context.gpus:
+            queue = SynergyQueue(
+                gpu, plan=self.plan, trace=context.trace, validate=context.validator
+            )
+            replay_per_event(queue, self.requests)
+            summaries.append(queue.summary())
+        return {"gpus": summaries}

@@ -160,6 +160,23 @@ class TestListing3Targets:
         e = q.submit(MIN_EDP, lambda h: h.parallel_for(kernel.work_items, kernel))
         assert e.record.core_mhz in NVIDIA_V100.core_freqs_mhz
 
+    def test_plan_or_predictor_for_another_device_rejected(
+        self, v100, mi100, kernel, trained_bundle
+    ):
+        from repro.core.predictor import FrequencyPredictor
+        from repro.engine.payload import plan_from_sweeps
+        from repro.hw.specs import NVIDIA_A100
+
+        cases = (
+            (v100, {"plan": plan_from_sweeps(NVIDIA_A100, [kernel], [MIN_EDP])}),
+            (mi100, {"predictor": FrequencyPredictor(trained_bundle, NVIDIA_V100)}),
+        )
+        for gpu, kwargs in cases:
+            with pytest.raises(ConfigurationError, match="the queue's board"):
+                SynergyQueue(gpu, **kwargs)
+            assert gpu.records == []
+            assert gpu.clock.now == 0.0 and gpu.clock_set_calls == 0
+
     def test_bad_submit_signature(self, queue, kernel):
         with pytest.raises(ValidationError):
             queue.submit("MIN_EDP", lambda h: None)

@@ -24,14 +24,12 @@ from repro.common.errors import (
 from repro.core.queue import SynergyQueue
 from repro.engine import (
     BatchResult,
-    JobBatch,
     KernelBatch,
     KernelBatchPayload,
     plan_from_sweeps,
 )
 from repro.hw.device import SimulatedGPU
 from repro.hw.specs import NVIDIA_V100
-from repro.kernelir.kernel import KernelIR
 from repro.metrics.targets import (
     DEADLINE,
     MAX_PERF,
@@ -40,6 +38,7 @@ from repro.metrics.targets import (
     SLA_SLACK,
 )
 from repro.obs.session import TraceSession
+from repro.validate.reference import PerEventPayload, replay_per_event
 
 pytestmark = pytest.mark.engine
 
@@ -67,25 +66,6 @@ def kernel_pool():
 @pytest.fixture(scope="module")
 def plan(kernel_pool):
     return plan_from_sweeps(NVIDIA_V100, kernel_pool, TARGETS)
-
-
-def _scalar_replay(queue: SynergyQueue, requests) -> None:
-    from repro.metrics.targets import EnergyTarget
-
-    for item in requests:
-        if isinstance(item, KernelIR):
-            queue.submit(lambda h, k=item: h.parallel_for(k.work_items, k))
-        elif isinstance(item[0], EnergyTarget):
-            target, kernel = item
-            queue.submit(
-                target, lambda h, k=kernel: h.parallel_for(k.work_items, k)
-            )
-        else:
-            mem, core, kernel = item
-            queue.submit(
-                mem, core, lambda h, k=kernel: h.parallel_for(k.work_items, k)
-            )
-    queue.wait()
 
 
 def _assert_twin_parity(scalar_gpu: SimulatedGPU, batched_gpu: SimulatedGPU):
@@ -129,10 +109,6 @@ class TestKernelBatch:
         batch = KernelBatch.from_requests([(877, 123456, kernel_pool[0])])
         with pytest.raises(ConfigurationError, match="unsupported core"):
             batch.validate_explicit_clocks(NVIDIA_V100)
-
-    def test_job_batch_rejects_non_specs(self):
-        with pytest.raises(ValidationError, match="JobSpec"):
-            JobBatch.from_specs(["nope"])
 
 
 # ------------------------------------------------------------- empty edges
@@ -191,7 +167,7 @@ class TestFallbacks:
         scalar_gpu = SimulatedGPU(NVIDIA_V100)
         scalar_gpu.set_api_restriction(True)
         with pytest.raises(Exception) as scalar_exc:
-            _scalar_replay(SynergyQueue(scalar_gpu, plan=plan), requests)
+            replay_per_event(SynergyQueue(scalar_gpu, plan=plan), requests)
         batched_gpu = SimulatedGPU(NVIDIA_V100)
         batched_gpu.set_api_restriction(True)
         with pytest.raises(Exception) as batched_exc:
@@ -209,7 +185,7 @@ class TestFallbacks:
     def test_validator_fallback_matches_scalar_twin(self, kernel_pool, plan):
         requests = [(t, k) for t in (MIN_EDP, MAX_PERF) for k in kernel_pool]
         scalar_gpu = SimulatedGPU(NVIDIA_V100)
-        _scalar_replay(SynergyQueue(scalar_gpu, plan=plan, validate=True), requests)
+        replay_per_event(SynergyQueue(scalar_gpu, plan=plan, validate=True), requests)
         batched_gpu = SimulatedGPU(NVIDIA_V100)
         batched_queue = SynergyQueue(batched_gpu, plan=plan, validate=True)
         result = batched_queue.submit_batch(requests)
@@ -244,67 +220,91 @@ class TestBulkDeviceAPIs:
             v100.apply_clock_plan([0.5, 1.0], [(1523, 877), (1523, 1)])
         assert v100._clock_values == history
 
-    def test_window_energies_parity_and_device_check(self, v100, kernel_pool):
-        queue = SynergyQueue(v100)
-        result = queue.submit_batch([(877, 1380, k) for k in kernel_pool])
-        per_event = [
-            queue.kernel_energy_consumption(e, true_value=True)
-            for e in result.events
-        ]
-        batched = queue.profiler.window_energies(result.events, true_value=True)
-        np.testing.assert_allclose(batched, per_event, rtol=RTOL)
-        assert queue.profiler.window_energies([]).shape == (0,)
-        other = SynergyQueue(SimulatedGPU(NVIDIA_V100))
-        with pytest.raises(ValidationError, match="different device"):
-            other.profiler.window_energies(result.events)
-
 
 # ------------------------------------------------------ scheduler batching
 
 
+def _nvgpufreq_scheduler(n_nodes: int = 2, trace=None):
+    from repro.slurm.cluster import NVGPUFREQ_GRES, Cluster
+    from repro.slurm.plugin import NvGpuFreqPlugin
+    from repro.slurm.scheduler import Scheduler
+
+    cluster = Cluster.build(
+        NVIDIA_V100, n_nodes=n_nodes, gpus_per_node=1, gres={NVGPUFREQ_GRES},
+        trace=trace,
+    )
+    return Scheduler(cluster, plugins=[NvGpuFreqPlugin(trace=trace)])
+
+
+def _job_spec(name: str, payload):
+    from repro.slurm.cluster import NVGPUFREQ_GRES
+    from repro.slurm.job import JobSpec
+
+    return JobSpec(
+        name=name, n_nodes=1, exclusive=True,
+        gres=frozenset({NVGPUFREQ_GRES}), payload=payload,
+    )
+
+
 class TestSubmitMany:
     def test_batched_accounting_matches_scalar(self, kernel_pool, plan):
-        from repro.slurm.cluster import NVGPUFREQ_GRES, Cluster
-        from repro.slurm.job import JobSpec
-        from repro.slurm.plugin import NvGpuFreqPlugin
-        from repro.slurm.scheduler import Scheduler
-
         requests = tuple((t, k) for t in (MIN_EDP, MAX_PERF) for k in kernel_pool)
 
         def run(batched: bool):
-            cluster = Cluster.build(
-                NVIDIA_V100, n_nodes=2, gpus_per_node=1, gres={NVGPUFREQ_GRES}
+            scheduler = _nvgpufreq_scheduler()
+            payload = (KernelBatchPayload if batched else PerEventPayload)(
+                requests=requests, plan=plan
             )
-            scheduler = Scheduler(cluster, plugins=[NvGpuFreqPlugin()])
-            specs = [
-                JobSpec(
-                    name=f"job-{i}",
-                    n_nodes=1,
-                    exclusive=True,
-                    gres=frozenset({NVGPUFREQ_GRES}),
-                    payload=KernelBatchPayload(
-                        requests=requests, plan=plan, batched=batched
-                    ),
-                )
-                for i in range(3)
-            ]
+            specs = [_job_spec(f"job-{i}", payload) for i in range(3)]
             if batched:
                 return scheduler.submit_many(specs)
             return [scheduler.submit(spec) for spec in specs]
 
         scalar_jobs = run(False)
         batched_jobs = run(True)
-        scalar_agg = JobBatch.collect(scalar_jobs)
-        batched_agg = JobBatch.collect(batched_jobs)
-        assert list(scalar_agg["state"]) == ["COMPLETED"] * 3
-        assert list(batched_agg["state"]) == ["COMPLETED"] * 3
+        for jobs in (scalar_jobs, batched_jobs):
+            assert [j.state.value for j in jobs] == ["COMPLETED"] * 3
         np.testing.assert_allclose(
-            batched_agg["gpu_energy_j"], scalar_agg["gpu_energy_j"], rtol=RTOL
+            [j.gpu_energy_j for j in batched_jobs],
+            [j.gpu_energy_j for j in scalar_jobs],
+            rtol=RTOL,
         )
         np.testing.assert_allclose(
-            batched_agg["end_s"], scalar_agg["end_s"], rtol=RTOL
+            [j.end_time_s for j in batched_jobs],
+            [j.end_time_s for j in scalar_jobs],
+            rtol=RTOL,
         )
 
+    def test_rejects_non_jobspec_before_any_job_runs(self, kernel_pool):
+        ok = _job_spec("ok", KernelBatchPayload(requests=(kernel_pool[0],)))
+        for submit, arg, shown in (
+            ("submit", "nope", "'nope'"),
+            ("submit_many", "nope", "'nope'"),
+            ("submit_many", None, "None"),
+            ("submit_many", [ok, "nope"], "'nope'"),
+        ):
+            scheduler = _nvgpufreq_scheduler()
+            with pytest.raises(ValidationError, match=f"JobSpec, got {shown}$"):
+                getattr(scheduler, submit)(arg)
+            assert scheduler.jobs == {}
+            assert not any(
+                g.records for n in scheduler.cluster.nodes for g in n.gpus
+            )
+
+    def test_owner_tags_every_kernel_span(self, kernel_pool, plan):
+        requests = ((MIN_EDP, kernel_pool[0]), kernel_pool[1])
+        for owner in ("tenant-a", None):
+            trace = TraceSession()
+            scheduler = _nvgpufreq_scheduler(n_nodes=1, trace=trace)
+            payload = KernelBatchPayload(requests=requests, plan=plan, owner=owner)
+            job = scheduler.submit_many([_job_spec("tagged", payload)])[0]
+            assert job.state.value == "COMPLETED"
+            spans = [sp for sp in trace.tracer.spans if sp.category == "queue.kernel"]
+            assert len(spans) == len(requests)
+            if owner is None:
+                assert all("owner" not in sp.attrs for sp in spans)
+            else:
+                assert all(sp.attrs["owner"] == owner for sp in spans)
 
 
 # ------------------------------------------------------------ batch result
@@ -356,7 +356,7 @@ class TestBatchScalarProperties:
     @settings(max_examples=25, deadline=None)
     def test_elementwise_parity_with_scalar_path(self, plan, requests):
         scalar_gpu = SimulatedGPU(NVIDIA_V100)
-        _scalar_replay(SynergyQueue(scalar_gpu, plan=plan), requests)
+        replay_per_event(SynergyQueue(scalar_gpu, plan=plan), requests)
         batched_gpu = SimulatedGPU(NVIDIA_V100)
         batched_queue = SynergyQueue(batched_gpu, plan=plan)
         result = batched_queue.submit_batch(requests)
@@ -422,7 +422,7 @@ def _faulted_twins(plan, requests, faults, validate=False):
         gpu.fault_injector = fault_plan.injector()
         queues.append(SynergyQueue(gpu, plan=plan, validate=validate))
     scalar_q, batched_q = queues
-    _scalar_replay(scalar_q, requests)
+    replay_per_event(scalar_q, requests)
     result = batched_q.submit_batch(requests)
     batched_q.wait()
     return scalar_q, batched_q, result

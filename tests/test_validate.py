@@ -227,6 +227,34 @@ def test_differential_harness_all_green():
     ]
 
 
+def test_reference_oracles_are_imported_only_by_the_validation_plane():
+    """No module outside ``repro.validate`` imports the reference oracles,
+    so an oracle never shares code with the production path it checks."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    oracle = "repro.validate.reference"
+    src = Path(repro.__file__).parent.parent
+    importers = []
+    for path in sorted(src.glob("repro/**/*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        if module.startswith("repro.validate"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+                names += [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if oracle in names:
+                importers.append(f"{module}:{node.lineno}")
+    assert importers == []
+
+
 # --------------------------------------------------------- inline validator
 
 def _fake_event(**overrides):
