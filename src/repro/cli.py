@@ -1,49 +1,34 @@
 """Command-line interface.
 
 ``python -m repro.cli <command>`` (or the ``repro-synergy`` entry point)
-exposes the deployment and analysis workflows:
-
-- ``devices`` — the Figure 1 frequency inventory,
-- ``characterize`` — per-kernel Pareto summary on a device (Figs. 2/7/8),
-- ``sweep`` — per-target frequency selections for one benchmark,
-- ``train`` — fit the §6.1 models on micro-benchmarks and save the bundle,
-- ``compile`` — per-kernel frequency plan for a set of benchmarks,
-- ``accuracy`` — the Table 2 error analysis,
-- ``scaling`` — the Fig. 10 weak-scaling experiment,
-- ``fine-vs-coarse`` — the §2.2 tuning-granularity comparison,
-- ``faults`` — the chaos sweep: energy-target quality vs injected faults,
-- ``adapt`` — the deadline-aware adaptive-DVFS chaos comparison: drift
-  detection and the degradation ladder vs a stale static plan under
-  injected thermal-throttle windows (see ``docs/RESILIENCE.md``),
-- ``trace`` — run a seeded observability scenario and export its Chrome
-  trace and metrics documents (see ``docs/OBSERVABILITY.md``),
-- ``validate`` — run the invariant catalog and differential harness over
-  the golden scenarios, including the batched-engine/scalar parity
-  section (``--only engine``; see ``docs/VALIDATION.md``); ``--strict``
-  also fails on warnings and is the CI gate in ``scripts/check.sh``,
-- ``analyze`` — run the §6.1 static-analysis front end over one kernel
-  (``module:fn``, ``file.py:fn`` or a backed kernel name) and print its
-  Table-1 features, locality and diagnostics (see ``docs/FRONTEND.md``),
-- ``lint`` — the repo-wide determinism linter (banned wall-clock reads,
-  global RNG state, exact float equality),
-- ``distributed`` — run the distributed command-graph scheduler over a
-  halo-exchange stencil under a global energy-target plan (see
-  ``docs/DISTRIBUTED.md``).
-
-Performance is measured by the end-to-end harness in ``bench/`` (see
-``bench/README.md``), not by a subcommand.
+runs the deployment and analysis workflows. Every command is declared
+once, in :data:`COMMANDS`; ``repro-synergy --help`` lists them, and
+:func:`main` documents the exit codes. Performance is measured by the
+end-to-end harness in ``bench/`` (see ``bench/README.md``), not by a
+subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
+import inspect
 import sys
-from typing import Sequence
+import textwrap
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, Callable, Sequence
 
+from repro.adapt.chaos import run_thermal_drift_comparison
+from repro.analysis.scenarios import deadline_demo
 from repro.apps import BENCHMARK_NAMES, CloverLeaf, MiniWeather, get_benchmark
-from repro.core.compiler import SynergyCompiler
+from repro.common.errors import ConfigurationError, ValidationError
+from repro.core.compiler import SynergyCompiler, plan_global_frequencies
 from repro.core.models import EnergyModelBundle
 from repro.core.persistence import load_bundle, save_bundle
+from repro.core.sweepcache import scoped_cache
+from repro.distributed import build_comm, build_stencil_graph, run_graph
 from repro.experiments.accuracy import run_accuracy_analysis
 from repro.experiments.characterization import characterize, fine_vs_coarse
 from repro.experiments.export import (
@@ -63,17 +48,58 @@ from repro.experiments.training import (
     microbench_training_set,
     train_bundles,
 )
+from repro.faults import FaultSpec
+from repro.frontend import DeviceKernel, analyze_source
+from repro.frontend.kernels import KERNELS
+from repro.frontend.lint import default_lint_root, lint_paths
 from repro.hw.specs import get_spec, known_devices
+from repro.kernelir.features import FEATURE_NAMES
 from repro.metrics.targets import EnergyTarget
+from repro.obs.export import write_metrics_json, write_trace_json
+from repro.obs.scenarios import (
+    SCENARIOS,
+    certify_scenarios,
+    golden_scenarios,
+    run_scenario,
+)
+from repro.service.loadgen import run_service_session
+from repro.validate.analysis import (
+    check_deadline_demo,
+    check_scenario_certificates,
+)
+from repro.validate.runner import SECTIONS, run_validation
+
+#: What a command's run function returns: its exit code and the document
+#: ``main`` writes to ``--json`` (``None`` for commands without one).
+Outcome = tuple[int, dict[str, Any] | None]
+
+#: The MPI mini-apps behind ``--app``.
+APPS = {"cloverleaf": CloverLeaf, "miniweather": MiniWeather}
 
 
 def _parse_targets(names: Sequence[str]) -> list[EnergyTarget]:
     return [EnergyTarget.parse(n) for n in names]
 
 
+def _app_factory(args: argparse.Namespace) -> Callable[[], Any]:
+    return functools.partial(APPS[args.app], steps=args.steps)
+
+
+def _load_bundle(args: argparse.Namespace) -> EnergyModelBundle | None:
+    """The ``--bundle`` models, or ``None`` to have the experiment train."""
+    if args.bundle:
+        return load_bundle(args.bundle)
+    print("no --bundle given; training default models ...", file=sys.stderr)
+    return None
+
+
+def _print_table(headers: list[str], rows: list, title: str) -> None:
+    print(format_table(headers, rows, title=title))
+
+
 # ------------------------------------------------------------------ commands
 
-def _cmd_devices(args: argparse.Namespace) -> int:
+def _cmd_devices(args: argparse.Namespace) -> Outcome:
     rows = []
     for name in known_devices():
         spec = get_spec(name)
@@ -87,18 +113,16 @@ def _cmd_devices(args: argparse.Namespace) -> int:
                 spec.default_core_mhz,
             ]
         )
-    print(
-        format_table(
-            ["id", "device", "#core configs", "core range (MHz)", "mem (MHz)",
-             "default (MHz)"],
-            rows,
-            title="Known devices (Figure 1)",
-        )
+    _print_table(
+        ["id", "device", "#core configs", "core range (MHz)", "mem (MHz)",
+         "default (MHz)"],
+        rows,
+        title="Known devices (Figure 1)",
     )
-    return 0
+    return 0, None
 
 
-def _cmd_characterize(args: argparse.Namespace) -> int:
+def _cmd_characterize(args: argparse.Namespace) -> Outcome:
     spec = get_spec(args.device)
     names = args.benchmarks if args.benchmarks else list(BENCHMARK_NAMES)
     rows = []
@@ -115,22 +139,17 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
                 c.default_is_pareto,
             ]
         )
-    print(
-        format_table(
-            ["benchmark", "pareto speedup", "max saving", "loss @ max",
-             "default on front"],
-            rows,
-            title=f"Characterization on {spec.name}",
-        )
+    _print_table(
+        ["benchmark", "pareto speedup", "max saving", "loss @ max",
+         "default on front"],
+        rows,
+        title=f"Characterization on {spec.name}",
     )
-    if args.json:
-        write_json({"kind": "characterization_set", "device": spec.name,
-                    "benchmarks": exported}, args.json)
-        print(f"wrote {args.json}", file=sys.stderr)
-    return 0
+    return 0, {"kind": "characterization_set", "device": spec.name,
+               "benchmarks": exported}
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> Outcome:
     spec = get_spec(args.device)
     sweep = sweep_kernel(spec, get_benchmark(args.benchmark).kernel)
     rows = []
@@ -144,17 +163,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"{sweep.speedup[idx]:.3f}x",
             ]
         )
-    print(
-        format_table(
-            ["target", "core MHz", "energy saving", "speedup"],
-            rows,
-            title=f"{args.benchmark} on {spec.name} (measured sweep)",
-        )
+    _print_table(
+        ["target", "core MHz", "energy saving", "speedup"],
+        rows,
+        title=f"{args.benchmark} on {spec.name} (measured sweep)",
     )
-    return 0
+    return 0, None
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
+def _cmd_train(args: argparse.Namespace) -> Outcome:
     spec = get_spec(args.device)
     print(
         f"training on micro-benchmarks: device={spec.name} "
@@ -171,12 +188,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
         bundle = make_bundle(args.algorithm).fit(training)
     path = save_bundle(bundle, args.out)
     print(f"saved bundle ({training.n_samples} training rows) to {path}")
-    return 0
+    return 0, None
 
 
-def _cmd_compile(args: argparse.Namespace) -> int:
+def _cmd_compile(args: argparse.Namespace) -> Outcome:
     spec = get_spec(args.device)
-    bundle = load_bundle(args.bundle)
+    bundle = _load_bundle(args)
     kernels = [get_benchmark(n).kernel for n in args.benchmarks]
     targets = _parse_targets(args.targets)
     app = SynergyCompiler(bundle, spec).compile(kernels, targets)
@@ -184,17 +201,15 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         [kernel, target, f"{mem}", f"{core}"]
         for (kernel, target), (mem, core) in sorted(app.plan.entries.items())
     ]
-    print(
-        format_table(
-            ["kernel", "target", "mem MHz", "core MHz"],
-            rows,
-            title=f"Frequency plan for {spec.name}",
-        )
+    _print_table(
+        ["kernel", "target", "mem MHz", "core MHz"],
+        rows,
+        title=f"Frequency plan for {spec.name}",
     )
-    return 0
+    return 0, None
 
 
-def _cmd_accuracy(args: argparse.Namespace) -> int:
+def _cmd_accuracy(args: argparse.Namespace) -> Outcome:
     spec = get_spec(args.device)
     print(
         f"training {len(args.algorithms)} model families on {spec.name} "
@@ -206,9 +221,6 @@ def _cmd_accuracy(args: argparse.Namespace) -> int:
     )
     bundles = train_bundles(spec, training=training, algorithms=args.algorithms)
     analysis = run_accuracy_analysis(spec, bundles=bundles)
-    if args.json:
-        write_json(accuracy_to_dict(analysis), args.json)
-        print(f"wrote {args.json}", file=sys.stderr)
     headers = ["objective"]
     for algorithm in args.algorithms:
         headers += [f"{algorithm} RMSE", f"{algorithm} MAPE"]
@@ -225,27 +237,17 @@ def _cmd_accuracy(args: argparse.Namespace) -> int:
             ]
         cells.append(row["best"])
         rows.append(cells)
-    print(format_table(headers, rows, title="Table 2 - error analysis"))
-    return 0
+    _print_table(headers, rows, title="Table 2 - error analysis")
+    return 0, accuracy_to_dict(analysis)
 
 
-def _cmd_scaling(args: argparse.Namespace) -> int:
-    factory = {
-        "cloverleaf": lambda: CloverLeaf(steps=args.steps),
-        "miniweather": lambda: MiniWeather(steps=args.steps),
-    }[args.app]
-    bundle = load_bundle(args.bundle) if args.bundle else None
-    if bundle is None:
-        print("no --bundle given; training default models ...", file=sys.stderr)
+def _cmd_scaling(args: argparse.Namespace) -> Outcome:
     result = run_scaling_experiment(
-        factory,
+        _app_factory(args),
         gpu_counts=tuple(args.gpus),
         targets=_parse_targets(args.targets),
-        bundle=bundle,
+        bundle=_load_bundle(args),
     )
-    if args.json:
-        write_json(scaling_to_dict(result), args.json)
-        print(f"wrote {args.json}", file=sys.stderr)
     rows = [
         [
             p.n_gpus,
@@ -256,34 +258,24 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         ]
         for p in result.points
     ]
-    print(
-        format_table(
-            ["GPUs", "target", "time (s)", "GPU energy (J)", "saving"],
-            rows,
-            title=f"{args.app} weak scaling (Figure 10)",
-        )
+    _print_table(
+        ["GPUs", "target", "time (s)", "GPU energy (J)", "saving"],
+        rows,
+        title=f"{args.app} weak scaling (Figure 10)",
     )
-    return 0
+    return 0, scaling_to_dict(result)
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.faults import FaultSpec
-
-    factory = {
-        "cloverleaf": lambda: CloverLeaf(steps=args.steps),
-        "miniweather": lambda: MiniWeather(steps=args.steps),
-    }[args.app]
+def _cmd_faults(args: argparse.Namespace) -> Outcome:
     extra: tuple[FaultSpec, ...] = ()
     spare = 0
     if args.node_fail_at is not None:
         extra = (FaultSpec(site="slurm.node_fail", at_s=args.node_fail_at),)
         spare = 1  # keep a healthy node for the requeue
-    bundle = load_bundle(args.bundle) if args.bundle else None
-    if bundle is None:
-        print("no --bundle given; training default models ...", file=sys.stderr)
+    bundle = _load_bundle(args)
     target = None if args.target == "default" else EnergyTarget.parse(args.target)
     result = run_fault_sweep(
-        factory,
+        _app_factory(args),
         rates=tuple(args.rates),
         seed=args.seed,
         n_nodes=args.nodes,
@@ -292,9 +284,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         bundle=bundle,
         extra_specs=extra,
     )
-    if args.json:
-        write_json(chaos_to_dict(result), args.json)
-        print(f"wrote {args.json}", file=sys.stderr)
     rows = [
         [
             f"{p.fault_rate:g}",
@@ -309,31 +298,23 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         ]
         for p in result.points
     ]
-    print(
-        format_table(
-            ["rate", "state", "requeues", "time (s)", "GPU energy (J)",
-             "retries", "degraded", "faults", "recoveries"],
-            rows,
-            title=f"{args.app} chaos sweep (target {result.target_name}, "
-            f"seed {result.seed})",
-        )
+    _print_table(
+        ["rate", "state", "requeues", "time (s)", "GPU energy (J)",
+         "retries", "degraded", "faults", "recoveries"],
+        rows,
+        title=f"{args.app} chaos sweep (target {result.target_name}, "
+        f"seed {result.seed})",
     )
-    return 0
+    return 0, chaos_to_dict(result)
 
 
-def _cmd_adapt(args: argparse.Namespace) -> int:
-    from repro.adapt.chaos import run_thermal_drift_comparison
-    from repro.core.sweepcache import scoped_cache
-
+def _cmd_adapt(args: argparse.Namespace) -> Outcome:
     print(
         f"running thermal-drift chaos comparison (seed {args.seed}) ...",
         file=sys.stderr,
     )
     with scoped_cache():
         comparison = run_thermal_drift_comparison(seed=args.seed)
-    if args.json:
-        write_json(comparison.as_dict(), args.json)
-        print(f"wrote {args.json}", file=sys.stderr)
     rows = [
         [
             run.label,
@@ -349,26 +330,22 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
             comparison.adaptive_fault,
         )
     ]
-    print(
-        format_table(
-            ["run", "deadlines met", "time (s)", "GPU energy (J)", "saving"],
-            rows,
-            title=f"Thermal-drift chaos (deadline "
-            f"{comparison.deadlines_s[0]:.4f}s/stream, seed "
-            f"{comparison.seed})",
-        )
+    _print_table(
+        ["run", "deadlines met", "time (s)", "GPU energy (J)", "saving"],
+        rows,
+        title=f"Thermal-drift chaos (deadline "
+        f"{comparison.deadlines_s[0]:.4f}s/stream, seed "
+        f"{comparison.seed})",
     )
-    print(
-        format_table(
-            ["t (s)", "transition", "reason", "evidence"],
-            [
-                [f"{t['t']:.3f}", f"{t['from']} -> {t['to']}", t["reason"],
-                 t["detail"]]
-                for t in comparison.transitions
-            ],
-            title=f"Degradation ladder ({len(comparison.drift_events)} drift "
-            f"events, {comparison.refreshes} model refreshes)",
-        )
+    _print_table(
+        ["t (s)", "transition", "reason", "evidence"],
+        [
+            [f"{t['t']:.3f}", f"{t['from']} -> {t['to']}", t["reason"],
+             t["detail"]]
+            for t in comparison.transitions
+        ],
+        title=f"Degradation ladder ({len(comparison.drift_events)} drift "
+        f"events, {comparison.refreshes} model refreshes)",
     )
     print(
         f"recovered {comparison.recovery_fraction:.1%} of the pre-drift "
@@ -378,14 +355,10 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     missed = comparison.adaptive_fault.streams_missed
     if missed:
         print(f"adaptive run missed {missed} stream deadlines", file=sys.stderr)
-        return 1
-    return 0
+    return (1 if missed else 0), comparison.as_dict()
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.export import write_metrics_json, write_trace_json
-    from repro.obs.scenarios import run_scenario
-
+def _cmd_trace(args: argparse.Namespace) -> Outcome:
     print(
         f"running scenario {args.scenario!r} (seed {args.seed}) ...",
         file=sys.stderr,
@@ -401,20 +374,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     rows = [[cat, n] for cat, n in spans.items()]
     rows += [[f"{cat} (instant)", n]
              for cat, n in session.tracer.instant_counts().items()]
-    print(
-        format_table(
-            ["category", "events"],
-            rows,
-            title=f"Recorded events ({sum(spans.values())} spans)",
-        )
+    _print_table(
+        ["category", "events"],
+        rows,
+        title=f"Recorded events ({sum(spans.values())} spans)",
     )
-    return 0
+    return 0, None
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.obs.scenarios import golden_scenarios
-    from repro.validate.runner import run_validation
-
+def _cmd_validate(args: argparse.Namespace) -> Outcome:
     scenarios = tuple(args.scenario) if args.scenario else golden_scenarios()
     only = tuple(args.only) if args.only else None
     print(
@@ -433,27 +401,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         bad = [r for r in group if not r.passed]
         rows.append([name, len(group), len(group) - len(bad),
                      "ok" if not bad else bad[0].status.upper()])
-    print(
-        format_table(
-            ["check", "runs", "passed", "verdict"],
-            rows,
-            title=f"Validation plane ({len(report.results)} checks)",
-        )
+    _print_table(
+        ["check", "runs", "passed", "verdict"],
+        rows,
+        title=f"Validation plane ({len(report.results)} checks)",
     )
     for r in report.results:
         if not r.passed:
             print(f"{r.status:>4}  {r.name}: {r.detail}")
-    if args.json:
-        write_json(report.as_dict(), args.json)
-        print(f"wrote {args.json}", file=sys.stderr)
     ok = report.ok(strict=args.strict)
     print(f"validation {'passed' if ok else 'FAILED'} "
           f"({len(report.failures)} failures, {len(report.warnings)} warnings"
           f"{', strict' if args.strict else ''})")
-    return 0 if ok else 1
+    return (0 if ok else 1), report.as_dict()
 
 
-def _cmd_fine_vs_coarse(args: argparse.Namespace) -> int:
+def _cmd_fine_vs_coarse(args: argparse.Namespace) -> Outcome:
     spec = get_spec(args.device)
     kernels = [
         get_benchmark(n).kernel.with_name(f"{n}#{i}")
@@ -461,36 +424,26 @@ def _cmd_fine_vs_coarse(args: argparse.Namespace) -> int:
     ]
     target = EnergyTarget.parse(args.target)
     result = fine_vs_coarse(spec, kernels, target)
-    print(
-        format_table(
-            ["granularity", "energy (J)", "time (s)"],
-            [
-                ["coarse (best single f)", result.coarse_energy_j,
-                 result.coarse_time_s],
-                ["fine (per-kernel)", result.fine_energy_j, result.fine_time_s],
-            ],
-            title=f"{target.name} on {spec.name}: "
-            f"fine-grained advantage {result.fine_advantage:+.2%}",
-        )
+    _print_table(
+        ["granularity", "energy (J)", "time (s)"],
+        [
+            ["coarse (best single f)", result.coarse_energy_j,
+             result.coarse_time_s],
+            ["fine (per-kernel)", result.fine_energy_j, result.fine_time_s],
+        ],
+        title=f"{target.name} on {spec.name}: "
+        f"fine-grained advantage {result.fine_advantage:+.2%}",
     )
-    return 0
+    return 0, None
 
 
 def _resolve_analysis_target(target: str):
     """Resolve the ``analyze`` argument to (AnalysisResult, DeviceKernel|None).
 
     Accepts ``pkg.module:fn``, ``path/to/file.py:fn`` or the name of a
-    source-backed kernel from :mod:`repro.frontend.kernels`.
+    source-backed kernel from :mod:`repro.frontend.kernels`. A target that
+    cannot be found or imported raises :class:`ConfigurationError`.
     """
-    import importlib
-    import inspect
-    import textwrap
-    from pathlib import Path
-
-    from repro.common.errors import ConfigurationError
-    from repro.frontend import DeviceKernel, analyze_source
-    from repro.frontend.kernels import KERNELS
-
     if ":" in target:
         mod, _, fn = target.rpartition(":")
         if mod.endswith(".py"):
@@ -498,7 +451,11 @@ def _resolve_analysis_target(target: str):
             if not path.is_file():
                 raise ConfigurationError(f"no such kernel file: {mod}")
             return analyze_source(path.read_text(), fn_name=fn), None
-        obj = getattr(importlib.import_module(mod), fn, None)
+        try:
+            module = importlib.import_module(mod)
+        except ImportError as exc:
+            raise ConfigurationError(f"cannot import {mod!r}: {exc}") from exc
+        obj = getattr(module, fn, None)
         if obj is None:
             raise ConfigurationError(f"module {mod!r} has no attribute {fn!r}")
         if isinstance(obj, DeviceKernel):
@@ -534,23 +491,14 @@ def _resolve_analysis_target(target: str):
     )
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.common.errors import ConfigurationError, ValidationError
-    from repro.kernelir.features import FEATURE_NAMES
-
-    try:
-        analysis, dk = _resolve_analysis_target(args.kernel)
-    except (ConfigurationError, ValidationError, ImportError) as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return 2
+def _cmd_analyze(args: argparse.Namespace) -> Outcome:
+    analysis, dk = _resolve_analysis_target(args.kernel)
     counts = analysis.mix.as_dict()
     rows = [[name, f"{counts[name]:g}"] for name in FEATURE_NAMES]
-    print(
-        format_table(
-            ["feature", "static count / work-item"],
-            rows,
-            title=f"Table-1 features for kernel {analysis.name!r}",
-        )
+    _print_table(
+        ["feature", "static count / work-item"],
+        rows,
+        title=f"Table-1 features for kernel {analysis.name!r}",
     )
     est = analysis.locality_estimate
     pin = dk.pinned_locality if dk is not None else None
@@ -558,89 +506,58 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if pin is not None:
         line += f"; pinned to {pin:g} (calibrated)"
     print(line)
-    if args.json:
-        write_json(
-            {
-                "kind": "frontend_analysis",
-                "kernel": analysis.name,
-                "features": counts,
-                "locality_estimate": est.value,
-                "locality_pinned": pin,
-                "diagnostics": [d.as_dict() for d in analysis.diagnostics],
-                "races": [d.as_dict() for d in analysis.races],
-            },
-            args.json,
-        )
-        print(f"wrote {args.json}", file=sys.stderr)
+    doc = {
+        "kind": "frontend_analysis",
+        "kernel": analysis.name,
+        "features": counts,
+        "locality_estimate": est.value,
+        "locality_pinned": pin,
+        "diagnostics": [d.as_dict() for d in analysis.diagnostics],
+        "races": [d.as_dict() for d in analysis.races],
+    }
     findings = analysis.diagnostics + analysis.races
     if findings:
         print(f"{len(findings)} diagnostics:", file=sys.stderr)
         for d in findings:
             print(f"  {d.format()}", file=sys.stderr)
-        return 1
+        return 1, doc
     print(
         "diagnostics: none (kernel is inside the device-Python subset and "
         "race/bounds-clean)"
     )
-    return 0
+    return 0, doc
 
 
-def _tenant_rows(tenants: list[dict]) -> list[list[object]]:
-    """Wattlytics-style per-tenant accounting rows."""
-    return [
-        [
-            row["tenant"],
-            row["priority"],
-            row["target"],
-            row["shard"],
-            row["admitted"],
-            row["rejected"],
-            row["drained"],
-            f"{row['energy_j']:.3f}",
-            f"{row['saved_j']:.3f}",
-            "-" if row["p99_latency_s"] is None
-            else f"{row['p99_latency_s']:.3f}",
-        ]
-        for row in tenants
-    ]
-
-
-_TENANT_HEADERS = [
-    "tenant", "prio", "target", "shard", "admitted", "rejected",
-    "drained", "energy (J)", "saved (J)", "p99 lat (s)",
-]
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.common.errors import ConfigurationError, ValidationError
-    from repro.core.sweepcache import scoped_cache
-    from repro.service.loadgen import run_service_session
-
+def _cmd_serve(args: argparse.Namespace) -> Outcome:
     print(
         f"running service session (seed={args.seed}, tenants={args.tenants}, "
         f"submissions={args.submissions}, partitions={args.partitions}, "
         f"cycles={args.cycles}) ...",
         file=sys.stderr,
     )
-    try:
-        with scoped_cache():
-            service = run_service_session(
-                seed=args.seed,
-                n_tenants=args.tenants,
-                n_submissions=args.submissions,
-                n_partitions=args.partitions,
-                n_cycles=args.cycles,
-            )
-    except (ConfigurationError, ValidationError) as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    report = service.report()
-    print(
-        format_table(
-            _TENANT_HEADERS,
-            _tenant_rows(report["tenants"]),
-            title="Per-tenant accounting",
+    with scoped_cache():
+        service = run_service_session(
+            seed=args.seed,
+            n_tenants=args.tenants,
+            n_submissions=args.submissions,
+            n_partitions=args.partitions,
+            n_cycles=args.cycles,
         )
+    report = service.report()
+    # Wattlytics-style per-tenant accounting.
+    rows = [
+        [row["tenant"], row["priority"], row["target"], row["shard"],
+         row["admitted"], row["rejected"], row["drained"],
+         f"{row['energy_j']:.3f}", f"{row['saved_j']:.3f}",
+         "-" if row["p99_latency_s"] is None
+         else f"{row['p99_latency_s']:.3f}"]
+        for row in report["tenants"]
+    ]
+    _print_table(
+        ["tenant", "prio", "target", "shard", "admitted", "rejected",
+         "drained", "energy (J)", "saved (J)", "p99 lat (s)"],
+        rows,
+        title="Per-tenant accounting",
     )
     cluster = report["cluster"]
     p50, p99 = cluster["p50_latency_s"], cluster["p99_latency_s"]
@@ -655,67 +572,51 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.store:
         path = service.store.save(args.store)
         print(f"wrote {path} ({len(service.store)} events)", file=sys.stderr)
-    if args.json:
-        write_json(report, args.json)
-        print(f"wrote {args.json}", file=sys.stderr)
-    return 0
+    return 0, report
 
 
-def _cmd_distributed(args: argparse.Namespace) -> int:
-    from repro.common.errors import ConfigurationError, ValidationError
-    from repro.core.compiler import plan_global_frequencies
-    from repro.core.sweepcache import scoped_cache
-    from repro.distributed import build_comm, build_stencil_graph, run_graph
-
+def _cmd_distributed(args: argparse.Namespace) -> Outcome:
     print(
         f"distributed stencil graph (device={args.device}, "
         f"ranks={args.ranks}, steps={args.steps}, sla={args.sla}) ...",
         file=sys.stderr,
     )
-    try:
-        spec = get_spec(args.device)
-        with scoped_cache():
-            comm = build_comm(spec, args.ranks)
-            graph = build_stencil_graph(comm, steps=args.steps)
-            plan = plan_global_frequencies(
-                spec, graph.rank_kernels(), sla_factor=args.sla, cache=True
-            )
-            baseline = plan_global_frequencies(
-                spec, graph.rank_kernels(), sla_factor=args.sla,
-                objective="MAX_PERF", cache=True,
-            )
-            result = run_graph(graph, comm, plan)
-            ref = run_graph(graph, build_comm(spec, args.ranks), baseline)
-    except (ConfigurationError, ValidationError) as exc:
-        print(f"distributed: {exc}", file=sys.stderr)
-        return 2
+    spec = get_spec(args.device)
+    with scoped_cache():
+        comm = build_comm(spec, args.ranks)
+        graph = build_stencil_graph(comm, steps=args.steps)
+        plan = plan_global_frequencies(
+            spec, graph.rank_kernels(), sla_factor=args.sla, cache=True
+        )
+        baseline = plan_global_frequencies(
+            spec, graph.rank_kernels(), sla_factor=args.sla,
+            objective="MAX_PERF", cache=True,
+        )
+        result = run_graph(graph, comm, plan)
+        ref = run_graph(graph, build_comm(spec, args.ranks), baseline)
     counts = graph.counts()
     slack = sum(t != "MAX_PERF" for t in plan.rank_targets)
     if args.ranks <= 16:
-        print(
-            format_table(
-                ["rank", "target", "core (MHz)", "time (s)", "energy (J)",
-                 "switches"],
-                [[
-                    r, plan.rank_targets[r], plan.rank_clocks[r][1],
-                    f"{result.rank_time_s[r]:.6f}",
-                    f"{result.rank_energy_j[r]:.3f}",
-                    int(result.rank_switches[r]),
-                ] for r in range(args.ranks)],
-                title="Per-rank plan & execution",
-            )
-        )
-    print(
-        format_table(
-            ["nodes", "kernels", "halos", "gathers", "waves", "critical rank",
-             "slack ranks"],
+        _print_table(
+            ["rank", "target", "core (MHz)", "time (s)", "energy (J)",
+             "switches"],
             [[
-                len(graph.nodes), counts.get("kernel", 0),
-                counts.get("halo", 0), counts.get("gather", 0),
-                graph.n_waves, plan.critical_rank, slack,
-            ]],
-            title="Command graph",
+                r, plan.rank_targets[r], plan.rank_clocks[r][1],
+                f"{result.rank_time_s[r]:.6f}",
+                f"{result.rank_energy_j[r]:.3f}",
+                int(result.rank_switches[r]),
+            ] for r in range(args.ranks)],
+            title="Per-rank plan & execution",
         )
+    _print_table(
+        ["nodes", "kernels", "halos", "gathers", "waves", "critical rank",
+         "slack ranks"],
+        [[
+            len(graph.nodes), counts.get("kernel", 0),
+            counts.get("halo", 0), counts.get("gather", 0),
+            graph.n_waves, plan.critical_rank, slack,
+        ]],
+        title="Command graph",
     )
     saved = ref.total_energy_j - result.total_energy_j
     frac = saved / ref.total_energy_j if ref.total_energy_j else 0.0
@@ -728,32 +629,26 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
         f"{ref.total_energy_j:.2f} J at MAX_PERF — saved {saved:.2f} J "
         f"({100 * frac:.1f}%)"
     )
-    if args.json:
-        doc = {
-            "device": spec.name,
-            "ranks": args.ranks,
-            "steps": args.steps,
-            "sla_factor": args.sla,
-            "graph": {
-                "nodes": len(graph.nodes), "waves": graph.n_waves, **counts,
-            },
-            "plan": {
-                "critical_rank": plan.critical_rank,
-                "slack_ranks": slack,
-                "rank_targets": list(plan.rank_targets),
-            },
-            "result": result.summary(),
-            "maxperf": ref.summary(),
-            "saved_j": saved,
-        }
-        write_json(doc, args.json)
-        print(f"wrote {args.json}", file=sys.stderr)
-    return 0
+    return 0, {
+        "device": spec.name,
+        "ranks": args.ranks,
+        "steps": args.steps,
+        "sla_factor": args.sla,
+        "graph": {
+            "nodes": len(graph.nodes), "waves": graph.n_waves, **counts,
+        },
+        "plan": {
+            "critical_rank": plan.critical_rank,
+            "slack_ranks": slack,
+            "rank_targets": list(plan.rank_targets),
+        },
+        "result": result.summary(),
+        "maxperf": ref.summary(),
+        "saved_j": saved,
+    }
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.frontend.lint import default_lint_root, lint_paths
-
+def _cmd_lint(args: argparse.Namespace) -> Outcome:
     paths = args.paths if args.paths else [str(default_lint_root())]
     violations = lint_paths(paths)
     for v in violations:
@@ -765,19 +660,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             f"{n_files} files",
             file=sys.stderr,
         )
-        return 1
+        return 1, None
     print(f"lint: clean ({', '.join(paths)})")
-    return 0
+    return 0, None
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
-    from repro.analysis.scenarios import deadline_demo
-    from repro.obs.scenarios import certify_scenarios
-    from repro.validate.analysis import (
-        check_deadline_demo,
-        check_scenario_certificates,
-    )
-
+def _cmd_certify(args: argparse.Namespace) -> Outcome:
     scenarios = tuple(args.scenario) if args.scenario else None
     certificates = certify_scenarios(seed=args.seed, scenarios=scenarios)
     cert_ok, cert_bad = deadline_demo()
@@ -786,224 +674,233 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         cert_ok, cert_bad
     )
     failures = sum(not r.passed for r in results)
-    print(
-        format_table(
-            ["check", "verdict", "detail"],
-            [[r.name, r.status, r.detail] for r in results],
-            title=f"Plan certificates (seed={args.seed})",
-        )
+    _print_table(
+        ["check", "verdict", "detail"],
+        [[r.name, r.status, r.detail] for r in results],
+        title=f"Plan certificates (seed={args.seed})",
     )
     for name, cert in certificates.items():
         for note in cert.notes:
             print(f"  {name}: {note}", file=sys.stderr)
-
-    if args.json:
-        write_json(
-            {
-                "seed": args.seed,
-                "ok": failures == 0,
-                "scenarios": {
-                    name: cert.as_dict()
-                    for name, cert in certificates.items()
-                },
-                "deadline_demo": {
-                    "feasible": cert_ok.as_dict(),
-                    "infeasible": cert_bad.as_dict(),
-                },
-            },
-            args.json,
-        )
-        print(f"wrote {args.json}", file=sys.stderr)
-
     verdict = "certified" if failures == 0 else f"{failures} FAILURES"
     print(f"certification {verdict} "
           f"({len(certificates)} scenarios + DEADLINE demo)")
-    return 0 if failures == 0 else 1
+    return (0 if failures == 0 else 1), {
+        "seed": args.seed,
+        "ok": failures == 0,
+        "scenarios": {
+            name: cert.as_dict() for name, cert in certificates.items()
+        },
+        "deadline_demo": {
+            "feasible": cert_ok.as_dict(),
+            "infeasible": cert_bad.as_dict(),
+        },
+    }
 
 
-# -------------------------------------------------------------------- parser
+# --------------------------------------------------------------- the table
+
+#: One ``add_argument`` call: its flags and its keyword options.
+Arg = tuple[tuple[str, ...], dict[str, Any]]
+
+
+def _arg(*flags: str, **options: Any) -> Arg:
+    return flags, options
+
+
+#: Arguments several commands take, each declared once. A command's own
+#: options (a default or help line that differs) override these.
+SHARED_ARGS: dict[str, dict[str, Any]] = {
+    "--device": dict(default="v100", choices=known_devices()),
+    "--json": dict(default=None, help="export results to a JSON file"),
+    "--seed": dict(type=int, default=7, help="scenario seed"),
+    "--bundle": dict(default=None, help="trained bundle JSON path"),
+    "--app": dict(default="cloverleaf", choices=tuple(APPS)),
+    "--steps": dict(type=int, default=4),
+    "--scenario": dict(nargs="+", choices=sorted(SCENARIOS), default=None),
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its ``--help`` line, its run function and its
+    arguments, in ``--help`` order."""
+
+    help: str
+    run: Callable[[argparse.Namespace], Outcome]
+    args: tuple[Arg, ...] = ()
+
+
+#: Every subcommand, in ``--help`` order.
+COMMANDS: dict[str, Command] = {
+    "devices": Command("list known GPU models", _cmd_devices),
+    "characterize": Command("per-kernel Pareto summary", _cmd_characterize, (
+        _arg("--device"),
+        _arg("--benchmarks", nargs="*", default=None,
+             help="benchmark names (default: all 23)"),
+        _arg("--json"),
+    )),
+    "sweep": Command("per-target selections for one benchmark", _cmd_sweep, (
+        _arg("--device"),
+        _arg("--benchmark", required=True),
+        _arg("--targets", nargs="+",
+             default=["MIN_ENERGY", "MIN_EDP", "MIN_ED2P", "ES_50", "PL_50"]),
+    )),
+    "train": Command("train energy models, save the bundle", _cmd_train, (
+        _arg("--device"),
+        _arg("--out", required=True, help="output bundle JSON path"),
+        _arg("--stride", type=int, default=4,
+             help="frequency-table stride for the training sweep"),
+        _arg("--random-count", type=int, default=24),
+        _arg("--algorithm", default="best", choices=("best", *ALGORITHM_NAMES)),
+    )),
+    "compile": Command("emit a per-kernel frequency plan", _cmd_compile, (
+        _arg("--device"),
+        _arg("--bundle", required=True),
+        _arg("--benchmarks", nargs="+", required=True),
+        _arg("--targets", nargs="+", default=["MIN_EDP"]),
+    )),
+    "accuracy": Command("the Table 2 error analysis", _cmd_accuracy, (
+        _arg("--device"),
+        _arg("--algorithms", nargs="+", default=list(ALGORITHM_NAMES),
+             choices=ALGORITHM_NAMES),
+        _arg("--stride", type=int, default=8),
+        _arg("--random-count", type=int, default=24),
+        _arg("--json"),
+    )),
+    "scaling": Command("the Fig. 10 weak-scaling experiment", _cmd_scaling, (
+        _arg("--app"),
+        _arg("--gpus", nargs="+", type=int, default=[4, 8, 16]),
+        _arg("--targets", nargs="+", default=["MIN_EDP", "ES_50", "PL_50"]),
+        _arg("--steps"),
+        _arg("--bundle"),
+        _arg("--json"),
+    )),
+    "faults": Command("chaos sweep: resilience vs fault rate", _cmd_faults, (
+        _arg("--app"),
+        _arg("--rates", nargs="+", type=float, default=list(DEFAULT_RATES),
+             help="transient NVML clock-set failure rates to sweep"),
+        _arg("--seed", default=0, help="fault-plan seed"),
+        _arg("--nodes", type=int, default=2, help="nodes per job"),
+        _arg("--steps"),
+        _arg("--target", default="MIN_EDP",
+             help="energy target ('default' disables per-kernel tuning)"),
+        _arg("--node-fail-at", type=float, default=None,
+             help="also schedule a node failure at this virtual time "
+             "(a spare node is provisioned for the requeue)"),
+        _arg("--bundle"),
+        _arg("--json"),
+    )),
+    "adapt": Command("deadline-aware adaptive DVFS vs a stale static plan "
+                     "under thermal throttle", _cmd_adapt, (
+        _arg("--seed"),
+        _arg("--json"),
+    )),
+    "fine-vs-coarse": Command("tuning-granularity comparison",
+                              _cmd_fine_vs_coarse, (
+        _arg("--device"),
+        _arg("--benchmarks", nargs="+", required=True),
+        _arg("--target", default="MIN_ENERGY"),
+    )),
+    "trace": Command("run an observability scenario, export Chrome trace + "
+                     "metrics JSON", _cmd_trace, (
+        _arg("scenario", choices=sorted(SCENARIOS),
+             help="seeded end-to-end scenario to run"),
+        _arg("--seed"),
+        _arg("--out", default="trace.json",
+             help="Chrome trace_event output path"),
+        _arg("--metrics", default=None,
+             help="also write the flat metrics document here"),
+    )),
+    "validate": Command("run the invariant & differential validation plane",
+                        _cmd_validate, (
+        _arg("--scenario",
+             help="scenarios to replay (default: those with goldens)"),
+        _arg("--only", nargs="+", choices=SECTIONS, default=None,
+             help="restrict to these report sections"),
+        _arg("--strict", action="store_true",
+             help="fail on warnings too (the CI contract)"),
+        _arg("--seed", help="seeded-case seed"),
+        _arg("--json", help="export the full report to a JSON file"),
+    )),
+    "analyze": Command("run the §6.1 front end over a kernel, print features "
+                       "+ diagnostics", _cmd_analyze, (
+        _arg("kernel", help="module:fn, path/to/file.py:fn, or a backed "
+             "kernel name (e.g. vec_add)"),
+        _arg("--json", help="export features and diagnostics to a JSON file"),
+    )),
+    "certify": Command("statically certify frequency plans: bracket the "
+                       "golden scenarios, audit the weak-scaling graph, "
+                       "prove/refute DEADLINE feasibility", _cmd_certify, (
+        _arg("--scenario", help="scenarios to certify (default: all)"),
+        _arg("--seed"),
+        _arg("--json", help="export all certificates to a JSON file"),
+    )),
+    "lint": Command("repo-wide determinism linter", _cmd_lint, (
+        _arg("paths", nargs="*",
+             help="files/directories to lint (default: src/repro)"),
+    )),
+    "serve": Command("run a seeded multi-tenant service session, print "
+                     "per-tenant accounting", _cmd_serve, (
+        _arg("--seed", help="session seed"),
+        _arg("--tenants", type=int, default=8, help="tenant count"),
+        _arg("--submissions", type=int, default=2000,
+             help="seeded submission attempts"),
+        _arg("--partitions", type=int, default=4, help="scheduler shards"),
+        _arg("--cycles", type=int, default=8, help="drain cycles"),
+        _arg("--store", default=None,
+             help="save the replayable job store to this JSON path"),
+        _arg("--json", help="export the full report to a JSON file"),
+    )),
+    "distributed": Command("run the distributed command-graph scheduler over "
+                           "a halo-exchange stencil", _cmd_distributed, (
+        _arg("--device", default="a100"),
+        _arg("--ranks", type=int, default=8),
+        _arg("--steps"),
+        _arg("--sla", type=float, default=1.25,
+             help="global completion budget vs MAX_PERF (default 1.25)"),
+        _arg("--json", default="", help="write the run summary to this path"),
+    )),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for testing)."""
+    """The CLI argument parser, built from :data:`COMMANDS` (exposed for
+    testing)."""
     parser = argparse.ArgumentParser(
         prog="repro-synergy",
         description="SYnergy (SC'23) reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("devices", help="list known GPU models").set_defaults(
-        fn=_cmd_devices
-    )
-
-    p = sub.add_parser("characterize", help="per-kernel Pareto summary")
-    p.add_argument("--device", default="v100", choices=known_devices())
-    p.add_argument("--benchmarks", nargs="*", default=None,
-                   help="benchmark names (default: all 23)")
-    p.add_argument("--json", default=None, help="export results to a JSON file")
-    p.set_defaults(fn=_cmd_characterize)
-
-    p = sub.add_parser("sweep", help="per-target selections for one benchmark")
-    p.add_argument("--device", default="v100", choices=known_devices())
-    p.add_argument("--benchmark", required=True)
-    p.add_argument("--targets", nargs="+",
-                   default=["MIN_ENERGY", "MIN_EDP", "MIN_ED2P", "ES_50", "PL_50"])
-    p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser("train", help="train energy models, save the bundle")
-    p.add_argument("--device", default="v100", choices=known_devices())
-    p.add_argument("--out", required=True, help="output bundle JSON path")
-    p.add_argument("--stride", type=int, default=4,
-                   help="frequency-table stride for the training sweep")
-    p.add_argument("--random-count", type=int, default=24)
-    p.add_argument("--algorithm", default="best",
-                   choices=("best", *ALGORITHM_NAMES))
-    p.set_defaults(fn=_cmd_train)
-
-    p = sub.add_parser("compile", help="emit a per-kernel frequency plan")
-    p.add_argument("--device", default="v100", choices=known_devices())
-    p.add_argument("--bundle", required=True, help="trained bundle JSON path")
-    p.add_argument("--benchmarks", nargs="+", required=True)
-    p.add_argument("--targets", nargs="+", default=["MIN_EDP"])
-    p.set_defaults(fn=_cmd_compile)
-
-    p = sub.add_parser("accuracy", help="the Table 2 error analysis")
-    p.add_argument("--device", default="v100", choices=known_devices())
-    p.add_argument("--algorithms", nargs="+", default=list(ALGORITHM_NAMES),
-                   choices=ALGORITHM_NAMES)
-    p.add_argument("--stride", type=int, default=8)
-    p.add_argument("--random-count", type=int, default=24)
-    p.add_argument("--json", default=None, help="export results to a JSON file")
-    p.set_defaults(fn=_cmd_accuracy)
-
-    p = sub.add_parser("scaling", help="the Fig. 10 weak-scaling experiment")
-    p.add_argument("--app", default="cloverleaf",
-                   choices=("cloverleaf", "miniweather"))
-    p.add_argument("--gpus", nargs="+", type=int, default=[4, 8, 16])
-    p.add_argument("--targets", nargs="+", default=["MIN_EDP", "ES_50", "PL_50"])
-    p.add_argument("--steps", type=int, default=4)
-    p.add_argument("--bundle", default=None, help="trained bundle JSON path")
-    p.add_argument("--json", default=None, help="export results to a JSON file")
-    p.set_defaults(fn=_cmd_scaling)
-
-    p = sub.add_parser("faults", help="chaos sweep: resilience vs fault rate")
-    p.add_argument("--app", default="cloverleaf",
-                   choices=("cloverleaf", "miniweather"))
-    p.add_argument("--rates", nargs="+", type=float, default=list(DEFAULT_RATES),
-                   help="transient NVML clock-set failure rates to sweep")
-    p.add_argument("--seed", type=int, default=0, help="fault-plan seed")
-    p.add_argument("--nodes", type=int, default=2, help="nodes per job")
-    p.add_argument("--steps", type=int, default=4)
-    p.add_argument("--target", default="MIN_EDP",
-                   help="energy target ('default' disables per-kernel tuning)")
-    p.add_argument("--node-fail-at", type=float, default=None,
-                   help="also schedule a node failure at this virtual time "
-                   "(a spare node is provisioned for the requeue)")
-    p.add_argument("--bundle", default=None, help="trained bundle JSON path")
-    p.add_argument("--json", default=None, help="export results to a JSON file")
-    p.set_defaults(fn=_cmd_faults)
-
-    p = sub.add_parser("adapt", help="deadline-aware adaptive DVFS vs a "
-                       "stale static plan under thermal throttle")
-    p.add_argument("--seed", type=int, default=7, help="scenario seed")
-    p.add_argument("--json", default=None, help="export results to a JSON file")
-    p.set_defaults(fn=_cmd_adapt)
-
-    p = sub.add_parser("fine-vs-coarse", help="tuning-granularity comparison")
-    p.add_argument("--device", default="v100", choices=known_devices())
-    p.add_argument("--benchmarks", nargs="+", required=True)
-    p.add_argument("--target", default="MIN_ENERGY")
-    p.set_defaults(fn=_cmd_fine_vs_coarse)
-
-    p = sub.add_parser("trace", help="run an observability scenario, export "
-                       "Chrome trace + metrics JSON")
-    from repro.obs.scenarios import SCENARIOS
-
-    p.add_argument("scenario", choices=sorted(SCENARIOS),
-                   help="seeded end-to-end scenario to run")
-    p.add_argument("--seed", type=int, default=7, help="scenario seed")
-    p.add_argument("--out", default="trace.json",
-                   help="Chrome trace_event output path")
-    p.add_argument("--metrics", default=None,
-                   help="also write the flat metrics document here")
-    p.set_defaults(fn=_cmd_trace)
-
-    p = sub.add_parser("validate", help="run the invariant & differential "
-                       "validation plane")
-    from repro.validate.runner import SECTIONS
-
-    p.add_argument("--scenario", nargs="+", choices=sorted(SCENARIOS),
-                   default=None,
-                   help="scenarios to replay (default: those with goldens)")
-    p.add_argument("--only", nargs="+", choices=SECTIONS, default=None,
-                   help="restrict to these report sections")
-    p.add_argument("--strict", action="store_true",
-                   help="fail on warnings too (the CI contract)")
-    p.add_argument("--seed", type=int, default=7, help="seeded-case seed")
-    p.add_argument("--json", default=None,
-                   help="export the full report to a JSON file")
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("analyze", help="run the §6.1 front end over a kernel, "
-                       "print features + diagnostics")
-    p.add_argument("kernel",
-                   help="module:fn, path/to/file.py:fn, or a backed kernel "
-                   "name (e.g. vec_add)")
-    p.add_argument("--json", default=None,
-                   help="export features and diagnostics to a JSON file")
-    p.set_defaults(fn=_cmd_analyze)
-
-    p = sub.add_parser("certify", help="statically certify frequency plans: "
-                       "bracket the golden scenarios, audit the weak-scaling "
-                       "graph, prove/refute DEADLINE feasibility")
-    p.add_argument("--scenario", nargs="+", choices=sorted(SCENARIOS),
-                   default=None,
-                   help="scenarios to certify (default: all)")
-    p.add_argument("--seed", type=int, default=7, help="scenario seed")
-    p.add_argument("--json", default=None,
-                   help="export all certificates to a JSON file")
-    p.set_defaults(fn=_cmd_certify)
-
-    p = sub.add_parser("lint", help="repo-wide determinism linter")
-    p.add_argument("paths", nargs="*",
-                   help="files/directories to lint (default: src/repro)")
-    p.set_defaults(fn=_cmd_lint)
-
-    p = sub.add_parser("serve", help="run a seeded multi-tenant service "
-                       "session, print per-tenant accounting")
-    p.add_argument("--seed", type=int, default=7, help="session seed")
-    p.add_argument("--tenants", type=int, default=8, help="tenant count")
-    p.add_argument("--submissions", type=int, default=2000,
-                   help="seeded submission attempts")
-    p.add_argument("--partitions", type=int, default=4,
-                   help="scheduler shards")
-    p.add_argument("--cycles", type=int, default=8, help="drain cycles")
-    p.add_argument("--store", default=None,
-                   help="save the replayable job store to this JSON path")
-    p.add_argument("--json", default=None,
-                   help="export the full report to a JSON file")
-    p.set_defaults(fn=_cmd_serve)
-
-    p = sub.add_parser(
-        "distributed",
-        help="run the distributed command-graph scheduler over a "
-        "halo-exchange stencil",
-    )
-    p.add_argument("--device", default="A100", choices=known_devices())
-    p.add_argument("--ranks", type=int, default=8)
-    p.add_argument("--steps", type=int, default=4)
-    p.add_argument("--sla", type=float, default=1.25,
-                   help="global completion budget vs MAX_PERF (default 1.25)")
-    p.add_argument("--json", default="",
-                   help="write the run summary to this path")
-    p.set_defaults(fn=_cmd_distributed)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flags, options in command.args:
+            p.add_argument(*flags, **{**SHARED_ARGS.get(flags[0], {}),
+                                      **options})
+        p.set_defaults(fn=command.run)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    0 is success; 1 means a check or verdict failed (``validate``,
+    ``lint``, ``certify``, ``analyze``, ``adapt``); 2 means bad usage or
+    input. This is the one error boundary: a :class:`ConfigurationError`
+    or :class:`ValidationError` from any command prints
+    ``<command>: <message>`` on stderr and exits 2, as argparse does for
+    a malformed command line. It also writes every ``--json`` document.
+    """
     args = build_parser().parse_args(argv)
-    return int(args.fn(args))
+    try:
+        code, doc = args.fn(args)
+    except (ConfigurationError, ValidationError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+    if doc is not None and args.json:
+        write_json(doc, args.json)
+        print(f"wrote {args.json}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

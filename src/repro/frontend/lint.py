@@ -33,6 +33,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from repro.common.errors import ConfigurationError
+
 WALLCLOCK_RULE = "ND001"
 GLOBAL_RANDOM_RULE = "ND002"
 NUMPY_RANDOM_RULE = "ND003"
@@ -259,12 +261,17 @@ def _iter_py_files(paths: Iterable[Path]) -> Iterator[Path]:
     for p in paths:
         if p.is_dir():
             yield from sorted(p.rglob("*.py"))
+        elif not p.exists():
+            raise ConfigurationError(f"no such file or directory: {p}")
         elif p.suffix == ".py":
             yield p
 
 
 def lint_paths(paths: Iterable[str | Path]) -> list[LintViolation]:
-    """Lint every ``*.py`` file under the given files/directories."""
+    """Lint every ``*.py`` file under the given files/directories.
+
+    A path that does not exist raises :class:`ConfigurationError`.
+    """
     violations: list[LintViolation] = []
     for path in _iter_py_files(Path(p) for p in paths):
         violations.extend(lint_source(path.read_text(), str(path)))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.frontend.lint import (
     FLOAT_EQ_RULE,
     GLOBAL_RANDOM_RULE,
@@ -158,6 +159,12 @@ def test_lint_paths_walks_directories(tmp_path):
     violations = lint_paths([tmp_path])
     assert [v.rule for v in violations] == [WALLCLOCK_RULE]
     assert violations[0].path.endswith("a.py")
+
+
+@pytest.mark.parametrize("name", ["missing.py", "missing_dir"])
+def test_lint_paths_rejects_missing_path(tmp_path, name):
+    with pytest.raises(ConfigurationError, match="no such file or directory"):
+        lint_paths([tmp_path / name])
 
 
 # ----------------------------------------------------- the repo's own gate
