@@ -36,6 +36,7 @@ fi
 
 # One run covers every section (adapt, engine, service, distributed,
 # analysis included) at the default seed; per-section reruns add nothing.
+# The `paper` section gates the paper's figure and table verdicts.
 echo "== validation plane (all sections, strict) =="
 python -m repro.cli validate --strict
 

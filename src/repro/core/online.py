@@ -5,7 +5,8 @@ move the clock, measure again, converge (e.g. Sourouri et al.'s exhaustive
 dynamic tuning). SYnergy's pitch is that compile-time models skip that
 exploration cost entirely. :class:`OnlineFrequencyTuner` implements a
 competent online baseline so the two approaches can be compared on equal
-footing (see ``bench_ablation_online_vs_static.py``):
+footing (the ``online_vs_static`` artifact of
+:mod:`repro.experiments.artifacts`):
 
 - per kernel name, golden-section-style ternary search over the core
   frequency table, driven by *measured* per-launch objective values,

@@ -1,8 +1,8 @@
 """Experiment harnesses reproducing the paper's tables and figures.
 
-Each module is a reusable building block; the ``benchmarks/`` tree wires
-them into one pytest-benchmark target per table/figure (see DESIGN.md's
-experiment index):
+Each module is a reusable building block; :mod:`~repro.experiments.artifacts`
+wires them into one registry entry per table/figure, which ``repro-synergy
+validate --only paper`` runs and checks (see DESIGN.md's experiment index):
 
 - :mod:`~repro.experiments.sweep` — per-kernel frequency sweeps (the
   measurement underlying Figs. 2, 4, 5, 7, 8),
@@ -14,8 +14,8 @@ experiment index):
   protocol (Fig. 9 APE, Table 2 RMSE/MAPE),
 - :mod:`~repro.experiments.scaling` — the §8.4 multi-node weak-scaling
   experiment on the simulated Marconi-100 (Fig. 10),
-- :mod:`~repro.experiments.report` — ASCII tables/series matching the
-  paper's presentation.
+- :mod:`~repro.experiments.report` — ASCII tables matching the paper's
+  presentation.
 """
 
 from repro.experiments.accuracy import AccuracyAnalysis, run_accuracy_analysis
@@ -24,7 +24,7 @@ from repro.experiments.characterization import (
     characterize,
     fine_vs_coarse,
 )
-from repro.experiments.report import format_series, format_table
+from repro.experiments.report import format_table
 from repro.experiments.scaling import ScalingResult, run_scaling_experiment
 from repro.experiments.sweep import (
     FrequencySweep,
@@ -50,5 +50,4 @@ __all__ = [
     "ScalingResult",
     "run_scaling_experiment",
     "format_table",
-    "format_series",
 ]

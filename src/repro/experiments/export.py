@@ -17,7 +17,6 @@ from repro.experiments.characterization import CharacterizationResult
 from repro.experiments.faults import ChaosResult
 from repro.experiments.scaling import ScalingResult
 from repro.experiments.sweep import FrequencySweep
-from repro.faults import FaultLog
 
 
 def sweep_to_dict(sweep: FrequencySweep) -> dict:
@@ -108,11 +107,6 @@ def chaos_to_dict(result: ChaosResult) -> dict:
         "seed": result.seed,
         "points": result.rows(),
     }
-
-
-def fault_log_to_dicts(log: FaultLog) -> list[dict]:
-    """A fault log as plain dicts (byte-stable for determinism checks)."""
-    return log.to_dicts()
 
 
 def write_json(payload: dict, path: str | Path) -> Path:

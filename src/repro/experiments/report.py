@@ -1,4 +1,4 @@
-"""ASCII report formatting for the benchmark harness."""
+"""ASCII table formatting for the CLI reports."""
 
 from __future__ import annotations
 
@@ -42,18 +42,3 @@ def format_table(
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def format_series(
-    name: str,
-    xs: Sequence[float],
-    ys: Sequence[float],
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """Render one figure series as aligned (x, y) pairs."""
-    if len(xs) != len(ys):
-        raise ValidationError(f"series lengths differ: {len(xs)} vs {len(ys)}")
-    lines = [f"{name}  [{x_label} -> {y_label}]"]
-    for x, y in zip(xs, ys):
-        lines.append(f"  {x:>12.6g}  {y:>12.6g}")
-    return "\n".join(lines)

@@ -86,6 +86,9 @@ class SVR(Estimator):
         n = Xs.shape[0]
         K = rbf_kernel(Xs, Xs, self.gamma_) + 1.0  # +1 absorbs the bias term
         diag = np.diag(K).copy()
+        # Row i of K.T is column i of K, laid out contiguously: the same
+        # values as the strided K[:, i] without the gather on every update.
+        columns = np.ascontiguousarray(K.T)
 
         beta = np.zeros(n)
         # gradient residual: g_i = y_i − Σ_j K_ij β_j, maintained incrementally
@@ -102,10 +105,12 @@ class SVR(Estimator):
                     target = (rho + self.epsilon) / diag[i]
                 else:
                     target = 0.0
-                new_beta = float(np.clip(target, -self.C, self.C))
+                # Scalar box clip; check_Xy rejects non-finite inputs, so
+                # no NaN can reach it.
+                new_beta = min(max(target, -self.C), self.C)
                 delta = new_beta - beta[i]
                 if delta != 0.0:
-                    g -= delta * K[:, i]
+                    g -= delta * columns[i]
                     beta[i] = new_beta
                     max_move = max(max_move, abs(delta))
             self.n_iter_ = iteration

@@ -1,18 +1,31 @@
 """The validation driver behind ``repro-synergy validate``.
 
-Runs the invariant catalog and the differential harness over the golden
-scenarios and a fixed seeded case mix, producing one
-:class:`~repro.validate.result.ValidationReport`. Sections can be selected
-individually (``only=``) so CI smoke runs stay cheap; the default runs
-everything, which is what the ``--strict`` gate in ``scripts/check.sh``
-executes.
+Runs the invariant catalog, the differential harness and the paper's
+figure and table verdicts over the golden scenarios and a fixed seeded
+case mix, producing one :class:`~repro.validate.result.ValidationReport`.
+Sections can be selected individually (``only=``) so CI smoke runs stay
+cheap; the default runs everything, which is what the ``--strict`` gate in
+``scripts/check.sh`` executes.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
+from repro.apps import get_benchmark
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
+from repro.core.sweepcache import scoped_cache
+from repro.experiments.artifacts import ARTIFACTS
+from repro.experiments.sweep import sweep_kernel
 from repro.hw.specs import AMD_MI100, NVIDIA_V100, GPUSpec
+from repro.obs.scenarios import get_scenario, golden_scenarios, run_scenario
+from repro.validate.adapt import run_adapt_checks
+from repro.validate.analysis import run_analysis_checks
+from repro.validate.differential import run_differential_checks
+from repro.validate.distributed import run_distributed_checks
+from repro.validate.engine import run_engine_checks
+from repro.validate.frontend import run_frontend_checks
 from repro.validate.invariants import (
     check_metrics_sanity,
     check_powercap_audit_roundtrip,
@@ -20,7 +33,8 @@ from repro.validate.invariants import (
     check_sweep,
     check_trace_monotonicity,
 )
-from repro.validate.result import ValidationReport
+from repro.validate.result import CheckResult, ValidationReport
+from repro.validate.service import run_service_checks
 
 #: Kernel/device grid the sweep invariants run over: the golden-scenario
 #: kernels plus the Fig. 4 and Fig. 2 protagonists.
@@ -29,40 +43,27 @@ SWEEP_KERNEL_NAMES: tuple[str, ...] = (
 )
 SWEEP_SPECS: tuple[GPUSpec, ...] = (NVIDIA_V100, AMD_MI100)
 
-#: Selectable report sections.
-SECTIONS: tuple[str, ...] = (
-    "sweeps", "powercap", "scenarios", "differential", "frontend", "adapt",
-    "engine", "service", "distributed", "analysis",
-)
+
+def _sweep_section(scenarios: tuple[str, ...], seed: int) -> list[CheckResult]:
+    results: list[CheckResult] = []
+    for spec in SWEEP_SPECS:
+        for name in SWEEP_KERNEL_NAMES:
+            sweep = sweep_kernel(spec, get_benchmark(name).kernel)
+            results += check_sweep(sweep, spec)
+    return results
 
 
-def _sweep_section(report: ValidationReport) -> None:
-    from repro.apps import get_benchmark
-    from repro.core.sweepcache import scoped_cache
-    from repro.experiments.sweep import sweep_kernel
-
-    with scoped_cache():
-        for spec in SWEEP_SPECS:
-            for name in SWEEP_KERNEL_NAMES:
-                sweep = sweep_kernel(spec, get_benchmark(name).kernel)
-                report.extend(check_sweep(sweep, spec))
-
-
-def _powercap_section(report: ValidationReport, seed: int) -> None:
+def _powercap_section(scenarios: tuple[str, ...], seed: int) -> list[CheckResult]:
     # Hand-picked regimes first: the all-under case (the silently dropped
     # donation) and the hard-clipping case (the discarded remainder) are
     # exactly the two §2.3 bugs this plane was built to catch.
-    report.extend(
-        check_powercap_conservation(
-            [250.0, 250.0, 250.0], [60.0, 70.0, 80.0], 80.0, 300.0,
-            context="powercap[all-under]",
-        )
+    results = check_powercap_conservation(
+        [250.0, 250.0, 250.0], [60.0, 70.0, 80.0], 80.0, 300.0,
+        context="powercap[all-under]",
     )
-    report.extend(
-        check_powercap_conservation(
-            [200.0, 200.0, 200.0], [10.0, 20.0, 199.0], 50.0, 210.0,
-            context="powercap[ceiling-clip]",
-        )
+    results += check_powercap_conservation(
+        [200.0, 200.0, 200.0], [10.0, 20.0, 199.0], 50.0, 210.0,
+        context="powercap[ceiling-clip]",
     )
     rng = make_rng(seed)
     for case in range(6):
@@ -71,86 +72,49 @@ def _powercap_section(report: ValidationReport, seed: int) -> None:
         ceiling = floor + float(rng.uniform(50.0, 400.0))
         caps = [float(rng.uniform(floor, ceiling)) for _ in range(n)]
         usage = [float(rng.uniform(0.0, c * 1.1)) for c in caps]
-        report.extend(
-            check_powercap_conservation(
-                caps, usage, floor, ceiling, context=f"powercap[seeded#{case}]"
-            )
+        results += check_powercap_conservation(
+            caps, usage, floor, ceiling, context=f"powercap[seeded#{case}]"
         )
     # Budget high enough that the per-GPU split exceeds the board's factory
     # limit: the clamp engages, which is what the audit check is about.
-    report.extend(
-        check_powercap_audit_roundtrip(NVIDIA_V100, node_budget_w=10_000.0)
-    )
-    report.extend(
-        check_powercap_audit_roundtrip(NVIDIA_V100, node_budget_w=320.0)
-    )
+    results += check_powercap_audit_roundtrip(NVIDIA_V100, node_budget_w=10_000.0)
+    results += check_powercap_audit_roundtrip(NVIDIA_V100, node_budget_w=320.0)
+    return results
 
 
-def _scenario_section(
-    report: ValidationReport, scenarios: tuple[str, ...], seed: int
-) -> None:
-    from repro.obs.scenarios import run_scenario
-
+def _scenario_section(scenarios: tuple[str, ...], seed: int) -> list[CheckResult]:
+    results: list[CheckResult] = []
     for name in scenarios:
         session = run_scenario(name, seed=seed)
-        report.extend(check_trace_monotonicity(session, context=name))
-        report.extend(check_metrics_sanity(session, context=name))
+        results += check_trace_monotonicity(session, context=name)
+        results += check_metrics_sanity(session, context=name)
+    return results
 
 
-def _differential_section(report: ValidationReport) -> None:
-    from repro.core.sweepcache import scoped_cache
-    from repro.validate.differential import run_differential_checks
-
-    with scoped_cache():
-        report.extend(run_differential_checks(NVIDIA_V100))
-
-
-def _frontend_section(report: ValidationReport) -> None:
-    from repro.core.sweepcache import scoped_cache
-    from repro.validate.frontend import run_frontend_checks
-
-    with scoped_cache():
-        report.extend(run_frontend_checks(NVIDIA_V100))
+def _paper_section(scenarios: tuple[str, ...], seed: int) -> list[CheckResult]:
+    # The paper's artifacts take no seed: each runs its fixed configuration.
+    results: list[CheckResult] = []
+    for artifact in ARTIFACTS.values():
+        results += artifact.checks(artifact.run())
+    return results
 
 
-def _engine_section(report: ValidationReport) -> None:
-    from repro.core.sweepcache import scoped_cache
-    from repro.validate.engine import run_engine_checks
-
-    with scoped_cache():
-        report.extend(run_engine_checks(NVIDIA_V100))
-
-
-def _service_section(report: ValidationReport, seed: int) -> None:
-    from repro.core.sweepcache import scoped_cache
-    from repro.validate.service import run_service_checks
-
-    with scoped_cache():
-        report.extend(run_service_checks(seed))
-
-
-def _distributed_section(report: ValidationReport) -> None:
-    from repro.core.sweepcache import scoped_cache
-    from repro.validate.distributed import run_distributed_checks
-
-    with scoped_cache():
-        report.extend(run_distributed_checks())
-
-
-def _analysis_section(report: ValidationReport, seed: int) -> None:
-    from repro.validate.analysis import run_analysis_checks
-
-    # No scoped_cache here: each scenario run and each certificate
-    # scopes its own cache.
-    report.extend(run_analysis_checks(seed))
-
-
-def _adapt_section(report: ValidationReport, seed: int) -> None:
-    from repro.core.sweepcache import scoped_cache
-    from repro.validate.adapt import run_adapt_checks
-
-    with scoped_cache():
-        report.extend(run_adapt_checks(seed))
+#: The report sections, in run order: name → ``section(scenarios, seed)``.
+#: ``--only`` choices and the unknown-section check both read this table.
+#: Each section runs against a fresh sweep cache.
+SECTIONS: dict[str, Callable[[tuple[str, ...], int], list[CheckResult]]] = {
+    "sweeps": _sweep_section,
+    "powercap": _powercap_section,
+    "scenarios": _scenario_section,
+    "differential": lambda scenarios, seed: run_differential_checks(NVIDIA_V100),
+    "frontend": lambda scenarios, seed: run_frontend_checks(NVIDIA_V100),
+    "adapt": lambda scenarios, seed: run_adapt_checks(seed),
+    "engine": lambda scenarios, seed: run_engine_checks(NVIDIA_V100),
+    "service": lambda scenarios, seed: run_service_checks(seed),
+    "distributed": lambda scenarios, seed: run_distributed_checks(),
+    "analysis": lambda scenarios, seed: run_analysis_checks(seed),
+    "paper": _paper_section,
+}
 
 
 def run_validation(
@@ -167,10 +131,8 @@ def run_validation(
     section runs. The strict/non-strict verdict is the caller's call via
     :meth:`ValidationReport.ok`.
     """
-    from repro.obs.scenarios import get_scenario, golden_scenarios
-
-    sections = tuple(only) if only else SECTIONS
-    unknown = set(sections) - set(SECTIONS)
+    selected = tuple(only) if only else tuple(SECTIONS)
+    unknown = set(selected) - set(SECTIONS)
     if unknown:
         raise ConfigurationError(
             f"unknown validation sections {sorted(unknown)}; known: "
@@ -180,24 +142,8 @@ def run_validation(
     for name in scenarios:
         get_scenario(name)
     report = ValidationReport()
-    if "sweeps" in sections:
-        _sweep_section(report)
-    if "powercap" in sections:
-        _powercap_section(report, seed)
-    if "scenarios" in sections:
-        _scenario_section(report, scenarios, seed)
-    if "differential" in sections:
-        _differential_section(report)
-    if "frontend" in sections:
-        _frontend_section(report)
-    if "adapt" in sections:
-        _adapt_section(report, seed)
-    if "engine" in sections:
-        _engine_section(report)
-    if "service" in sections:
-        _service_section(report, seed)
-    if "distributed" in sections:
-        _distributed_section(report)
-    if "analysis" in sections:
-        _analysis_section(report, seed)
+    for name, section in SECTIONS.items():
+        if name in selected:
+            with scoped_cache():
+                report.extend(section(scenarios, seed))
     return report

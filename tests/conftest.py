@@ -18,8 +18,8 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="rewrite the golden trace/metrics snapshots under tests/golden/ "
-        "instead of comparing against them",
+        help="rewrite the golden trace/metrics snapshots and the paper "
+        "artifacts' numbers under tests/golden/ instead of comparing against them",
     )
 
 

@@ -12,7 +12,7 @@ from repro.experiments.accuracy import (
     run_accuracy_analysis,
 )
 from repro.experiments.characterization import fine_vs_coarse
-from repro.experiments.report import format_series, format_table
+from repro.experiments.report import format_table
 from repro.experiments.sweep import sweep_kernel
 from repro.experiments.training import (
     ALGORITHM_NAMES,
@@ -159,12 +159,3 @@ class TestReport:
             format_table([], [])
         with pytest.raises(ValidationError):
             format_table(["a"], [[1, 2]])
-
-    def test_format_series(self):
-        text = format_series("EDP", [1.0, 2.0], [0.5, 0.25], "MHz", "J*s")
-        assert "EDP" in text and "MHz" in text
-        assert len(text.splitlines()) == 3
-
-    def test_format_series_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            format_series("s", [1.0], [1.0, 2.0])

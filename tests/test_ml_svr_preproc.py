@@ -1,5 +1,7 @@
 """SVR, scaler, splitting and cross-validation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,20 @@ class TestSVR:
         y = rng.normal(0, 10.0, 80)  # noisy: pushes coefficients to the box
         model = SVR(C=0.5, epsilon=0.0).fit(X, y)
         assert np.all(np.abs(model.beta_) <= 0.5 + 1e-9)
+
+    @pytest.mark.parametrize(
+        ("C", "epsilon", "digest"),
+        [(0.5, 0.0, "1f0c2f742e2e142c"), (50.0, 1e-3, "385bffc871bffb4e")],
+    )
+    def test_fit_is_bitwise_pinned(self, C, epsilon, digest):
+        # The coordinate loop's exact float sequence: the box-clipped case
+        # (C=0.5) and the interior case. Any reordering of the updates
+        # moves these bytes.
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(60, 4))
+        y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + rng.normal(0, 0.5, 60)
+        model = SVR(C=C, epsilon=epsilon, max_iter=50).fit(X, y)
+        assert hashlib.sha256(model.beta_.tobytes()).hexdigest()[:16] == digest
 
     def test_gamma_scale_default(self):
         rng = np.random.default_rng(6)

@@ -147,12 +147,13 @@ def test_trace_document_shape():
 
 
 def test_golden_dir_holds_exactly_the_golden_scenarios():
-    """One trace and one metrics snapshot per golden scenario, no orphans."""
+    """One trace and one metrics snapshot per golden scenario, plus the
+    paper artifacts' numbers (tests/test_paper.py), no orphans."""
     expected = {
         f"{name}.{kind}.json"
         for name in golden_scenarios()
         for kind in ("trace", "metrics")
-    }
+    } | {"paper.json"}
     assert {p.name for p in GOLDEN_DIR.iterdir()} == expected
 
 
