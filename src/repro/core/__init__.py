@@ -25,7 +25,7 @@ from repro.core.persistence import load_bundle, save_bundle
 from repro.core.predictor import FrequencyPredictor
 from repro.core.profiling import EnergyProfiler
 from repro.core.queue import SynergyQueue
-from repro.core.sweepcache import SweepCache, default_sweep_cache, reset_caches
+from repro.core.sweepcache import SweepCache
 
 __all__ = [
     "SynergyQueue",
@@ -45,6 +45,4 @@ __all__ = [
     "OnlineFrequencyTuner",
     "tune_kernel_online",
     "SweepCache",
-    "default_sweep_cache",
-    "reset_caches",
 ]

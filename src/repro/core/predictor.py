@@ -78,10 +78,6 @@ class FrequencyPredictor:
             float(energy_scale_j),
         )
 
-    def is_calibrated(self, kernel: KernelIR) -> bool:
-        """Whether absolute scales are attached for this kernel."""
-        return kernel_fingerprint(kernel) in self._scales
-
     def _curves(self, kernel: KernelIR) -> dict[str, np.ndarray]:
         key = kernel_fingerprint(kernel)
         cached = self._curve_memo.get(key)

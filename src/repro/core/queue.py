@@ -27,7 +27,6 @@ from repro.kernelir.kernel import KernelIR
 from repro.metrics.targets import EnergyTarget
 from repro.obs.session import TraceSession, resolve_trace
 from repro.sycl.event import Event
-from repro.validate.inline import InlineValidator, resolve_validator
 from repro.sycl.handler import Handler
 from repro.sycl.queue import CommandGroupFn, Queue
 
@@ -43,6 +42,8 @@ class SynergyQueue(Queue):
     Keyword-only extras: ``plan`` (compiled frequency plan), ``predictor``
     (live model inference for targets), ``switch_overhead_s``. A plan or
     predictor built for another device raises :class:`ConfigurationError`.
+    ``validate`` only accepts ``None``; run records are checked after the
+    fact by :func:`repro.validate.invariants.check_kernel_records`.
     """
 
     def __init__(
@@ -52,9 +53,17 @@ class SynergyQueue(Queue):
         predictor: FrequencyPredictor | None = None,
         switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S,
         trace: TraceSession | None = None,
-        validate: InlineValidator | bool | None = None,
+        validate: None = None,
         owner: str | None = None,
     ) -> None:
+        # Kept only because ``bench/workloads.py`` still passes
+        # ``validate=context.validator``; delete with that argument.
+        if validate is not None:
+            raise ConfigurationError(
+                f"validate={validate!r}: only None is accepted; check the "
+                "records after the run with "
+                "repro.validate.invariants.check_kernel_records"
+            )
         queue_clocks: tuple[int, int] | None = None
         if len(args) >= 2 and isinstance(args[0], int) and isinstance(args[1], int):
             mem_mhz, core_mhz = args[0], args[1]
@@ -86,8 +95,6 @@ class SynergyQueue(Queue):
         #: attribute so per-tenant energy can be attributed from traces.
         self.owner = owner
         self.trace = resolve_trace(trace)
-        #: Opt-in inline invariant checks (no-op by default, like the trace).
-        self.validator = resolve_validator(validate)
         self._track = f"gpu{self.device.gpu.index}"
         self.scaler = FrequencyScaler(
             self.device.gpu, switch_overhead_s=switch_overhead_s, trace=trace
@@ -206,8 +213,6 @@ class SynergyQueue(Queue):
         if degraded:
             self._degraded_events.add(event)
             self._pending_degraded = False
-        if self.validator.enabled:
-            self.validator.check_kernel_event(self.device.gpu, event)
         tr = self.trace
         if not tr.enabled or event.record is None:
             return

@@ -239,11 +239,6 @@ _GLOBAL_CACHE = SweepCache()
 CURVE_STATS = CacheStats()
 
 
-def default_sweep_cache() -> SweepCache:
-    """The process-global sweep cache."""
-    return _GLOBAL_CACHE
-
-
 def resolve_cache(cache: "bool | SweepCache | None") -> SweepCache | None:
     """Map a call-site ``cache`` argument onto an actual cache (or None).
 
@@ -253,12 +248,6 @@ def resolve_cache(cache: "bool | SweepCache | None") -> SweepCache | None:
     if isinstance(cache, SweepCache):
         return cache
     return _GLOBAL_CACHE if cache is None or cache else None
-
-
-def reset_caches() -> None:
-    """Clear the global sweep cache and all counters (test hook)."""
-    _GLOBAL_CACHE.clear()
-    CURVE_STATS.reset()
 
 
 def cache_report() -> dict[str, dict[str, float | int]]:

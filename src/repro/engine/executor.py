@@ -34,11 +34,11 @@ tail. A retried switch that succeeds leaves the board where the plan put
 it; a degrade resets the board, so the tail's effective clocks and
 switch mask are re-derived from the board state.
 
-Three cases still replay the whole batch per event, which *is* the
-reference semantics (``BatchResult.fallback`` names them): an enabled
-inline validator, a clock switch on an API-restricted board, and an
-armed ``nvml.gpu_lost`` or ``hw.thermal_throttle`` site, which the
-per-event path polls on every NVML call or every kernel.
+Two cases still replay the whole batch per event, which *is* the
+reference semantics (``BatchResult.fallback`` names them): a clock
+switch on an API-restricted board, and an armed ``nvml.gpu_lost`` or
+``hw.thermal_throttle`` site, which the per-event path polls on every
+NVML call or every kernel.
 """
 
 from __future__ import annotations
@@ -71,9 +71,8 @@ class BatchResult:
     ``app_core_mhz``/``app_mem_mhz`` the application clocks in effect
     while each kernel ran. ``fallback`` is ``None`` when the batch took
     the vectorized path, including a batch split at failing clock-sets;
-    otherwise it names why the batch replayed per event: ``"validator"``,
-    ``"restricted"``, or the armed fault site (``"nvml.gpu_lost"``,
-    ``"hw.thermal_throttle"``).
+    otherwise it names why the batch replayed per event: ``"restricted"``
+    or the armed fault site (``"nvml.gpu_lost"``, ``"hw.thermal_throttle"``).
     """
 
     events: tuple[Event, ...]
@@ -353,9 +352,7 @@ class _Plan:
 
 
 def _fallback_reason(queue: "SynergyQueue") -> str | None:
-    """Why the batch must replay per event, or ``None`` for the fast path."""
-    if queue.validator.enabled:
-        return "validator"
+    """The armed per-event fault site, or ``None`` for the fast path."""
     injector = queue.device.gpu.fault_injector
     if injector is not None:
         for site in PER_EVENT_FAULT_SITES:

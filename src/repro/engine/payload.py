@@ -88,7 +88,6 @@ class KernelBatchPayload:
                 plan=self.plan,
                 switch_overhead_s=self.switch_overhead_s,
                 trace=context.trace,
-                validate=context.validator,
                 owner=self.owner,
             )
             result = queue.submit_batch(batch)

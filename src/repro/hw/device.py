@@ -81,6 +81,9 @@ class SimulatedGPU:
         #: to the model's peak draw, i.e. unconstrained.
         self.default_power_limit_w: float = self.power_model.peak_power()
         self.power_limit_w: float = self.default_power_limit_w
+        #: ``(time_s, limit_w)`` per limit change, ascending in time; the
+        #: default limit holds before the first entry.
+        self.power_limit_history: list[tuple[float, float]] = []
         #: NVML-style API restriction: True means clock changes need
         #: privilege. Standalone boards default to unrestricted (a developer
         #: workstation); production clusters restrict every board at node
@@ -168,6 +171,7 @@ class SimulatedGPU:
                 f"[{self.spec.idle_power_w}, {self.default_power_limit_w:.0f}] W"
             )
         self.power_limit_w = float(watts)
+        self.power_limit_history.append((self.clock.now, self.power_limit_w))
 
     def reset_power_limit(self, *, privileged: bool = False) -> None:
         """Restore the default board power limit (root-only)."""
@@ -176,6 +180,7 @@ class SimulatedGPU:
                 f"{self.spec.name}[{self.index}]: power limit changes require root"
             )
         self.power_limit_w = self.default_power_limit_w
+        self.power_limit_history.append((self.clock.now, self.power_limit_w))
 
     def set_api_restriction(self, restricted: bool) -> None:
         """Toggle whether unprivileged clock changes are allowed.

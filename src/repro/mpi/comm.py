@@ -85,10 +85,6 @@ class SimulatedComm:
         """Number of ranks."""
         return len(self.gpus)
 
-    def rank_now(self, rank: int) -> float:
-        """Virtual time of one rank."""
-        return self.gpus[rank].clock.now
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.size:
             raise ValidationError(f"rank {rank} out of range (size {self.size})")
@@ -242,10 +238,6 @@ class SimulatedComm:
         return done
 
     # ------------------------------------------------------------- reporting
-
-    def elapsed_max(self, since: float = 0.0) -> float:
-        """Wall time of the slowest rank since ``since``."""
-        return max(g.clock.now for g in self.gpus) - since
 
     def total_gpu_energy(self, t0: float, t1_per_rank: list[float] | None = None) -> float:
         """True GPU energy across all ranks from ``t0`` (to each rank's now)."""

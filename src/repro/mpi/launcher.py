@@ -46,7 +46,7 @@ def launch_ranks(
         # The scheduler stamps its session on the job context, so a traced
         # cluster run gets a traced communicator for free.
         trace = getattr(context, "trace", None)
-    comm = SimulatedComm(
+    return SimulatedComm(
         gpus,
         node_of_rank,
         network=network,
@@ -54,9 +54,3 @@ def launch_ranks(
         injector=injector,
         trace=trace,
     )
-    # Same deal for the inline invariant hook: a cluster built with
-    # ``validate=`` gets its rank binding checked at launch time.
-    validator = getattr(context, "validator", None)
-    if validator is not None and getattr(validator, "enabled", False):
-        validator.check_rank_binding(comm, context)
-    return comm

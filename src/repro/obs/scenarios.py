@@ -25,7 +25,8 @@ The scenarios:
 - ``multi-tenant`` — a seeded 8-tenant / 4-partition service-plane
   session,
 - ``weak-scaling`` — the Fig. 10 distributed stencil graph under a
-  global SLA-1.25 plan on 12 A100 ranks (certified, no golden).
+  global SLA-1.25 plan on 12 A100 ranks, one span per graph node
+  (certified, no golden).
 
 Everything is a pure function of the ``seed`` argument and virtual time:
 the exported trace and metrics documents are byte-identical across runs
@@ -62,6 +63,7 @@ from repro.hw.device import SimulatedGPU
 from repro.hw.specs import NVIDIA_A100, NVIDIA_V100
 from repro.metrics.targets import MIN_EDP
 from repro.mpi.launcher import launch_ranks
+from repro.obs.dist import emit_graph_trace
 from repro.obs.session import (
     TraceSession,
     absorb_cache_report,
@@ -236,6 +238,7 @@ def run_weak_scaling(seed: int, trace: TraceSession | None = None):
             NVIDIA_A100, graph.rank_kernels(), sla_factor=1.25, cache=True
         )
         result = run_graph(graph, comm, plan)
+        emit_graph_trace(trace, graph, result)
         absorb_cache_report(trace)
     return comm, graph, plan, result
 

@@ -14,7 +14,6 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.hw.device import SimulatedGPU
 from repro.hw.specs import GPUSpec
 from repro.obs.session import TraceSession, resolve_trace
-from repro.validate.inline import InlineValidator, resolve_validator
 from repro.vendor.nvml import NVMLLibrary
 
 #: The GRES tag gating the paper's frequency-scaling capability.
@@ -88,8 +87,6 @@ class Cluster:
         self._raw_trace = trace
         #: Shared fault-injection plane (None on the happy path).
         self.fault_injector: FaultInjector | None = None
-        #: Inline invariant hook (the shared no-op unless ``build(validate=)``).
-        self.validator: InlineValidator = resolve_validator(None)
 
     def attach_faults(self, injector: FaultInjector) -> None:
         """Thread a fault injector through every node and board."""
@@ -109,7 +106,6 @@ class Cluster:
         clock: VirtualClock | None = None,
         fault_plan: FaultPlan | None = None,
         trace: TraceSession | None = None,
-        validate: InlineValidator | bool | None = None,
         index_base: int = 0,
         node_prefix: str = "node",
     ) -> "Cluster":
@@ -119,10 +115,6 @@ class Cluster:
         clocks) and driver-default clocks — the state §2.3 describes for
         large installations. A ``fault_plan`` arms the chaos plane: its
         injector is attached to the cluster, every node and every board.
-        ``validate`` opts into the inline invariant hook: the provisioning
-        posture is checked immediately and the validator is kept on
-        :attr:`Cluster.validator` for downstream layers (no-op by default,
-        like the trace).
 
         ``index_base`` offsets every GPU index (and therefore its trace
         track and fault-injection address) and ``node_prefix`` the node
@@ -158,9 +150,6 @@ class Cluster:
         cluster = cls(nodes, clk, trace=trace)
         if fault_plan is not None:
             cluster.attach_faults(fault_plan.injector(trace=trace))
-        cluster.validator = resolve_validator(validate)
-        if cluster.validator.enabled:
-            cluster.validator.check_cluster(cluster)
         return cluster
 
     @property

@@ -75,9 +75,9 @@ class JobContext:
     #: Observability session of the scheduler that launched the job (a
     #: TraceSession, possibly the shared no-op); typed loosely like clock.
     trace: object = None
-    #: Inline invariant hook of the cluster that runs the job (an
-    #: InlineValidator, possibly the shared no-op); typed loosely too.
-    validator: object = None
+    #: Always ``None``. Kept only because ``bench/workloads.py`` still
+    #: passes ``validate=context.validator``; delete with that argument.
+    validator: None = None
 
     @property
     def gpus(self):

@@ -79,10 +79,6 @@ class Scheduler:
         self._job_ids = itertools.count(1)
         self.jobs: dict[int, Job] = {}
 
-    def add_plugin(self, plugin: SchedulerPlugin) -> None:
-        """Register a prologue/epilogue plugin."""
-        self.plugins.append(plugin)
-
     # ------------------------------------------------------------- lifecycle
 
     def submit(self, spec: JobSpec) -> Job:
@@ -178,7 +174,6 @@ class Scheduler:
                     nodes=job.nodes,
                     clock=self.cluster.clock,
                     trace=self.trace,
-                    validator=self.cluster.validator,
                 )
                 job.result = spec.payload(context)
             job.state = JobState.COMPLETED

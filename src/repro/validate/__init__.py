@@ -9,37 +9,26 @@ cached vs uncached, traced vs untraced). This package
 encodes both as executable checks:
 
 - :mod:`repro.validate.invariants` — pure invariant checkers over sweep,
-  trace and power-cap results,
+  trace and power-cap results, and over what a run leaves behind (kernel
+  records, cluster posture, rank binding),
 - :mod:`repro.validate.differential` — the differential harness replaying
   seeded workloads through paired implementations,
-- :mod:`repro.validate.inline` — the cheap opt-in ``validate=`` hook wired
-  into :class:`~repro.core.queue.SynergyQueue` and
-  :meth:`~repro.slurm.cluster.Cluster.build` (no-op by default, like
-  ``NULL_TRACE``),
 - :mod:`repro.validate.runner` — the ``repro-synergy validate`` driver
   covering the registry's golden scenarios and the paper's artifacts.
 
-Only the result types and the inline hook are imported eagerly; the
-runner pulls in the experiment stack, which itself imports modules that
-carry the inline hook — importing it here would be circular.
+Every check runs after the fact: no production module imports this
+package. Only the result types are imported eagerly; the runner pulls in
+the whole experiment stack.
 """
 
 from __future__ import annotations
 
-from repro.validate.inline import (
-    NULL_VALIDATOR,
-    InlineValidator,
-    resolve_validator,
-)
 from repro.validate.result import CheckResult, Severity, ValidationReport
 
 __all__ = [
     "CheckResult",
-    "InlineValidator",
-    "NULL_VALIDATOR",
     "Severity",
     "ValidationReport",
-    "resolve_validator",
     "run_validation",
 ]
 

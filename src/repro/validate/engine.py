@@ -18,6 +18,9 @@ and asserts the engine differential contract:
 
 Zero-kernel and zero-job batches are checked to be well-formed no-ops,
 and batches under armed clock-set faults to split rather than fall back.
+The plain, power-capped and fault-split batches, all on the vectorized
+path, also pass the record checks of
+:func:`~repro.validate.invariants.check_kernel_records`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from repro.hw.specs import NVIDIA_V100, GPUSpec
 from repro.kernelir.kernel import KernelIR
 from repro.validate.differential import SCALAR_PATH_RTOL, _arrays_equal
+from repro.validate.invariants import check_kernel_records
 from repro.validate.reference import PerEventPayload, replay_per_event
 from repro.validate.result import CheckResult, check
 
@@ -147,6 +151,7 @@ def check_queue_batched_vs_scalar(spec: GPUSpec = NVIDIA_V100) -> list[CheckResu
 
     context = f"{len(requests)} mixed submissions@{spec.name}"
     results = _record_checks("engine.queue", context, scalar_q.gpu, batched_q.gpu)
+    results += check_kernel_records(batched_q.gpu, context=f"batched {context}")
     results.append(
         check(
             "engine.fast_path_used",
@@ -208,6 +213,7 @@ def check_throttled_batch(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
     batched_q.wait()
     context = f"power limit {limit:.0f} W@{spec.name}"
     results = _record_checks("engine.throttle", context, scalar_q.gpu, batched_q.gpu)
+    results += check_kernel_records(batched_q.gpu, context=f"batched {context}")
     throttled = sum(
         r.core_mhz != spec.core_freqs_mhz[-(1 + (i % 5))]
         for i, r in enumerate(scalar_q.gpu.records)
@@ -346,6 +352,7 @@ def check_faulted_batch(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
         batched_q.wait()
 
         results += _record_checks(name, context, scalar_q.gpu, batched_q.gpu)
+        results += check_kernel_records(batched_q.gpu, context=f"batched {context}")
         batch_spans = [
             sp for sp in tr2.tracer.spans if sp.category == "engine.batch"
         ]

@@ -16,7 +16,11 @@ objects under test. The catalog maps one-to-one onto the paper's claims:
   the :class:`~repro.slurm.powercap.PowerCapPlugin` audit round-trip —
   §2.3,
 - monotone virtual clocks and metric sanity over a recorded
-  :class:`~repro.obs.session.TraceSession`.
+  :class:`~repro.obs.session.TraceSession`,
+- what a run leaves on its boards, clusters and communicators: each
+  kernel record's physics, clocks and power limit (§4.4), the §7.2
+  production posture of a freshly built cluster, and one rank per bound
+  board.
 """
 
 from __future__ import annotations
@@ -291,6 +295,121 @@ def check_metrics_sanity(session, context: str = "trace") -> list[CheckResult]:
             not bad_hists,
             f"{context}: histograms with inconsistent totals {bad_hists}",
         ),
+    ]
+
+
+# ------------------------------------------------------- run invariants
+
+#: Relative tolerance of ``E = P̄·t`` and of the power limit in the record
+#: checks.
+RECORD_RTOL = 1e-6
+
+
+def check_kernel_records(gpu, context: str | None = None) -> list[CheckResult]:
+    """Every execution record on a board is physical and legal.
+
+    Reads ``gpu.records`` after the fact: each window ``0 ≤ start ≤ end``;
+    time and energy positive and finite; ``E = P̄·t`` within
+    :data:`RECORD_RTOL`; core and memory clocks in the device tables;
+    average power under the limit in effect when the kernel started
+    (``gpu.power_limit_history``); end times never before an earlier
+    record's end (one hardware queue per board).
+    """
+    ctx = f"gpu{gpu.index}" if context is None else context
+    records, spec = gpu.records, gpu.spec
+    start, end, energy, power = np.array(
+        [(r.start_s, r.end_s, r.energy_j, r.avg_power_w) for r in records],
+        dtype=float,
+    ).reshape(-1, 4).T
+    core, mem = np.array(
+        [(r.core_mhz, r.mem_mhz) for r in records], dtype=int
+    ).reshape(-1, 2).T
+    history = gpu.power_limit_history
+    limits = np.array([gpu.default_power_limit_w] + [w for _, w in history])
+    limit = limits[np.searchsorted([t for t, _ in history], start, side="right")]
+    high_water = np.maximum.accumulate(np.concatenate(([0.0], end)))[:-1]
+    # A corrupt record may hold inf or NaN: it fails its check quietly.
+    with np.errstate(invalid="ignore", over="ignore"):
+        time = end - start
+        expected = power * time
+        scale = np.maximum(np.maximum(np.abs(expected), np.abs(energy)), 1e-12)
+        conditions = {
+            "event_window": (0.0 <= start) & (start <= end),
+            "time_positive": (time > 0.0) & np.isfinite(time),
+            "energy_positive": (energy > 0.0) & np.isfinite(energy),
+            "energy_power_time": np.abs(energy - expected) <= RECORD_RTOL * scale,
+            "core_clock_in_table": np.isin(core, spec.core_freqs_mhz),
+            "mem_clock_in_table": np.isin(mem, spec.mem_freqs_mhz),
+            "power_under_limit": power <= limit * (1.0 + RECORD_RTOL),
+            "monotone_end_times": end >= high_water,
+        }
+    results = []
+    for name, ok in conditions.items():
+        bad = np.flatnonzero(~ok)
+        first = f"; first: {records[bad[0]]}" if bad.size else ""
+        detail = f"{ctx}: {bad.size} of {len(records)} records fail{first}"
+        results.append(check(f"records.{name}", bad.size == 0, detail))
+    return results
+
+
+def check_cluster_posture(cluster) -> list[CheckResult]:
+    """A freshly built cluster is in §7.2 production posture.
+
+    Board indices are unique; every board is API-restricted, at driver
+    default clocks, and on the cluster's wall clock.
+    """
+    boards = [
+        (f"{node.name}/gpu{gpu.index}", gpu)
+        for node in cluster.nodes
+        for gpu in node.gpus
+    ]
+    indices = sorted(gpu.index for _, gpu in boards)
+    conditions = {
+        "api_restricted": lambda g: g.api_restricted,
+        "default_clocks": lambda g: (g.core_mhz, g.mem_mhz)
+        == (g.spec.default_core_mhz, g.spec.default_mem_mhz),
+        "board_clock_aligned": lambda g: g.clock.now == cluster.clock.now,
+    }
+    results = [
+        check(
+            "posture.unique_board_indices",
+            len(set(indices)) == len(indices),
+            f"board indices {indices}",
+        )
+    ]
+    for name, holds in conditions.items():
+        bad = [label for label, gpu in boards if not holds(gpu)]
+        detail = f"{len(bad)} of {len(boards)} boards fail: {bad[:4]}"
+        results.append(check(f"posture.{name}", not bad, detail))
+    return results
+
+
+def check_rank_binding(comm, nodes) -> list[CheckResult]:
+    """An MPI communicator binds one rank per board of its allocation.
+
+    One rank per bound board, ranks in node-major order, no board bound
+    twice, and every rank's board on the allocated node it is bound to.
+    """
+    gpus, node_of_rank = list(comm.gpus), list(comm.node_of_rank)
+    distinct = len({id(g) for g in gpus})
+    on_node = all(
+        0 <= n < len(nodes) and any(g is gpu for g in nodes[n].gpus)
+        for gpu, n in zip(gpus, node_of_rank)
+    )
+    sizes = f"{comm.size} ranks, {len(gpus)} boards, {len(node_of_rank)} bindings"
+    return [
+        check(
+            "binding.rank_per_board",
+            len(gpus) == len(node_of_rank) == comm.size,
+            sizes,
+        ),
+        check(
+            "binding.node_major",
+            node_of_rank == sorted(node_of_rank),
+            f"rank->node map {node_of_rank}",
+        ),
+        check("binding.boards_bound_once", distinct == len(gpus), f"{distinct} boards"),
+        check("binding.rank_on_allocated_node", on_node, f"{len(nodes)} nodes"),
     ]
 
 

@@ -328,9 +328,7 @@ class PerEventPayload:
     def __call__(self, context: JobContext) -> dict[str, object]:
         summaries = []
         for gpu in context.gpus:
-            queue = SynergyQueue(
-                gpu, plan=self.plan, trace=context.trace, validate=context.validator
-            )
+            queue = SynergyQueue(gpu, plan=self.plan, trace=context.trace)
             replay_per_event(queue, self.requests)
             summaries.append(queue.summary())
         return {"gpus": summaries}

@@ -10,7 +10,7 @@ cheap; the default runs everything, which is what the ``--strict`` gate in
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 from repro.apps import get_benchmark
 from repro.common.errors import ConfigurationError
@@ -19,7 +19,12 @@ from repro.core.sweepcache import scoped_cache
 from repro.experiments.artifacts import ARTIFACTS
 from repro.experiments.sweep import sweep_kernel
 from repro.hw.specs import AMD_MI100, NVIDIA_V100, GPUSpec
-from repro.obs.scenarios import get_scenario, golden_scenarios, run_scenario
+from repro.mpi.launcher import launch_ranks
+from repro.obs.scenarios import get_scenario, golden_scenarios
+from repro.obs.session import TraceSession
+from repro.slurm.cluster import Cluster
+from repro.slurm.job import JobSpec, JobState
+from repro.slurm.scheduler import Scheduler
 from repro.validate.adapt import run_adapt_checks
 from repro.validate.analysis import run_analysis_checks
 from repro.validate.differential import run_differential_checks
@@ -27,13 +32,16 @@ from repro.validate.distributed import run_distributed_checks
 from repro.validate.engine import run_engine_checks
 from repro.validate.frontend import run_frontend_checks
 from repro.validate.invariants import (
+    check_cluster_posture,
+    check_kernel_records,
     check_metrics_sanity,
     check_powercap_audit_roundtrip,
     check_powercap_conservation,
+    check_rank_binding,
     check_sweep,
     check_trace_monotonicity,
 )
-from repro.validate.result import CheckResult, ValidationReport
+from repro.validate.result import CheckResult, ValidationReport, check
 from repro.validate.service import run_service_checks
 
 #: Kernel/device grid the sweep invariants run over: the golden-scenario
@@ -82,12 +90,49 @@ def _powercap_section(scenarios: tuple[str, ...], seed: int) -> list[CheckResult
     return results
 
 
+def _cluster_section(scenarios: tuple[str, ...], seed: int) -> list[CheckResult]:
+    # A fresh cluster's §7.2 posture, then the rank binding of one
+    # whole-cluster MPI job on it.
+    cluster = Cluster.build(NVIDIA_V100, n_nodes=2, gpus_per_node=2)
+    results = check_cluster_posture(cluster)
+    job = Scheduler(cluster).submit(
+        JobSpec(
+            name="rank-binding",
+            n_nodes=2,
+            payload=lambda c: check_rank_binding(launch_ranks(c), c.nodes),
+        )
+    )
+    ran = job.state is JobState.COMPLETED
+    results.append(check("binding.job_completed", ran, f"job {job.error or 'ran'}"))
+    return results + (job.result if ran else [])
+
+
+#: Where a scenario's outcome keeps the boards its kernels ran on: the
+#: record checks read them after the run.
+SCENARIO_BOARDS: dict[str, Callable[[Any], list]] = {
+    "single-gpu": lambda queue: [queue.device.gpu],
+    "multi-tenant": lambda service: [
+        gpu for s in service.shards for node in s.cluster.nodes for gpu in node.gpus
+    ],
+}
+
+
 def _scenario_section(scenarios: tuple[str, ...], seed: int) -> list[CheckResult]:
     results: list[CheckResult] = []
     for name in scenarios:
-        session = run_scenario(name, seed=seed)
+        session = TraceSession()
+        outcome = get_scenario(name).run(seed, trace=session)
         results += check_trace_monotonicity(session, context=name)
         results += check_metrics_sanity(session, context=name)
+        if name not in SCENARIO_BOARDS:
+            continue
+        for gpu in SCENARIO_BOARDS[name](outcome):
+            results += check_kernel_records(gpu, context=f"{name}/gpu{gpu.index}")
+        # Those records came from the production path: no batch the
+        # scenario submitted fell back to the per-event replay.
+        fallbacks = session.metrics.as_dict()["counters"].get("engine.fallbacks", 0)
+        detail = f"{name}: {fallbacks} batches fell back"
+        results.append(check("records.fast_path", fallbacks == 0, detail))
     return results
 
 
@@ -105,6 +150,7 @@ def _paper_section(scenarios: tuple[str, ...], seed: int) -> list[CheckResult]:
 SECTIONS: dict[str, Callable[[tuple[str, ...], int], list[CheckResult]]] = {
     "sweeps": _sweep_section,
     "powercap": _powercap_section,
+    "cluster": _cluster_section,
     "scenarios": _scenario_section,
     "differential": lambda scenarios, seed: run_differential_checks(NVIDIA_V100),
     "frontend": lambda scenarios, seed: run_frontend_checks(NVIDIA_V100),

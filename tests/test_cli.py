@@ -173,6 +173,14 @@ def test_choice_defaults_are_valid_choices():
             )
 
 
+def test_accuracy_defaults_are_the_table2_artifact_training_density():
+    """``accuracy`` prints the table EXPERIMENTS.md quotes by default."""
+    from repro.experiments.artifacts import FREQ_STRIDE, RANDOM_COUNT
+
+    args = build_parser().parse_args(["accuracy"])
+    assert (args.stride, args.random_count) == (FREQ_STRIDE, RANDOM_COUNT)
+
+
 @pytest.mark.parametrize("command", ["trace", "validate", "certify"])
 def test_scenario_choices_are_the_registry(command):
     from repro.obs.scenarios import SCENARIOS

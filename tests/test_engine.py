@@ -8,7 +8,8 @@ scalar reference loop side by side: element-wise parity of the resulting
 records, and permutation invariance of the aggregate batch energy. Under
 random clock-set fault plans the batch splits at failing switches; the
 same suite holds it to the scalar twin's records, scaler counters,
-degraded flags and fault log.
+degraded flags and fault log. Unconstrained, power-capped and fault-split
+batches all leave records that pass ``check_kernel_records``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.metrics.targets import (
     SLA_SLACK,
 )
 from repro.obs.session import TraceSession
+from repro.validate.invariants import check_kernel_records
 from repro.validate.reference import PerEventPayload, replay_per_event
 
 pytestmark = pytest.mark.engine
@@ -87,6 +89,10 @@ def _assert_twin_parity(scalar_gpu: SimulatedGPU, batched_gpu: SimulatedGPU):
     np.testing.assert_allclose(
         scalar_gpu._clock_times, batched_gpu._clock_times, rtol=RTOL
     )
+
+
+def _failing_record_checks(gpu: SimulatedGPU) -> list[tuple[str, str]]:
+    return [(r.name, r.detail) for r in check_kernel_records(gpu) if not r.passed]
 
 
 # ------------------------------------------------------------ batch assembly
@@ -175,23 +181,17 @@ class TestFallbacks:
         assert type(batched_exc.value) is type(scalar_exc.value)
         assert scalar_gpu.records == batched_gpu.records == []
 
-    def test_validator_enabled_falls_back(self, kernel_pool):
-        gpu = SimulatedGPU(NVIDIA_V100)
-        queue = SynergyQueue(gpu, validate=True)
-        result = queue.submit_batch([kernel_pool[0]])
-        assert result.fallback == "validator"
-        assert len(gpu.records) == 1
-
-    def test_validator_fallback_matches_scalar_twin(self, kernel_pool, plan):
+    def test_plan_batch_matches_the_per_event_replay(self, kernel_pool, plan):
         requests = [(t, k) for t in (MIN_EDP, MAX_PERF) for k in kernel_pool]
         scalar_gpu = SimulatedGPU(NVIDIA_V100)
-        replay_per_event(SynergyQueue(scalar_gpu, plan=plan, validate=True), requests)
+        replay_per_event(SynergyQueue(scalar_gpu, plan=plan), requests)
         batched_gpu = SimulatedGPU(NVIDIA_V100)
-        batched_queue = SynergyQueue(batched_gpu, plan=plan, validate=True)
+        batched_queue = SynergyQueue(batched_gpu, plan=plan)
         result = batched_queue.submit_batch(requests)
         batched_queue.wait()
-        assert result.fallback == "validator"
+        assert result.fallback is None
         _assert_twin_parity(scalar_gpu, batched_gpu)
+        assert _failing_record_checks(batched_gpu) == []
 
 
 # ------------------------------------------------------- bulk device APIs
@@ -401,8 +401,8 @@ def clock_set_faults(draw):
     )
 
 
-def _faulted_twins(plan, requests, faults, validate=False):
-    """Scalar replay and ``submit_batch`` on twin boards, one fault plan."""
+def _clock_set_plan(plan, requests, faults):
+    """The fault plan ``faults`` draws, scheduled against a clean run."""
     from repro.faults import FaultPlan, FaultSpec
 
     rate, count, target, at_frac, seed = faults
@@ -415,12 +415,17 @@ def _faulted_twins(plan, requests, faults, validate=False):
         clean = SimulatedGPU(NVIDIA_V100, index=0)
         SynergyQueue(clean, plan=plan).submit_batch(requests)
         specs.append(FaultSpec(site="nvml.set_clocks", at_s=at_frac * clean.clock.now))
-    fault_plan = FaultPlan(seed=seed, specs=tuple(specs))
+    return FaultPlan(seed=seed, specs=tuple(specs))
+
+
+def _faulted_twins(plan, requests, faults):
+    """Scalar replay and ``submit_batch`` on twin boards, one fault plan."""
+    fault_plan = _clock_set_plan(plan, requests, faults)
     queues = []
     for _ in range(2):
         gpu = SimulatedGPU(NVIDIA_V100, index=0)
         gpu.fault_injector = fault_plan.injector()
-        queues.append(SynergyQueue(gpu, plan=plan, validate=validate))
+        queues.append(SynergyQueue(gpu, plan=plan))
     scalar_q, batched_q = queues
     replay_per_event(scalar_q, requests)
     result = batched_q.submit_batch(requests)
@@ -453,13 +458,51 @@ class TestFaultedBatchProperties:
     @given(request_streams(max_size=24), clock_set_faults())
     @settings(max_examples=15, deadline=None)
     def test_app_clocks_match_the_per_event_replay(self, plan, requests, faults):
-        """Split and per-event batches report the same application clocks."""
-        _, _, split = _faulted_twins(plan, requests, faults)
-        _, _, replayed = _faulted_twins(plan, requests, faults, validate=True)
-        assert replayed.fallback == "validator"
-        assert split.app_core_mhz.tolist() == replayed.app_core_mhz.tolist()
-        assert split.app_mem_mhz.tolist() == replayed.app_mem_mhz.tolist()
-        assert split.core_mhz.tolist() == replayed.core_mhz.tolist()
+        """A split batch reports the application clocks the per-event
+        replay's board held while each kernel ran."""
+        fault_plan = _clock_set_plan(plan, requests, faults)
+        scalar_gpu, batched_gpu = (
+            SimulatedGPU(NVIDIA_V100, index=0) for _ in range(2)
+        )
+        scalar_gpu.fault_injector = fault_plan.injector()
+        batched_gpu.fault_injector = fault_plan.injector()
+        scalar_q = SynergyQueue(scalar_gpu, plan=plan)
+        app = []
+        for item in requests:
+            replay_per_event(scalar_q, [item])
+            # Clocks change only just before a kernel starts.
+            app.append((scalar_gpu.core_mhz, scalar_gpu.mem_mhz))
+        split = SynergyQueue(batched_gpu, plan=plan).submit_batch(requests)
+        assert split.fallback is None
+        assert split.app_core_mhz.tolist() == [core for core, _ in app]
+        assert split.app_mem_mhz.tolist() == [mem for _, mem in app]
+        assert split.core_mhz.tolist() == [r.core_mhz for r in scalar_gpu.records]
+
+
+class TestRecordChecksOnTheFastPath:
+    @given(
+        request_streams(max_size=24),
+        st.sampled_from((None, 0.55, 0.8)),
+        st.none() | clock_set_faults(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_batch_records_pass_the_record_checks(
+        self, plan, requests, cap, faults
+    ):
+        """Unconstrained, power-capped and fault-split batches all stay
+        on the vectorized path and leave records that pass every check."""
+        gpu = SimulatedGPU(NVIDIA_V100, index=0)
+        if cap is not None:
+            idle, peak = NVIDIA_V100.idle_power_w, gpu.default_power_limit_w
+            gpu.set_power_limit(idle + cap * (peak - idle), privileged=True)
+        if faults is not None:
+            gpu.fault_injector = _clock_set_plan(plan, requests, faults).injector()
+        queue = SynergyQueue(gpu, plan=plan)
+        result = queue.submit_batch(requests)
+        queue.wait()
+        assert result.fallback is None
+        assert len(gpu.records) == len(requests)
+        assert _failing_record_checks(gpu) == []
 
 
 class TestFaultFallbacks:

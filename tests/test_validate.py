@@ -1,13 +1,14 @@
 """The invariant & differential validation plane (``repro.validate``).
 
 Drives every checker in the catalog over real sweeps, scenarios and
-power-cap states, exercises the differential harness, the opt-in inline
-``validate=`` hooks on the queue and the cluster, and the report/metrics
-export path. Deterministic regression tests for the two §2.3 power-cap
+power-cap states, exercises the differential harness, the post-hoc
+record, posture and binding checks (one corruption per check), and the
+report/metrics export path. Deterministic regression tests for the two §2.3 power-cap
 bugs live here too (the Hypothesis properties are in
 ``test_powercap_properties.py``).
 """
 
+import dataclasses
 import math
 import types
 
@@ -21,19 +22,19 @@ from repro.hw.specs import AMD_MI100, NVIDIA_V100
 from repro.slurm.powercap import PowerCapPlugin, redistribute_caps
 from repro.validate import (
     CheckResult,
-    InlineValidator,
-    NULL_VALIDATOR,
     Severity,
     ValidationReport,
-    resolve_validator,
     run_validation,
 )
 from repro.validate.differential import run_differential_checks
 from repro.validate.invariants import (
+    check_cluster_posture,
     check_interior_energy_minimum,
+    check_kernel_records,
     check_metrics_sanity,
     check_powercap_audit_roundtrip,
     check_powercap_conservation,
+    check_rank_binding,
     check_sweep,
     check_trace_monotonicity,
 )
@@ -227,20 +228,19 @@ def test_differential_harness_all_green():
     ]
 
 
-def test_reference_oracles_are_imported_only_by_the_validation_plane():
-    """No module outside ``repro.validate`` imports the reference oracles,
-    so an oracle never shares code with the production path it checks."""
+def _importers(module_filter, imported) -> list[str]:
+    """``module:line`` of every import in ``src/repro`` whose module passes
+    ``module_filter`` and whose imported name passes ``imported``."""
     import ast
     from pathlib import Path
 
     import repro
 
-    oracle = "repro.validate.reference"
     src = Path(repro.__file__).parent.parent
-    importers = []
+    found = []
     for path in sorted(src.glob("repro/**/*.py")):
         module = ".".join(path.relative_to(src).with_suffix("").parts)
-        if module.startswith("repro.validate"):
+        if not module_filter(module):
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -250,133 +250,248 @@ def test_reference_oracles_are_imported_only_by_the_validation_plane():
                 names += [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            if oracle in names:
-                importers.append(f"{module}:{node.lineno}")
-    assert importers == []
+            if any(imported(name) for name in names):
+                found.append(f"{module}:{node.lineno}")
+    return found
 
 
-# --------------------------------------------------------- inline validator
-
-def _fake_event(**overrides):
-    spec = NVIDIA_V100
-    record = types.SimpleNamespace(
-        kernel_name="k", time_s=1.0, energy_j=50.0, avg_power_w=50.0,
-        core_mhz=spec.default_core_mhz, mem_mhz=spec.default_mem_mhz,
-    )
-    for key, value in overrides.items():
-        setattr(record, key, value)
-    return types.SimpleNamespace(record=record, start_s=0.0, end_s=1.0)
+def test_reference_oracles_are_imported_only_by_the_validation_plane():
+    """No module outside ``repro.validate`` imports the reference oracles,
+    so an oracle never shares code with the production path it checks."""
+    assert _importers(
+        lambda module: not module.startswith("repro.validate"),
+        lambda name: name == "repro.validate.reference",
+    ) == []
 
 
-def _fake_gpu():
-    return types.SimpleNamespace(spec=NVIDIA_V100, power_limit_w=300.0, index=0)
+#: Packages a run goes through: none may import the validation plane,
+#: which checks what they leave behind after the fact.
+PRODUCTION_PACKAGES = (
+    "core", "engine", "hw", "slurm", "mpi", "sycl", "service",
+    "distributed", "vendor", "adapt", "obs",
+)
+
+
+def test_production_packages_never_import_the_validation_plane():
+    assert _importers(
+        lambda module: module.split(".")[1] in PRODUCTION_PACKAGES,
+        lambda name: name == "repro.validate" or name.startswith("repro.validate."),
+    ) == []
+
+
+# ------------------------------------------------------ post-hoc run checks
+
+def _run_board():
+    """A V100 that ran a short per-event kernel mix; returns the board."""
+    from repro.core.queue import SynergyQueue
+    from repro.hw.device import SimulatedGPU
+
+    gpu = SimulatedGPU(NVIDIA_V100, index=0)
+    queue = SynergyQueue(gpu)
+    table = NVIDIA_V100.core_freqs_mhz
+    for i, name in enumerate(("gemm", "sobel3", "median")):
+        kernel = get_benchmark(name).kernel
+        queue.submit(
+            NVIDIA_V100.default_mem_mhz, table[-1 - 9 * i],
+            lambda h, k=kernel: h.parallel_for(k.work_items, k),
+        )
+    queue.wait()
+    return gpu
+
+
+def _failing(results) -> list[str]:
+    return [r.name for r in results if not r.passed]
+
+
+#: One corruption per record check; each breaks exactly that check.
+RECORD_CORRUPTIONS = {
+    "records.event_window": lambda r: {
+        "start_s": -1.0, "energy_j": r.avg_power_w * (r.end_s + 1.0),
+    },
+    # Zero time with energy under the E = P·t floor (1e-6 of 1e-12 J).
+    "records.time_positive": lambda r: {"end_s": r.start_s, "energy_j": 1e-19},
+    "records.energy_positive": lambda r: {"energy_j": 0.0, "avg_power_w": 0.0},
+    "records.energy_power_time": lambda r: {"energy_j": 2.0 * r.energy_j},
+    "records.core_clock_in_table": lambda r: {"core_mhz": 1},
+    "records.mem_clock_in_table": lambda r: {"mem_mhz": 1},
+    "records.power_under_limit": lambda r: {
+        "avg_power_w": 1e4, "energy_j": 1e4 * r.time_s,
+    },
+    # Moved to t = 0, duration unchanged: it now ends before record 0.
+    "records.monotone_end_times": lambda r: {"start_s": 0.0, "end_s": r.time_s},
+}
 
 
 class TestInlineValidator:
+    """The inline validator's kernel checks, restated by
+    :func:`check_kernel_records` over ``gpu.records`` after the run."""
+
     def test_resolve_semantics(self):
-        assert resolve_validator(None) is NULL_VALIDATOR
-        assert resolve_validator(False) is NULL_VALIDATOR
-        assert not NULL_VALIDATOR.enabled
-        live = resolve_validator(True)
-        assert isinstance(live, InlineValidator) and live.enabled and live.strict
-        mine = InlineValidator(strict=False)
-        assert resolve_validator(mine) is mine
-
-    def test_consistent_event_passes(self):
-        v = InlineValidator()
-        v.check_kernel_event(_fake_gpu(), _fake_event())
-        assert v.checks_run > 0 and not v.failures
-
-    def test_strict_raises_on_energy_mismatch(self):
-        v = InlineValidator()
-        bad = _fake_event(energy_j=100.0)  # 50 W over 1 s cannot give 100 J
-        with pytest.raises(ValidationError, match="inline.energy_power_time"):
-            v.check_kernel_event(_fake_gpu(), bad)
-
-    def test_non_strict_records_instead(self):
-        v = InlineValidator(strict=False)
-        v.check_kernel_event(_fake_gpu(), _fake_event(energy_j=100.0))
-        assert [f.name for f in v.failures] == ["inline.energy_power_time"]
-
-    def test_monotone_event_clock_per_device(self):
-        v = InlineValidator(strict=False)
-        first = _fake_event()
-        first.start_s, first.end_s = 0.0, 5.0
-        second = _fake_event()
-        second.start_s, second.end_s = 1.0, 2.0  # ends before the first did
-        gpu = _fake_gpu()
-        v.check_kernel_event(gpu, first)
-        v.check_kernel_event(gpu, second)
-        assert "inline.monotone_event_clock" in {f.name for f in v.failures}
-
-
-# ------------------------------------------------------------ opt-in hooks
-
-class TestOptInHooks:
-    def test_queue_hook_off_by_default(self):
-        from repro.core.queue import SynergyQueue
-        from repro.hw.device import SimulatedGPU
-
-        queue = SynergyQueue(SimulatedGPU(NVIDIA_V100, index=0))
-        assert queue.validator is NULL_VALIDATOR
-
-    def test_queue_hook_validates_every_kernel(self):
+        """``validate=`` survives on the queue as a ``None``-only argument."""
         from repro.core.queue import SynergyQueue
         from repro.hw.device import SimulatedGPU
 
         gpu = SimulatedGPU(NVIDIA_V100, index=0)
-        queue = SynergyQueue(gpu, validate=True)
-        kernel = get_benchmark("gemm").kernel
-        for _ in range(2):
-            queue.submit(lambda h, k=kernel: h.parallel_for(k.work_items, k))
-        queue.wait()
-        assert queue.validator.checks_run > 0
-        assert not queue.validator.failures
+        SynergyQueue(gpu, validate=None)
+        for value in (True, False, object()):
+            with pytest.raises(ConfigurationError, match="check_kernel_records"):
+                SynergyQueue(gpu, validate=value)
+
+    def test_consistent_event_passes(self):
+        results = check_kernel_records(_run_board())
+        assert [r.name for r in results] == [*RECORD_CORRUPTIONS]
+        assert _failing(results) == []
+
+    @pytest.mark.parametrize("name", sorted(RECORD_CORRUPTIONS))
+    def test_one_corrupt_record_fails_exactly_its_check(self, name):
+        gpu = _run_board()
+        record = gpu.records[1]
+        gpu.records[1] = dataclasses.replace(record, **RECORD_CORRUPTIONS[name](record))
+        assert _failing(check_kernel_records(gpu)) == [name]
+
+    def test_power_limit_is_the_one_in_effect_at_kernel_start(self):
+        gpu = _run_board()
+        limit = gpu.records[-1].avg_power_w * 0.9
+        start = gpu.clock.now
+        gpu.set_power_limit(limit, privileged=True)
+        # Earlier records ran at the default limit: still legal.
+        assert _failing(check_kernel_records(gpu)) == []
+        # A record starting under the cap may not draw above it, even
+        # once the board's limit is back at the default.
+        gpu.records.append(
+            dataclasses.replace(
+                gpu.records[-1],
+                start_s=start,
+                end_s=start + 1.0,
+                avg_power_w=limit * 1.01,
+                energy_j=limit * 1.01,
+            )
+        )
+        gpu.clock.advance_to(start + 1.0)
+        gpu.reset_power_limit(privileged=True)
+        assert _failing(check_kernel_records(gpu)) == ["records.power_under_limit"]
+
+    def test_monotone_event_clock_per_device(self):
+        first, second = _run_board(), _run_board()
+        late = first.records[-1]
+        # Each board's records stand alone: two boards may overlap.
+        second.records.insert(0, dataclasses.replace(late))
+        assert _failing(check_kernel_records(first)) == []
+        assert _failing(check_kernel_records(second)) == [
+            "records.monotone_end_times"
+        ]
+
+
+def _fresh_cluster():
+    from repro.slurm.cluster import Cluster
+
+    return Cluster.build(NVIDIA_V100, n_nodes=2, gpus_per_node=2)
+
+
+def _bound_comm():
+    """A whole-cluster job's communicator and its allocation."""
+    from repro.mpi.launcher import launch_ranks
+    from repro.slurm.job import JobSpec, JobState
+    from repro.slurm.scheduler import Scheduler
+
+    job = Scheduler(_fresh_cluster()).submit(
+        JobSpec(name="mpi", n_nodes=2, payload=lambda c: (launch_ranks(c), c.nodes))
+    )
+    assert job.state is JobState.COMPLETED
+    return job.result
+
+
+def _swap_ranks(comm, i, j):
+    comm.gpus[i], comm.gpus[j] = comm.gpus[j], comm.gpus[i]
+    comm.node_of_rank[i], comm.node_of_rank[j] = (
+        comm.node_of_rank[j], comm.node_of_rank[i],
+    )
+
+
+def _rebind(comm, rank, gpu):
+    comm.gpus[rank] = gpu
+
+
+#: One corruption per posture check; each breaks exactly that check.
+POSTURE_CORRUPTIONS = {
+    "posture.unique_board_indices": lambda c: setattr(
+        c.nodes[1].gpus[0], "index", c.nodes[0].gpus[0].index
+    ),
+    "posture.api_restricted": lambda c: c.nodes[0].gpus[1].set_api_restriction(
+        False
+    ),
+    "posture.default_clocks": lambda c: c.nodes[1].gpus[1].set_application_clocks(
+        NVIDIA_V100.default_mem_mhz, NVIDIA_V100.core_freqs_mhz[0], privileged=True
+    ),
+    "posture.board_clock_aligned": lambda c: c.nodes[0].gpus[0].clock.advance(1.0),
+}
+
+#: One corruption per binding check; each breaks exactly that check.
+BINDING_CORRUPTIONS = {
+    "binding.rank_per_board": lambda comm: comm.node_of_rank.append(1),
+    "binding.node_major": lambda comm: _swap_ranks(comm, 1, 2),
+    "binding.boards_bound_once": lambda comm: _rebind(comm, 1, comm.gpus[0]),
+    "binding.rank_on_allocated_node": lambda comm: _rebind(
+        comm, 3, _fresh_cluster().nodes[0].gpus[0]
+    ),
+}
+
+
+class TestOptInHooks:
+    """Where the retired opt-in hooks ran (queue, cluster build, MPI
+    launch), the post-hoc checks read what each left behind."""
+
+    def test_queue_hook_off_by_default(self):
+        from repro.core.queue import SynergyQueue
+        from repro.hw.device import SimulatedGPU
+        from repro.slurm.job import JobContext
+
+        assert JobContext(job_id=1, nodes=[], clock=None).validator is None
+        gpu = SimulatedGPU(NVIDIA_V100, index=0)
+        result = SynergyQueue(gpu, validate=None).submit_batch(
+            [get_benchmark("gemm").kernel] * 2
+        )
+        assert result.fallback is None
+
+    def test_queue_hook_validates_every_kernel(self):
+        gpu = _run_board()
+        results = check_kernel_records(gpu, context="board")
+        assert _failing(results) == []
+        assert {r.detail for r in results} == {"board: 0 of 3 records fail"}
 
     def test_cluster_hook_checks_provisioning(self):
-        from repro.slurm.cluster import Cluster
+        results = check_cluster_posture(_fresh_cluster())
+        assert [r.name for r in results] == [*POSTURE_CORRUPTIONS]
+        assert _failing(results) == []
 
-        plain = Cluster.build(NVIDIA_V100, n_nodes=1, gpus_per_node=2)
-        assert not plain.validator.enabled
-        validator = InlineValidator(strict=False)
-        cluster = Cluster.build(
-            NVIDIA_V100, n_nodes=2, gpus_per_node=2, validate=validator
-        )
-        assert cluster.validator is validator
-        assert validator.checks_run > 0 and not validator.failures
+    @pytest.mark.parametrize("name", sorted(POSTURE_CORRUPTIONS))
+    def test_one_corrupt_board_fails_exactly_its_posture_check(self, name):
+        cluster = _fresh_cluster()
+        POSTURE_CORRUPTIONS[name](cluster)
+        assert _failing(check_cluster_posture(cluster)) == [name]
 
     def test_mpi_rank_binding_checked_on_validated_cluster(self):
-        from repro.mpi.launcher import launch_ranks
-        from repro.slurm.cluster import Cluster
-        from repro.slurm.job import JobSpec, JobState
-        from repro.slurm.scheduler import Scheduler
+        comm, nodes = _bound_comm()
+        results = check_rank_binding(comm, nodes)
+        assert [r.name for r in results] == [*BINDING_CORRUPTIONS]
+        assert comm.size == 4 and _failing(results) == []
 
-        validator = InlineValidator(strict=False)
-        cluster = Cluster.build(
-            NVIDIA_V100, n_nodes=2, gpus_per_node=2, validate=validator
-        )
-        before = validator.checks_run
-        scheduler = Scheduler(cluster)
-        job = scheduler.submit(
-            JobSpec(name="mpi", n_nodes=2, payload=lambda c: launch_ranks(c).size)
-        )
-        assert job.state is JobState.COMPLETED and job.result == 4
-        assert validator.checks_run > before
-        assert not validator.failures
+    @pytest.mark.parametrize("name", sorted(BINDING_CORRUPTIONS))
+    def test_one_corrupt_binding_fails_exactly_its_check(self, name):
+        comm, nodes = _bound_comm()
+        BINDING_CORRUPTIONS[name](comm)
+        assert _failing(check_rank_binding(comm, nodes)) == [name]
 
     def test_rank_binding_violations_flagged(self):
         comm = types.SimpleNamespace(
             gpus=["a", "a"], node_of_rank=[1, 0], size=2
         )
-        context = types.SimpleNamespace(
-            nodes=[types.SimpleNamespace(gpus=[])] * 2
-        )
-        v = InlineValidator(strict=False)
-        v.check_rank_binding(comm, context)
-        names = {f.name for f in v.failures}
-        assert "inline.node_major_binding" in names
-        assert "inline.boards_bound_once" in names
-        assert "inline.rank_on_allocated_node" in names
+        nodes = [types.SimpleNamespace(gpus=[])] * 2
+        assert _failing(check_rank_binding(comm, nodes)) == [
+            "binding.node_major",
+            "binding.boards_bound_once",
+            "binding.rank_on_allocated_node",
+        ]
 
 
 # ----------------------------------------------------- runner and obs export
@@ -392,6 +507,38 @@ class TestRunner:
         assert report.ok(strict=True), [
             (r.name, r.detail) for r in report.results if not r.passed
         ]
+
+    def test_run_checks_read_fast_path_output(self):
+        """The record checks run on batches that took the vectorized path:
+        the engine section's plain, capped and fault-split batches and the
+        multi-tenant scenario's boards."""
+        report = run_validation(
+            ["single-gpu", "multi-tenant"], only=("cluster", "scenarios", "engine")
+        )
+        assert report.ok(strict=True), [
+            (r.name, r.detail) for r in report.results if not r.passed
+        ]
+        rows = [r for r in report.results if r.name == "records.power_under_limit"]
+        contexts = [r.detail.split(":")[0] for r in rows]
+        assert contexts[0] == "single-gpu/gpu0"
+        assert sum(c.startswith("multi-tenant/") for c in contexts) > 1
+        engine = [c for c in contexts if c.startswith("batched ")]
+        assert [c.split(",")[0].split("@")[0] for c in engine] == [
+            "batched 15 mixed submissions",
+            "batched power limit 195 W",
+            "batched transient clock-set faults",
+            "batched degrade clock-set faults",
+        ]
+        # Each passed (the report is clean): no batch above fell back.
+        assert {
+            "records.fast_path",
+            "engine.fast_path_used",
+            "engine.throttle_engaged",
+            "engine.faulted_transient_fast_path",
+            "engine.faulted_degrade_fast_path",
+            "posture.api_restricted",
+            "binding.node_major",
+        } <= {r.name for r in report.results}
 
     def test_section_subset(self):
         report = run_validation(only=("powercap",))
