@@ -42,3 +42,6 @@ python -m repro.cli validate --strict
 
 echo "== service smoke (seed 7: 8 tenants x 2k submissions, 4 partitions, 8 cycles) =="
 python -m repro.cli serve
+
+echo "== distributed smoke (2048 ranks: columnar graph, global plan, batched run) =="
+python -m repro.cli distributed --ranks 2048

@@ -264,45 +264,67 @@ def plan_global_frequencies(
             "MIN_ENERGY or MAX_PERF"
         )
 
+    # Ranks with the same kernel sequence (by object identity, repeats
+    # and order included) share every per-rank quantity below, so each
+    # distinct sequence is planned once and broadcast to its ranks.
+    # A sequence object shared by several ranks (as
+    # CommandGraph.rank_kernels returns them) is keyed once; the map holds
+    # each object so its id cannot be reused by another during the loop.
+    group_of: dict[tuple[int, ...], int] = {}
+    group_of_object: dict[int, tuple[Sequence[KernelIR], int]] = {}
+    seqs: list[Sequence[KernelIR]] = []
+    rank_group: list[int] = []
+    for ks in rank_kernels:
+        seen = group_of_object.get(id(ks))
+        if seen is None:
+            key = tuple(map(id, ks))
+            g = group_of.get(key)
+            if g is None:
+                g = group_of[key] = len(seqs)
+                seqs.append(ks)
+            group_of_object[id(ks)] = (ks, g)
+        else:
+            g = seen[1]
+        rank_group.append(g)
+
     # One sweep per distinct kernel object: time/energy columns over the
     # device's full core table at the default memory clock.
     sweeps: dict[int, object] = {}
-    for ks in rank_kernels:
+    for ks in seqs:
         for k in ks:
             if id(k) not in sweeps:
                 sweeps[id(k)] = sweep_kernel(spec, k, cache=cache)
 
-    n_ranks = len(rank_kernels)
-    # Per rank: serial time/energy columns over the table, per-kernel
-    # duration matrix for the SLA guard.
-    rank_rows = []
-    for ks in rank_kernels:
+    # Per sequence: serial time/energy columns over the table, per-kernel
+    # duration matrix for the SLA guard, and the sequence-level MAX_PERF
+    # point (the uniform clock minimizing serial time).
+    group_rows = []
+    for ks in seqs:
         mult: dict[int, int] = {}
         for k in ks:
             mult[id(k)] = mult.get(id(k), 0) + 1
         time_rows = np.stack([sweeps[i].time_s for i in mult])
         energy_rows = np.stack([sweeps[i].energy_j for i in mult])
         counts = np.asarray([mult[i] for i in mult], dtype=float)
-        rank_rows.append((time_rows, counts @ time_rows, counts @ energy_rows))
-
-    # Rank-level MAX_PERF: the uniform clock minimizing serial time.
-    i_mp = [int(np.argmin(total_t)) for _, total_t, _ in rank_rows]
-    maxperf_t = [float(rank_rows[r][1][i_mp[r]]) for r in range(n_ranks)]
-    maxperf_e = [float(rank_rows[r][2][i_mp[r]]) for r in range(n_ranks)]
-    critical = int(max(range(n_ranks), key=maxperf_t.__getitem__))
+        total_t, total_e = counts @ time_rows, counts @ energy_rows
+        i_mp = int(np.argmin(total_t))
+        group_rows.append((time_rows, total_t, total_e, i_mp))
+    group_mp_t = [float(rows[1][rows[3]]) for rows in group_rows]
+    group_mp_e = [float(rows[2][rows[3]]) for rows in group_rows]
+    maxperf_t = [group_mp_t[g] for g in rank_group]
+    maxperf_e = [group_mp_e[g] for g in rank_group]
+    # The critical rank is the first rank with the largest MAX_PERF time.
+    critical = int(max(range(len(rank_kernels)), key=maxperf_t.__getitem__))
     budget = sla_factor * maxperf_t[critical]
 
     freqs = next(iter(sweeps.values())).freqs_mhz
-    rank_targets: list[str] = []
-    rank_clocks: list[tuple[int, int]] = []
-    est_t: list[float] = []
-    est_e: list[float] = []
-    entries: dict[tuple[int, str], tuple[int, int]] = {}
-    for rank, ks in enumerate(rank_kernels):
-        time_rows, total_t, total_e = rank_rows[rank]
-        best = i_mp[rank]
+    mem = spec.default_mem_mhz
+
+    def choice(g: int, lean: bool) -> tuple[str, tuple[int, int], float, float]:
+        """``(target, clocks, time, energy)`` of a rank running ``seqs[g]``."""
+        time_rows, total_t, total_e, best = group_rows[g]
         name = "MAX_PERF"
-        if objective != "MAX_PERF" and rank != critical:
+        if lean and objective != "MAX_PERF":
             per_kernel_ok = np.all(
                 time_rows <= sla_factor * time_rows[:, [best]], axis=0
             )
@@ -319,13 +341,23 @@ def plan_global_frequencies(
                 cand = int(idx[np.argmin(score[idx])])
                 if cand != best:
                     best, name = cand, objective
-        pair = (spec.default_mem_mhz, int(freqs[best]))
-        rank_targets.append(name)
-        rank_clocks.append(pair)
-        est_t.append(float(total_t[best]))
-        est_e.append(float(total_e[best]))
-        for k in ks:
-            entries[(rank, k.name)] = pair
+        return (
+            name, (mem, int(freqs[best])),
+            float(total_t[best]), float(total_e[best]),
+        )
+
+    slack_choice = [choice(g, True) for g in range(len(seqs))]
+    per_rank = [slack_choice[g] for g in rank_group]
+    per_rank[critical] = choice(rank_group[critical], False)
+    names = [list(dict.fromkeys(k.name for k in ks)) for ks in seqs]
+    entries: dict[tuple[int, str], tuple[int, int]] = {}
+    for rank, (g, (_, pair, _, _)) in enumerate(zip(rank_group, per_rank)):
+        for name in names[g]:
+            entries[(rank, name)] = pair
+    rank_targets = [c[0] for c in per_rank]
+    rank_clocks = [c[1] for c in per_rank]
+    est_t = [c[2] for c in per_rank]
+    est_e = [c[3] for c in per_rank]
     return GlobalFrequencyPlan(
         device_name=spec.name,
         sla_factor=float(sla_factor),

@@ -86,9 +86,21 @@ class FrequencyScaler:
         """Apply a clock pair; returns True if a change was actually made.
 
         Redundant requests (clocks already in effect) are skipped without
-        overhead. Effective changes advance the device clock by the switch
-        overhead before the change lands, so subsequent kernels start late —
-        exactly the §4.4 cost model.
+        overhead. An effective change advances the device clock by the
+        switch overhead ``OH`` and lands in the board's clock history at
+        that later time. The overhead *overlaps* the kernel being
+        launched: a queue captures the launch's submit time before it
+        calls this method, so the kernel starts at that time and runs at
+        the new clocks. Host-side launch completion therefore follows
+        ``n_i = n_(i-1) + max(d_i, OH)`` for a kernel of duration ``d_i``;
+        the overhead delays later kernels only when it is longer than the
+        kernel it serves (the §4.4 cost model).
+
+        The clocks a kernel ran at are those on its own record
+        (``KernelExecutionRecord.core_mhz``/``mem_mhz``).
+        ``SimulatedGPU.clocks_at(record.start_s)`` reads the clock history
+        instead, and for a switching launch it returns the clocks from
+        before the switch, because the change lands ``OH`` after the start.
 
         Transient vendor failures are retried up to ``max_retries`` times
         with capped exponential backoff in virtual time. On exhaustion the

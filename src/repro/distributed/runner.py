@@ -14,9 +14,10 @@ Two execution paths share the semantics of a :class:`CommandGraph`:
   batched engine's memoized operating tables. Validated against the
   scalar path by ``repro-synergy validate --only distributed``.
 
-:func:`run_graph` picks the batched path when its exactness
-preconditions hold (no armed fault plane, no power caps, homogeneous
-boards) and otherwise falls back to the scalar reference, mirroring
+:func:`run_graph` is the facade: it checks that the graph, the
+communicator and the plan agree, then picks the batched path when its
+exactness preconditions hold (no armed fault plane, no power caps) and
+otherwise falls back to the scalar reference, mirroring
 :func:`repro.engine.executor.execute_batch`. The power-cap fallback
 remains (it is reported as ``fallback="powercap"``), but its per-event
 throttled operating point is an exact memo lookup
@@ -31,10 +32,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.common.clock import VirtualClock
-from repro.common.errors import ValidationError
+from repro.common.errors import ConfigurationError, ValidationError
 from repro.core.compiler import GlobalFrequencyPlan
 from repro.core.frequency import DEFAULT_SWITCH_OVERHEAD_S
-from repro.distributed.graph import GATHER, HALO, KERNEL, CommandGraph
+from repro.distributed.graph import GATHER_CODE, HALO_CODE, KERNEL_CODE, CommandGraph
 from repro.hw.device import SimulatedGPU
 from repro.hw.specs import GPUSpec
 from repro.mpi.comm import SimulatedComm
@@ -110,6 +111,31 @@ class ExecutionResult:
         }
 
 
+def _check_plan(graph: CommandGraph, comm: SimulatedComm, plan: GlobalFrequencyPlan) -> None:
+    """Reject a run whose inputs disagree, before any node runs.
+
+    A communicator of another size is a :class:`ValidationError` (the
+    graph and the boards disagree); a plan made for another device or
+    another rank count is a :class:`ConfigurationError`, as for
+    :meth:`repro.slurm.scheduler.Scheduler.submit`.
+    """
+    if comm.size != graph.n_ranks:
+        raise ValidationError(
+            f"graph spans {graph.n_ranks} ranks; communicator has {comm.size}"
+        )
+    if len(plan.rank_clocks) != graph.n_ranks:
+        raise ConfigurationError(
+            f"plan covers {len(plan.rank_clocks)} ranks; graph spans "
+            f"{graph.n_ranks}"
+        )
+    for r, gpu in enumerate(comm.gpus):
+        if gpu.spec.name != plan.device_name:
+            raise ConfigurationError(
+                f"plan is for {plan.device_name}; rank {r} runs on "
+                f"{gpu.spec.name}"
+            )
+
+
 def run_graph_scalar(
     graph: CommandGraph,
     comm: SimulatedComm,
@@ -128,39 +154,44 @@ def run_graph_scalar(
     """
     from repro.core.queue import SynergyQueue
 
-    if comm.size != graph.n_ranks:
-        raise ValidationError(
-            f"graph spans {graph.n_ranks} ranks; communicator has {comm.size}"
-        )
+    _check_plan(graph, comm, plan)
     queues = [
         SynergyQueue(gpu, switch_overhead_s=switch_overhead_s)
         for gpu in comm.gpus
     ]
-    n = len(graph.nodes)
-    start_s = np.zeros(n)
-    finish_s = np.zeros(n)
-    for node in graph.nodes:
+    kinds = graph.kind.tolist()
+    ranks = graph.rank.tolist()
+    codes = graph.kernel_code.tolist()
+    costs = graph.cost_s.tolist()
+    indptr = graph.dep_indptr.tolist()
+    indices = graph.dep_indices.tolist()
+    table = graph.kernel_table
+    n = len(kinds)
+    start_s = [0.0] * n
+    finish_s = [0.0] * n
+    for nid in range(n):
         ready = 0.0
-        for dep in node.deps:
+        for dep in indices[indptr[nid] : indptr[nid + 1]]:
             if finish_s[dep] > ready:
-                ready = float(finish_s[dep])
-        if node.kind == KERNEL:
-            kernel = node.kernel
-            assert kernel is not None
-            gpu = comm.gpus[node.rank]
+                ready = finish_s[dep]
+        if kinds[nid] == KERNEL_CODE:
+            kernel = table[codes[nid]]
+            rank = ranks[nid]
+            gpu = comm.gpus[rank]
             if ready > gpu.clock.now:
                 gpu.clock.advance_to(ready)
-            mem, core = plan.clocks_for(node.rank, kernel.name)
-            event = queues[node.rank].submit(
+            mem, core = plan.clocks_for(rank, kernel.name)
+            event = queues[rank].submit(
                 mem, core, lambda h, k=kernel: h.parallel_for(k.work_items, k)
             )
-            start_s[node.nid] = event.start_s
-            finish_s[node.nid] = event.end_s
+            start_s[nid] = event.start_s
+            finish_s[nid] = event.end_s
         else:
-            if node.kind == GATHER and comm.injector is not None:
+            if kinds[nid] == GATHER_CODE and comm.injector is not None:
                 comm._check_faults(ready)
-            start_s[node.nid] = ready
-            finish_s[node.nid] = ready + node.cost_s
+            start_s[nid] = ready
+            finish_s[nid] = ready + costs[nid]
+    finish = np.asarray(finish_s, dtype=float)
     rank_time = np.asarray([g.clock.now for g in comm.gpus])
     rank_energy = np.asarray(
         [q.summary()["kernel_energy_j"] for q in queues]
@@ -168,19 +199,19 @@ def run_graph_scalar(
     rank_switches = np.asarray(
         [q.scaler.switch_count for q in queues], dtype=int
     )
-    completion = float(max(finish_s.max(initial=0.0), rank_time.max()))
-    counts = graph.counts()
+    completion = float(max(finish.max(initial=0.0), rank_time.max()))
+    per_kind = np.bincount(graph.kind, minlength=3)
     return ExecutionResult(
         mode="scalar",
         fallback=None,
-        start_s=start_s,
-        finish_s=finish_s,
+        start_s=np.asarray(start_s, dtype=float),
+        finish_s=finish,
         rank_time_s=rank_time,
         rank_energy_j=rank_energy,
         rank_switches=rank_switches,
         completion_s=completion,
-        n_kernels=counts.get(KERNEL, 0),
-        n_transfers=counts.get(HALO, 0) + counts.get(GATHER, 0),
+        n_kernels=int(per_kind[KERNEL_CODE]),
+        n_transfers=int(per_kind[HALO_CODE] + per_kind[GATHER_CODE]),
     )
 
 
@@ -193,13 +224,16 @@ def run_graph(
 ) -> ExecutionResult:
     """Execute a graph, vectorized when exact bulk replay is possible.
 
-    The wave-vectorized multi-rank engine runs unless a precondition
+    Inputs are checked first, before any node runs: a communicator of
+    another size raises :class:`ValidationError`, a plan for another
+    device or rank count :class:`ConfigurationError` — on every path.
+    Then the wave-vectorized multi-rank engine runs unless a precondition
     forces the scalar reference (:func:`run_graph_scalar`): an attached
-    fault injector (per-event RNG draws must happen in per-event order),
-    a power-capped board, or heterogeneous board specs. The result then
-    names that reason in ``fallback``. On a capped board each per-event
-    launch finds its throttled clock by one exact memo lookup per
-    (kernel, ceiling, memory clock, cap).
+    fault injector (per-event RNG draws must happen in per-event order)
+    or a power-capped board. The result then names that reason in
+    ``fallback``. On a capped board each per-event launch finds its
+    throttled clock by one exact memo lookup per (kernel, ceiling, memory
+    clock, cap).
 
     The batched path is a pure computation — it leaves the communicator's
     devices untouched — while the scalar path commits events, records and
@@ -209,12 +243,11 @@ def run_graph(
     """
     from repro.engine.multirank import execute_graph_batched
 
+    _check_plan(graph, comm, plan)
     if comm.injector is not None:
         fallback = "faults"
     elif any(g.power_limit_w < g.default_power_limit_w for g in comm.gpus):
         fallback = "powercap"
-    elif len({g.spec.name for g in comm.gpus}) > 1:
-        fallback = "heterogeneous"
     else:
         return execute_graph_batched(
             graph, comm, plan, switch_overhead_s=switch_overhead_s

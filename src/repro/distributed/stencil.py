@@ -38,8 +38,14 @@ def build_stencil_graph(
     boundary_kernel: str = "gemm",
     flux_kernel: str = "sobel3",
     update_kernel: str = "median",
+    graph: CommandGraph | None = None,
 ) -> CommandGraph:
-    """Build the stencil command graph over a communicator's ranks."""
+    """Build the stencil command graph over a communicator's ranks.
+
+    ``graph`` is an empty graph over the communicator's ranks to submit
+    into (default: a fresh :class:`CommandGraph`); anything with the same
+    ``parallel_for``/``gather`` builder API serves.
+    """
     from repro.apps import get_benchmark
 
     if steps <= 0:
@@ -56,9 +62,8 @@ def build_stencil_graph(
     flux = DistributedBuffer(rng, name="flux")
     bc = DistributedBuffer(rng, name="boundary")
 
-    graph = CommandGraph(
-        n_ranks, comm.node_of_rank, network=comm.network
-    )
+    if graph is None:
+        graph = CommandGraph(n_ranks, comm.node_of_rank, network=comm.network)
     halo = min(halo_elems, elems_per_rank)
     edge_ranks = {0, n_ranks - 1}
     boundary_wave = [

@@ -10,7 +10,10 @@ inter-group messages (groups of ``nodes_per_group`` nodes).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.common.errors import ValidationError
 
@@ -56,7 +59,29 @@ class NetworkModel:
                 latency += self.inter_group_extra_latency_s
         return self.software_overhead_s + latency + nbytes / bandwidth
 
-    def allreduce_time(self, nbytes: float, node_ids: list[int]) -> float:
+    def transfer_times(self, nbytes: float, node_a, node_b) -> np.ndarray:
+        """:meth:`transfer_time` of ``nbytes`` over each pair of node arrays.
+
+        A cost depends only on the link class — same node, same group or
+        cross group — so each class present costs one scalar
+        :meth:`transfer_time` call, and every element equals the scalar
+        call for its pair bitwise.
+        """
+        a = np.asarray(node_a, dtype=np.int64)
+        b = np.asarray(node_b, dtype=np.int64)
+        group = self.nodes_per_group
+        link = np.where(a == b, 0, np.where(a // group == b // group, 1, 2))
+        out = np.empty(link.shape)
+        for cls in range(3):
+            members = link == cls
+            if members.any():
+                i = int(np.argmax(members))
+                out[members] = self.transfer_time(
+                    nbytes, int(a.flat[i]), int(b.flat[i])
+                )
+        return out
+
+    def allreduce_time(self, nbytes: float, node_ids: Sequence[int]) -> float:
         """Cost (s) of a ring-style allreduce over ranks on ``node_ids``.
 
         Standard ring model: ``2·(p−1)/p`` of the payload crosses the
@@ -65,8 +90,7 @@ class NetworkModel:
         p = len(node_ids)
         if p <= 1:
             return 0.0
-        worst_step = max(
-            self.transfer_time(nbytes / p, node_ids[i], node_ids[(i + 1) % p])
-            for i in range(p)
-        )
+        ring = np.asarray(node_ids, dtype=np.int64)
+        steps = self.transfer_times(nbytes / p, ring, np.roll(ring, -1))
+        worst_step = float(steps.max())
         return 2.0 * (p - 1) * worst_step

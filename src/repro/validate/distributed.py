@@ -7,7 +7,9 @@ Three families of checks, all on the weak-scaling stencil workload
   id precedes the node id), deduplicated, and carry the hazards the
   access modes imply: halo-reading kernels wait on their halo pull (RAW)
   and a rank never overwrites its boundary while a same-wave neighbour
-  halo still reads it (WAR). Graph construction is deterministic.
+  halo still reads it (WAR). Graph construction is deterministic, and
+  the columnar builder derives the same nodes and wave records as the
+  per-node oracle :class:`repro.validate.reference.CommandGraphReference`.
 - **executor parity** — the wave-vectorized engine
   (:mod:`repro.engine.multirank`) against the per-event scalar reference
   (:func:`repro.distributed.runner.run_graph_scalar`): node
@@ -53,12 +55,33 @@ def _graph_signature(graph) -> list[tuple]:
     ]
 
 
+def _record_signature(graph) -> list[tuple]:
+    """The wave records, with buffers named (each build makes its own)."""
+    return [
+        (
+            w.wave, w.kind,
+            tuple((a.buffer.name, a.mode, a.halo) for a in w.accesses),
+            None if w.buffer is None else w.buffer.name,
+            w.kernel_nids, w.halo_nids, w.gather_nid,
+        )
+        for w in graph.submissions
+    ]
+
+
 def check_graph_soundness(spec: GPUSpec) -> list[CheckResult]:
     """Edge structure, hazard edges and deterministic construction."""
     from repro.distributed.graph import HALO, KERNEL
 
-    _, graph = _stencil(spec)
+    from repro.validate.reference import CommandGraphReference
+
+    comm, graph = _stencil(spec)
     _, again = _stencil(spec)
+    _, oracle = _stencil(
+        spec,
+        graph=CommandGraphReference(
+            comm.size, comm.node_of_rank, network=comm.network
+        ),
+    )
     results = [
         check(
             "distributed.graph_edges",
@@ -70,6 +93,13 @@ def check_graph_soundness(spec: GPUSpec) -> list[CheckResult]:
             "distributed.graph_deterministic",
             _graph_signature(graph) == _graph_signature(again),
             "two identical builder runs derived different graphs",
+        ),
+        check(
+            "distributed.graph_matches_reference",
+            _graph_signature(graph) == _graph_signature(oracle)
+            and _record_signature(graph) == _record_signature(oracle),
+            f"{len(graph.nodes)} nodes: the columnar builder and the "
+            "per-node reference builder derived different graphs",
         ),
     ]
     dedup_ok = all(

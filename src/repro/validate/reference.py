@@ -23,19 +23,26 @@ does so on every GPU of a job: the per-event twins of
 ``SynergyQueue.submit_batch`` and
 :class:`repro.engine.payload.KernelBatchPayload` in the engine
 differential contract.
+:class:`CommandGraphReference` derives a distributed command graph one
+rank, one neighbour and one access at a time; the columnar
+:class:`repro.distributed.graph.CommandGraph` must give the same nodes
+(ids, kinds, ranks, waves, labels, dependencies, bytes and costs,
+bitwise) and the same :class:`~repro.distributed.graph.WaveRecord` log.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
-from repro.common.errors import SimulationError
+from repro.common.errors import SimulationError, ValidationError
 from repro.common.rng import derive_seed, make_rng
 from repro.core.compiler import FrequencyPlan
 from repro.core.queue import SynergyQueue
+from repro.distributed.graph import GATHER, HALO, KERNEL, CommandNode, WaveRecord
 from repro.experiments.sweep import FrequencySweep2D
 from repro.hw.power import PowerModel
 from repro.hw.timing import TimingModel
@@ -43,7 +50,9 @@ from repro.kernelir.kernel import KernelIR
 from repro.metrics.targets import EnergyTarget
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import FlatTree, n_candidate_features
+from repro.mpi.network import NetworkModel
 from repro.slurm.job import JobContext
+from repro.sycl.distributed import DistributedAccess, DistributedBuffer
 
 
 def _best_split(xb, yb, features, min_leaf, total_sum, total_sq):
@@ -332,3 +341,246 @@ class PerEventPayload:
             replay_per_event(queue, self.requests)
             summaries.append(queue.summary())
         return {"gpus": summaries}
+
+
+class CommandGraphReference:
+    """The per-node command-graph builder: the oracle of
+    :class:`repro.distributed.graph.CommandGraph`.
+
+    Same builder API (``parallel_for``, ``gather``) and the same outputs —
+    a ``nodes`` list of :class:`CommandNode` and the ``submissions`` log —
+    derived one rank, one neighbour and one access at a time, with
+    per-(buffer, rank) hazard state in Python lists and one
+    ``NetworkModel.transfer_time`` call per (rank, neighbour).
+    """
+
+    def __init__(
+        self,
+        n_ranks: int,
+        node_of_rank: Sequence[int],
+        network: NetworkModel | None = None,
+    ) -> None:
+        if n_ranks <= 0:
+            raise ValidationError(f"graph needs at least one rank ({n_ranks})")
+        if len(node_of_rank) != n_ranks:
+            raise ValidationError(
+                f"node_of_rank length {len(node_of_rank)} != ranks {n_ranks}"
+            )
+        self.n_ranks = int(n_ranks)
+        self.node_of_rank = list(node_of_rank)
+        self.network = network if network is not None else NetworkModel()
+        self.nodes: list[CommandNode] = []
+        self.submissions: list[WaveRecord] = []
+        self._wave = -1
+        # Per (buffer, rank) hazard state: the node id of the last write,
+        # and ids of reads since then. Owned by the graph (not the buffer)
+        # so independently-built graphs never interfere.
+        self._last_writer: dict[DistributedBuffer, list[int | None]] = {}
+        self._readers: dict[DistributedBuffer, list[list[int]]] = {}
+
+    # -------------------------------------------------------------- plumbing
+
+    def _state(
+        self, buf: DistributedBuffer
+    ) -> tuple[list[int | None], list[list[int]]]:
+        if buf.n_ranks != self.n_ranks:
+            raise ValidationError(
+                f"buffer {buf.name!r} is distributed over {buf.n_ranks} "
+                f"ranks; graph has {self.n_ranks}"
+            )
+        if buf not in self._last_writer:
+            self._last_writer[buf] = [None] * self.n_ranks
+            self._readers[buf] = [[] for _ in range(self.n_ranks)]
+        return self._last_writer[buf], self._readers[buf]
+
+    def _neighbours(self, rank: int) -> list[int]:
+        """Non-periodic ±1 neighbours (stencil codes pin the boundary)."""
+        out = []
+        if rank > 0:
+            out.append(rank - 1)
+        if rank < self.n_ranks - 1:
+            out.append(rank + 1)
+        return out
+
+    def _add(self, **kwargs) -> CommandNode:
+        node = CommandNode(nid=len(self.nodes), wave=self._wave, **kwargs)
+        self.nodes.append(node)
+        return node
+
+    @staticmethod
+    def _dedup(deps: list[int]) -> tuple[int, ...]:
+        return tuple(sorted(set(deps)))
+
+    # ------------------------------------------------------------ submission
+
+    def parallel_for(
+        self,
+        kernel: KernelIR | Sequence[KernelIR | None],
+        accesses: Sequence[DistributedAccess],
+    ) -> list[CommandNode]:
+        """Submit one SPMD command group; returns the created kernel nodes.
+
+        ``kernel`` is either one :class:`KernelIR` every rank runs, or a
+        per-rank sequence where ``None`` marks an idle rank (heterogeneous
+        waves — e.g. boundary-condition kernels on edge ranks only).
+        Dependency edges are derived from ``accesses`` as described in
+        :mod:`repro.distributed.graph`.
+        """
+        if isinstance(kernel, KernelIR):
+            per_rank: list[KernelIR | None] = [kernel] * self.n_ranks
+        else:
+            per_rank = list(kernel)
+            if len(per_rank) != self.n_ranks:
+                raise ValidationError(
+                    f"per-rank kernel list covers {len(per_rank)} ranks; "
+                    f"graph has {self.n_ranks}"
+                )
+        if not any(k is not None for k in per_rank):
+            raise ValidationError("command group has no active rank")
+        self._wave += 1
+
+        # Pass 1 — halo transfers, derived from the *pre-wave* state. Each
+        # active rank with a halo access gets one transfer node pulling
+        # both neighbour boundaries; the node registers immediately as a
+        # reader of the neighbour blocks so same-wave writes order behind
+        # it (the WAR edge that keeps boundary pulls sound).
+        halo_of: dict[tuple[int, int], int] = {}  # (rank, access idx) -> nid
+        for ai, access in enumerate(accesses):
+            if not access.halo:
+                continue
+            writers, readers = self._state(access.buffer)
+            for rank in range(self.n_ranks):
+                if per_rank[rank] is None:
+                    continue
+                neighbours = self._neighbours(rank)
+                if not neighbours:
+                    continue
+                deps = [
+                    writers[n] for n in neighbours if writers[n] is not None
+                ]
+                # Both directions proceed concurrently; the slower link
+                # bounds the exchange (send + receive, as in
+                # SimulatedComm.halo_exchange).
+                cost = 2.0 * max(
+                    self.network.transfer_time(
+                        access.halo_nbytes,
+                        self.node_of_rank[rank],
+                        self.node_of_rank[n],
+                    )
+                    for n in neighbours
+                )
+                node = self._add(
+                    kind=HALO,
+                    rank=rank,
+                    label=f"halo:{access.buffer.name}[r{rank}]",
+                    deps=self._dedup(deps),
+                    nbytes=float(access.halo_nbytes),
+                    cost_s=cost,
+                )
+                halo_of[(rank, ai)] = node.nid
+                for n in neighbours:
+                    readers[n].append(node.nid)
+
+        # Pass 2 — kernel nodes, deps from the pre-wave state plus this
+        # wave's halo nodes. Effects are *not* committed yet: same-wave
+        # kernels on different ranks are concurrent, never ordered against
+        # each other through their own wave's reads.
+        created: list[CommandNode] = []
+        for rank in range(self.n_ranks):
+            k = per_rank[rank]
+            if k is None:
+                continue
+            deps: list[int] = []
+            for ai, access in enumerate(accesses):
+                writers, readers = self._state(access.buffer)
+                if access.mode.reads:
+                    if writers[rank] is not None:
+                        deps.append(writers[rank])
+                    hid = halo_of.get((rank, ai))
+                    if hid is not None:
+                        deps.append(hid)
+                if access.mode.writes:
+                    if writers[rank] is not None:
+                        deps.append(writers[rank])
+                    deps.extend(readers[rank])
+            node = self._add(
+                kind=KERNEL,
+                rank=rank,
+                label=f"{k.name}[r{rank}]",
+                deps=self._dedup(deps),
+                kernel=k,
+            )
+            created.append(node)
+
+        # Pass 3 — commit this wave's effects. Writes supersede the block's
+        # reader set (later writers transitively order behind them through
+        # the new last-writer edge); pure reads join it.
+        for node in created:
+            for access in accesses:
+                writers, readers = self._state(access.buffer)
+                if access.mode.writes:
+                    writers[node.rank] = node.nid
+                    readers[node.rank] = []
+                else:
+                    readers[node.rank].append(node.nid)
+        self.submissions.append(
+            WaveRecord(
+                wave=self._wave,
+                kind="parallel_for",
+                accesses=tuple(accesses),
+                buffer=None,
+                kernel_nids=tuple((n.rank, n.nid) for n in created),
+                halo_nids=tuple(halo_of.items()),
+                gather_nid=None,
+            )
+        )
+        return created
+
+    def gather(
+        self, buf: DistributedBuffer, *, nbytes: float | None = None
+    ) -> CommandNode:
+        """Submit a global gather/reduction over every block of ``buf``.
+
+        Depends on every rank's last writer and registers as a reader of
+        every block, so subsequent writes order behind the collective.
+        Costed with the ring-allreduce model over the per-rank
+        contribution (the largest block, unless ``nbytes`` overrides).
+        """
+        self._wave += 1
+        writers, readers = self._state(buf)
+        deps = [w for w in writers if w is not None]
+        if nbytes is None:
+            nbytes = float(int(buf.range.counts.max()) * buf.itemsize)
+        # Ring allreduce, one link at a time: 2·(p−1) steps over the
+        # slowest link (NetworkModel.allreduce_time prices it per class).
+        p, ids = self.n_ranks, self.node_of_rank
+        cost = (
+            2.0 * (p - 1) * max(
+                self.network.transfer_time(nbytes / p, ids[i], ids[(i + 1) % p])
+                for i in range(p)
+            )
+            if p > 1
+            else 0.0
+        )
+        node = self._add(
+            kind=GATHER,
+            rank=-1,
+            label=f"gather:{buf.name}",
+            deps=self._dedup(deps),
+            nbytes=float(nbytes),
+            cost_s=cost,
+        )
+        for rank in range(self.n_ranks):
+            readers[rank].append(node.nid)
+        self.submissions.append(
+            WaveRecord(
+                wave=self._wave,
+                kind="gather",
+                accesses=(),
+                buffer=buf,
+                kernel_nids=(),
+                halo_nids=(),
+                gather_nid=node.nid,
+            )
+        )
+        return node

@@ -13,11 +13,9 @@ Three layers:
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +25,7 @@ from repro.analysis.graphaudit import (
     audit_timed_accesses,
     find_cycle,
 )
-from repro.distributed.graph import HALO, KERNEL
+from repro.distributed.graph import HALO_CODE, KERNEL_CODE
 from repro.distributed.runner import build_comm
 from repro.distributed.stencil import build_stencil_graph
 from repro.hw.device import SimulatedGPU
@@ -72,17 +70,14 @@ def test_stencil_graph_audit_is_clean():
 
 
 def _drop_halo_deps(graph) -> int:
-    """Detach every kernel node from its halo dependencies; returns count."""
-    halos = {n.nid for n in graph.nodes if n.kind == HALO}
-    dropped = 0
-    for i, node in enumerate(graph.nodes):
-        if node.kind != KERNEL:
-            continue
-        kept = tuple(d for d in node.deps if d not in halos)
-        if kept != node.deps:
-            graph.nodes[i] = dataclasses.replace(node, deps=kept)
-            dropped += 1
-    return dropped
+    """Detach every kernel node from its halo dependencies in the CSR
+    columns; returns the number of kernel nodes that lost an edge."""
+    indptr, deps = graph.dep_indptr, graph.dep_indices
+    owner = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    drop = (graph.kind[owner] == KERNEL_CODE) & (graph.kind[deps] == HALO_CODE)
+    lengths = np.bincount(owner[~drop], minlength=len(indptr) - 1)
+    graph.replace_deps(np.concatenate(([0], np.cumsum(lengths))), deps[~drop])
+    return len(np.unique(owner[drop]))
 
 
 def test_tampered_graph_surfaces_unordered_conflicts():

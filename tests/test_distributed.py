@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.core.compiler import plan_global_frequencies
 from repro.core.sweepcache import scoped_cache
 from repro.distributed import (
-    GATHER,
     HALO,
     KERNEL,
     CommandGraph,
@@ -30,8 +31,10 @@ from repro.distributed import (
 )
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.hw.specs import get_spec
+from repro.mpi.network import NetworkModel
 from repro.sycl import DistributedAccess, DistributedBuffer, DistributedRange
 from repro.sycl.accessor import AccessMode
+from repro.validate.reference import CommandGraphReference
 
 pytestmark = pytest.mark.distributed
 
@@ -249,6 +252,98 @@ class TestGraphDerivation:
         assert abs(sizes[1] / sizes[0] - 2.0) < 0.05 * 2.0
 
 
+# ------------------------------------------------- builder vs the oracle
+
+
+def _node_signature(graph) -> list[tuple]:
+    return [
+        (n.nid, n.kind, n.rank, n.wave, n.label, n.deps, n.nbytes, n.cost_s,
+         n.kernel)
+        for n in graph.nodes
+    ]
+
+
+_ACCESS = st.tuples(
+    st.integers(0, 2),  # buffer index (taken modulo the buffer count)
+    st.sampled_from(["read", "write", "read_write"]),
+    st.sampled_from([0, 1, 64]),  # halo width; dropped on pure writes
+)
+_WAVE = st.one_of(
+    st.tuples(
+        st.just("gather"), st.integers(0, 2), st.sampled_from([None, 512.0])
+    ),
+    st.tuples(
+        st.just("pf"),
+        # per-rank kernel choice: -1 idles the rank; an int list of length
+        # 1 is one kernel for every rank
+        st.lists(st.integers(-1, 2), min_size=1, max_size=9),
+        st.lists(_ACCESS, min_size=1, max_size=3),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_ranks=st.integers(1, 9),
+    ranks_per_node=st.integers(1, 3),
+    nodes_per_group=st.integers(1, 2),
+    n_bufs=st.integers(1, 3),
+    waves=st.lists(_WAVE, min_size=1, max_size=8),
+)
+def test_columnar_builder_matches_the_per_node_oracle(
+    n_ranks, ranks_per_node, nodes_per_group, n_bufs, waves
+):
+    """Random wave programs give the same nodes and wave records from the
+    columnar builder and :class:`CommandGraphReference`, bitwise."""
+    kernels = [_kernel(name) for name in ("sobel3", "median", "gemm")]
+    node_of_rank = [r // ranks_per_node for r in range(n_ranks)]
+    network = NetworkModel(nodes_per_group=nodes_per_group)
+    rng = DistributedRange(97 * n_ranks, n_ranks)
+    bufs = [
+        DistributedBuffer(rng, itemsize=4 * (i + 1), name=f"b{i}")
+        for i in range(n_bufs)
+    ]
+    graph = CommandGraph(n_ranks, node_of_rank, network=network)
+    oracle = CommandGraphReference(n_ranks, node_of_rank, network=network)
+    for wave in waves:
+        if wave[0] == "gather":
+            _, bi, nbytes = wave
+            for g in (graph, oracle):
+                g.gather(bufs[bi % n_bufs], nbytes=nbytes)
+            continue
+        _, choice, access_spec = wave
+        accesses = [
+            DistributedAccess(
+                bufs[bi % n_bufs], AccessMode[mode.upper()],
+                halo=0 if mode == "write" else halo,
+            )
+            for bi, mode, halo in access_spec
+        ]
+        if len(choice) == 1 and choice[0] >= 0:
+            kernel = kernels[choice[0]]
+        else:
+            kernel = [
+                kernels[c] if c >= 0 else None
+                for c in (choice * n_ranks)[:n_ranks]
+            ]
+            if all(k is None for k in kernel):
+                kernel[0] = kernels[0]
+        for g in (graph, oracle):
+            g.parallel_for(kernel, accesses)
+    assert _node_signature(graph) == _node_signature(oracle)
+    assert graph.submissions == oracle.submissions
+    assert graph.check_edges()
+    assert graph.counts() == {
+        kind: sum(n.kind == kind for n in oracle.nodes)
+        for kind in dict.fromkeys(n.kind for n in oracle.nodes)
+    }
+    per_rank = [[] for _ in range(n_ranks)]
+    for n in oracle.nodes:
+        if n.kind == KERNEL:
+            per_rank[n.rank].append(n.kernel)
+    assert [list(ks) for ks in graph.rank_kernels()] == per_rank
+
+
 # ------------------------------------------------------------ global planner
 
 
@@ -397,19 +492,18 @@ class TestExecutors:
         result = run_graph(graph, comm, plan)
         assert result.mode == "scalar" and result.fallback == "powercap"
 
-    def test_heterogeneous_boards_force_scalar_fallback(self, stencil):
+    def test_heterogeneous_boards_rejected_before_any_node_runs(self, stencil):
         _, graph, plan, _ = stencil
         comm = build_comm(SPEC, graph.n_ranks)
         from repro.common.clock import VirtualClock
         from repro.hw.device import SimulatedGPU
 
         comm.gpus[-1] = SimulatedGPU(get_spec("V100"), clock=VirtualClock())
-        # The facade must drop to the per-event reference: the batched
-        # path prices every rank off the lead board's table and would
-        # silently misprice the V100. The scalar queue proves it ran by
-        # rejecting the A100-only clock plan on the mismatched board.
+        # A plan names one device; the mismatched board is named in the
+        # error, raised before any board runs a kernel.
         with pytest.raises(ConfigurationError, match="V100"):
             run_graph(graph, comm, plan)
+        assert all(not g.records for g in comm.gpus)
 
     def test_result_arrays_read_only_and_summary(self, stencil):
         comm, graph, plan, _ = stencil
@@ -427,6 +521,42 @@ class TestExecutors:
             build_comm(SPEC, 0)
         with pytest.raises(ValidationError):
             build_comm(SPEC, 4, ranks_per_node=0)
+
+
+def _comm_on_path(path: str, n_ranks: int):
+    """A communicator that sends ``run_graph`` down ``path``."""
+    if path == "faults":
+        plan_f = FaultPlan(
+            seed=3, specs=(FaultSpec(site="mpi.rank_fail", probability=1e-9),)
+        )
+        return build_comm(SPEC, n_ranks, injector=plan_f.injector())
+    comm = build_comm(SPEC, n_ranks)
+    if path == "powercap":
+        gpu = comm.gpus[0]
+        gpu.set_power_limit(0.6 * gpu.default_power_limit_w, privileged=True)
+    return comm
+
+
+def _foreign_plan(graph, kind: str):
+    """A plan that does not fit ``graph`` on the A100 communicator."""
+    if kind == "device":
+        return plan_global_frequencies(get_spec("V100"), graph.rank_kernels())
+    smaller = build_stencil_graph(build_comm(SPEC, graph.n_ranks - 1), steps=1)
+    return plan_global_frequencies(SPEC, smaller.rank_kernels())
+
+
+@pytest.mark.parametrize("path", ["batched", "powercap", "faults"])
+@pytest.mark.parametrize("mistake", ["device", "ranks"])
+@pytest.mark.parametrize("runner", [run_graph, run_graph_scalar])
+def test_foreign_plan_rejected_before_any_node_runs(stencil, path, mistake, runner):
+    """The same bad plan raises ConfigurationError on every executor
+    path, and no board has run a kernel when it does."""
+    _, graph, _, _ = stencil
+    comm = _comm_on_path(path, graph.n_ranks)
+    plan = _foreign_plan(graph, mistake)
+    with pytest.raises(ConfigurationError):
+        runner(graph, comm, plan)
+    assert all(not g.records and g.clock.now == 0.0 for g in comm.gpus)
 
 
 # ------------------------------------------------------------- obs tracks
