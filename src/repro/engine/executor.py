@@ -22,23 +22,28 @@ scalar path: with ``n_i`` the virtual time after submission ``i``,
 (float ``a + max(b, c)`` equals ``max(a+b, a+c)`` bitwise by
 monotonicity), so one ``cumsum`` reproduces the scalar clock walk.
 
-Faults split a batch instead of sending it back to the per-event path.
-The only fault site polled here is the backend's clock-set call
-(``nvml.set_clocks``), once per attempt, and the first attempt of
-switch ``i`` lands at ``clockline[i] + OH``, which is known before
-anything commits. :meth:`FaultInjector.quiet_prefix` finds the first
-clock-set that fires; the batch commits in bulk up to that submission,
-runs that one submission per event (retries, backoff and degrade
-included) with its already-resolved clocks, and continues with the
-tail. A retried switch that succeeds leaves the board where the plan put
-it; a degrade resets the board, so the tail's effective clocks and
-switch mask are re-derived from the board state.
+The batch commits in bulk segments split at each submission that must
+run per event. :func:`_bulk_end` finds the next one as the earliest cut
+of four rules, each reproducing the per-event path exactly:
 
-Two cases still replay the whole batch per event, which *is* the
-reference semantics (``BatchResult.fallback`` names them): a clock
-switch on an API-restricted board, and an armed ``nvml.gpu_lost`` or
-``hw.thermal_throttle`` site, which the per-event path polls on every
-NVML call or every kernel.
+- **GPU loss.** While ``nvml.gpu_lost`` is armed, every submission runs
+  per event: NVML polls that site on every call (a redundant request's
+  ``current_clocks`` read too), so only per-event order keeps its draws.
+- **Restricted board.** Every switching submission runs per event: its
+  clock-set raises the vendor error after the overhead charge, or
+  succeeds with root.
+- **Thermal-throttle window.** The first submission that starts inside
+  a matching window (:meth:`FaultInjector.first_active`) runs per event,
+  where ``FaultInjector.active`` logs the activation and caps the clock.
+- **Clock-set fault.** Switch ``i``'s first attempt lands at
+  ``start_i + OH``; :meth:`FaultInjector.quiet_prefix` finds the first
+  that fires among the switches before the other rules' cut. It runs
+  last because it consumes the draws of exactly the bulk calls.
+
+A submission run per event goes through ``queue.submit`` with its
+already-resolved clocks (retries, backoff and degrade included), and the
+result takes what the board did. A degrade resets the board, so the
+tail's clocks and switch mask are re-derived from the board state.
 """
 
 from __future__ import annotations
@@ -57,10 +62,10 @@ from repro.sycl.event import Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.queue import SynergyQueue
 
-#: Fault sites the per-event path polls outside the clock-set call (on
-#: every NVML call, on every kernel): while one is armed, a batch replays
-#: per event.
-PER_EVENT_FAULT_SITES: tuple[str, ...] = ("nvml.gpu_lost", "hw.thermal_throttle")
+#: Fault sites the per-event path polls outside the clock-set call: on
+#: every NVML call, and at every kernel start.
+GPU_LOST_SITE = "nvml.gpu_lost"
+THROTTLE_SITE = "hw.thermal_throttle"
 
 
 @dataclass(frozen=True)
@@ -69,10 +74,8 @@ class BatchResult:
 
     ``core_mhz`` holds the *executed* (possibly throttled) core clocks;
     ``app_core_mhz``/``app_mem_mhz`` the application clocks in effect
-    while each kernel ran. ``fallback`` is ``None`` when the batch took
-    the vectorized path, including a batch split at failing clock-sets;
-    otherwise it names why the batch replayed per event: ``"restricted"``
-    or the armed fault site (``"nvml.gpu_lost"``, ``"hw.thermal_throttle"``).
+    while each kernel ran. ``fallback`` is always ``None``: no batch
+    replays per event any more (the field stays for its existing readers).
     """
 
     events: tuple[Event, ...]
@@ -125,45 +128,13 @@ def _empty_result() -> BatchResult:
     )
 
 
-def _submit_one(queue: "SynergyQueue", kernel, request) -> Event:
-    """One per-event ``SynergyQueue.submit`` in the request's own form."""
+def _submit_one(queue: "SynergyQueue", kernel, clocks) -> Event:
+    """One per-event ``SynergyQueue.submit`` at ``(mem_mhz, core_mhz)``,
+    or with no clock request (no ``set_frequency`` call) for ``None``."""
     cgf = lambda h, k=kernel: h.parallel_for(k.work_items, k)  # noqa: E731
-    if isinstance(request, EnergyTarget):
-        return queue.submit(request, cgf)
-    if isinstance(request, tuple):
-        return queue.submit(request[0], request[1], cgf)
-    return queue.submit(cgf)
-
-
-def _fallback_scalar(
-    queue: "SynergyQueue", batch: KernelBatch, reason: str
-) -> BatchResult:
-    """Replay the batch through the per-event reference path."""
-    gpu = queue.device.gpu
-    switches_before = queue.scaler.switch_count
-    events: list[Event] = []
-    app_clocks: list[tuple[int, int]] = []
-    for kernel, request in zip(batch.kernels, batch.requests):
-        events.append(_submit_one(queue, kernel, request))
-        # Clocks change only in ``_pre_kernel``: what the board holds now
-        # is what the kernel ran under.
-        app_clocks.append((gpu.core_mhz, gpu.mem_mhz))
-    records = [e.record for e in events]
-    app = np.asarray(app_clocks, dtype=int)
-    return BatchResult(
-        events=tuple(events),
-        start_s=np.asarray([r.start_s for r in records], dtype=float),
-        end_s=np.asarray([r.end_s for r in records], dtype=float),
-        time_s=np.asarray([r.time_s for r in records], dtype=float),
-        energy_j=np.asarray([r.energy_j for r in records], dtype=float),
-        avg_power_w=np.asarray([r.avg_power_w for r in records], dtype=float),
-        core_mhz=np.asarray([r.core_mhz for r in records], dtype=int),
-        mem_mhz=np.asarray([r.mem_mhz for r in records], dtype=int),
-        app_core_mhz=app[:, 0].copy(),
-        app_mem_mhz=app[:, 1].copy(),
-        n_switches=queue.scaler.switch_count - switches_before,
-        fallback=reason,
-    )
+    if clocks is None:
+        return queue.submit(cgf)
+    return queue.submit(int(clocks[0]), int(clocks[1]), cgf)
 
 
 def operating_table(gpu, kernel, mem_mhz: float):
@@ -194,11 +165,6 @@ def operating_table(gpu, kernel, mem_mhz: float):
         return (timing.time_s, timing.u_core, timing.u_mem, power)
 
     store = resolve_cache(None)
-    if store is None:
-        value = compute()
-        for arr in value:
-            arr.setflags(write=False)
-        return value
     return store.get_or_compute(store.engine_key(spec, kernel, table, mem_mhz), compute)
 
 
@@ -351,16 +317,6 @@ class _Plan:
             getattr(self, f.name)[lo:] = getattr(new, f.name)
 
 
-def _fallback_reason(queue: "SynergyQueue") -> str | None:
-    """The armed per-event fault site, or ``None`` for the fast path."""
-    injector = queue.device.gpu.fault_injector
-    if injector is not None:
-        for site in PER_EVENT_FAULT_SITES:
-            if injector.armed(site):
-                return site
-    return None
-
-
 def execute_batch(queue: "SynergyQueue", batch: KernelBatch) -> BatchResult:
     """Advance one queue through a whole batch of kernel submissions."""
     gpu = queue.device.gpu
@@ -380,90 +336,118 @@ def execute_batch(queue: "SynergyQueue", batch: KernelBatch) -> BatchResult:
         return _empty_result()
 
     batch.validate_explicit_clocks(gpu.spec)
-    reason = _fallback_reason(queue)
-    if reason is not None:
-        return _traced_fallback(queue, batch, reason)
-
     resolved = _resolve_requests(queue, batch)
     mem_mhz, core_mhz, switches = resolve_effective_clocks(
         resolved, (gpu.core_mhz, gpu.mem_mhz)
     )
-    if gpu.api_restricted and switches.any():
-        # A clock change on a restricted board must fail exactly like the
-        # per-event path (vendor error after the overhead charge); replay
-        # scalar rather than emulating each vendor's failure shape.
-        return _traced_fallback(queue, batch, "restricted")
     clocks = (mem_mhz, core_mhz, switches, _core_index(gpu.spec, core_mhz))
-
+    # Bulk-committed segments as ``(events, switches)``: the submissions
+    # run per event trace and count themselves.
+    bulk: list[tuple[list[Event], int]] = []
     if not tr.enabled:
-        return _execute_segmented(queue, batch.kernels, resolved, clocks)[0]
-    with tr.span(
-        gpu.clock, track, "engine.batch", f"batch[{n}]",
-    ) as sp:
-        result, fast_events, fast_switches = _execute_segmented(
-            queue, batch.kernels, resolved, clocks
-        )
-        sp.set(kernels=n, switches=result.n_switches, fallback=None)
-    tr.count("engine.batches")
-    tr.count("engine.batched_kernels", n)
+        return _execute_segmented(queue, batch.kernels, resolved, clocks, bulk)
+    try:
+        with tr.span(
+            gpu.clock, track, "engine.batch", f"batch[{n}]",
+        ) as sp:
+            result = _execute_segmented(
+                queue, batch.kernels, resolved, clocks, bulk
+            )
+            sp.set(kernels=n, switches=result.n_switches, fallback=None)
+        tr.count("engine.batches")
+        tr.count("engine.batched_kernels", n)
+    finally:
+        # A batch that raises mid-walk still traces what it committed, as
+        # the per-event path would have.
+        _trace_bulk(queue, bulk)
+    return result
+
+
+def _trace_bulk(queue: "SynergyQueue", bulk) -> None:
+    """The ``queue.kernel`` spans and counters of bulk-committed kernels."""
+    tr = queue.trace
     # Tenancy tag, attached only when the queue has an owner (the service
     # plane) so ownerless golden traces stay byte-identical.
     extra = {} if queue.owner is None else {"owner": queue.owner}
-    # Submissions split out to the per-event path traced themselves.
-    for event in fast_events:
-        record = event.record
-        tr.add_span(
-            track, "queue.kernel", record.kernel_name,
-            event.start_s, event.end_s,
-            core_mhz=record.core_mhz,
-            mem_mhz=record.mem_mhz,
-            energy_j=record.energy_j,
-            degraded=False,
-            **extra,
-        )
-        tr.observe("kernel.time_s", record.time_s)
-        tr.observe("kernel.energy_j", record.energy_j)
-    tr.count("queue.kernels_executed", len(fast_events))
-    if fast_switches:
-        tr.count("freq.switches", fast_switches)
-    return result
+    for events, _ in bulk:
+        for event in events:
+            record = event.record
+            tr.add_span(
+                queue._track, "queue.kernel", record.kernel_name,
+                event.start_s, event.end_s,
+                core_mhz=record.core_mhz,
+                mem_mhz=record.mem_mhz,
+                energy_j=record.energy_j,
+                degraded=False,
+                **extra,
+            )
+            tr.observe("kernel.time_s", record.time_s)
+            tr.observe("kernel.energy_j", record.energy_j)
+    tr.count("queue.kernels_executed", sum(len(events) for events, _ in bulk))
+    switches = sum(count for _, count in bulk)
+    if switches:
+        tr.count("freq.switches", switches)
 
 
-def _traced_fallback(
-    queue: "SynergyQueue", batch: KernelBatch, reason: str
-) -> BatchResult:
-    tr = queue.trace
-    if not tr.enabled:
-        result = _fallback_scalar(queue, batch, reason)
-    else:
-        with tr.span(
-            queue.device.gpu.clock, queue._track, "engine.batch",
-            f"batch[{len(batch)}]",
-        ) as sp:
-            result = _fallback_scalar(queue, batch, reason)
-            sp.set(kernels=len(batch), switches=result.n_switches, fallback=reason)
-        tr.count("engine.batches")
-        tr.count("engine.fallbacks")
-    return result
+def _bulk_end(queue: "SynergyQueue", plan: _Plan, lo: int):
+    """Where the bulk segment starting at submission ``lo`` ends.
 
-
-def _execute_segmented(
-    queue: "SynergyQueue", kernels, resolved, clocks
-) -> tuple[BatchResult, list[Event], int]:
-    """Commit the batch in bulk segments split at failing clock-sets.
-
-    ``clocks`` holds the batch's effective ``(mem_mhz, core_mhz,
-    switches, core_index)`` arrays. Returns ``(result, fast_events, fast_switches)``: the batch result,
-    the events committed in bulk, and the switches charged in bulk (the
-    submissions run per event trace and count their own).
+    Returns ``(hi, clockline)``: submission ``hi`` is the first that must
+    run per event (``len(plan.switches)`` when none must), the earliest
+    cut of the four rules of the module docstring, and ``clockline`` is
+    the virtual-time walk over ``lo:hi`` from the current time
+    (``hi - lo + 1`` entries; ``None`` when ``hi == lo``).
     """
     gpu = queue.device.gpu
     scaler = queue.scaler
-    oh = scaler.switch_overhead_s
     injector = gpu.fault_injector
+    now = gpu.clock.now
+    throttled = injector is not None and injector.armed(THROTTLE_SITE)
+    if (injector is not None and injector.armed(GPU_LOST_SITE)) or (
+        throttled and injector.first_active(THROTTLE_SITE, gpu.index, (now,)) == 0
+    ):
+        # Checked before the walk, so a run of per-event submissions
+        # costs O(1) each instead of a rescan of the tail.
+        return lo, None
+    hi = len(plan.switches)
+    if gpu.api_restricted:
+        # argmax stops at the first True; an all-False tail returns 0.
+        k = int(plan.switches[lo:].argmax())
+        if plan.switches[lo + k]:
+            hi = lo + k
+    # Virtual-time walk, in the scalar path's exact float order:
+    # n_i = n_(i-1) + max(d_i, OH·switch_i), start_i = n_(i-1). cumsum
+    # folds left-to-right, the same float order as the scalar
+    # `clock.advance` walk; seeding with `now` keeps the origin in-fold.
+    oh = scaler.switch_overhead_s
+    seg = slice(lo, hi)
+    step = np.where(
+        plan.switches[seg], np.maximum(plan.time_s[seg], oh), plan.time_s[seg]
+    )
+    clockline = np.cumsum(np.concatenate(([now], step)))
+    if throttled:
+        hi = lo + injector.first_active(THROTTLE_SITE, gpu.index, clockline[:-1])
     site = scaler.backend.clock_set_site
-    if site is None or injector is None or not injector.armed(site):
-        injector = None
+    if site is not None and injector is not None and injector.armed(site):
+        # Switch i's first clock-set attempt lands at start_i + OH.
+        sw = np.flatnonzero(plan.switches[lo:hi])
+        k = injector.quiet_prefix(site, gpu.index, clockline[sw] + oh)
+        if k < sw.size:
+            hi = lo + int(sw[k])
+    return hi, clockline[: hi - lo + 1]
+
+
+def _execute_segmented(
+    queue: "SynergyQueue", kernels, resolved, clocks, bulk: list
+) -> BatchResult:
+    """Commit the batch in bulk segments, split where :func:`_bulk_end` cuts.
+
+    ``clocks`` holds the batch's effective ``(mem_mhz, core_mhz,
+    switches, core_index)`` arrays. Each bulk segment's events and switch
+    count are appended to ``bulk`` as it commits.
+    """
+    gpu = queue.device.gpu
+    scaler = queue.scaler
     n = len(kernels)
     plan = _Plan.derive(queue, kernels, *clocks)
     out = (np.empty(n), np.empty(n), np.empty(n))  # start_s, end_s, energy_j
@@ -471,53 +455,38 @@ def _execute_segmented(
     box: dict[int, int] = {}
     switches_before = scaler.switch_count
     events: list[Event] = []
-    fast_events: list[Event] = []
-    fast_switches = 0
+    # Submissions run per event, as (index, record, app core, app mem).
+    stepped: list[tuple] = []
     lo = 0
     while lo < n:
-        # Virtual-time walk of the tail, in the scalar path's exact float
-        # order: n_i = n_(i-1) + max(d_i, OH·switch_i), start_i = n_(i-1).
-        # cumsum folds left-to-right, the same float order as the scalar
-        # `clock.advance` walk; seeding with `now` keeps the origin in-fold.
-        tail = slice(lo, n)
-        step = np.where(
-            plan.switches[tail], np.maximum(plan.time_s[tail], oh), plan.time_s[tail]
-        )
-        clockline = np.cumsum(np.concatenate(([gpu.clock.now], step)))
-        hi = n
-        if injector is not None:
-            # Switch i's first clock-set attempt lands at start_i + OH.
-            sw = np.flatnonzero(plan.switches[tail])
-            k = injector.quiet_prefix(site, gpu.index, clockline[sw] + oh)
-            if k < sw.size:
-                hi = lo + int(sw[k])
+        hi, clockline = _bulk_end(queue, plan, lo)
         if hi > lo:
-            seg_events, seg_switches = _commit_segment(
-                queue, kernels, plan, slice(lo, hi), clockline[: hi - lo + 1],
-                out, box,
+            segment = _commit_segment(
+                queue, kernels, plan, slice(lo, hi), clockline, out, box
             )
-            events.extend(seg_events)
-            fast_events.extend(seg_events)
-            fast_switches += seg_switches
+            events.extend(segment[0])
+            bulk.append(segment)
         if hi == n:
             break
-        # The clock-set of submission `hi` fails: run it per event with
-        # its resolved clocks, then record what the board actually did.
-        event = _submit_one(
-            queue, kernels[hi], (int(plan.mem_mhz[hi]), int(plan.core_mhz[hi]))
-        )
-        record = event.record
+        # Run submission `hi` per event with its resolved clocks and keep
+        # what the board actually did.
+        event = _submit_one(queue, kernels[hi], resolved[hi])
         events.append(event)
-        out[0][hi], out[1][hi] = record.start_s, record.end_s
-        out[2][hi] = record.energy_j
-        plan.power_w[hi] = record.avg_power_w
-        plan.exec_core[hi] = record.core_mhz
-        plan.core_mhz[hi], plan.mem_mhz[hi] = gpu.core_mhz, gpu.mem_mhz
+        stepped.append((hi, event.record, gpu.core_mhz, gpu.mem_mhz))
         lo = hi + 1
-        if scaler.last_degraded and lo < n:
+        if lo < n and event in queue._degraded_events:
             plan.rederive_tail(queue, kernels, resolved, lo)
+    if stepped:
+        # The walk never reads a stepped submission's entries again.
+        idx, records, app_core, app_mem = (list(c) for c in zip(*stepped))
+        for column, attr in zip(
+            (*out, plan.power_w, plan.exec_core),
+            ("start_s", "end_s", "energy_j", "avg_power_w", "core_mhz"),
+        ):
+            column[idx] = [getattr(r, attr) for r in records]
+        plan.core_mhz[idx], plan.mem_mhz[idx] = app_core, app_mem
     start_s, end_s, energy_j = out
-    result = BatchResult(
+    return BatchResult(
         events=tuple(events),
         start_s=start_s,
         end_s=end_s,
@@ -530,7 +499,6 @@ def _execute_segmented(
         app_mem_mhz=plan.mem_mhz,
         n_switches=scaler.switch_count - switches_before,
     )
-    return result, fast_events, fast_switches
 
 
 def _commit_segment(

@@ -21,6 +21,7 @@ logs are byte-identical across runs.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +138,13 @@ class FaultLog:
 
 def _target_str(target: object) -> str:
     return "" if target is None else str(target)
+
+
+def _window(spec: FaultSpec, target: object) -> tuple[float, float] | None:
+    """``[start, end)`` of a window spec that applies to ``target``, else None."""
+    if not spec.matches(target) or not spec.scheduled or spec.duration_s is None:
+        return None
+    return spec.at_s, spec.at_s + spec.duration_s
 
 
 class FaultInjector:
@@ -259,21 +267,32 @@ class FaultInjector:
         if it affects many operations).
         """
         for i, spec in self._by_site.get(site, ()):
-            if not spec.matches(target):
-                continue
-            if not spec.scheduled or spec.duration_s is None:
-                continue
-            if spec.at_s <= now < spec.at_s + spec.duration_s:
+            window = _window(spec, target)
+            if window is not None and window[0] <= now < window[1]:
                 if i not in self._activated:
                     self._activated.add(i)
                     self._fired[i] += 1
                     self.log.record_fault(
                         now, site, target,
-                        f"window [{spec.at_s:.6f}, "
-                        f"{spec.at_s + spec.duration_s:.6f}]s",
+                        f"window [{window[0]:.6f}, {window[1]:.6f}]s",
                     )
                 return spec
         return None
+
+    def first_active(self, site: str, target: object, times) -> int:
+        """Index of the first of the ascending ``times`` that a window of
+        ``site`` matching ``target`` covers, else ``len(times)``. Pure:
+        the :meth:`active` call at that time still logs the activation
+        (both read :func:`_window`).
+        """
+        k = len(times)
+        for _, spec in self._by_site.get(site, ()):
+            window = _window(spec, target)
+            if window is not None:
+                i = bisect.bisect_left(times, window[0])  # first at/after start
+                if i < k and times[i] < window[1]:
+                    k = i
+        return k
 
     # ------------------------------------------------------ persistent loss
 

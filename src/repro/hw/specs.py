@@ -15,6 +15,7 @@ Fig. 7), while the MI100 auto mode behaves like its top performance level
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -139,13 +140,19 @@ class GPUSpec:
         """Lowest supported core clock."""
         return self.core_freqs_mhz[0]
 
+    @cached_property
+    def _clock_sets(self) -> tuple[frozenset[int], frozenset[int]]:
+        # Every per-event clock set validates its pair: O(1) membership.
+        return frozenset(self.core_freqs_mhz), frozenset(self.mem_freqs_mhz)
+
     def validate_clocks(self, mem_mhz: int, core_mhz: int) -> None:
         """Raise :class:`ConfigurationError` for unsupported clock pairs."""
-        if core_mhz not in self.core_freqs_mhz:
+        cores, mems = self._clock_sets
+        if core_mhz not in cores:
             raise ConfigurationError(
                 f"{self.name}: unsupported core clock {core_mhz} MHz"
             )
-        if mem_mhz not in self.mem_freqs_mhz:
+        if mem_mhz not in mems:
             raise ConfigurationError(
                 f"{self.name}: unsupported memory clock {mem_mhz} MHz"
             )

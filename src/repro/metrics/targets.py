@@ -19,6 +19,15 @@ from repro.metrics.energy import ed2p, edp
 from repro.metrics.tradeoff import energy_saving_index, performance_loss_index
 
 
+def _first_minimum(values: np.ndarray) -> int:
+    """Lowest index within rel 1e-12 (a few ulps) of the minimum: a plain
+    ``argmin`` breaks an exact tie by whichever product rounds lower,
+    which can flip when the sweep is rescaled."""
+    best = int(np.argmin(values))
+    near = np.flatnonzero(values <= values[best] + abs(values[best]) * 1e-12)
+    return int(near[0]) if near.size else best
+
+
 class TargetKind(enum.Enum):
     """The target families of §4.3/§5, plus the deadline/SLA extensions."""
 
@@ -145,13 +154,13 @@ class EnergyTarget:
         t = np.asarray(times, dtype=float)
         e = np.asarray(energies, dtype=float)
         if self.kind is TargetKind.MAX_PERF:
-            return int(np.argmin(t))
+            return _first_minimum(t)
         if self.kind is TargetKind.MIN_ENERGY:
-            return int(np.argmin(e))
+            return _first_minimum(e)
         if self.kind is TargetKind.MIN_EDP:
-            return int(np.argmin(edp(e, t)))
+            return _first_minimum(edp(e, t))
         if self.kind is TargetKind.MIN_ED2P:
-            return int(np.argmin(ed2p(e, t)))
+            return _first_minimum(ed2p(e, t))
         if self.kind is TargetKind.DEADLINE:
             assert self.value is not None
             return deadline_index(t, e, self.value)

@@ -17,9 +17,9 @@ and asserts the engine differential contract:
   and traced metric counters match.
 
 Zero-kernel and zero-job batches are checked to be well-formed no-ops,
-and batches under armed clock-set faults to split rather than fall back.
-The plain, power-capped and fault-split batches, all on the vectorized
-path, also pass the record checks of
+and batches under clock-set faults or a thermal-throttle window to split
+at the submissions those hit. The plain, power-capped and fault-split
+batches also pass the record checks of
 :func:`~repro.validate.invariants.check_kernel_records`.
 """
 
@@ -146,19 +146,12 @@ def check_queue_batched_vs_scalar(spec: GPUSpec = NVIDIA_V100) -> list[CheckResu
     requests = _workload(spec, kernels)
     scalar_q, batched_q = _twin_queues(spec, plan)
     replay_per_event(scalar_q, requests)
-    result = batched_q.submit_batch(requests)
+    batched_q.submit_batch(requests)
     batched_q.wait()
 
     context = f"{len(requests)} mixed submissions@{spec.name}"
     results = _record_checks("engine.queue", context, scalar_q.gpu, batched_q.gpu)
     results += check_kernel_records(batched_q.gpu, context=f"batched {context}")
-    results.append(
-        check(
-            "engine.fast_path_used",
-            result.fallback is None,
-            f"{context}: batch unexpectedly fell back ({result.fallback!r})",
-        )
-    )
     sc1, sc2 = scalar_q.scaler, batched_q.scaler
     results.append(
         check(
@@ -209,7 +202,7 @@ def check_throttled_batch(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
         )
     scalar_q, batched_q = _twin_queues(spec, None, power_limit_w=limit)
     replay_per_event(scalar_q, requests)
-    result = batched_q.submit_batch(requests)
+    batched_q.submit_batch(requests)
     batched_q.wait()
     context = f"power limit {limit:.0f} W@{spec.name}"
     results = _record_checks("engine.throttle", context, scalar_q.gpu, batched_q.gpu)
@@ -221,9 +214,8 @@ def check_throttled_batch(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
     results.append(
         check(
             "engine.throttle_engaged",
-            throttled > 0 and result.fallback is None,
-            f"{context}: {throttled} throttled kernels (want > 0), "
-            f"fallback={result.fallback!r}",
+            throttled > 0,
+            f"{context}: {throttled} throttled kernels (want > 0)",
         )
     )
     return results
@@ -308,15 +300,16 @@ def check_traced_counter_parity(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult
 
 
 def check_faulted_batch(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
-    """Clock-set faults split a batch; it keeps the fast path and parity.
+    """Faults split a batch at the submissions they hit, with exact parity.
 
     Twin traced queues run the same workload under a seeded transient
-    plan and under a plan that fails every attempt of the first switch
-    (retry exhaustion, then a successful reset to driver defaults). The
-    batch must emit one ``engine.batch`` span with ``fallback=None`` and
-    no ``engine.fallbacks``, and match the scalar twin's records, scaler
-    counters, fault log and traced retry, fault, kernel, switch and
-    plan-lookup counters.
+    clock-set plan, under a plan that fails every attempt of the first
+    switch (retry exhaustion, then a successful reset to driver
+    defaults), and under a 900 MHz thermal-throttle window that opens
+    mid-batch. Each row must engage (retries, a degrade, a throttled
+    kernel), the batch must stay one ``engine.batch`` span, and it must
+    match the scalar twin's records, scaler counters, fault log and
+    traced retry, fault, kernel, switch and plan-lookup counters.
     """
     from repro.core.frequency import DEFAULT_MAX_RETRIES
     from repro.engine.payload import plan_from_sweeps
@@ -326,6 +319,9 @@ def check_faulted_batch(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
     kernels = _kernels()
     plan = plan_from_sweeps(spec, kernels, _targets())
     requests = _workload(spec, kernels, rounds=4)
+    clean_q = _twin_queues(spec, plan)[0]
+    clean_q.submit_batch(requests)
+    run_s = clean_q.gpu.clock.now
     fault_plans = {
         "transient": transient_nvml_plan(0.3, seed=7),
         "degrade": FaultPlan(
@@ -338,11 +334,15 @@ def check_faulted_batch(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
                 ),
             ),
         ),
+        "throttle": FaultPlan(seed=7, specs=(FaultSpec(
+            site="hw.thermal_throttle", at_s=0.25 * run_s,
+            duration_s=0.25 * run_s, param=900,
+        ),)),
     }
     results: list[CheckResult] = []
     for label, fault_plan in fault_plans.items():
         name = f"engine.faulted_{label}"
-        context = f"{label} clock-set faults, {len(requests)} submissions@{spec.name}"
+        context = f"{label} faults, {len(requests)} submissions@{spec.name}"
         tr1, tr2 = TraceSession(), TraceSession()
         scalar_q, batched_q = _twin_queues(spec, plan, trace_pair=(tr1, tr2))
         scalar_q.gpu.fault_injector = fault_plan.injector(tr1)
@@ -356,29 +356,29 @@ def check_faulted_batch(spec: GPUSpec = NVIDIA_V100) -> list[CheckResult]:
         batch_spans = [
             sp for sp in tr2.tracer.spans if sp.category == "engine.batch"
         ]
-        fallbacks = tr2.metrics.counter("engine.fallbacks").value
         results.append(
             check(
                 f"{name}_fast_path",
-                result.fallback is None
-                and len(batch_spans) == 1
-                and batch_spans[0].attrs.get("fallback", "?") is None
-                and fallbacks == 0,
-                f"{context}: fallback={result.fallback!r}, "
-                f"{len(batch_spans)} engine.batch spans, {fallbacks} fallbacks",
+                len(batch_spans) == 1,
+                f"{context}: {len(batch_spans)} engine.batch spans",
             )
         )
         sc1, sc2 = scalar_q.scaler, batched_q.scaler
         scalar_counts = (sc1.switch_count, sc1.retry_count, sc1.failed_switches)
         batched_counts = (sc2.switch_count, sc2.retry_count, sc2.failed_switches)
+        # No power cap here: only the window runs a kernel below its clock.
+        throttled = int((result.core_mhz < result.app_core_mhz).sum())
+        engaged = {
+            "transient": sc1.retry_count > 0,
+            "degrade": sc1.failed_switches > 0,
+            "throttle": throttled > 0,
+        }[label]
         results.append(
             check(
                 f"{name}_scaler_counters",
-                scalar_counts == batched_counts
-                and sc1.retry_count > 0
-                and (label != "degrade" or sc1.failed_switches > 0),
+                scalar_counts == batched_counts and engaged,
                 f"{context}: switches/retries/failed {scalar_counts} vs "
-                f"{batched_counts}",
+                f"{batched_counts}, {throttled} throttled kernels",
             )
         )
         degraded = [

@@ -128,11 +128,6 @@ def _scenario_section(scenarios: tuple[str, ...], seed: int) -> list[CheckResult
             continue
         for gpu in SCENARIO_BOARDS[name](outcome):
             results += check_kernel_records(gpu, context=f"{name}/gpu{gpu.index}")
-        # Those records came from the production path: no batch the
-        # scenario submitted fell back to the per-event replay.
-        fallbacks = session.metrics.as_dict()["counters"].get("engine.fallbacks", 0)
-        detail = f"{name}: {fallbacks} batches fell back"
-        results.append(check("records.fast_path", fallbacks == 0, detail))
     return results
 
 

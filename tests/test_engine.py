@@ -1,15 +1,17 @@
 """Batched virtual-time engine tests.
 
 Unit coverage for the struct-of-arrays batch layer (assembly, empty
-edges, fallback gates, the bulk device APIs) plus a Hypothesis property
-suite driving random kernel mixes, explicit clock pairs and energy
-targets (including DEADLINE and SLA) through ``submit_batch`` and the
-scalar reference loop side by side: element-wise parity of the resulting
-records, and permutation invariance of the aggregate batch energy. Under
-random clock-set fault plans the batch splits at failing switches; the
-same suite holds it to the scalar twin's records, scaler counters,
-degraded flags and fault log. Unconstrained, power-capped and fault-split
-batches all leave records that pass ``check_kernel_records``.
+edges, restricted boards, the ``submit_batch`` boundary, the bulk device
+APIs) plus a Hypothesis property suite driving random kernel mixes,
+explicit clock pairs and energy targets (including DEADLINE and SLA)
+through ``submit_batch`` and the scalar reference loop side by side:
+element-wise parity of the resulting records, and permutation invariance
+of the aggregate batch energy. Under random restricted boards,
+thermal-throttle windows, GPU loss and clock-set fault plans the batch
+runs the affected submissions per event; the same suite holds it to the
+scalar twin's exception, records, scaler counters, degraded flags and
+fault log. Unconstrained, power-capped and fault-split batches all leave
+records that pass ``check_kernel_records``.
 """
 
 from __future__ import annotations
@@ -169,17 +171,49 @@ class TestFallbacks:
     def test_restricted_board_with_switches_matches_scalar_error(
         self, kernel_pool, plan
     ):
-        requests = [(MIN_EDP, kernel_pool[0])]
+        """The failing switch runs per event, and no request is resolved
+        twice: one plan lookup per request, all made up front."""
+        from repro.vendor.errors import NVMLError
+
+        requests = [(MIN_EDP, kernel_pool[0]), (MIN_EDP, kernel_pool[1])]
         scalar_gpu = SimulatedGPU(NVIDIA_V100)
         scalar_gpu.set_api_restriction(True)
-        with pytest.raises(Exception) as scalar_exc:
+        with pytest.raises(NVMLError) as scalar_exc:
             replay_per_event(SynergyQueue(scalar_gpu, plan=plan), requests)
+        trace = TraceSession()
         batched_gpu = SimulatedGPU(NVIDIA_V100)
         batched_gpu.set_api_restriction(True)
-        with pytest.raises(Exception) as batched_exc:
-            SynergyQueue(batched_gpu, plan=plan).submit_batch(requests)
+        with pytest.raises(NVMLError) as batched_exc:
+            SynergyQueue(batched_gpu, plan=plan, trace=trace).submit_batch(requests)
         assert type(batched_exc.value) is type(scalar_exc.value)
-        assert scalar_gpu.records == batched_gpu.records == []
+        assert batched_exc.value.code == scalar_exc.value.code
+        assert scalar_gpu.records == batched_gpu.records
+        assert trace.metrics.counter("predict.plan_lookups").value == len(requests)
+
+    def test_batch_that_raises_mid_walk_traces_what_it_committed(self, kernel_pool):
+        """A restricted board runs the bulk prefix, then the failing switch
+        raises: the committed kernels are traced and counted as the
+        per-event replay traces them."""
+        from repro.vendor.errors import NVMLError
+
+        gemm = kernel_pool[0]
+        default = NVIDIA_V100.default_core_mhz
+        other = NVIDIA_V100.core_freqs_mhz[0]
+        requests = [gemm, (877, default, gemm), gemm, (877, other, gemm), gemm]
+        seen = []
+        for run in (replay_per_event, lambda q, r: q.submit_batch(r)):
+            trace = TraceSession()
+            gpu = SimulatedGPU(NVIDIA_V100, index=0)
+            gpu.set_api_restriction(True)
+            with pytest.raises(NVMLError):
+                run(SynergyQueue(gpu, trace=trace), requests)
+            counters = trace.metrics.as_dict()["counters"]
+            seen.append((
+                len(gpu.records),
+                counters.get("queue.kernels_executed"),
+                trace.tracer.span_counts().get("queue.kernel"),
+            ))
+        assert seen[0] == seen[1] == (3, 3, 3)
 
     def test_plan_batch_matches_the_per_event_replay(self, kernel_pool, plan):
         requests = [(t, k) for t in (MIN_EDP, MAX_PERF) for k in kernel_pool]
@@ -192,6 +226,48 @@ class TestFallbacks:
         assert result.fallback is None
         _assert_twin_parity(scalar_gpu, batched_gpu)
         assert _failing_record_checks(batched_gpu) == []
+
+
+# ------------------------------------------------------ submit_batch boundary
+
+
+def _armed_board(kind: str) -> SimulatedGPU:
+    """A V100 as ``kind`` leaves it: plain, restricted, or with a
+    thermal-throttle window or a GPU loss armed from time zero."""
+    from repro.faults import FaultPlan, FaultSpec
+
+    gpu = SimulatedGPU(NVIDIA_V100, index=0)
+    specs = {
+        "throttle": FaultSpec(
+            site="hw.thermal_throttle", at_s=0.0, duration_s=1.0, param=900
+        ),
+        "gpu_lost": FaultSpec(site="nvml.gpu_lost", at_s=0.0),
+    }
+    if kind == "restricted":
+        gpu.set_api_restriction(True)
+    elif kind in specs:
+        gpu.fault_injector = FaultPlan(specs=(specs[kind],)).injector()
+    return gpu
+
+
+class TestSubmitBatchBoundary:
+    @pytest.mark.parametrize("board", ["plain", "restricted", "throttle", "gpu_lost"])
+    @pytest.mark.parametrize(
+        "bad, error",
+        [("malformed", ValidationError), ("off_table_clock", ConfigurationError)],
+    )
+    def test_bad_item_raises_before_anything_runs(
+        self, kernel_pool, board, bad, error
+    ):
+        gemm = kernel_pool[0]
+        item = ("not", "a", "request") if bad == "malformed" else (877, 123456, gemm)
+        gpu = _armed_board(board)
+        with pytest.raises(error):
+            SynergyQueue(gpu).submit_batch([(877, 1380, gemm), item])
+        assert gpu.records == []
+        assert gpu.clock.now == 0.0 and gpu.clock_set_calls == 0
+        if gpu.fault_injector is not None:
+            assert gpu.fault_injector.log.entries == []
 
 
 # ------------------------------------------------------- bulk device APIs
@@ -401,6 +477,13 @@ def clock_set_faults(draw):
     )
 
 
+def _clean_run_s(plan, requests) -> float:
+    """Virtual duration of ``requests`` as a batch on a clean V100."""
+    clean = SimulatedGPU(NVIDIA_V100, index=0)
+    SynergyQueue(clean, plan=plan).submit_batch(requests)
+    return clean.clock.now
+
+
 def _clock_set_plan(plan, requests, faults):
     """The fault plan ``faults`` draws, scheduled against a clean run."""
     from repro.faults import FaultPlan, FaultSpec
@@ -412,48 +495,158 @@ def _clock_set_plan(plan, requests, faults):
         )
     ]
     if at_frac is not None:
-        clean = SimulatedGPU(NVIDIA_V100, index=0)
-        SynergyQueue(clean, plan=plan).submit_batch(requests)
-        specs.append(FaultSpec(site="nvml.set_clocks", at_s=at_frac * clean.clock.now))
+        specs.append(
+            FaultSpec(
+                site="nvml.set_clocks", at_s=at_frac * _clean_run_s(plan, requests)
+            )
+        )
     return FaultPlan(seed=seed, specs=tuple(specs))
 
 
-def _faulted_twins(plan, requests, faults):
-    """Scalar replay and ``submit_batch`` on twin boards, one fault plan."""
-    fault_plan = _clock_set_plan(plan, requests, faults)
+def _faulted_twins(plan, requests, fault_plan, prepare=lambda queue: None):
+    """Scalar replay and ``submit_batch`` on twin boards, one fault plan.
+
+    ``prepare`` sets up each twin's queue before it runs. Returns both
+    queues, the batch result (``None`` if the batch raised) and the
+    ``(scalar, batched)`` errors (``None`` for a run that completed).
+    """
+    from repro.common.errors import ReproError
+
     queues = []
     for _ in range(2):
         gpu = SimulatedGPU(NVIDIA_V100, index=0)
         gpu.fault_injector = fault_plan.injector()
-        queues.append(SynergyQueue(gpu, plan=plan))
+        queue = SynergyQueue(gpu, plan=plan)
+        prepare(queue)
+        queues.append(queue)
     scalar_q, batched_q = queues
-    replay_per_event(scalar_q, requests)
-    result = batched_q.submit_batch(requests)
-    batched_q.wait()
-    return scalar_q, batched_q, result
+    result, errors = None, [None, None]
+    try:
+        replay_per_event(scalar_q, requests)
+    except ReproError as exc:
+        errors[0] = exc
+    try:
+        result = batched_q.submit_batch(requests)
+        batched_q.wait()
+    except ReproError as exc:
+        errors[1] = exc
+    return scalar_q, batched_q, result, tuple(errors)
+
+
+def _assert_split_parity(scalar_q, batched_q, result, errors):
+    """A batch that ran submissions per event matches the scalar twin:
+    the same error, records, scaler counters, degraded flags and fault log."""
+    assert type(errors[1]) is type(errors[0]), errors
+    assert str(errors[1]) == str(errors[0])
+    _assert_twin_parity(scalar_q.gpu, batched_q.gpu)
+    for counter in ("switch_count", "retry_count", "failed_switches"):
+        assert getattr(batched_q.scaler, counter) == getattr(
+            scalar_q.scaler, counter
+        )
+    if result is not None:
+        assert result.fallback is None
+        assert result.n_switches == scalar_q.scaler.switch_count
+    assert [r["degraded"] for r in batched_q.kernel_stats()] == [
+        r["degraded"] for r in scalar_q.kernel_stats()
+    ]
+    log_s = scalar_q.gpu.fault_injector.log.to_dicts()
+    log_b = batched_q.gpu.fault_injector.log.to_dicts()
+    assert [{**e, "t": None} for e in log_b] == [{**e, "t": None} for e in log_s]
+    np.testing.assert_allclose(
+        [e["t"] for e in log_b], [e["t"] for e in log_s], rtol=RTOL
+    )
+
+
+@st.composite
+def per_event_cases(draw):
+    """Boards and fault plans that send submissions down the per-event step.
+
+    ``restricted`` is ``None``, ``"user"`` (a switch raises) or
+    ``"root"`` (a switch succeeds). Throttle windows are
+    ``(at_frac, duration_frac, cap_mhz, target)``: the boards start a
+    quarter of a clean run late, so a window opens before, inside or
+    after the batch. A cap of ``None`` is a window that caps nothing but
+    still logs its activation. ``gpu_lost`` is scheduled (a run
+    fraction) or probabilistic (a per-call probability); clock-set faults
+    come from :func:`clock_set_faults`.
+    """
+    return {
+        "restricted": draw(st.sampled_from((None, "user", "root"))),
+        "windows": draw(
+            st.lists(
+                st.tuples(
+                    st.floats(0.0, 1.5),
+                    st.floats(0.01, 1.0),
+                    st.sampled_from((900, 1200, None)),
+                    st.sampled_from((None, 0, 1)),
+                ),
+                max_size=2,
+            )
+        ),
+        "gpu_lost": draw(
+            st.none()
+            | st.tuples(st.just("scheduled"), st.floats(0.0, 1.5))
+            | st.tuples(st.just("probabilistic"), st.sampled_from((0.02, 0.2)))
+        ),
+        "clock_set": draw(st.none() | clock_set_faults()),
+    }
+
+
+def _per_event_plan(plan, requests, case):
+    """The fault plan of ``case`` and the late start its times assume."""
+    from repro.faults import FaultPlan, FaultSpec
+
+    run_s = _clean_run_s(plan, requests)
+    lead_s = 0.25 * run_s
+    faults = case["clock_set"]
+    base = FaultPlan() if faults is None else _clock_set_plan(plan, requests, faults)
+    specs = list(base.specs)
+    for at_frac, duration_frac, cap, target in case["windows"]:
+        window = FaultSpec(
+            site="hw.thermal_throttle",
+            at_s=at_frac * run_s,
+            duration_s=duration_frac * run_s,
+            param=cap or 900,
+            target=target,
+        )
+        if cap is None:
+            # FaultSpec requires a cap, but the injector and the board
+            # both accept a window without one.
+            object.__setattr__(window, "param", None)
+        specs.append(window)
+    lost = case["gpu_lost"]
+    if lost is not None:
+        kind, value = lost
+        specs.append(
+            FaultSpec(site="nvml.gpu_lost", at_s=value * run_s)
+            if kind == "scheduled"
+            else FaultSpec(site="nvml.gpu_lost", probability=value)
+        )
+    return FaultPlan(seed=base.seed, specs=tuple(specs)), lead_s
 
 
 class TestFaultedBatchProperties:
     @given(request_streams(max_size=24), clock_set_faults())
     @settings(max_examples=40, deadline=None)
     def test_faulted_batch_matches_scalar_twin(self, plan, requests, faults):
-        scalar_q, batched_q, result = _faulted_twins(plan, requests, faults)
-        assert result.fallback is None
-        _assert_twin_parity(scalar_q.gpu, batched_q.gpu)
-        for counter in ("switch_count", "retry_count", "failed_switches"):
-            assert getattr(batched_q.scaler, counter) == getattr(
-                scalar_q.scaler, counter
-            )
-        assert result.n_switches == scalar_q.scaler.switch_count
-        assert [r["degraded"] for r in batched_q.kernel_stats()] == [
-            r["degraded"] for r in scalar_q.kernel_stats()
-        ]
-        log_s = scalar_q.gpu.fault_injector.log.to_dicts()
-        log_b = batched_q.gpu.fault_injector.log.to_dicts()
-        assert [{**e, "t": None} for e in log_b] == [{**e, "t": None} for e in log_s]
-        np.testing.assert_allclose(
-            [e["t"] for e in log_b], [e["t"] for e in log_s], rtol=RTOL
-        )
+        twins = _faulted_twins(plan, requests, _clock_set_plan(plan, requests, faults))
+        assert twins[3] == (None, None)
+        _assert_split_parity(*twins)
+
+    @given(request_streams(max_size=24), per_event_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_per_event_split_rules_match_the_replay(self, plan, requests, case):
+        """Restricted boards, throttle windows, GPU loss and clock-set
+        faults, alone or together, match ``replay_per_event``."""
+        fault_plan, lead_s = _per_event_plan(plan, requests, case)
+
+        def prepare(queue):
+            queue.gpu.clock.advance(lead_s)
+            if case["restricted"] is not None:
+                queue.gpu.set_api_restriction(True)
+                queue.scaler.backend._lib.effective_root = case["restricted"] == "root"
+
+        _assert_split_parity(*_faulted_twins(plan, requests, fault_plan, prepare))
 
     @given(request_streams(max_size=24), clock_set_faults())
     @settings(max_examples=15, deadline=None)
@@ -520,12 +713,20 @@ class TestFaultFallbacks:
         ids=["gpu_lost", "thermal_throttle"],
     )
     def test_per_event_sites_fall_back_by_name(self, kernel_pool, spec):
+        """An armed per-event site no longer sends the whole batch back
+        through a replay: the batch reports no fallback and matches
+        ``replay_per_event`` on records, counters and fault log."""
         from repro.faults import FaultPlan, FaultSpec
 
-        gpu = SimulatedGPU(NVIDIA_V100)
-        gpu.fault_injector = FaultPlan(specs=(FaultSpec(**spec),)).injector()
-        result = SynergyQueue(gpu).submit_batch([(877, 1380, kernel_pool[0])])
-        assert result.fallback == spec["site"]
+        gemm = kernel_pool[0]
+        core = NVIDIA_V100.core_freqs_mhz
+        requests = [(877, 1380, gemm), gemm, (877, core[0], gemm), (877, 1380, gemm)]
+        twins = _faulted_twins(
+            None, requests, FaultPlan(specs=(FaultSpec(**spec),))
+        )
+        assert twins[3] == (None, None)
+        assert twins[2].fallback is None
+        _assert_split_parity(*twins)
 
     def test_clock_set_faults_on_rocm_take_the_plain_fast_path(self, kernel_pool):
         from repro.faults import transient_nvml_plan

@@ -140,6 +140,32 @@ class TestInjectorMechanics:
         assert inj.active("mpi.link_degraded", 3.5) is None  # window over
         assert inj.total_faults == 1  # one window, one fault record
 
+    def test_first_active_matches_active_without_logging(self):
+        """The pure query agrees with ``active`` on every time: half-open
+        windows, target filtering, first match over several windows."""
+        windows = (
+            FaultSpec(
+                site="hw.thermal_throttle", at_s=1.0, duration_s=1.0,
+                param=900, target=0,
+            ),
+            FaultSpec(
+                site="hw.thermal_throttle", at_s=0.5, duration_s=0.25,
+                param=900, target=1,
+            ),
+        )
+        times = [0.0, 0.5, 0.75, 0.99, 1.0, 1.5, 2.0, 2.5]
+        for target, first in ((0, 4), (1, 1), (2, len(times))):
+            inj = FaultPlan(specs=windows).injector()
+            assert inj.first_active("hw.thermal_throttle", target, times) == first
+            assert inj.first_active("hw.thermal_throttle", target, times[6:]) == 2
+            assert inj.log.entries == []
+            covered = [
+                inj.active("hw.thermal_throttle", t, target=target) is not None
+                for t in times
+            ]
+            assert covered[:first] == [False] * first
+            assert first == len(times) or covered[first]
+
     def test_log_accounting(self):
         inj = FaultPlan(
             specs=(FaultSpec(site="slurm.node_fail", at_s=0.0),)

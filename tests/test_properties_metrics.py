@@ -1,7 +1,7 @@
 """Property-based tests: metrics-layer invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -128,6 +128,8 @@ class TestTargetProperties:
             assert 0 <= idx < len(freqs)
 
     @given(_sweeps(min_size=2))
+    @example((np.array([442.5, 1.0]), np.array([1.0, 442.5]), 0))
+    @example((np.array([442.5, 1.0]), np.array([1.0, 442.5]), 1))
     @settings(max_examples=60)
     def test_resolution_scale_invariant(self, sweep):
         """Per-kernel scaling must not change any chosen configuration.

@@ -526,16 +526,16 @@ class TestRunner:
         assert [c.split(",")[0].split("@")[0] for c in engine] == [
             "batched 15 mixed submissions",
             "batched power limit 195 W",
-            "batched transient clock-set faults",
-            "batched degrade clock-set faults",
+            "batched transient faults",
+            "batched degrade faults",
+            "batched throttle faults",
         ]
-        # Each passed (the report is clean): no batch above fell back.
+        # Each passed (the report is clean).
         assert {
-            "records.fast_path",
-            "engine.fast_path_used",
             "engine.throttle_engaged",
             "engine.faulted_transient_fast_path",
             "engine.faulted_degrade_fast_path",
+            "engine.faulted_throttle_fast_path",
             "posture.api_restricted",
             "binding.node_major",
         } <= {r.name for r in report.results}
