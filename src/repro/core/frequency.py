@@ -16,6 +16,10 @@ energy targets can be flagged as best-effort rather than silently wrong.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
+
 from repro.common.errors import TransientError, ValidationError
 from repro.hw.device import SimulatedGPU
 from repro.obs.session import TraceSession, resolve_trace
@@ -208,8 +212,12 @@ class FrequencyScaler:
             raise ValidationError(
                 f"switch count cannot be negative ({n_switches!r})"
             )
-        for _ in range(int(n_switches)):
-            self.total_overhead_s += self.switch_overhead_s
+        # reduce folds left to right: the same adds, in C.
+        self.total_overhead_s = functools.reduce(
+            operator.add,
+            itertools.repeat(self.switch_overhead_s, int(n_switches)),
+            self.total_overhead_s,
+        )
         self.switch_count += int(n_switches)
 
     def reset(self) -> None:

@@ -27,7 +27,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -105,6 +105,36 @@ def freq_fingerprint(freqs_mhz: np.ndarray) -> str:
     """Content hash of a frequency table."""
     arr = np.ascontiguousarray(np.asarray(freqs_mhz, dtype=float))
     return hashlib.sha256(b"freqs\x1f" + arr.tobytes()).hexdigest()
+
+
+class CoreTable(NamedTuple):
+    """A spec's core clock table as read-only arrays, with its fingerprint."""
+
+    mhz: np.ndarray
+    mhz_float: np.ndarray
+    fingerprint: str
+
+
+_CORE_TABLE_MEMO: dict[int, tuple[GPUSpec, CoreTable]] = {}
+
+
+def core_table(spec: GPUSpec) -> CoreTable:
+    """``spec.core_freqs_mhz`` as int and float arrays (memoized per spec).
+
+    The batched engine reads the table on every batch and keys its
+    operating-point tables on it; building the arrays and hashing the
+    table once per spec keeps that off the per-batch path.
+    """
+    entry = _CORE_TABLE_MEMO.get(id(spec))
+    if entry is not None and entry[0] is spec:
+        return entry[1]
+    mhz = np.asarray(spec.core_freqs_mhz, dtype=int)
+    mhz_float = mhz.astype(float)
+    mhz.setflags(write=False)
+    mhz_float.setflags(write=False)
+    table = CoreTable(mhz, mhz_float, freq_fingerprint(mhz_float))
+    _CORE_TABLE_MEMO[id(spec)] = (spec, table)
+    return table
 
 
 @dataclass
@@ -209,25 +239,20 @@ class SweepCache:
             freq_fingerprint(mem_mhz),
         )
 
-    def engine_key(
-        self,
-        spec: GPUSpec,
-        kernel: KernelIR,
-        core_mhz: np.ndarray,
-        mem_mhz: float,
-    ) -> tuple:
+    def engine_key(self, spec: GPUSpec, kernel: KernelIR, mem_mhz: float) -> tuple:
         """Key for the batched engine's per-kernel operating-point tables.
 
         One entry per ``(device, kernel, core table, memory clock)``: the
         engine gathers per-submission timing/power columns from these
-        tables, so repeated batches over the same kernel mix hit instead
-        of re-sweeping.
+        tables over the spec's whole core table (:func:`core_table`), so
+        repeated batches over the same kernel mix hit instead of
+        re-sweeping.
         """
         return (
             "engine-op",
             spec_fingerprint(spec),
             kernel_fingerprint(kernel),
-            freq_fingerprint(core_mhz),
+            core_table(spec).fingerprint,
             float(mem_mhz),
         )
 

@@ -1,9 +1,9 @@
 """Struct-of-arrays batch representations.
 
 :class:`KernelBatch` holds one queue's worth of kernel submissions as
-parallel tuples; :func:`resolve_effective_clocks` turns its clock
-requests into the contiguous per-submission clock arrays the executor
-broadcasts over.
+parallel tuples; the executor decodes them against a queue
+(:func:`repro.engine.executor.execute_batch`) into the per-submission
+clock arrays it broadcasts over.
 
 Request forms mirror :meth:`repro.core.queue.SynergyQueue.submit`:
 
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from repro.common.errors import ValidationError
 from repro.hw.specs import GPUSpec
@@ -95,40 +93,3 @@ class KernelBatch:
         for mem_mhz, core_mhz in unique:
             spec.validate_clocks(mem_mhz, core_mhz)
 
-
-def resolve_effective_clocks(
-    resolved: "list[tuple[int, int] | None]",
-    current: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Carry clock requests forward into effective per-submission clocks.
-
-    ``resolved`` holds one ``(mem_mhz, core_mhz)`` per submission (or
-    ``None`` where the submission makes no request and inherits whatever
-    clocks are then in effect); ``current`` is the board's
-    ``(core_mhz, mem_mhz)`` application-clock state at batch start.
-    Returns ``(mem_mhz, core_mhz, switches)`` arrays. The effective
-    clocks replicate the scalar path exactly: a request-free submission
-    runs at the previous submission's effective clocks, and the switch
-    mask marks submissions whose request actually changes the board
-    state (the redundancy skip of ``FrequencyScaler``).
-    """
-    n = len(resolved)
-    cur_core, cur_mem = current
-    req_mem = np.empty(n, dtype=int)
-    req_core = np.empty(n, dtype=int)
-    has_req = np.zeros(n, dtype=bool)
-    for i, pair in enumerate(resolved):
-        if pair is None:
-            req_mem[i] = 0
-            req_core[i] = 0
-        else:
-            req_mem[i], req_core[i] = pair
-            has_req[i] = True
-    # Carry-forward: index of the latest request at or before each slot.
-    latest = np.maximum.accumulate(np.where(has_req, np.arange(n), -1))
-    eff_mem = np.where(latest >= 0, req_mem[np.maximum(latest, 0)], cur_mem)
-    eff_core = np.where(latest >= 0, req_core[np.maximum(latest, 0)], cur_core)
-    prev_core = np.concatenate(([cur_core], eff_core[:-1]))
-    prev_mem = np.concatenate(([cur_mem], eff_mem[:-1]))
-    switches = (eff_core != prev_core) | (eff_mem != prev_mem)
-    return eff_mem, eff_core, switches

@@ -8,6 +8,16 @@ broadcasted NumPy passes over per-kernel operating-point tables
 (:meth:`TimingModel.sweep` + :meth:`PowerModel.power`, memoized in the
 keyed sweep cache) and commits the device/scaler/queue state in bulk.
 
+Per batch, :func:`_decode` makes one Python pass over the submissions:
+it resolves each request, carries the clocks forward and numbers the
+``(kernel, memory clock)`` groups; the lists it builds become arrays
+once. Everything after that is array passes, except what each kernel
+still costs at commit: one event object. A bulk segment's records are
+one :class:`~repro.hw.records.RecordBlock` of the columns the commit
+already holds as lists; a row becomes a frozen
+``KernelExecutionRecord`` when someone first reads it (the board's
+``records[i]`` or the event's ``record``, the same object).
+
 Exactness contract (checked by ``repro-synergy validate --only engine``):
 
 - resolved clock plans, switch decisions and throttled operating points
@@ -54,10 +64,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.engine.batch import KernelBatch, resolve_effective_clocks
-from repro.hw.device import KernelExecutionRecord
+from repro.core.sweepcache import core_table, resolve_cache
+from repro.engine.batch import KernelBatch
+from repro.hw.records import RecordBlock
 from repro.metrics.targets import EnergyTarget
-from repro.sycl.event import Event
+from repro.sycl.event import BlockEvent, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.queue import SynergyQueue
@@ -141,17 +152,16 @@ def operating_table(gpu, kernel, mem_mhz: float):
     """Timing/power columns over the full core table at one memory clock.
 
     Returns read-only ``(time_s, u_core, u_mem, power_w)`` arrays aligned
-    with ``spec.core_freqs_mhz``, memoized in the keyed sweep cache. The
-    columns depend only on the device *spec* (timing/power models are
-    shared per spec), so the single-queue fast path and the multi-rank
-    graph engine (:mod:`repro.engine.multirank`) share cache entries.
+    with ``spec.core_freqs_mhz``, memoized in the keyed sweep cache (one
+    lookup per call). The columns depend only on the device *spec*
+    (timing/power models are shared per spec), so the single-queue fast
+    path and the multi-rank graph engine (:mod:`repro.engine.multirank`)
+    share cache entries.
     """
-    from repro.core.sweepcache import resolve_cache
-
     spec = gpu.spec
-    table = np.asarray(spec.core_freqs_mhz, dtype=float)
 
     def compute():
+        table = core_table(spec).mhz_float
         timing = gpu.timing_model.sweep(kernel, table, float(mem_mhz))
         power = np.asarray(
             gpu.power_model.power(
@@ -165,41 +175,92 @@ def operating_table(gpu, kernel, mem_mhz: float):
         return (timing.time_s, timing.u_core, timing.u_mem, power)
 
     store = resolve_cache(None)
-    return store.get_or_compute(store.engine_key(spec, kernel, table, mem_mhz), compute)
+    return store.get_or_compute(store.engine_key(spec, kernel, mem_mhz), compute)
 
 
-def _resolve_requests(queue: "SynergyQueue", batch: KernelBatch):
-    """Per-submission clock resolution, matching the scalar path's calls.
+@dataclass
+class _Decoded:
+    """One pass over a batch's submissions, against a queue and board.
 
-    Targets go through the queue's plan/predictor with the same counter
-    semantics (``predict.plan_lookups`` per plan hit, ``predict.calls``
-    per predictor inference); request-free submissions inherit the queue
-    clocks or, absent those, the running board clocks (``None`` here).
+    ``resolved`` holds each submission's clock request — ``(mem_mhz,
+    core_mhz)``, or ``None`` for a request-free submission that runs at
+    whatever clocks are then in effect. ``mem_mhz``/``core_mhz`` are the
+    effective application clocks, ``switches`` marks the submissions that
+    change them, and submission ``i`` reads operating-point table
+    ``group_of[i]``, one per distinct ``(kernel, memory clock)`` in
+    ``members``, in first-use order.
     """
-    resolved: list[tuple[int, int] | None] = []
+
+    resolved: list
+    mem_mhz: np.ndarray
+    core_mhz: np.ndarray
+    switches: np.ndarray
+    group_of: np.ndarray
+    members: list
+
+
+def _decode(queue: "SynergyQueue", kernels, requests) -> _Decoded:
+    """Resolve, carry forward and group the submissions in one pass.
+
+    ``requests`` holds :class:`KernelBatch` requests, or an earlier
+    decode's ``resolved`` entries (which re-decode to themselves).
+    Targets go through the queue's plan/predictor with the scalar path's
+    counter semantics (``predict.plan_lookups`` per plan hit,
+    ``predict.calls`` per predictor inference). Untraced, resolution is
+    pure (deterministic per ``(kernel, target)``), so repeated pairs hit
+    a memo; traced runs resolve per submission, for exact counter parity.
+    A request-free submission inherits the queue clocks or, absent
+    those, makes no request. The effective clocks replicate the scalar
+    path exactly: a request-free submission runs at the previous
+    submission's clocks (the board's at batch start), and a switch is a
+    request that changes them (the redundancy skip of
+    ``FrequencyScaler``). Everything comes out as lists, made arrays once.
+    """
+    gpu = queue.device.gpu
     traced = queue.trace.enabled
-    # Untraced, target resolution is pure (plan/predictor lookups are
-    # deterministic per (kernel, target)), so repeated pairs hit a memo.
-    # Traced runs keep the per-submission calls for exact counter parity
-    # with the scalar path (one ``predict.plan_lookups`` per submission).
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
     inherit = queue._queue_clocks
-    for kernel, request in zip(batch.kernels, batch.requests):
-        if isinstance(request, EnergyTarget):
-            if traced:
-                resolved.append(queue._resolve_target(kernel, request))
-            else:
-                key = (id(kernel), id(request))
-                clocks = memo.get(key)
-                if clocks is None:
-                    clocks = queue._resolve_target(kernel, request)
-                    memo[key] = clocks
-                resolved.append(clocks)
-        elif isinstance(request, tuple):
-            resolved.append(request)
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
+    groups: dict[tuple[int, object], int] = {}
+    members: list[tuple[object, object]] = []
+    resolved: list = []
+    mems: list = []
+    cores: list = []
+    group_of: list[int] = []
+    add_resolved, add_mem, add_core, add_group = (
+        resolved.append, mems.append, cores.append, group_of.append
+    )
+    first_mem, first_core = mem, core = gpu.mem_mhz, gpu.core_mhz
+    for kernel, request in zip(kernels, requests):
+        if request is None:
+            clocks = inherit
+        elif type(request) is tuple or not isinstance(request, EnergyTarget):
+            clocks = request
+        elif traced:
+            clocks = queue._resolve_target(kernel, request)
         else:
-            resolved.append(inherit)
-    return resolved
+            key = (id(kernel), id(request))
+            clocks = memo.get(key)
+            if clocks is None:
+                clocks = memo[key] = queue._resolve_target(kernel, request)
+        add_resolved(clocks)
+        if clocks is not None:
+            mem, core = clocks
+        add_mem(mem)
+        add_core(core)
+        key = (id(kernel), mem)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = len(members)
+            members.append((kernel, mem))
+        add_group(group)
+    mem_mhz = np.array(mems, dtype=int)
+    core_mhz = np.array(cores, dtype=int)
+    prev_mem = np.concatenate(([first_mem], mem_mhz[:-1]))
+    prev_core = np.concatenate(([first_core], core_mhz[:-1]))
+    switches = (mem_mhz != prev_mem) | (core_mhz != prev_core)
+    return _Decoded(
+        resolved, mem_mhz, core_mhz, switches, np.array(group_of), members
+    )
 
 
 def _core_index(spec, core_mhz: np.ndarray) -> np.ndarray:
@@ -208,7 +269,7 @@ def _core_index(spec, core_mhz: np.ndarray) -> np.ndarray:
     The executor gathers timing/power columns with it; a clock missing
     from the table raises :class:`ValidationError`.
     """
-    table = np.asarray(spec.core_freqs_mhz, dtype=int)
+    table = core_table(spec).mhz
     idx = np.clip(np.searchsorted(table, core_mhz), 0, len(table) - 1)
     if not np.array_equal(table[idx], core_mhz):
         bad = core_mhz[table[idx] != core_mhz]
@@ -219,7 +280,7 @@ def _core_index(spec, core_mhz: np.ndarray) -> np.ndarray:
 
 
 def _choose_operating_points(
-    queue: "SynergyQueue", kernels, mem_mhz: np.ndarray, core_index: np.ndarray
+    queue: "SynergyQueue", decoded: _Decoded, core_index: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Gather per-submission timing/power at the throttled operating point.
 
@@ -230,21 +291,9 @@ def _choose_operating_points(
     clock whose power fits, or the lowest table clock if nothing fits.
     """
     gpu = queue.device.gpu
-    spec = gpu.spec
-    table = np.asarray(spec.core_freqs_mhz, dtype=int)
-    groups: dict[tuple[int, int], int] = {}
-    members: list[tuple[object, int]] = []
-    group_ids: list[int] = []
-    for kernel, mem in zip(kernels, mem_mhz.tolist()):
-        key = (id(kernel), mem)
-        idx = groups.get(key)
-        if idx is None:
-            idx = len(members)
-            groups[key] = idx
-            members.append((kernel, mem))
-        group_ids.append(idx)
-    group_of = np.asarray(group_ids, dtype=int)
-    tables = [operating_table(gpu, k, float(m)) for k, m in members]
+    table = core_table(gpu.spec).mhz
+    group_of = decoded.group_of
+    tables = [operating_table(gpu, k, float(m)) for k, m in decoded.members]
     time_mat = np.stack([t[0] for t in tables])
     u_core_mat = np.stack([t[1] for t in tables])
     u_mem_mat = np.stack([t[2] for t in tables])
@@ -274,8 +323,8 @@ def _choose_operating_points(
 class _Plan:
     """Per-submission clocks and operating points of one batch.
 
-    Resolved once per batch from :func:`resolve_effective_clocks`' arrays
-    and their device-table indices. The entries of a submission run per
+    Derived once per batch from its :func:`_decode` and the clocks'
+    device-table indices. The entries of a submission run per
     event are overwritten with what the board did; after a degrade the
     tail is re-derived from the board state (:meth:`rederive_tail`).
     """
@@ -294,24 +343,20 @@ class _Plan:
 
     @classmethod
     def derive(
-        cls, queue: "SynergyQueue", kernels, mem_mhz, core_mhz, switches, core_index
+        cls, queue: "SynergyQueue", decoded: _Decoded, core_index: np.ndarray
     ) -> "_Plan":
         return cls(
-            mem_mhz, core_mhz, switches,
-            *_choose_operating_points(queue, kernels, mem_mhz, core_index),
+            decoded.mem_mhz, decoded.core_mhz, decoded.switches,
+            *_choose_operating_points(queue, decoded, core_index),
         )
 
     def rederive_tail(
         self, queue: "SynergyQueue", kernels, resolved, lo: int
     ) -> None:
         """Recompute submissions ``lo:`` from the board's current clocks."""
-        gpu = queue.device.gpu
-        mem_mhz, core_mhz, switches = resolve_effective_clocks(
-            resolved[lo:], (gpu.core_mhz, gpu.mem_mhz)
-        )
+        decoded = _decode(queue, kernels[lo:], resolved[lo:])
         new = _Plan.derive(
-            queue, kernels[lo:], mem_mhz, core_mhz, switches,
-            _core_index(gpu.spec, core_mhz),
+            queue, decoded, _core_index(queue.device.gpu.spec, decoded.core_mhz)
         )
         for f in fields(self):
             getattr(self, f.name)[lo:] = getattr(new, f.name)
@@ -336,23 +381,19 @@ def execute_batch(queue: "SynergyQueue", batch: KernelBatch) -> BatchResult:
         return _empty_result()
 
     batch.validate_explicit_clocks(gpu.spec)
-    resolved = _resolve_requests(queue, batch)
-    mem_mhz, core_mhz, switches = resolve_effective_clocks(
-        resolved, (gpu.core_mhz, gpu.mem_mhz)
-    )
-    clocks = (mem_mhz, core_mhz, switches, _core_index(gpu.spec, core_mhz))
+    decoded = _decode(queue, batch.kernels, batch.requests)
+    # Checked before the walk: a resolved clock off the table raises here.
+    core_index = _core_index(gpu.spec, decoded.core_mhz)
     # Bulk-committed segments as ``(events, switches)``: the submissions
     # run per event trace and count themselves.
     bulk: list[tuple[list[Event], int]] = []
     if not tr.enabled:
-        return _execute_segmented(queue, batch.kernels, resolved, clocks, bulk)
+        return _execute_segmented(queue, batch.kernels, decoded, core_index, bulk)
     try:
         with tr.span(
             gpu.clock, track, "engine.batch", f"batch[{n}]",
         ) as sp:
-            result = _execute_segmented(
-                queue, batch.kernels, resolved, clocks, bulk
-            )
+            result = _execute_segmented(queue, batch.kernels, decoded, core_index, bulk)
             sp.set(kernels=n, switches=result.n_switches, fallback=None)
         tr.count("engine.batches")
         tr.count("engine.batched_kernels", n)
@@ -438,18 +479,19 @@ def _bulk_end(queue: "SynergyQueue", plan: _Plan, lo: int):
 
 
 def _execute_segmented(
-    queue: "SynergyQueue", kernels, resolved, clocks, bulk: list
+    queue: "SynergyQueue", kernels, decoded: _Decoded, core_index, bulk: list
 ) -> BatchResult:
     """Commit the batch in bulk segments, split where :func:`_bulk_end` cuts.
 
-    ``clocks`` holds the batch's effective ``(mem_mhz, core_mhz,
-    switches, core_index)`` arrays. Each bulk segment's events and switch
+    ``decoded`` is the batch's :func:`_decode` and ``core_index`` its
+    clocks' device-table indices. Each bulk segment's events and switch
     count are appended to ``bulk`` as it commits.
     """
     gpu = queue.device.gpu
     scaler = queue.scaler
     n = len(kernels)
-    plan = _Plan.derive(queue, kernels, *clocks)
+    resolved = decoded.resolved
+    plan = _Plan.derive(queue, decoded, core_index)
     out = (np.empty(n), np.empty(n), np.empty(n))  # start_s, end_s, energy_j
     # Records and clock plan share one boxed int per distinct clock value.
     box: dict[int, int] = {}
@@ -548,31 +590,18 @@ def _commit_segment(
     if final > gpu.clock.now:
         gpu.clock.advance_to(final)
 
-    # Bulk ndarray→Python conversion (``tolist`` converts in C) feeding
-    # positional dataclass construction: this loop is the remaining
-    # per-kernel Python cost of the fast path, so it stays lean.
-    device_name = gpu.spec.name
-    records = [
-        KernelExecutionRecord(
-            kernel.name, device_name, core, mem, t0, t1, e, p, uc, um
-        )
-        for kernel, core, mem, t0, t1, e, p, uc, um in zip(
-            kernels[seg],
-            cores,
-            mems,
-            starts,
-            ends,
-            energy_j.tolist(),
-            powers,
-            plan.u_core[seg].tolist(),
-            plan.u_mem[seg].tolist(),
-        )
-    ]
-    gpu.records.extend(records)
-    events = [
-        Event(gpu, record.start_s, record.start_s, record.end_s, record)
-        for record in records
-    ]
+    # The records stay columns until someone reads them: the block holds
+    # the lists built above, and each row becomes a frozen
+    # KernelExecutionRecord on first read (``gpu.records[i]`` or
+    # ``event.record``, the same object). What is left per kernel here is
+    # one event object; the events' timestamp check is one array pass.
+    block = RecordBlock(
+        kernels[seg], gpu.spec.name, cores, mems, starts, ends,
+        energy_j.tolist(), powers, plan.u_core[seg].tolist(),
+        plan.u_mem[seg].tolist(),
+    )
+    gpu.records.append_block(block)
+    events = BlockEvent.run(gpu, block, starts, ends)
     queue._absorb_events(events)
     return events, int(switch_idx.size)
 

@@ -9,7 +9,7 @@ and the SYCL runtime interact with:
   hazard the paper's SLURM plugin manages, §7),
 - a busy/idle power timeline in virtual time, from which both the true
   (analytic) energy and the sampled sensor energy are derived,
-- per-kernel execution records.
+- per-kernel execution records (a :class:`~repro.hw.records.RecordLog`).
 
 Kernels execute serially per device (one hardware queue), matching how the
 paper profiles per-kernel energy.
@@ -20,40 +20,19 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.common.clock import VirtualClock
 from repro.common.errors import ConfigurationError, ReproError, SimulationError
 from repro.hw.cache import models_for, operating_points_for
+from repro.hw.records import KernelExecutionRecord, RecordLog
 from repro.hw.specs import GPUSpec
 from repro.kernelir.kernel import KernelIR
 
 
 class ClockPermissionError(ReproError):
     """Raised when an unprivileged caller changes clocks on a restricted GPU."""
-
-
-@dataclass(frozen=True)
-class KernelExecutionRecord:
-    """Outcome of one kernel execution on a simulated GPU."""
-
-    kernel_name: str
-    device_name: str
-    core_mhz: int
-    mem_mhz: int
-    start_s: float
-    end_s: float
-    energy_j: float
-    avg_power_w: float
-    u_core: float
-    u_mem: float
-
-    @property
-    def time_s(self) -> float:
-        """Kernel wall time in seconds."""
-        return self.end_s - self.start_s
 
 
 _device_ids = itertools.count()
@@ -97,7 +76,9 @@ class SimulatedGPU:
         # Clock history: (time, core_mhz, mem_mhz), ascending in time.
         self._clock_times: list[float] = [self.clock.now]
         self._clock_values: list[tuple[int, int]] = [(self._core_mhz, self._mem_mhz)]
-        self.records: list[KernelExecutionRecord] = []
+        # Made on first use (:attr:`records`): boards are built by the
+        # thousand, and one more container per board costs collector time.
+        self._records: RecordLog | None = None
         #: Count of clock-change API calls (for the §4.4 overhead analysis).
         self.clock_set_calls: int = 0
         #: Fault-injection plane, attached by ``Cluster.build`` (or tests).
@@ -105,6 +86,14 @@ class SimulatedGPU:
         self.fault_injector = None
 
     # ------------------------------------------------------------------ state
+
+    @property
+    def records(self) -> RecordLog:
+        """Every kernel and transfer this board ran, in execution order."""
+        log = self._records
+        if log is None:
+            log = self._records = RecordLog()
+        return log
 
     @property
     def core_mhz(self) -> int:
@@ -217,9 +206,9 @@ class SimulatedGPU:
         mem_mhz)`` lands on the history at ``times_s[i]`` (ascending).
         The same privilege model applies; every pair is validated before
         anything is committed, so a bad plan leaves the board untouched.
+        ``times_s`` (floats) and ``pairs`` (tuples of ints) are stored as
+        given; the time checks are array comparisons over the plan.
         """
-        times_s = list(times_s)
-        pairs = [(int(c), int(m)) for c, m in pairs]
         if len(times_s) != len(pairs):
             raise SimulationError(
                 f"clock plan length mismatch ({len(times_s)} vs {len(pairs)})"
@@ -233,26 +222,25 @@ class SimulatedGPU:
             )
         for core, mem in set(pairs):
             self.spec.validate_clocks(mem, core)
-        if any(b < a for a, b in zip(times_s, times_s[1:])):
+        steps = np.diff(np.asarray(times_s, dtype=float))
+        if (steps < 0).any():
             raise SimulationError("clock plan times must be ascending")
-        if self._clock_times and times_s[0] < self._clock_times[-1]:
+        last = self._clock_times[-1]
+        if times_s[0] < last:
             raise SimulationError(
                 f"clock plan starts at {times_s[0]!r}s, before the last "
-                f"recorded change at {self._clock_times[-1]!r}s"
+                f"recorded change at {last!r}s"
             )
-        if (
-            not (self._clock_times and self._clock_times[-1] == times_s[0])
-            and all(b > a for a, b in zip(times_s, times_s[1:]))
-        ):
+        if last != times_s[0] and (steps > 0).all():
             # No merge-at-equal-time anywhere in this plan: bulk append.
-            self._clock_times.extend(float(t) for t in times_s)
+            self._clock_times.extend(times_s)
             self._clock_values.extend(pairs)
         else:
             for t, value in zip(times_s, pairs):
-                if self._clock_times and self._clock_times[-1] == t:
+                if self._clock_times[-1] == t:
                     self._clock_values[-1] = value
                 else:
-                    self._clock_times.append(float(t))
+                    self._clock_times.append(t)
                     self._clock_values.append(value)
         self._core_mhz, self._mem_mhz = pairs[-1]
         self.clock_set_calls += len(pairs)
@@ -361,19 +349,18 @@ class SimulatedGPU:
         earlier than the current queue drain time — the same invariant
         serial :meth:`execute` calls maintain one segment at a time. The
         device's busy horizon moves to the last segment's end; the caller
-        is responsible for advancing the virtual clock.
+        is responsible for advancing the virtual clock. The floats are
+        stored as given; the order check is one array comparison.
         """
-        starts = [float(t) for t in starts]
-        ends = [float(t) for t in ends]
-        powers = [float(p) for p in powers]
         if not (len(starts) == len(ends) == len(powers)):
             raise SimulationError("segment arrays must have equal length")
         if not starts:
             return
-        bounds = [self._busy_until]
-        for s, e in zip(starts, ends):
-            bounds.extend((s, e))
-        if any(b < a for a, b in zip(bounds, bounds[1:])):
+        bounds = np.empty(2 * len(starts) + 1)
+        bounds[0] = self._busy_until
+        bounds[1::2] = starts
+        bounds[2::2] = ends
+        if (bounds[1:] < bounds[:-1]).any():
             raise SimulationError(
                 "batched segments must be ascending and non-overlapping, "
                 "starting at or after the device busy horizon"

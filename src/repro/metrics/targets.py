@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,9 +113,12 @@ class EnergyTarget:
         elif self.value is not None:
             raise ValidationError(f"{self.kind.value} target does not take a value")
 
-    @property
+    @cached_property
     def name(self) -> str:
-        """Canonical spelling, e.g. ``"ES_25"`` or ``"MIN_EDP"``."""
+        """Canonical spelling, e.g. ``"ES_25"`` or ``"MIN_EDP"``.
+
+        Cached: plans key on it, and the batched engine reads it for
+        every target it resolves."""
         if self.percent is not None:
             return f"{self.kind.value}_{self.percent:g}"
         if self.value is not None:

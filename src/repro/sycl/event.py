@@ -11,10 +11,13 @@ import enum
 import itertools
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.common.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.device import KernelExecutionRecord, SimulatedGPU
+    from repro.hw.records import RecordBlock
 
 _event_ids = itertools.count()
 
@@ -89,3 +92,67 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = self.record.kernel_name if self.record else "<no kernel>"
         return f"Event(#{self.event_id}, {name}, [{self.start_s:.6f}, {self.end_s:.6f}])"
+
+
+class BlockEvent(Event):
+    """Completion handle of one kernel in a bulk-committed run.
+
+    Its record is a row of the run's :class:`~repro.hw.records.RecordBlock`,
+    built on first read: ``event.record`` is the object the board's record
+    log holds for that kernel, however the log is edited later. Submission
+    and start coincide (a batched launch has no dependencies).
+    """
+
+    def __init__(
+        self,
+        device: "SimulatedGPU",
+        start_s: float,
+        end_s: float,
+        block: "RecordBlock",
+        row: int,
+        event_id: int,
+    ) -> None:
+        self.event_id = event_id
+        self.device = device
+        self.submit_s = start_s
+        self.start_s = start_s
+        self.end_s = end_s
+        self._block = block
+        self._row = row
+
+    @property
+    def record(self) -> "KernelExecutionRecord":
+        return self._block[self._row]
+
+    @classmethod
+    def run(
+        cls,
+        device: "SimulatedGPU",
+        block: "RecordBlock",
+        start_s: list[float],
+        end_s: list[float],
+    ) -> list["BlockEvent"]:
+        """One event per row of ``block``, timestamps checked in one pass.
+
+        Raises the :class:`SimulationError` :class:`Event` raises for the
+        first kernel whose timestamps are out of order.
+        """
+        bad = np.flatnonzero(~(np.asarray(start_s) <= np.asarray(end_s)))
+        if bad.size:
+            t0, t1 = start_s[bad[0]], end_s[bad[0]]
+            raise SimulationError(
+                f"event timestamps out of order: submit={t0}, "
+                f"start={t0}, end={t1}"
+            )
+        n = len(start_s)
+        return list(
+            map(
+                cls,
+                itertools.repeat(device, n),
+                start_s,
+                end_s,
+                itertools.repeat(block, n),
+                range(n),
+                itertools.islice(_event_ids, n),
+            )
+        )

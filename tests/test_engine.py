@@ -743,3 +743,97 @@ class TestFaultFallbacks:
         assert result.fallback is None
         assert queue.scaler.retry_count == 0
         assert gpu.fault_injector.total_faults == 0
+
+
+# ------------------------------------------------------- columnar records
+
+
+class TestColumnarRecords:
+    """A bulk segment commits its records as one column block: no
+    ``KernelExecutionRecord`` exists until someone reads one, and a read
+    through the board's log or the event gives the same object."""
+
+    def _requests(self, kernel_pool):
+        core = NVIDIA_V100.core_freqs_mhz
+        return [
+            (t, k) for t in (MIN_EDP, MAX_PERF) for k in kernel_pool
+        ] + [(877, core[i], kernel_pool[i % 3]) for i in range(0, 60, 7)]
+
+    def test_untraced_batch_builds_no_record_until_one_is_read(
+        self, monkeypatch, kernel_pool, plan
+    ):
+        import repro.hw.records as records_module
+        from repro.hw.records import KernelExecutionRecord
+
+        made = []
+
+        class Counting(KernelExecutionRecord):
+            def __init__(self, *args):
+                made.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(records_module, "KernelExecutionRecord", Counting)
+        requests = self._requests(kernel_pool)
+        gpu = SimulatedGPU(NVIDIA_V100, index=0)
+        queue = SynergyQueue(gpu, plan=plan)
+        result = queue.submit_batch(requests)
+        queue.wait()
+        assert len(gpu.records) == len(result) == len(requests)
+        assert made == []
+        record = result.events[3].record
+        assert made == [requests[3][-1].name]
+        assert gpu.records[3] is record and result.events[3].record is record
+        assert len(made) == 1
+        assert [e.record for e in queue.events] == list(gpu.records)
+        assert all(
+            e.record is r for e, r in zip(queue.events, gpu.records)
+        )
+        assert len(made) == len(requests)
+
+    def test_editing_the_log_does_not_repoint_events(self, kernel_pool, plan):
+        gpu = SimulatedGPU(NVIDIA_V100, index=0)
+        result = SynergyQueue(gpu, plan=plan).submit_batch(
+            self._requests(kernel_pool)
+        )
+        second = result.events[1].record
+        del gpu.records[0]
+        assert result.events[1].record is second is gpu.records[0]
+
+    def test_fault_split_batch_matches_the_replay_record_for_record(
+        self, kernel_pool, plan
+    ):
+        """Clock-set faults split the batch: per-event records sit between
+        column blocks, and the log still reads as the replay's records."""
+        from repro.faults import transient_nvml_plan
+        from repro.sycl.event import BlockEvent
+
+        requests = self._requests(kernel_pool) * 3
+        scalar_q, batched_q, result, errors = _faulted_twins(
+            plan, requests, transient_nvml_plan(0.3, seed=3)
+        )
+        assert errors == (None, None)
+        kinds = {type(e) is BlockEvent for e in result.events}
+        assert kinds == {True, False}, "the faults must split the batch"
+        _assert_split_parity(scalar_q, batched_q, result, errors)
+        a, b = list(scalar_q.gpu.records), list(batched_q.gpu.records)
+        assert [(r.kernel_name, r.device_name, r.core_mhz, r.mem_mhz) for r in a] == [
+            (r.kernel_name, r.device_name, r.core_mhz, r.mem_mhz) for r in b
+        ]
+        for field in ("start_s", "end_s", "energy_j", "avg_power_w", "u_core", "u_mem"):
+            np.testing.assert_allclose(
+                [getattr(r, field) for r in b], [getattr(r, field) for r in a],
+                rtol=RTOL,
+            )
+        assert all(e.record is r for e, r in zip(result.events, b))
+
+    def test_a_fresh_board_holds_no_record_log(self, kernel_pool):
+        """The log is made on a board's first record, not with the board.
+
+        The weak-scaling workload builds 3,584 boards per unit, and one
+        more container in every board's constructor shows up there as
+        garbage-collector time (docs/PERFORMANCE.md, engine section).
+        """
+        gpu = SimulatedGPU(NVIDIA_V100)
+        assert gpu._records is None
+        gpu.execute(kernel_pool[0])
+        assert gpu._records is not None and len(gpu.records) == 1
