@@ -16,6 +16,8 @@
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+from operator import sub
 from typing import Callable
 
 from repro.common.errors import ConfigurationError, ValidationError
@@ -23,10 +25,11 @@ from repro.core.compiler import FrequencyPlan
 from repro.core.frequency import DEFAULT_SWITCH_OVERHEAD_S, FrequencyScaler
 from repro.core.predictor import FrequencyPredictor
 from repro.core.profiling import EnergyProfiler
+from repro.hw.records import record_columns
 from repro.kernelir.kernel import KernelIR
 from repro.metrics.targets import EnergyTarget
 from repro.obs.session import TraceSession, resolve_trace
-from repro.sycl.event import Event
+from repro.sycl.event import Event, EventBlock
 from repro.sycl.handler import Handler
 from repro.sycl.queue import CommandGroupFn, Queue
 
@@ -276,6 +279,26 @@ class SynergyQueue(Queue):
 
     # --------------------------------------------------------------- control
 
+    def _stat_parts(self):
+        """The event log as runs of statistic columns, in submission order.
+
+        Yields ``(columns, degraded)`` per part of the log: ``columns``
+        are the :data:`~repro.hw.records.STAT_FIELDS` columns, read from
+        a bulk commit's record block without building a row, or off the
+        records of a run of per-event submissions (every event a queue
+        makes carries its record). ``degraded`` flags each row; only
+        per-event submissions can be degraded.
+        """
+        degraded = self._degraded_events
+        for part in self._events.parts():
+            if isinstance(part, EventBlock):
+                yield part.records.stat_columns(), repeat(False, len(part))
+            else:
+                yield (
+                    record_columns([e.record for e in part]),
+                    [e in degraded for e in part],
+                )
+
     def kernel_stats(self) -> list[dict[str, float | str]]:
         """Per-kernel execution statistics, in submission order.
 
@@ -283,37 +306,44 @@ class SynergyQueue(Queue):
         energy — the raw material of a per-kernel tuning report. The
         ``degraded`` flag marks kernels whose requested clocks could not be
         applied (clock-set retry exhaustion): their energy target was
-        best-effort only.
+        best-effort only. Bulk-committed kernels are read from their
+        record columns, so no record or event is built for them.
         """
         rows: list[dict[str, float | str]] = []
-        for event in self.events:
-            record = event.record
-            if record is None:
-                continue
-            rows.append(
+        for columns, degraded in self._stat_parts():
+            rows.extend(
                 {
-                    "kernel": record.kernel_name,
-                    "core_mhz": record.core_mhz,
-                    "mem_mhz": record.mem_mhz,
-                    "time_s": record.time_s,
-                    "energy_j": record.energy_j,
-                    "avg_power_w": record.avg_power_w,
-                    "degraded": event in self._degraded_events,
+                    "kernel": name,
+                    "core_mhz": core,
+                    "mem_mhz": mem,
+                    "time_s": t1 - t0,
+                    "energy_j": energy,
+                    "avg_power_w": power,
+                    "degraded": flag,
                 }
+                for name, core, mem, t0, t1, energy, power, flag
+                in zip(*columns, degraded)
             )
         return rows
 
     def summary(self) -> dict[str, float]:
-        """Aggregate queue statistics: totals plus switch-overhead cost."""
-        stats = self.kernel_stats()
+        """Aggregate queue statistics: totals plus switch-overhead cost.
+
+        Reduces the record columns directly; the totals are bitwise those
+        of summing :meth:`kernel_stats` in submission order.
+        """
+        parts = list(self._stat_parts())
+        columns = [c for c, _ in parts]
         return {
-            "kernels": float(len(stats)),
-            "kernel_time_s": float(sum(r["time_s"] for r in stats)),
-            "kernel_energy_j": float(sum(r["energy_j"] for r in stats)),
+            "kernels": float(sum(len(c[0]) for c in columns)),
+            "kernel_time_s": float(
+                sum(chain.from_iterable(map(sub, c[4], c[3]) for c in columns))
+            ),
+            "kernel_energy_j": float(sum(chain.from_iterable(c[5] for c in columns))),
             "clock_switches": float(self.scaler.switch_count),
             "switch_overhead_s": self.scaler.total_overhead_s,
             "clock_retries": float(self.scaler.retry_count),
-            "degraded_kernels": float(sum(bool(r["degraded"]) for r in stats)),
+            "degraded_kernels": float(sum(sum(flags) for _, flags in parts)),
         }
 
     def set_frequency(self, mem_mhz: int, core_mhz: int) -> None:

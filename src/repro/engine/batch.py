@@ -54,6 +54,8 @@ class KernelBatch:
         """
         kernels: list[KernelIR] = []
         reqs: list[object] = []
+        # One tuple per distinct explicit clock pair in the batch.
+        pairs: dict[tuple[int, int], tuple[int, int]] = {}
         for item in requests:
             if isinstance(item, KernelIR):
                 kernels.append(item)
@@ -74,7 +76,8 @@ class KernelBatch:
                 and isinstance(item[2], KernelIR)
             ):
                 kernels.append(item[2])
-                reqs.append((item[0], item[1]))
+                pair = (item[0], item[1])
+                reqs.append(pairs.setdefault(pair, pair))
             else:
                 raise ValidationError(
                     "batch items must be KernelIR, (EnergyTarget, KernelIR) "

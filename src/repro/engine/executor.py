@@ -11,12 +11,14 @@ keyed sweep cache) and commits the device/scaler/queue state in bulk.
 Per batch, :func:`_decode` makes one Python pass over the submissions:
 it resolves each request, carries the clocks forward and numbers the
 ``(kernel, memory clock)`` groups; the lists it builds become arrays
-once. Everything after that is array passes, except what each kernel
-still costs at commit: one event object. A bulk segment's records are
-one :class:`~repro.hw.records.RecordBlock` of the columns the commit
-already holds as lists; a row becomes a frozen
-``KernelExecutionRecord`` when someone first reads it (the board's
-``records[i]`` or the event's ``record``, the same object).
+once. Everything after that is array passes, and a bulk commit makes
+no object per kernel. A bulk segment's records are one
+:class:`~repro.hw.records.RecordBlock` of the columns the commit
+already holds as lists, and its events one
+:class:`~repro.sycl.event.EventBlock` over that block; a row becomes a
+frozen ``KernelExecutionRecord`` or a ``BlockEvent`` when someone first
+reads it (the board's ``records[i]`` and the event's ``record`` are the
+same object).
 
 Exactness contract (checked by ``repro-synergy validate --only engine``):
 
@@ -68,7 +70,7 @@ from repro.core.sweepcache import core_table, resolve_cache
 from repro.engine.batch import KernelBatch
 from repro.hw.records import RecordBlock
 from repro.metrics.targets import EnergyTarget
-from repro.sycl.event import BlockEvent, Event
+from repro.sycl.event import Event, EventBlock, EventLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.queue import SynergyQueue
@@ -85,11 +87,14 @@ class BatchResult:
 
     ``core_mhz`` holds the *executed* (possibly throttled) core clocks;
     ``app_core_mhz``/``app_mem_mhz`` the application clocks in effect
-    while each kernel ran. ``fallback`` is always ``None``: no batch
+    while each kernel ran. ``events`` holds the parts the queue's event
+    log gained: one :class:`~repro.sycl.event.EventBlock` per bulk
+    segment and the events of the submissions run per event, so
+    ``len()`` builds nothing. ``fallback`` is always ``None``: no batch
     replays per event any more (the field stays for its existing readers).
     """
 
-    events: tuple[Event, ...]
+    events: EventLog
     start_s: np.ndarray
     end_s: np.ndarray
     time_s: np.ndarray
@@ -126,7 +131,7 @@ class BatchResult:
 def _empty_result() -> BatchResult:
     z = np.zeros(0)
     return BatchResult(
-        events=(),
+        events=EventLog(),
         start_s=z,
         end_s=np.zeros(0),
         time_s=np.zeros(0),
@@ -384,9 +389,9 @@ def execute_batch(queue: "SynergyQueue", batch: KernelBatch) -> BatchResult:
     decoded = _decode(queue, batch.kernels, batch.requests)
     # Checked before the walk: a resolved clock off the table raises here.
     core_index = _core_index(gpu.spec, decoded.core_mhz)
-    # Bulk-committed segments as ``(events, switches)``: the submissions
-    # run per event trace and count themselves.
-    bulk: list[tuple[list[Event], int]] = []
+    # Bulk-committed segments as ``(event block, switches)``: the
+    # submissions run per event trace and count themselves.
+    bulk: list[tuple[EventBlock, int]] = []
     if not tr.enabled:
         return _execute_segmented(queue, batch.kernels, decoded, core_index, bulk)
     try:
@@ -410,21 +415,23 @@ def _trace_bulk(queue: "SynergyQueue", bulk) -> None:
     # Tenancy tag, attached only when the queue has an owner (the service
     # plane) so ownerless golden traces stay byte-identical.
     extra = {} if queue.owner is None else {"owner": queue.owner}
-    for events, _ in bulk:
-        for event in events:
-            record = event.record
+    # Read from the record columns: tracing builds no event or record.
+    for block, _ in bulk:
+        names, cores, mems, starts, ends, energies, _ = block.records.stat_columns()
+        for name, core, mem, t0, t1, energy in zip(
+            names, cores, mems, starts, ends, energies
+        ):
             tr.add_span(
-                queue._track, "queue.kernel", record.kernel_name,
-                event.start_s, event.end_s,
-                core_mhz=record.core_mhz,
-                mem_mhz=record.mem_mhz,
-                energy_j=record.energy_j,
+                queue._track, "queue.kernel", name, t0, t1,
+                core_mhz=core,
+                mem_mhz=mem,
+                energy_j=energy,
                 degraded=False,
                 **extra,
             )
-            tr.observe("kernel.time_s", record.time_s)
-            tr.observe("kernel.energy_j", record.energy_j)
-    tr.count("queue.kernels_executed", sum(len(events) for events, _ in bulk))
+            tr.observe("kernel.time_s", t1 - t0)
+            tr.observe("kernel.energy_j", energy)
+    tr.count("queue.kernels_executed", sum(len(block) for block, _ in bulk))
     switches = sum(count for _, count in bulk)
     if switches:
         tr.count("freq.switches", switches)
@@ -484,8 +491,8 @@ def _execute_segmented(
     """Commit the batch in bulk segments, split where :func:`_bulk_end` cuts.
 
     ``decoded`` is the batch's :func:`_decode` and ``core_index`` its
-    clocks' device-table indices. Each bulk segment's events and switch
-    count are appended to ``bulk`` as it commits.
+    clocks' device-table indices. Each bulk segment's event block and
+    switch count are appended to ``bulk`` as it commits.
     """
     gpu = queue.device.gpu
     scaler = queue.scaler
@@ -493,10 +500,11 @@ def _execute_segmented(
     resolved = decoded.resolved
     plan = _Plan.derive(queue, decoded, core_index)
     out = (np.empty(n), np.empty(n), np.empty(n))  # start_s, end_s, energy_j
-    # Records and clock plan share one boxed int per distinct clock value.
-    box: dict[int, int] = {}
+    # Records and clock plan share one boxed int per distinct clock value,
+    # and the clock plan one tuple per distinct (core, mem) pair.
+    box: dict = {}
     switches_before = scaler.switch_count
-    events: list[Event] = []
+    events = EventLog()
     # Submissions run per event, as (index, record, app core, app mem).
     stepped: list[tuple] = []
     lo = 0
@@ -506,7 +514,7 @@ def _execute_segmented(
             segment = _commit_segment(
                 queue, kernels, plan, slice(lo, hi), clockline, out, box
             )
-            events.extend(segment[0])
+            events.append_block(segment[0])
             bulk.append(segment)
         if hi == n:
             break
@@ -529,7 +537,7 @@ def _execute_segmented(
         plan.core_mhz[idx], plan.mem_mhz[idx] = app_core, app_mem
     start_s, end_s, energy_j = out
     return BatchResult(
-        events=tuple(events),
+        events=events,
         start_s=start_s,
         end_s=end_s,
         time_s=end_s - start_s,
@@ -550,14 +558,14 @@ def _commit_segment(
     seg: slice,
     clockline: np.ndarray,
     out: tuple[np.ndarray, np.ndarray, np.ndarray],
-    box: dict[int, int],
-) -> tuple[list[Event], int]:
+    box: dict,
+) -> tuple[EventBlock, int]:
     """Bulk commit of submissions ``seg``: clock plan, scaler charges,
     power timeline, clock advance, records and events.
 
     ``clockline`` is the segment's virtual-time walk, starting at the
     current time; the segment's start/end times and energies land in
-    ``out``. Returns the segment's events and switch count.
+    ``out``. Returns the segment's event block and switch count.
     """
     gpu = queue.device.gpu
     scaler = queue.scaler
@@ -571,17 +579,15 @@ def _commit_segment(
     # Box every value once: the records, the power timeline and the
     # clock plan share the same Python floats and ints.
     starts, ends, powers = start_s.tolist(), end_s.tolist(), power_w.tolist()
-    cores = _interned(plan.exec_core[seg], box)
-    mems = _interned(plan.mem_mhz[seg], box)
+    cores = _interned(plan.exec_core[seg].tolist(), box)
+    mems = _interned(plan.mem_mhz[seg].tolist(), box)
     switch_idx = np.flatnonzero(plan.switches[seg])
     if switch_idx.size:
+        app_cores = _interned(plan.core_mhz[seg][switch_idx].tolist(), box)
         gpu.apply_clock_plan(
             (start_s[switch_idx] + scaler.switch_overhead_s).tolist(),
-            list(
-                zip(
-                    _interned(plan.core_mhz[seg][switch_idx], box),
-                    [mems[i] for i in switch_idx.tolist()],
-                )
+            _interned(
+                list(zip(app_cores, [mems[i] for i in switch_idx.tolist()])), box
             ),
         )
         scaler.charge_batched(int(switch_idx.size))
@@ -593,20 +599,20 @@ def _commit_segment(
     # The records stay columns until someone reads them: the block holds
     # the lists built above, and each row becomes a frozen
     # KernelExecutionRecord on first read (``gpu.records[i]`` or
-    # ``event.record``, the same object). What is left per kernel here is
-    # one event object; the events' timestamp check is one array pass.
+    # ``event.record``, the same object). The events stay a block too,
+    # checked in one array pass; nothing here is made per kernel.
     block = RecordBlock(
         kernels[seg], gpu.spec.name, cores, mems, starts, ends,
         energy_j.tolist(), powers, plan.u_core[seg].tolist(),
         plan.u_mem[seg].tolist(),
     )
     gpu.records.append_block(block)
-    events = BlockEvent.run(gpu, block, starts, ends)
-    queue._absorb_events(events)
+    events = EventBlock(gpu, block, starts, ends)
+    queue._absorb_block(events)
     return events, int(switch_idx.size)
 
 
-def _interned(values: np.ndarray, box: dict[int, int]) -> list[int]:
-    """``values.tolist()`` with every distinct int boxed once, via ``box``."""
-    items = values.tolist()
+def _interned(items: list, box: dict) -> list:
+    """``items`` with every distinct value (an int or a clock pair) boxed
+    once per batch, via ``box``."""
     return list(map(box.setdefault, items, items))

@@ -17,6 +17,8 @@ drain cycles cost about what its first ones do.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.apps.syclbench.definitions import get_benchmark
@@ -116,6 +118,13 @@ def run_service_session(
             f"need >= 1 submission and cycle "
             f"({n_submissions!r}, {n_cycles!r})"
         )
+    if not (math.isfinite(mean_interarrival_s) and mean_interarrival_s >= 0.0):
+        raise ConfigurationError(
+            "mean_interarrival_s must be finite and >= 0 "
+            f"({mean_interarrival_s!r})"
+        )
+    if not kernels:
+        raise ConfigurationError("need >= 1 kernel name (kernels=())")
     tenants = seeded_tenants(n_tenants, seed)
     kernel_objs = [get_benchmark(name).kernel for name in kernels]
     # Plan over every tenant target (plus MAX_PERF for the baseline), in

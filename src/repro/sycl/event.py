@@ -2,7 +2,9 @@
 
 The SYnergy fine-grained profiler is built on SYCL event status/profiling
 queries (§4.2); events here expose submit/start/end timestamps in virtual
-time and the kernel execution record when one exists.
+time and the kernel execution record when one exists. The batched
+engine commits a run of kernels as one :class:`EventBlock`, whose events
+are built on first read; a queue keeps its events in an :class:`EventLog`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.common.errors import SimulationError
+from repro.common.lazyseq import LazyRows, PartLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.device import KernelExecutionRecord, SimulatedGPU
@@ -97,10 +100,11 @@ class Event:
 class BlockEvent(Event):
     """Completion handle of one kernel in a bulk-committed run.
 
-    Its record is a row of the run's :class:`~repro.hw.records.RecordBlock`,
-    built on first read: ``event.record`` is the object the board's record
-    log holds for that kernel, however the log is edited later. Submission
-    and start coincide (a batched launch has no dependencies).
+    Row ``row`` of an :class:`EventBlock`. Its record is the same row of
+    the run's :class:`~repro.hw.records.RecordBlock`, built on first
+    read: ``event.record`` is the object the board's record log holds
+    for that kernel, however the log is edited later. Submission and
+    start coincide (a batched launch has no dependencies).
     """
 
     def __init__(
@@ -124,19 +128,28 @@ class BlockEvent(Event):
     def record(self) -> "KernelExecutionRecord":
         return self._block[self._row]
 
-    @classmethod
-    def run(
-        cls,
+
+class EventBlock(LazyRows):
+    """The events of one bulk-committed run, built on first read.
+
+    One row per row of ``records`` (the run's record block); row ``i``
+    becomes a :class:`BlockEvent` the first time someone reads it and is
+    cached, so ``block[i] is block[i]``. The block takes its run of
+    event ids when it is made, so ids keep submission order however late
+    its rows are built. The timestamp-order check :class:`Event` makes
+    runs here, once, as one array comparison: it raises the same
+    :class:`SimulationError` for the first kernel out of order.
+    """
+
+    __slots__ = ("device", "records", "first_id", "_start", "_end")
+
+    def __init__(
+        self,
         device: "SimulatedGPU",
-        block: "RecordBlock",
+        records: "RecordBlock",
         start_s: list[float],
         end_s: list[float],
-    ) -> list["BlockEvent"]:
-        """One event per row of ``block``, timestamps checked in one pass.
-
-        Raises the :class:`SimulationError` :class:`Event` raises for the
-        first kernel whose timestamps are out of order.
-        """
+    ) -> None:
         bad = np.flatnonzero(~(np.asarray(start_s) <= np.asarray(end_s)))
         if bad.size:
             t0, t1 = start_s[bad[0]], end_s[bad[0]]
@@ -145,14 +158,48 @@ class BlockEvent(Event):
                 f"start={t0}, end={t1}"
             )
         n = len(start_s)
+        super().__init__(n)
+        self.device = device
+        self.records = records
+        self._start = start_s
+        self._end = end_s
+        self.first_id = next(_event_ids)
+        if n > 1:
+            # Take the rest of the run's ids from the shared counter.
+            next(itertools.islice(_event_ids, n - 2, None))
+
+    def _build(self, i: int) -> BlockEvent:
+        return BlockEvent(
+            self.device, self._start[i], self._end[i], self.records, i,
+            self.first_id + i,
+        )
+
+    def _build_all(self) -> list[BlockEvent]:
+        n, first = self._n, self.first_id
         return list(
             map(
-                cls,
-                itertools.repeat(device, n),
-                start_s,
-                end_s,
-                itertools.repeat(block, n),
+                BlockEvent,
+                itertools.repeat(self.device, n),
+                self._start,
+                self._end,
+                itertools.repeat(self.records, n),
                 range(n),
-                itertools.islice(_event_ids, n),
+                range(first, first + n),
             )
         )
+
+    def _release(self) -> None:
+        self._start = self._end = None
+
+
+class EventLog(PartLog):
+    """A queue's events, in submission order.
+
+    Reads as a tuple of :class:`Event`: a
+    :class:`~repro.common.lazyseq.PartLog` whose closed parts are plain
+    lists or one :class:`EventBlock` per bulk commit, and whose open
+    list the per-event path appends to in O(1). ``len()`` builds
+    no event, and a slice builds only the events inside it.
+    """
+
+    __slots__ = ()

@@ -17,7 +17,7 @@ from typing import Callable
 from repro.common.errors import ValidationError
 from repro.sycl.accessor import AccessMode
 from repro.sycl.device import SyclDevice, select_device
-from repro.sycl.event import Event
+from repro.sycl.event import Event, EventBlock, EventLog
 from repro.sycl.handler import Handler
 from repro.kernelir.kernel import KernelIR
 
@@ -30,7 +30,7 @@ class Queue:
 
     def __init__(self, selector: object | None = None) -> None:
         self.device: SyclDevice = select_device(selector)
-        self._events: list[Event] = []
+        self._events = EventLog()
 
     @property
     def gpu(self):
@@ -120,18 +120,22 @@ class Queue:
         self.wait()
 
     @property
-    def events(self) -> tuple[Event, ...]:
-        """All events produced by this queue, in submission order."""
-        return tuple(self._events)
+    def events(self) -> EventLog:
+        """All events produced by this queue, in submission order.
 
-    def _absorb_events(self, events: "list[Event]") -> None:
-        """Adopt externally materialized events (batched engine commit).
+        A live, read-only view: it grows as the queue runs, and reading
+        a window (``events[n0:]``) builds only the events inside it.
+        """
+        return self._events
+
+    def _absorb_block(self, block: EventBlock) -> None:
+        """Adopt the events of one bulk commit (batched engine).
 
         The batched executor computes whole submission runs out-of-line
-        and hands the finished events back here so ``events`` /
+        and hands the finished run back here so ``events`` /
         ``kernel_stats`` keep their submission-order contract.
         """
-        self._events.extend(events)
+        self._events.append_block(block)
 
     # ------------------------------------------------------------ internals
 

@@ -23,6 +23,9 @@ does so on every GPU of a job: the per-event twins of
 ``SynergyQueue.submit_batch`` and
 :class:`repro.engine.payload.KernelBatchPayload` in the engine
 differential contract.
+:func:`kernel_stats_reference` and :func:`summary_reference` walk a
+queue's events one record at a time; ``SynergyQueue.kernel_stats`` and
+``summary`` reduce the record columns and must match them bitwise.
 :class:`CommandGraphReference` derives a distributed command graph one
 rank, one neighbour and one access at a time; the columnar
 :class:`repro.distributed.graph.CommandGraph` must give the same nodes
@@ -321,6 +324,45 @@ def replay_per_event(queue: SynergyQueue, requests) -> None:
         else:
             queue.submit(item[0], item[1], _launch(item[2]))
     queue.wait()
+
+
+def kernel_stats_reference(queue: SynergyQueue) -> list[dict[str, float | str]]:
+    """:meth:`SynergyQueue.kernel_stats` as a walk over every event's record.
+
+    Builds every event and record of the queue. The queue's own method
+    reduces the record columns instead and must match this bitwise.
+    """
+    rows: list[dict[str, float | str]] = []
+    for event in queue.events:
+        record = event.record
+        if record is None:
+            continue
+        rows.append(
+            {
+                "kernel": record.kernel_name,
+                "core_mhz": record.core_mhz,
+                "mem_mhz": record.mem_mhz,
+                "time_s": record.time_s,
+                "energy_j": record.energy_j,
+                "avg_power_w": record.avg_power_w,
+                "degraded": event in queue._degraded_events,
+            }
+        )
+    return rows
+
+
+def summary_reference(queue: SynergyQueue) -> dict[str, float]:
+    """:meth:`SynergyQueue.summary` as sums over :func:`kernel_stats_reference`."""
+    stats = kernel_stats_reference(queue)
+    return {
+        "kernels": float(len(stats)),
+        "kernel_time_s": float(sum(r["time_s"] for r in stats)),
+        "kernel_energy_j": float(sum(r["energy_j"] for r in stats)),
+        "clock_switches": float(queue.scaler.switch_count),
+        "switch_overhead_s": queue.scaler.total_overhead_s,
+        "clock_retries": float(queue.scaler.retry_count),
+        "degraded_kernels": float(sum(bool(r["degraded"]) for r in stats)),
+    }
 
 
 @dataclass(frozen=True)

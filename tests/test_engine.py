@@ -837,3 +837,184 @@ class TestColumnarRecords:
         assert gpu._records is None
         gpu.execute(kernel_pool[0])
         assert gpu._records is not None and len(gpu.records) == 1
+
+
+# ------------------------------------------------------------ event blocks
+
+
+def _cluster_requests(kernel_pool, n: int = 384, seed: int = 7) -> list:
+    """``n`` seed-drawn requests shaped like one board of the cluster
+    scenario: mixed kernels, plan targets and 25% explicit clocks."""
+    rng = np.random.default_rng(seed)
+    table = NVIDIA_V100.core_freqs_mhz
+    requests = []
+    for _ in range(n):
+        kernel = kernel_pool[int(rng.integers(len(kernel_pool)))]
+        if rng.random() < 0.25:
+            core = int(table[int(rng.integers(len(table)))])
+            requests.append((NVIDIA_V100.default_mem_mhz, core, kernel))
+        else:
+            requests.append((TARGETS[int(rng.integers(len(TARGETS)))], kernel))
+    return requests
+
+
+class TestEventBlocks:
+    """A bulk segment's events are one block: no ``BlockEvent`` or record
+    exists until someone reads one, and the queue statistics read the
+    record columns instead."""
+
+    def test_untraced_cluster_batch_builds_no_event_or_record(
+        self, monkeypatch, kernel_pool, plan
+    ):
+        import repro.hw.records as records_module
+        import repro.sycl.event as event_module
+
+        made = {"events": 0, "records": 0}
+
+        class CountingEvent(event_module.BlockEvent):
+            def __init__(self, *args):
+                made["events"] += 1
+                super().__init__(*args)
+
+        class CountingRecord(records_module.KernelExecutionRecord):
+            def __init__(self, *args):
+                made["records"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(event_module, "BlockEvent", CountingEvent)
+        monkeypatch.setattr(records_module, "KernelExecutionRecord", CountingRecord)
+        requests = _cluster_requests(kernel_pool)
+        gpu = SimulatedGPU(NVIDIA_V100, index=0)
+        queue = SynergyQueue(gpu, plan=plan)
+        result = queue.submit_batch(requests)
+        queue.wait()
+        assert len(result) == len(queue.events) == len(gpu.records) == 384
+        summary = queue.summary()
+        stats = queue.kernel_stats()
+        assert summary["kernels"] == len(stats) == 384
+        assert made == {"events": 0, "records": 0}
+        event = queue.events[-5]
+        assert made == {"events": 1, "records": 0}
+        assert result.events[379] is event and event.record is gpu.records[379]
+        assert made == {"events": 1, "records": 1}
+
+    def test_batch_events_are_the_queue_log_parts(self, kernel_pool, plan):
+        """The batch's event log and the queue's hold the same blocks and
+        per-event events, before and after a per-event submission."""
+        from repro.faults import FaultPlan, FaultSpec
+
+        gpu = SimulatedGPU(NVIDIA_V100, index=0)
+        gpu.fault_injector = FaultPlan(
+            seed=1,
+            specs=(FaultSpec(site="nvml.set_clocks", probability=0.3),),
+        ).injector()
+        queue = SynergyQueue(gpu, plan=plan)
+        replay_per_event(queue, [kernel_pool[0]])
+        result = queue.submit_batch(_cluster_requests(kernel_pool, 96))
+        parts = list(result.events.parts())
+        assert len(parts) > 1, "the faults must split the batch"
+        assert list(queue.events.parts())[1:] == parts
+        assert all(a is b for a, b in zip(queue.events[1:], result.events))
+        assert [e.record for e in queue.events] == list(gpu.records)
+
+    def test_a_window_read_builds_only_the_window(self, kernel_pool, plan):
+        """The adapt controllers read ``queue.events[n0:]`` once per stream:
+        the window after a batch builds none of the batch's events."""
+        queue = SynergyQueue(SimulatedGPU(NVIDIA_V100), plan=plan)
+        result = queue.submit_batch(_cluster_requests(kernel_pool, 48))
+        n0 = len(queue.events)
+        replay_per_event(queue, kernel_pool)
+        window = queue.events[n0:]
+        assert [e.record.kernel_name for e in window] == [k.name for k in kernel_pool]
+        assert [block.built for block in result.events.parts()] == [0]
+
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), request_streams(max_size=10)),
+            min_size=1,
+            max_size=4,
+        ),
+        clock_set_faults(),
+        st.sampled_from(("none", "some", "all")),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_column_stats_match_the_record_walk(self, plan, steps, faults, reads):
+        """Over a history of batches and per-event submissions under
+        clock-set faults, ``kernel_stats`` and ``summary`` are bitwise the
+        record walk of ``repro.validate.reference``, whether the blocks
+        are unbuilt, partly built or fully built."""
+        from repro.common.errors import ReproError
+        from repro.validate.reference import (
+            kernel_stats_reference,
+            summary_reference,
+        )
+
+        every = [item for _, requests in steps for item in requests]
+        gpu = SimulatedGPU(NVIDIA_V100, index=0)
+        gpu.fault_injector = _clock_set_plan(plan, every, faults).injector()
+        queue = SynergyQueue(gpu, plan=plan)
+        for batched, requests in steps:
+            try:
+                if batched:
+                    queue.submit_batch(requests)
+                else:
+                    replay_per_event(queue, requests)
+            except ReproError:
+                pass
+        if reads == "some":
+            for i in range(0, len(gpu.records), 3):
+                gpu.records[i]
+        elif reads == "all":
+            list(queue.events)
+            list(gpu.records)
+        stats, summary = queue.kernel_stats(), queue.summary()
+        want_stats, want_summary = kernel_stats_reference(queue), summary_reference(queue)
+        assert repr(stats) == repr(want_stats) and stats == want_stats
+        assert repr(summary) == repr(want_summary) and summary == want_summary
+        # Once the walk has built every row, the rows are read instead.
+        assert repr(queue.kernel_stats()) == repr(want_stats)
+        assert repr(queue.summary()) == repr(want_summary)
+
+    def test_degraded_flags_come_from_the_per_event_steps(self, kernel_pool, plan):
+        """Clock-set retry exhaustion degrades stepped submissions; the
+        column stats flag exactly those, as the record walk does."""
+        from repro.validate.reference import (
+            kernel_stats_reference,
+            summary_reference,
+        )
+
+        requests = _cluster_requests(kernel_pool, 48)
+        fault_plan = _clock_set_plan(plan, requests, (1.0, 5, 0, None, 3))
+        gpu = SimulatedGPU(NVIDIA_V100, index=0)
+        gpu.fault_injector = fault_plan.injector()
+        queue = SynergyQueue(gpu, plan=plan)
+        queue.submit_batch(requests)
+        summary = queue.summary()
+        assert summary["degraded_kernels"] > 0
+        assert summary == summary_reference(queue)
+        assert queue.kernel_stats() == kernel_stats_reference(queue)
+
+    def test_a_batch_leaves_no_object_per_kernel(self, kernel_pool, plan):
+        """Allocation guard: an untraced 384-kernel batch leaves new
+        gc-tracked objects per segment (blocks, their column lists, the
+        result), not per kernel.
+
+        Counted after a full collection, which also untracks tuples of
+        plain ints (the interned clock pairs), so a per-kernel event,
+        record or dict shows as at least 384 new objects.
+        """
+        import gc
+
+        requests = _cluster_requests(kernel_pool)
+        # Warm the sweep cache and every per-spec memo first.
+        SynergyQueue(SimulatedGPU(NVIDIA_V100), plan=plan).submit_batch(requests)
+        gpu = SimulatedGPU(NVIDIA_V100, index=0)
+        queue = SynergyQueue(gpu, plan=plan)
+        gc.collect()
+        before = len(gc.get_objects())
+        result = queue.submit_batch(requests)
+        summary = queue.summary()
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        assert len(result) == summary["kernels"] == 384
+        assert grown < 64, grown

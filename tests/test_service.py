@@ -372,6 +372,34 @@ class TestSeededSessions:
         a, b = run(), run()
         assert a.store.canonical_bytes() == b.store.canonical_bytes()
 
+    def test_a_session_builds_no_record(self, monkeypatch):
+        """The job payload sums each board's queue from the record columns:
+        a smoke session builds no record and no bulk event."""
+        import repro.hw.records as records_module
+        import repro.sycl.event as event_module
+
+        made = []
+
+        class CountingRecord(records_module.KernelExecutionRecord):
+            def __init__(self, *args):
+                made.append("record")
+                super().__init__(*args)
+
+        class CountingEvent(event_module.BlockEvent):
+            def __init__(self, *args):
+                made.append("event")
+                super().__init__(*args)
+
+        monkeypatch.setattr(records_module, "KernelExecutionRecord", CountingRecord)
+        monkeypatch.setattr(event_module, "BlockEvent", CountingEvent)
+        with scoped_cache():
+            service = run_service_session(
+                seed=7, n_tenants=4, n_submissions=200, n_partitions=2,
+                n_cycles=2,
+            )
+        assert service.store.select("batch")
+        assert made == []
+
     def test_different_seeds_diverge(self):
         def run(seed):
             with scoped_cache():
@@ -400,3 +428,23 @@ class TestSeededSessions:
             run_service_session(n_submissions=0)
         with pytest.raises(ConfigurationError):
             SchedulingService(NVIDIA_V100, n_partitions=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_cycles": 0},
+            {"n_tenants": 0},
+            {"n_partitions": 0},
+            {"mean_interarrival_s": -1.0},
+            {"mean_interarrival_s": math.nan},
+            {"mean_interarrival_s": math.inf},
+            {"kernels": ()},
+        ],
+        ids=lambda kwargs: ",".join(f"{k}={v!r}" for k, v in kwargs.items()),
+    )
+    def test_session_arguments_raise_configuration_error(self, kwargs):
+        """Every bad session argument raises the one boundary error type,
+        never numpy's ``ValueError`` from the arrival draw."""
+        small = {"n_tenants": 2, "n_submissions": 8, "n_partitions": 1, "n_cycles": 1}
+        with pytest.raises(ConfigurationError):
+            run_service_session(**{**small, **kwargs})
