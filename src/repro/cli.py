@@ -11,9 +11,9 @@ subcommand.
 from __future__ import annotations
 
 import argparse
-import functools
 import importlib
 import inspect
+import json
 import sys
 import textwrap
 from dataclasses import dataclass
@@ -22,34 +22,20 @@ from typing import Any, Callable, Sequence
 
 from repro.adapt.chaos import run_thermal_drift_comparison
 from repro.analysis.scenarios import deadline_demo
-from repro.apps import BENCHMARK_NAMES, CloverLeaf, MiniWeather, get_benchmark
+from repro.apps import get_benchmark
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.core.compiler import SynergyCompiler, plan_global_frequencies
 from repro.core.models import EnergyModelBundle
 from repro.core.persistence import load_bundle, save_bundle
 from repro.core.sweepcache import scoped_cache
 from repro.distributed import build_comm, build_stencil_graph, run_graph
-from repro.experiments.accuracy import run_accuracy_analysis
-from repro.experiments.artifacts import FREQ_STRIDE, RANDOM_COUNT
-from repro.experiments.characterization import characterize, fine_vs_coarse
-from repro.experiments.export import (
-    accuracy_to_dict,
-    characterization_to_dict,
-    chaos_to_dict,
-    scaling_to_dict,
-    write_json,
-)
-from repro.experiments.faults import DEFAULT_RATES, run_fault_sweep
+from repro.experiments.artifacts import ARTIFACTS
 from repro.experiments.report import format_table
-from repro.experiments.scaling import run_scaling_experiment
-from repro.experiments.sweep import sweep_kernel
 from repro.experiments.training import (
     ALGORITHM_NAMES,
     make_bundle,
     microbench_training_set,
-    train_bundles,
 )
-from repro.faults import FaultSpec
 from repro.frontend import DeviceKernel, analyze_source
 from repro.frontend.kernels import KERNELS
 from repro.frontend.lint import default_lint_root, lint_paths
@@ -74,24 +60,9 @@ from repro.validate.runner import SECTIONS, run_validation
 #: ``main`` writes to ``--json`` (``None`` for commands without one).
 Outcome = tuple[int, dict[str, Any] | None]
 
-#: The MPI mini-apps behind ``--app``.
-APPS = {"cloverleaf": CloverLeaf, "miniweather": MiniWeather}
-
 
 def _parse_targets(names: Sequence[str]) -> list[EnergyTarget]:
     return [EnergyTarget.parse(n) for n in names]
-
-
-def _app_factory(args: argparse.Namespace) -> Callable[[], Any]:
-    return functools.partial(APPS[args.app], steps=args.steps)
-
-
-def _load_bundle(args: argparse.Namespace) -> EnergyModelBundle | None:
-    """The ``--bundle`` models, or ``None`` to have the experiment train."""
-    if args.bundle:
-        return load_bundle(args.bundle)
-    print("no --bundle given; training default models ...", file=sys.stderr)
-    return None
 
 
 def _print_table(headers: list[str], rows: list, title: str) -> None:
@@ -123,55 +94,6 @@ def _cmd_devices(args: argparse.Namespace) -> Outcome:
     return 0, None
 
 
-def _cmd_characterize(args: argparse.Namespace) -> Outcome:
-    spec = get_spec(args.device)
-    names = args.benchmarks if args.benchmarks else list(BENCHMARK_NAMES)
-    rows = []
-    exported = {}
-    for name in names:
-        c = characterize(spec, get_benchmark(name).kernel)
-        exported[name] = characterization_to_dict(c)
-        rows.append(
-            [
-                name,
-                f"[{c.pareto_speedup_min:.3f}, {c.pareto_speedup_max:.3f}]",
-                f"{c.max_energy_saving:.1%}",
-                f"{c.loss_at_max_saving:.1%}",
-                c.default_is_pareto,
-            ]
-        )
-    _print_table(
-        ["benchmark", "pareto speedup", "max saving", "loss @ max",
-         "default on front"],
-        rows,
-        title=f"Characterization on {spec.name}",
-    )
-    return 0, {"kind": "characterization_set", "device": spec.name,
-               "benchmarks": exported}
-
-
-def _cmd_sweep(args: argparse.Namespace) -> Outcome:
-    spec = get_spec(args.device)
-    sweep = sweep_kernel(spec, get_benchmark(args.benchmark).kernel)
-    rows = []
-    for target in _parse_targets(args.targets):
-        idx = sweep.resolve(target)
-        rows.append(
-            [
-                target.name,
-                f"{sweep.freqs_mhz[idx]:.0f}",
-                f"{1 - sweep.normalized_energy[idx]:+.2%}",
-                f"{sweep.speedup[idx]:.3f}x",
-            ]
-        )
-    _print_table(
-        ["target", "core MHz", "energy saving", "speedup"],
-        rows,
-        title=f"{args.benchmark} on {spec.name} (measured sweep)",
-    )
-    return 0, None
-
-
 def _cmd_train(args: argparse.Namespace) -> Outcome:
     spec = get_spec(args.device)
     print(
@@ -194,7 +116,7 @@ def _cmd_train(args: argparse.Namespace) -> Outcome:
 
 def _cmd_compile(args: argparse.Namespace) -> Outcome:
     spec = get_spec(args.device)
-    bundle = _load_bundle(args)
+    bundle = load_bundle(args.bundle)
     kernels = [get_benchmark(n).kernel for n in args.benchmarks]
     targets = _parse_targets(args.targets)
     app = SynergyCompiler(bundle, spec).compile(kernels, targets)
@@ -210,103 +132,25 @@ def _cmd_compile(args: argparse.Namespace) -> Outcome:
     return 0, None
 
 
-def _cmd_accuracy(args: argparse.Namespace) -> Outcome:
-    spec = get_spec(args.device)
-    print(
-        f"training {len(args.algorithms)} model families on {spec.name} "
-        "micro-benchmarks ...",
-        file=sys.stderr,
-    )
-    training = microbench_training_set(
-        spec, freq_stride=args.stride, random_count=args.random_count
-    )
-    bundles = train_bundles(spec, training=training, algorithms=args.algorithms)
-    analysis = run_accuracy_analysis(spec, bundles=bundles)
-    headers = ["objective"]
-    for algorithm in args.algorithms:
-        headers += [f"{algorithm} RMSE", f"{algorithm} MAPE"]
-    headers.append("best")
-    rows = []
-    for row in analysis.table2():
-        cells = [row["objective"]]
-        for algorithm in args.algorithms:
-            rmse = row[f"{algorithm}_rmse"]
-            mape = row[f"{algorithm}_mape"]
-            cells += [
-                "-" if rmse != rmse else f"{rmse:.4g}",
-                "-" if mape != mape else f"{mape:.4g}",
-            ]
-        cells.append(row["best"])
-        rows.append(cells)
-    _print_table(headers, rows, title="Table 2 - error analysis")
-    return 0, accuracy_to_dict(analysis)
-
-
-def _cmd_scaling(args: argparse.Namespace) -> Outcome:
-    result = run_scaling_experiment(
-        _app_factory(args),
-        gpu_counts=tuple(args.gpus),
-        targets=_parse_targets(args.targets),
-        bundle=_load_bundle(args),
-    )
-    rows = [
-        [
-            p.n_gpus,
-            p.target_name,
-            f"{p.elapsed_s:.4f}",
-            f"{p.gpu_energy_j:.1f}",
-            f"{p.energy_saving_vs(result.baseline(p.n_gpus)):+.2%}",
-        ]
-        for p in result.points
-    ]
-    _print_table(
-        ["GPUs", "target", "time (s)", "GPU energy (J)", "saving"],
-        rows,
-        title=f"{args.app} weak scaling (Figure 10)",
-    )
-    return 0, scaling_to_dict(result)
-
-
-def _cmd_faults(args: argparse.Namespace) -> Outcome:
-    extra: tuple[FaultSpec, ...] = ()
-    spare = 0
-    if args.node_fail_at is not None:
-        extra = (FaultSpec(site="slurm.node_fail", at_s=args.node_fail_at),)
-        spare = 1  # keep a healthy node for the requeue
-    bundle = _load_bundle(args)
-    target = None if args.target == "default" else EnergyTarget.parse(args.target)
-    result = run_fault_sweep(
-        _app_factory(args),
-        rates=tuple(args.rates),
-        seed=args.seed,
-        n_nodes=args.nodes,
-        spare_nodes=spare,
-        target=target,
-        bundle=bundle,
-        extra_specs=extra,
-    )
-    rows = [
-        [
-            f"{p.fault_rate:g}",
-            p.state,
-            p.requeues,
-            f"{p.elapsed_s:.4f}",
-            f"{p.gpu_energy_j:.1f}",
-            p.clock_retries,
-            f"{p.degraded_fraction:.1%}",
-            p.faults_injected,
-            p.recoveries,
-        ]
-        for p in result.points
-    ]
-    _print_table(
-        ["rate", "state", "requeues", "time (s)", "GPU energy (J)",
-         "retries", "degraded", "faults", "recoveries"],
-        rows,
-        title=f"{args.app} chaos sweep (target {result.target_name}, "
-        f"seed {result.seed})",
-    )
-    return 0, chaos_to_dict(result)
+def _cmd_paper(args: argparse.Namespace) -> Outcome:
+    doc: dict[str, Any] = {}
+    failures = 0
+    for name in args.artifacts:
+        artifact = ARTIFACTS[name]
+        with scoped_cache():
+            numbers = artifact.run()
+        results = artifact.checks(numbers)
+        failures += sum(not r.passed for r in results)
+        _print_table(["key", "value"], [[k, v] for k, v in numbers.items()],
+                     title=f"{name}: numbers")
+        _print_table(["check", "verdict", "detail"],
+                     [[r.name, r.status, r.detail] for r in results],
+                     title=f"{name}: checks")
+        doc[name] = {"numbers": numbers,
+                     "checks": [r.as_dict() for r in results]}
+    verdict = "passed" if failures == 0 else f"{failures} FAILURES"
+    print(f"paper {verdict} ({len(doc)} artifacts)")
+    return (1 if failures else 0), doc
 
 
 def _cmd_adapt(args: argparse.Namespace) -> Outcome:
@@ -415,27 +259,6 @@ def _cmd_validate(args: argparse.Namespace) -> Outcome:
           f"({len(report.failures)} failures, {len(report.warnings)} warnings"
           f"{', strict' if args.strict else ''})")
     return (0 if ok else 1), report.as_dict()
-
-
-def _cmd_fine_vs_coarse(args: argparse.Namespace) -> Outcome:
-    spec = get_spec(args.device)
-    kernels = [
-        get_benchmark(n).kernel.with_name(f"{n}#{i}")
-        for i, n in enumerate(args.benchmarks)
-    ]
-    target = EnergyTarget.parse(args.target)
-    result = fine_vs_coarse(spec, kernels, target)
-    _print_table(
-        ["granularity", "energy (J)", "time (s)"],
-        [
-            ["coarse (best single f)", result.coarse_energy_j,
-             result.coarse_time_s],
-            ["fine (per-kernel)", result.fine_energy_j, result.fine_time_s],
-        ],
-        title=f"{target.name} on {spec.name}: "
-        f"fine-grained advantage {result.fine_advantage:+.2%}",
-    )
-    return 0, None
 
 
 def _resolve_analysis_target(target: str):
@@ -715,9 +538,6 @@ SHARED_ARGS: dict[str, dict[str, Any]] = {
     "--device": dict(default="v100", choices=known_devices()),
     "--json": dict(default=None, help="export results to a JSON file"),
     "--seed": dict(type=int, default=7, help="scenario seed"),
-    "--bundle": dict(default=None, help="trained bundle JSON path"),
-    "--app": dict(default="cloverleaf", choices=tuple(APPS)),
-    "--steps": dict(type=int, default=4),
     "--scenario": dict(nargs="+", choices=sorted(SCENARIOS), default=None),
 }
 
@@ -735,18 +555,6 @@ class Command:
 #: Every subcommand, in ``--help`` order.
 COMMANDS: dict[str, Command] = {
     "devices": Command("list known GPU models", _cmd_devices),
-    "characterize": Command("per-kernel Pareto summary", _cmd_characterize, (
-        _arg("--device"),
-        _arg("--benchmarks", nargs="*", default=None,
-             help="benchmark names (default: all 23)"),
-        _arg("--json"),
-    )),
-    "sweep": Command("per-target selections for one benchmark", _cmd_sweep, (
-        _arg("--device"),
-        _arg("--benchmark", required=True),
-        _arg("--targets", nargs="+",
-             default=["MIN_ENERGY", "MIN_EDP", "MIN_ED2P", "ES_50", "PL_50"]),
-    )),
     "train": Command("train energy models, save the bundle", _cmd_train, (
         _arg("--device"),
         _arg("--out", required=True, help="output bundle JSON path"),
@@ -757,53 +565,21 @@ COMMANDS: dict[str, Command] = {
     )),
     "compile": Command("emit a per-kernel frequency plan", _cmd_compile, (
         _arg("--device"),
-        _arg("--bundle", required=True),
+        _arg("--bundle", required=True, help="trained bundle JSON path"),
         _arg("--benchmarks", nargs="+", required=True),
         _arg("--targets", nargs="+", default=["MIN_EDP"]),
     )),
-    "accuracy": Command("the Table 2 error analysis", _cmd_accuracy, (
-        _arg("--device"),
-        _arg("--algorithms", nargs="+", default=list(ALGORITHM_NAMES),
-             choices=ALGORITHM_NAMES),
-        # The Table 2 artifact's training density, so the printed table is
-        # the one EXPERIMENTS.md quotes.
-        _arg("--stride", type=int, default=FREQ_STRIDE),
-        _arg("--random-count", type=int, default=RANDOM_COUNT),
-        _arg("--json"),
-    )),
-    "scaling": Command("the Fig. 10 weak-scaling experiment", _cmd_scaling, (
-        _arg("--app"),
-        _arg("--gpus", nargs="+", type=int, default=[4, 8, 16]),
-        _arg("--targets", nargs="+", default=["MIN_EDP", "ES_50", "PL_50"]),
-        _arg("--steps"),
-        _arg("--bundle"),
-        _arg("--json"),
-    )),
-    "faults": Command("chaos sweep: resilience vs fault rate", _cmd_faults, (
-        _arg("--app"),
-        _arg("--rates", nargs="+", type=float, default=list(DEFAULT_RATES),
-             help="transient NVML clock-set failure rates to sweep"),
-        _arg("--seed", default=0, help="fault-plan seed"),
-        _arg("--nodes", type=int, default=2, help="nodes per job"),
-        _arg("--steps"),
-        _arg("--target", default="MIN_EDP",
-             help="energy target ('default' disables per-kernel tuning)"),
-        _arg("--node-fail-at", type=float, default=None,
-             help="also schedule a node failure at this virtual time "
-             "(a spare node is provisioned for the requeue)"),
-        _arg("--bundle"),
-        _arg("--json"),
+    "paper": Command("run paper artifacts (figures, tables, ablations), "
+                     "print their numbers and check verdicts", _cmd_paper, (
+        _arg("artifacts", nargs="+", choices=tuple(ARTIFACTS),
+             metavar="ARTIFACT",
+             help=f"artifacts to run: {', '.join(ARTIFACTS)}"),
+        _arg("--json", help="export numbers and checks to a JSON file"),
     )),
     "adapt": Command("deadline-aware adaptive DVFS vs a stale static plan "
                      "under thermal throttle", _cmd_adapt, (
         _arg("--seed"),
         _arg("--json"),
-    )),
-    "fine-vs-coarse": Command("tuning-granularity comparison",
-                              _cmd_fine_vs_coarse, (
-        _arg("--device"),
-        _arg("--benchmarks", nargs="+", required=True),
-        _arg("--target", default="MIN_ENERGY"),
     )),
     "trace": Command("run an observability scenario, export Chrome trace + "
                      "metrics JSON", _cmd_trace, (
@@ -859,7 +635,7 @@ COMMANDS: dict[str, Command] = {
                            "a halo-exchange stencil", _cmd_distributed, (
         _arg("--device", default="a100"),
         _arg("--ranks", type=int, default=8),
-        _arg("--steps"),
+        _arg("--steps", type=int, default=4),
         _arg("--sla", type=float, default=1.25,
              help="global completion budget vs MAX_PERF (default 1.25)"),
         _arg("--json", default="", help="write the run summary to this path"),
@@ -887,12 +663,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    0 is success; 1 means a check or verdict failed (``validate``,
-    ``lint``, ``certify``, ``analyze``, ``adapt``); 2 means bad usage or
-    input. This is the one error boundary: a :class:`ConfigurationError`
-    or :class:`ValidationError` from any command prints
-    ``<command>: <message>`` on stderr and exits 2, as argparse does for
-    a malformed command line. It also writes every ``--json`` document.
+    0 is success; 1 means a check or verdict failed (``paper``,
+    ``validate``, ``lint``, ``certify``, ``analyze``, ``adapt``); 2 means
+    bad usage or input. This is the one error boundary: a
+    :class:`ConfigurationError` or :class:`ValidationError` from any
+    command prints ``<command>: <message>`` on stderr and exits 2, as
+    argparse does for a malformed command line. It also writes every
+    ``--json`` document.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -901,7 +678,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     if doc is not None and args.json:
-        write_json(doc, args.json)
+        Path(args.json).write_text(json.dumps(doc, indent=2))
         print(f"wrote {args.json}", file=sys.stderr)
     return code
 

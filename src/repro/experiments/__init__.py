@@ -1,8 +1,10 @@
 """Experiment harnesses reproducing the paper's tables and figures.
 
 Each module is a reusable building block; :mod:`~repro.experiments.artifacts`
-wires them into one registry entry per table/figure, which ``repro-synergy
-validate --only paper`` runs and checks (see DESIGN.md's experiment index):
+wires them into one registry entry per table, figure or ablation, at the
+configuration the paper's verdicts are checked at. ``repro-synergy paper
+<artifact>`` runs one and prints its numbers and checks; ``repro-synergy
+validate --only paper`` gates them all (see DESIGN.md's experiment index):
 
 - :mod:`~repro.experiments.sweep` — per-kernel frequency sweeps (the
   measurement underlying Figs. 2, 4, 5, 7, 8),

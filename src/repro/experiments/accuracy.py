@@ -26,10 +26,10 @@ from repro.apps.syclbench import SyclBenchmark, iter_benchmarks
 from repro.core.models import EnergyModelBundle
 from repro.core.predictor import FrequencyPredictor
 from repro.experiments.sweep import FrequencySweep, sweep_kernel
-from repro.experiments.training import ALGORITHM_NAMES, train_bundles
+from repro.experiments.training import ALGORITHM_NAMES
 from repro.hw.specs import GPUSpec
 from repro.metrics.errors import rmse
-from repro.metrics.targets import TABLE2_OBJECTIVES, EnergyTarget
+from repro.metrics.targets import TABLE2_OBJECTIVES
 
 #: Which algorithm families each objective is evaluated with (Table 2's
 #: non-dash cells).
@@ -111,15 +111,13 @@ class AccuracyAnalysis:
 
 def run_accuracy_analysis(
     spec: GPUSpec,
-    bundles: Mapping[str, EnergyModelBundle] | None = None,
+    bundles: Mapping[str, EnergyModelBundle],
     benchmarks: Sequence[SyclBenchmark] | None = None,
-    objectives: Sequence[EnergyTarget] = TABLE2_OBJECTIVES,
 ) -> AccuracyAnalysis:
-    """Run the full §8.3 protocol on one device."""
+    """Run the full §8.3 protocol on one device, one bundle per family."""
     suite = list(benchmarks) if benchmarks is not None else list(iter_benchmarks())
-    fitted = bundles if bundles is not None else train_bundles(spec)
     predictors = {
-        name: FrequencyPredictor(bundle, spec) for name, bundle in fitted.items()
+        name: FrequencyPredictor(bundle, spec) for name, bundle in bundles.items()
     }
     analysis = AccuracyAnalysis(device_name=spec.name)
     sweeps: dict[str, FrequencySweep] = {
@@ -127,7 +125,7 @@ def run_accuracy_analysis(
     }
     for bench in suite:
         sweep = sweeps[bench.name]
-        for target in objectives:
+        for target in TABLE2_OBJECTIVES:
             actual_idx = sweep.resolve(target)
             for algorithm in OBJECTIVE_ALGORITHMS[target.name]:
                 if algorithm not in predictors:

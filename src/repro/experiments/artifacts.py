@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.adapt.chaos import run_thermal_drift_comparison
 from repro.apps import CloverLeaf, MiniWeather, get_benchmark
+from repro.apps.miniapp import AppReport
 from repro.common.errors import SimulationError
 from repro.core.compiler import SynergyCompiler
 from repro.core.models import EnergyModelBundle, TrainingSet
@@ -36,7 +37,6 @@ from repro.experiments.accuracy import (
     run_accuracy_analysis,
 )
 from repro.experiments.characterization import characterize, fine_vs_coarse
-from repro.experiments.faults import run_fault_sweep
 from repro.experiments.scaling import (
     FIG10_TARGETS,
     GPUS_PER_NODE,
@@ -48,7 +48,7 @@ from repro.experiments.training import (
     microbench_training_set,
     train_bundles,
 )
-from repro.faults import FaultSpec
+from repro.faults import FaultSpec, transient_nvml_plan
 from repro.hw.device import SimulatedGPU
 from repro.hw.specs import AMD_MI100, NVIDIA_A100, NVIDIA_V100, GPUSpec
 from repro.kernelir.instructions import InstructionMix
@@ -116,7 +116,7 @@ def v100_training_set() -> TrainingSet:
 @functools.cache
 def v100_bundles() -> dict[str, EnergyModelBundle]:
     """One fitted single-family bundle per §8.3 algorithm."""
-    return train_bundles(NVIDIA_V100, training=v100_training_set())
+    return train_bundles(v100_training_set())
 
 
 @functools.cache
@@ -465,26 +465,54 @@ NODE_FAIL_AT_S = 0.05
 
 
 def run_fault_resilience() -> Numbers:
-    result = run_fault_sweep(
-        lambda: CloverLeaf(steps=4),
-        rates=FAULT_RATES,
-        seed=2023,
-        n_nodes=2,
-        spare_nodes=1,
-        bundle=v100_best_bundle(),
-        extra_specs=(FaultSpec(site="slurm.node_fail", at_s=NODE_FAIL_AT_S),),
-    )
-    numbers: Numbers = {"energy_overhead": result.energy_overhead(FAULT_RATES[-1])}
-    for p in result.points:
-        key = f"rate_{p.fault_rate:g}"
-        numbers[f"{key}.state"] = p.state
-        numbers[f"{key}.requeues"] = p.requeues
-        numbers[f"{key}.node_fails"] = p.fault_counts.get("slurm.node_fail", 0)
-        numbers[f"{key}.clock_retries"] = p.clock_retries
-        numbers[f"{key}.faults_injected"] = p.faults_injected
-        numbers[f"{key}.faults_counted"] = sum(p.fault_counts.values())
-        numbers[f"{key}.energy_j"] = p.gpu_energy_j
-    return numbers
+    """CloverLeaf at MIN_EDP on 2 nodes (plus a spare for the requeue), one
+    fresh cluster per transient NVML clock-set failure rate, each armed with
+    the seeded fault plan and a scheduled node failure. A point that does
+    not complete is itself a result: the edge of the resilience envelope.
+    """
+    template = CloverLeaf(steps=4)
+    plan = SynergyCompiler(v100_best_bundle(), NVIDIA_V100).compile(
+        list(template.timestep_kernels()), (MIN_EDP,)
+    ).plan
+    node_fail = (FaultSpec(site="slurm.node_fail", at_s=NODE_FAIL_AT_S),)
+    numbers: Numbers = {}
+    energy = {}
+    for rate in FAULT_RATES:
+        cluster = Cluster.build(
+            NVIDIA_V100, n_nodes=3, gpus_per_node=GPUS_PER_NODE,
+            gres={NVGPUFREQ_GRES},
+            fault_plan=transient_nvml_plan(rate, seed=2023, extra=node_fail),
+        )
+        scheduler = Scheduler(cluster, plugins=[NvGpuFreqPlugin()])
+        app = CloverLeaf(steps=4)
+        job = scheduler.submit(JobSpec(
+            name=f"{template.name}-chaos-{rate:g}",
+            n_nodes=2,
+            exclusive=True,
+            gres=frozenset({NVGPUFREQ_GRES}),
+            payload=lambda context, app=app: app.run(
+                launch_ranks(context), target=MIN_EDP, plan=plan
+            ),
+        ))
+        requeues = 0
+        probe = job
+        while probe.requeue_of is not None:
+            requeues += 1
+            probe = scheduler.jobs[probe.requeue_of]
+        report = job.result if isinstance(job.result, AppReport) else None
+        log = cluster.fault_injector.log
+        counts = log.counts()
+        key = f"rate_{rate:g}"
+        energy[rate] = report.gpu_energy_j if report else 0.0
+        numbers[f"{key}.state"] = job.state.value
+        numbers[f"{key}.requeues"] = requeues
+        numbers[f"{key}.node_fails"] = counts.get("slurm.node_fail", 0)
+        numbers[f"{key}.clock_retries"] = report.clock_retries if report else 0
+        numbers[f"{key}.faults_injected"] = len(log.faults)
+        numbers[f"{key}.faults_counted"] = sum(counts.values())
+        numbers[f"{key}.energy_j"] = energy[rate]
+    overhead = energy[FAULT_RATES[-1]] / energy[FAULT_RATES[0]] - 1.0
+    return {"energy_overhead": overhead, **numbers}
 
 
 def checks_fault_resilience(n: Numbers) -> list[CheckResult]:

@@ -18,8 +18,7 @@ from repro.apps.miniapp import AppReport, MpiMiniApp
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.core.compiler import SynergyCompiler
 from repro.core.models import EnergyModelBundle
-from repro.experiments.training import microbench_training_set
-from repro.hw.specs import GPUSpec, NVIDIA_V100
+from repro.hw.specs import NVIDIA_V100
 from repro.metrics.targets import (
     ES_25,
     ES_50,
@@ -30,7 +29,6 @@ from repro.metrics.targets import (
     PL_50,
 )
 from repro.mpi.launcher import launch_ranks
-from repro.mpi.network import NetworkModel
 from repro.slurm.cluster import NVGPUFREQ_GRES, Cluster
 from repro.slurm.job import JobContext, JobSpec
 from repro.slurm.plugin import NvGpuFreqPlugin
@@ -80,51 +78,29 @@ class ScalingResult:
         """The default-frequency point at one GPU count."""
         return self.point(n_gpus, "default")
 
-    def savings_table(self) -> list[dict[str, object]]:
-        """Per GPU count, fractional energy saving of every target."""
-        rows = []
-        counts = sorted({p.n_gpus for p in self.points})
-        targets = sorted({p.target_name for p in self.points} - {"default"})
-        for n in counts:
-            base = self.baseline(n)
-            row: dict[str, object] = {"n_gpus": n}
-            for t in targets:
-                row[t] = self.point(n, t).energy_saving_vs(base)
-            rows.append(row)
-        return rows
-
 
 def run_scaling_experiment(
     app_factory: Callable[[], MpiMiniApp],
+    bundle: EnergyModelBundle,
     gpu_counts: Sequence[int] = (4, 8, 16, 32, 64),
     targets: Sequence[EnergyTarget] = FIG10_TARGETS,
-    spec: GPUSpec = NVIDIA_V100,
-    bundle: EnergyModelBundle | None = None,
-    network: NetworkModel | None = None,
 ) -> ScalingResult:
-    """Run the Fig. 10 experiment for one application.
-
-    ``bundle`` defaults to the paper's per-objective best models trained on
-    the micro-benchmark suite of this device.
-    """
+    """Run the Fig. 10 experiment for one application on V100 nodes, with
+    the per-kernel clocks ``bundle`` predicts."""
     for count in gpu_counts:
         if count < 1 or count % GPUS_PER_NODE:
             raise ValidationError(
                 f"GPU counts must be positive multiples of {GPUS_PER_NODE} "
                 f"(got {count})"
             )
-    fitted = bundle
-    if fitted is None:
-        fitted = EnergyModelBundle().fit(microbench_training_set(spec))
-
     template = app_factory()
-    compiler = SynergyCompiler(fitted, spec)
+    compiler = SynergyCompiler(bundle, NVIDIA_V100)
     compiled = compiler.compile(list(template.timestep_kernels()), targets)
 
-    result = ScalingResult(app_name=template.name, device_name=spec.name)
+    result = ScalingResult(app_name=template.name, device_name=NVIDIA_V100.name)
     for count in gpu_counts:
         cluster = Cluster.build(
-            spec,
+            NVIDIA_V100,
             n_nodes=count // GPUS_PER_NODE,
             gpus_per_node=GPUS_PER_NODE,
             gres={NVGPUFREQ_GRES},
@@ -138,7 +114,7 @@ def run_scaling_experiment(
                 target: EnergyTarget | None = target,
                 app: MpiMiniApp = app,
             ) -> AppReport:
-                comm = launch_ranks(context, network=network)
+                comm = launch_ranks(context)
                 return app.run(comm, target=target, plan=compiled.plan)
 
             job = scheduler.submit(

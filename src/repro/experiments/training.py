@@ -75,14 +75,12 @@ def microbench_training_set(
 
 
 def train_bundles(
-    spec: GPUSpec,
-    training: TrainingSet | None = None,
+    training: TrainingSet,
     algorithms: Sequence[str] = ALGORITHM_NAMES,
     seed: int = 11,
 ) -> dict[str, EnergyModelBundle]:
     """Fit one single-family bundle per algorithm on a shared training set."""
-    data = training if training is not None else microbench_training_set(spec)
     bundles: dict[str, EnergyModelBundle] = {}
     for algorithm in algorithms:
-        bundles[algorithm] = make_bundle(algorithm, seed=seed).fit(data)
+        bundles[algorithm] = make_bundle(algorithm, seed=seed).fit(training)
     return bundles

@@ -9,19 +9,17 @@ import pytest
 
 from repro.cli import COMMANDS, build_parser, main
 
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_PAPER = ROOT / "tests" / "golden" / "paper.json"
+
 #: Every subcommand the CLI exposes; the completeness test below fails when a
 #: new subparser is registered without being added here (and thus without a
 #: smoke test).
 ALL_SUBCOMMANDS = [
     "devices",
-    "characterize",
-    "sweep",
     "train",
     "compile",
-    "accuracy",
-    "scaling",
-    "faults",
-    "fine-vs-coarse",
+    "paper",
     "trace",
     "validate",
     "analyze",
@@ -48,25 +46,20 @@ def test_devices(capsys):
     assert "196" in out and "16" in out
 
 
-def test_characterize_subset(capsys):
-    assert main(["characterize", "--device", "mi100",
-                 "--benchmarks", "gemm", "median"]) == 0
-    out = capsys.readouterr().out
-    assert "AMD MI100" in out
-    assert "gemm" in out and "median" in out
+#: ``train`` arguments for a bundle that fits in well under a second.
+SMALL_TRAIN = ["--stride", "24", "--random-count", "2", "--algorithm", "Linear"]
 
 
-def test_sweep(capsys):
-    assert main(["sweep", "--benchmark", "black_scholes",
-                 "--targets", "MIN_EDP", "ES_25"]) == 0
-    out = capsys.readouterr().out
-    assert "MIN_EDP" in out and "ES_25" in out
+@pytest.fixture(scope="module")
+def small_bundle_path(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("bundle") / "bundle.json"
+    assert main(["train", "--out", str(path), *SMALL_TRAIN]) == 0
+    return path
 
 
 def test_train_compile_roundtrip(tmp_path, capsys):
     bundle_path = tmp_path / "bundle.json"
-    assert main(["train", "--out", str(bundle_path), "--stride", "24",
-                 "--random-count", "2", "--algorithm", "Linear"]) == 0
+    assert main(["train", "--out", str(bundle_path), *SMALL_TRAIN]) == 0
     assert bundle_path.exists()
     capsys.readouterr()
     assert main(["compile", "--bundle", str(bundle_path),
@@ -77,36 +70,45 @@ def test_train_compile_roundtrip(tmp_path, capsys):
     assert "ES_50" in out
 
 
-def test_fine_vs_coarse(capsys):
-    assert main(["fine-vs-coarse", "--benchmarks", "sobel3", "median",
-                 "--target", "MIN_ENERGY"]) == 0
-    out = capsys.readouterr().out
-    assert "fine-grained advantage" in out
+# -------------------------------------------------------------- smoke: paper
+
+def test_paper_json_numbers_are_the_golden(tmp_path, capsys):
+    out = tmp_path / "paper.json"
+    assert main(["paper", "fig1", "fig4", "--json", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "fig4: numbers" in stdout and "MIN_EDP_mhz" in stdout
+    assert "paper.fig4.blackscholes_edp_ed2p" in stdout
+    doc = json.loads(out.read_text())
+    golden = json.loads(GOLDEN_PAPER.read_text())
+    assert list(doc) == ["fig1", "fig4"]
+    for name, entry in doc.items():
+        assert entry["numbers"] == golden[name]
+        assert entry["checks"] and all(c["passed"] for c in entry["checks"])
 
 
-def test_scaling_with_pretrained_bundle(tmp_path, capsys):
-    bundle_path = tmp_path / "bundle.json"
-    main(["train", "--out", str(bundle_path), "--stride", "16",
-          "--random-count", "4", "--algorithm", "best"])
-    capsys.readouterr()
-    assert main(["scaling", "--app", "cloverleaf", "--gpus", "4",
-                 "--targets", "PL_50", "--steps", "2",
-                 "--bundle", str(bundle_path)]) == 0
+def test_paper_failed_check_exits_1(monkeypatch, capsys):
+    from repro.experiments.artifacts import ARTIFACTS, Artifact, run_fig1
+
+    fig1 = ARTIFACTS["fig1"]
+    monkeypatch.setitem(ARTIFACTS, "fig1", Artifact(
+        lambda: {**run_fig1(), "v100.core_configs": 195}, fig1.checks
+    ))
+    assert main(["paper", "fig1"]) == 1
     out = capsys.readouterr().out
-    assert "weak scaling" in out and "PL_50" in out
+    assert re.search(r"paper\.fig1\.available_frequencies \| FAIL", out)
+    assert "v100 (configs, min, max, mem)" in out
+
+
+def test_paper_unknown_artifact_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["paper", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
-
-
-def test_accuracy_small(capsys):
-    assert main(["accuracy", "--algorithms", "Linear",
-                 "--stride", "24", "--random-count", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "Table 2" in out
-    assert "MAX_PERF" in out
 
 
 def test_serve_happy_path(tmp_path, capsys):
@@ -154,11 +156,18 @@ def test_every_subcommand_is_known():
 
 
 def test_check_sh_runs_only_known_commands():
-    """Every CLI step of the CI gate names a command that still exists."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / "check.sh"
+    """Every CLI step of the CI gate, and every command the docs show,
+    names a command that still exists."""
+    script = ROOT / "scripts" / "check.sh"
     used = re.findall(r"python -m repro\.cli ([\w-]+)", script.read_text())
     assert used
     assert set(used) <= set(COMMANDS), sorted(set(used) - set(COMMANDS))
+    docs = [ROOT / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]
+    docs += sorted((ROOT / "docs").glob("*.md"))
+    for doc in docs:
+        named = re.findall(r"repro-synergy ([a-z][\w-]*)", doc.read_text())
+        unknown = sorted(set(named) - set(COMMANDS))
+        assert not unknown, (doc.name, unknown)
 
 
 def test_choice_defaults_are_valid_choices():
@@ -171,14 +180,6 @@ def test_choice_defaults_are_valid_choices():
             assert all(v in action.choices for v in values), (
                 name, action.dest, default,
             )
-
-
-def test_accuracy_defaults_are_the_table2_artifact_training_density():
-    """``accuracy`` prints the table EXPERIMENTS.md quotes by default."""
-    from repro.experiments.artifacts import FREQ_STRIDE, RANDOM_COUNT
-
-    args = build_parser().parse_args(["accuracy"])
-    assert (args.stride, args.random_count) == (FREQ_STRIDE, RANDOM_COUNT)
 
 
 @pytest.mark.parametrize("command", ["trace", "validate", "certify"])
@@ -204,19 +205,6 @@ def test_no_command_exits_with_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------- smoke: faults
-
-def test_faults_zero_rate_writes_chaos_json(tmp_path, capsys):
-    out = tmp_path / "chaos.json"
-    assert main(["faults", "--rates", "0.0", "--steps", "1",
-                 "--target", "default", "--json", str(out)]) == 0
-    assert "chaos sweep" in capsys.readouterr().out
-    doc = json.loads(out.read_text())
-    assert doc["kind"] == "chaos_sweep"
-    assert doc["points"][0]["fault_rate"] == 0.0
-    assert doc["points"][0]["state"] == "COMPLETED"
 
 
 # -------------------------------------------------------------- smoke: trace
@@ -357,16 +345,15 @@ def test_lint_violation_exits_1(tmp_path, capsys):
 # ------------------------------------------------------------- bad arguments
 
 #: One bad input per command that takes user input. ``{tmp}`` is a fresh
-#: directory, so paths under it do not exist.
+#: directory, so paths under it do not exist; ``{bundle}`` is a real bundle
+#: that ``train`` wrote elsewhere.
 BAD_INPUTS = {
-    "sweep-benchmark": ["sweep", "--benchmark", "nope"],
-    "sweep-targets": ["sweep", "--benchmark", "gemm", "--targets", "FASTEST"],
-    "characterize-benchmarks": ["characterize", "--benchmarks", "nope"],
-    "fine-vs-coarse-benchmarks": ["fine-vs-coarse", "--benchmarks", "nope"],
+    "compile-benchmarks": ["compile", "--bundle", "{bundle}",
+                           "--benchmarks", "nope"],
+    "compile-targets": ["compile", "--bundle", "{bundle}",
+                        "--benchmarks", "gemm", "--targets", "FASTEST"],
     "compile-bundle": ["compile", "--bundle", "{tmp}/missing.json",
                        "--benchmarks", "gemm"],
-    "scaling-bundle": ["scaling", "--bundle", "{tmp}/missing.json"],
-    "faults-bundle": ["faults", "--bundle", "{tmp}/missing.json"],
     "train-stride": ["train", "--out", "{tmp}/bundle.json", "--stride", "0"],
     "distributed-ranks": ["distributed", "--ranks", "0"],
     "serve-tenants": ["serve", "--tenants", "0"],
@@ -380,10 +367,12 @@ BAD_INPUTS = {
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_2(argv, tmp_path, capsys):
+def test_bad_input_exits_2(argv, tmp_path, request, capsys):
     """Every bad input ends at main's one error boundary: exit 2 and a
     ``<command>: <message>`` line, never a traceback."""
-    argv = [a.format(tmp=tmp_path) for a in argv]
+    bundle = (request.getfixturevalue("small_bundle_path")
+              if "{bundle}" in argv else None)
+    argv = [a.format(tmp=tmp_path, bundle=bundle) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert any(line.startswith(f"{argv[0]}: ") for line in err.splitlines())
@@ -398,9 +387,9 @@ def test_trace_unknown_scenario_exits_2(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_characterize_unknown_device_exits_2(capsys):
+def test_compile_unknown_device_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["characterize", "--device", "h100"])
+        main(["compile", "--device", "h100"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
 

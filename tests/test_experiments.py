@@ -90,8 +90,7 @@ class TestTraining:
 
     def test_train_bundles_all_families(self):
         ts = microbench_training_set(NVIDIA_V100, freq_stride=24, random_count=2)
-        bundles = train_bundles(NVIDIA_V100, training=ts,
-                                algorithms=("Linear", "Lasso"))
+        bundles = train_bundles(ts, algorithms=("Linear", "Lasso"))
         assert set(bundles) == {"Linear", "Lasso"}
         for bundle in bundles.values():
             assert bundle.models_ is not None
@@ -101,9 +100,7 @@ class TestAccuracyAnalysis:
     @pytest.fixture(scope="class")
     def analysis(self):
         ts = microbench_training_set(NVIDIA_V100, freq_stride=12, random_count=6)
-        bundles = train_bundles(
-            NVIDIA_V100, training=ts, algorithms=("Linear", "RandomForest")
-        )
+        bundles = train_bundles(ts, algorithms=("Linear", "RandomForest"))
         benchmarks = [
             get_benchmark(n)
             for n in ("gemm", "sobel3", "median", "black_scholes", "lin_reg_coeff")

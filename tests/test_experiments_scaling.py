@@ -65,11 +65,6 @@ class TestScalingExperiment:
     def test_comm_time_reported(self, clover_result):
         assert clover_result.point(8, "MIN_EDP").comm_time_s > 0
 
-    def test_savings_table_shape(self, clover_result):
-        rows = clover_result.savings_table()
-        assert [row["n_gpus"] for row in rows] == [4, 8]
-        assert set(rows[0]) == {"n_gpus", "ES_50", "MIN_EDP", "PL_50"}
-
     def test_invalid_gpu_count_rejected(self, small_bundle):
         with pytest.raises(ValidationError):
             run_scaling_experiment(

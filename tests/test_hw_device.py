@@ -267,16 +267,32 @@ class TestWindowIntegral:
         fresh._clock_values = [gpu._clock_values[i] for i in clocks]
         assert fresh.energy_between(t0, t1) == gpu.energy_between(t0, t1)
 
+    @staticmethod
+    def _assert_split_adds_up(gpu, t0, t1, frac):
+        m = min(max(t0 + frac * (t1 - t0), t0), t1)
+        whole = gpu.energy_between(t0, t1)
+        split = gpu.energy_between(t0, m) + gpu.energy_between(m, t1)
+        # 4 ulps relative, and 4 subnormal ulps absolute: a window short
+        # enough to give subnormal energies has coarser relative precision
+        # than any normal-range energy, and there the ``rel`` term alone
+        # rounds below one ulp.
+        assert split == pytest.approx(
+            whole,
+            rel=4 * sys.float_info.epsilon,
+            abs=4 * sys.float_info.min * sys.float_info.epsilon,
+        )
+
     @settings(max_examples=200, deadline=None)
     @given(_timelines(), st.floats(0.0, 1.0))
     def test_split_window_adds_up(self, case, frac):
         gpu, t0, t1 = case
-        m = min(max(t0 + frac * (t1 - t0), t0), t1)
-        whole = gpu.energy_between(t0, t1)
-        split = gpu.energy_between(t0, m) + gpu.energy_between(m, t1)
-        assert split == pytest.approx(
-            whole, rel=4 * sys.float_info.epsilon, abs=0.0
-        )
+        self._assert_split_adds_up(gpu, t0, t1, frac)
+
+    def test_split_subnormal_window_adds_up(self):
+        """An idle V100 over a subnormal window: the whole and the split
+        integrals differ by one subnormal ulp (5e-324)."""
+        gpu = SimulatedGPU(NVIDIA_V100)
+        self._assert_split_adds_up(gpu, 0.0, 2.2250738585e-313, 0.90625)
 
 
 # ------------------------------------------------- operating-point memo
