@@ -46,7 +46,7 @@ from repro.kernelir.microbench import generate_microbenchmarks
 from repro.metrics.targets import DEADLINE_RTOL, SLA_SLACK, EnergyTarget
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.linear import LinearRegression
-from repro.obs.session import TraceSession, absorb_fault_log, absorb_queue
+from repro.obs.session import TraceSession
 
 #: Kernels in each stream (§8 suite members, scaled like the ablation
 #: bench so every launch spans several power-sensor sampling periods).
@@ -73,11 +73,6 @@ COMPILE_SLACK = 1.35
 #: no longer enough and forcing the static fallback and the MAX_PERF pin.
 WINDOW1 = {"stream": 1, "duration": 0.3, "cap_mhz": 480}
 WINDOW2 = {"stream": STREAMS - 1, "duration": 0.25, "cap_mhz": 550}
-
-#: Refresh window floor for the adaptive run: the first drift fires on
-#: stream 1's opening launch (streams count from 0), when the rolling
-#: window holds stream 0's six rows plus the drifting launch itself.
-MIN_REFRESH_ROWS = 6
 
 
 @dataclass(frozen=True)
@@ -345,12 +340,7 @@ def run_thermal_drift_comparison(
     gpu.fault_injector = injector
     queue = SynergyQueue(gpu, trace=trace)
     controller = AdaptiveController(
-        queue,
-        bundle,
-        compiled.plan,
-        target,
-        trace=trace,
-        min_refresh_rows=MIN_REFRESH_ROWS,
+        queue, bundle, compiled.plan, target, trace=trace
     )
     reports = []
     for deadline, release in zip(deadlines, releases):
@@ -381,8 +371,6 @@ def run_thermal_drift_comparison(
         stream_reports=tuple(reports),
     )
     if trace is not None and trace.enabled:
-        absorb_queue(trace, queue)
-        absorb_fault_log(trace, injector.log)
         trace.gauge("adapt.final_level", float(controller.ladder.level))
         trace.gauge("adapt.static_saving", comparison.static_saving)
         trace.gauge("adapt.adaptive_saving", comparison.adaptive_saving)

@@ -20,7 +20,7 @@ STATIC if the window cannot support a refresh). At REFRESHED, drift on a
 — each refresh is a retry with a richer window — while an "up" drift on a
 stream that already forced a refresh proves refreshing is not working and
 falls back to STATIC. From STATIC, a measured launch overrunning its
-budget share beyond ``miss_grace`` pins MAX_PERF. The ladder is monotone:
+budget share beyond :data:`MISS_GRACE` pins MAX_PERF. The ladder is monotone:
 a controller never un-escalates within its lifetime (one degraded board).
 """
 
@@ -47,6 +47,19 @@ from repro.obs.session import TraceSession, resolve_trace
 
 #: Floor applied to predicted shapes before scaling (mirrors the predictor).
 _SHAPE_FLOOR = 1e-12
+
+#: Rows the rolling measurement window feeding model refreshes holds.
+WINDOW = 32
+
+#: Smallest window a refresh accepts (fewer rows fall through to the
+#: STATIC rung). In the ``thermal-drift`` chaos scenario the first drift
+#: fires on stream 1's opening launch (streams count from 0), when the
+#: window holds stream 0's six rows plus the drifting launch itself.
+MIN_REFRESH_ROWS = 6
+
+#: Multiplicative tolerance on a launch's budget share before a measured
+#: overrun at STATIC pins MAX_PERF.
+MISS_GRACE = 1.25
 
 
 @dataclass(frozen=True)
@@ -102,11 +115,11 @@ class StreamReport:
 class AdaptiveController:
     """Supervises a queue's clock choices under deadlines and drift.
 
-    ``window`` bounds the rolling measurement window feeding model
-    refreshes; ``min_refresh_rows`` is the smallest window a refresh will
-    accept (fewer rows fall through to the STATIC rung);
-    ``miss_grace`` is the multiplicative tolerance on a launch's budget
-    share before a measured overrun escalates the ladder.
+    The measurement window, refresh floor and miss tolerance are the
+    module constants :data:`WINDOW`, :data:`MIN_REFRESH_ROWS` and
+    :data:`MISS_GRACE`; refreshes use
+    :meth:`~repro.core.models.EnergyModelBundle.refresh`'s default
+    ``fraction``.
     """
 
     def __init__(
@@ -116,22 +129,8 @@ class AdaptiveController:
         static_plan: FrequencyPlan,
         static_target: EnergyTarget,
         *,
-        detector: DriftDetector | None = None,
-        ladder: DegradationLadder | None = None,
         trace: TraceSession | None = None,
-        window: int = 32,
-        min_refresh_rows: int = 8,
-        refresh_fraction: float = 0.5,
-        miss_grace: float = 1.25,
     ) -> None:
-        if int(window) < 1:
-            raise ValidationError(f"window must be >= 1 ({window!r})")
-        if int(min_refresh_rows) < 2:
-            raise ValidationError(
-                f"min_refresh_rows must be >= 2 ({min_refresh_rows!r})"
-            )
-        if not miss_grace >= 1.0:
-            raise ValidationError(f"miss_grace must be >= 1.0 ({miss_grace!r})")
         self.queue = queue
         self.gpu = queue.device.gpu
         self.spec = self.gpu.spec
@@ -139,16 +138,11 @@ class AdaptiveController:
         self.static_plan = static_plan
         self.static_target = static_target
         self.trace = resolve_trace(trace)
-        self.detector = (
-            detector if detector is not None else DriftDetector(trace=trace)
-        )
-        self.ladder = ladder if ladder is not None else DegradationLadder(trace)
+        self.detector = DriftDetector(trace=trace)
+        self.ladder = DegradationLadder(trace)
         self.predictor = FrequencyPredictor(bundle, self.spec, trace=trace)
         self._freqs = np.asarray(self.spec.core_freqs_mhz, dtype=float)
         self._max_idx = int(np.argmax(self._freqs))
-        self.min_refresh_rows = int(min_refresh_rows)
-        self.refresh_fraction = float(refresh_fraction)
-        self.miss_grace = float(miss_grace)
         self.refresh_count = 0
         # Per-kernel (time, energy) calibration scales from live launches.
         self._scales: dict[str, tuple[float, float]] = {}
@@ -160,7 +154,7 @@ class AdaptiveController:
         self._drifted_up: set[tuple[str, str]] = set()
         # Rolling (kernel, requested core, measured s, measured J) rows.
         self._window: deque[tuple[KernelIR, int, float, float]] = deque(
-            maxlen=int(window)
+            maxlen=WINDOW
         )
 
     # -------------------------------------------------------------- streams
@@ -278,7 +272,7 @@ class AdaptiveController:
         if (
             not calibration
             and self.ladder.level >= LadderLevel.STATIC
-            and measured_s > max(allocated, 0.0) * self.miss_grace
+            and measured_s > max(allocated, 0.0) * MISS_GRACE
         ):
             # From STATIC up there is no residual stream left to catch
             # degradation — a measured budget overrun is the signal. The
@@ -423,7 +417,7 @@ class AdaptiveController:
         """Refresh the bundle from the live window; fall back on failure."""
         try:
             window = self._window_training_set()
-            self.bundle.refresh(window, fraction=self.refresh_fraction)
+            self.bundle.refresh(window)
         except ReproError as exc:
             self.ladder.escalate_to(
                 t, LadderLevel.STATIC, "refresh-failed", detail=str(exc)
@@ -444,10 +438,10 @@ class AdaptiveController:
     def _window_training_set(self) -> TrainingSet:
         """Assemble the rolling window into a refresh training set."""
         rows = list(self._window)
-        if len(rows) < self.min_refresh_rows:
+        if len(rows) < MIN_REFRESH_ROWS:
             raise ValidationError(
                 f"refresh window has {len(rows)} rows; "
-                f"needs >= {self.min_refresh_rows}"
+                f"needs >= {MIN_REFRESH_ROWS}"
             )
         if len({core for _, core, _, _ in rows}) < 2:
             raise ValidationError(

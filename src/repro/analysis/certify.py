@@ -107,7 +107,6 @@ def certify_graph(
     plan: GlobalFrequencyPlan,
     spec: GPUSpec,
     *,
-    switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S,
     boot: str = "default",
     baseline: "GraphCertificate | None" = None,
 ) -> GraphCertificate:
@@ -131,7 +130,7 @@ def certify_graph(
 
     if boot not in ("default", "unknown"):
         raise ValidationError(f"unknown boot mode {boot!r}")
-    oh = float(switch_overhead_s)
+    oh = DEFAULT_SWITCH_OVERHEAD_S
     probe = SimulatedGPU(spec)  # table lookups only; never executes
     tables: dict[tuple[int, int], tuple] = {}
     core_index = {int(f): i for i, f in enumerate(spec.core_freqs_mhz)}
@@ -272,8 +271,6 @@ def certify_frequency_plan(
     kernels: Sequence[KernelIR],
     targets: Sequence[EnergyTarget],
     spec: GPUSpec,
-    *,
-    switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S,
 ) -> PlanCertificate:
     """Statically prove — or refute, with a witness — a compiled plan.
 
@@ -287,7 +284,7 @@ def certify_frequency_plan(
     """
     timing_model, power_model = models_for(spec)
     p_lo, p_hi = power_model.power_bounds()
-    oh = float(switch_overhead_s)
+    oh = DEFAULT_SWITCH_OVERHEAD_S
     times: dict[tuple[str, str], float] = {}
     energies: dict[tuple[str, str], float] = {}
     makespan: dict[str, Interval] = {}

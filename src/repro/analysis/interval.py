@@ -61,9 +61,9 @@ class Interval:
         """Smallest interval containing both."""
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    def contains(self, x: float, *, rtol: float = CONTAINS_RTOL) -> bool:
-        """Whether ``x`` lies inside, up to the relative slack."""
-        slack = rtol * max(abs(self.lo), abs(self.hi), abs(x))
+    def contains(self, x: float) -> bool:
+        """Whether ``x`` lies inside, up to :data:`CONTAINS_RTOL` slack."""
+        slack = CONTAINS_RTOL * max(abs(self.lo), abs(self.hi), abs(x))
         return self.lo - slack <= x <= self.hi + slack
 
     def as_dict(self) -> dict[str, float]:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
 from repro.core.compiler import FrequencyPlan
-from repro.core.frequency import DEFAULT_SWITCH_OVERHEAD_S
 from repro.core.queue import SynergyQueue
 from repro.kernelir.kernel import KernelIR
 from repro.metrics.targets import EnergyTarget
@@ -64,7 +63,6 @@ class MpiMiniApp:
         comm: SimulatedComm,
         target: EnergyTarget | None = None,
         plan: FrequencyPlan | None = None,
-        switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S,
         trace=None,
     ) -> AppReport:
         """Execute the app over all ranks of ``comm``.
@@ -85,9 +83,7 @@ class MpiMiniApp:
         start = comm.barrier()
         comm_before = float(comm.comm_time_s.max())
         queues = [
-            SynergyQueue(
-                gpu, plan=plan, switch_overhead_s=switch_overhead_s, trace=trace
-            )
+            SynergyQueue(gpu, plan=plan, trace=trace)
             for gpu in comm.gpus
         ]
         launches = 0

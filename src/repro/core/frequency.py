@@ -24,7 +24,7 @@ from repro.common.errors import TransientError, ValidationError
 from repro.hw.device import SimulatedGPU
 from repro.obs.session import TraceSession, resolve_trace
 from repro.obs.tracer import NULL_SPAN, Span
-from repro.vendor.portable import PowerManagementBackend, create_backend
+from repro.vendor.portable import create_backend
 
 #: Virtual-time cost of one NVML/SMI application-clock change (seconds).
 #: Chosen at the low end of measured nvmlDeviceSetApplicationsClocks
@@ -45,32 +45,18 @@ class FrequencyScaler:
     def __init__(
         self,
         device: SimulatedGPU,
-        backend: PowerManagementBackend | None = None,
         switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
-        backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
         trace: TraceSession | None = None,
     ) -> None:
         if switch_overhead_s < 0:
             raise ValidationError(
                 f"switch overhead cannot be negative ({switch_overhead_s!r})"
             )
-        if max_retries < 0:
-            raise ValidationError(f"max_retries cannot be negative ({max_retries!r})")
-        if backoff_base_s < 0 or backoff_cap_s < backoff_base_s:
-            raise ValidationError(
-                f"backoff range invalid: base={backoff_base_s!r}, "
-                f"cap={backoff_cap_s!r}"
-            )
         self.device = device
         self.trace = resolve_trace(trace)
         self._track = f"gpu{device.index}"
-        self.backend = backend if backend is not None else create_backend(device)
+        self.backend = create_backend(device)
         self.switch_overhead_s = float(switch_overhead_s)
-        self.max_retries = int(max_retries)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
         #: Number of clock changes actually applied (not skipped).
         self.switch_count: int = 0
         #: Total virtual time spent switching clocks.
@@ -106,8 +92,10 @@ class FrequencyScaler:
         instead, and for a switching launch it returns the clocks from
         before the switch, because the change lands ``OH`` after the start.
 
-        Transient vendor failures are retried up to ``max_retries`` times
-        with capped exponential backoff in virtual time. On exhaustion the
+        Transient vendor failures are retried up to
+        :data:`DEFAULT_MAX_RETRIES` times with exponential backoff from
+        :data:`DEFAULT_BACKOFF_BASE_S`, capped at
+        :data:`DEFAULT_BACKOFF_CAP_S`, in virtual time. On exhaustion the
         request is abandoned: the scaler attempts a best-effort reset to
         driver-default clocks, flags itself degraded, and returns False.
         Non-transient errors (permission, invalid clocks, lost GPU)
@@ -133,8 +121,8 @@ class FrequencyScaler:
         if (current_core, current_mem) == (core_mhz, mem_mhz):
             sp.set(applied=False, skipped=True)
             return False
-        backoff = self.backoff_base_s
-        for attempt in range(self.max_retries + 1):
+        backoff = DEFAULT_BACKOFF_BASE_S
+        for attempt in range(DEFAULT_MAX_RETRIES + 1):
             if self.switch_overhead_s > 0.0:
                 # The NVML call costs its latency whether or not it succeeds.
                 self.device.clock.advance(self.switch_overhead_s)
@@ -153,7 +141,7 @@ class FrequencyScaler:
                         error=str(exc),
                     )
                     tr.count("freq.retries")
-                if attempt == self.max_retries:
+                if attempt == DEFAULT_MAX_RETRIES:
                     self._degrade(mem_mhz, core_mhz, exc)
                     sp.set(applied=False, degraded=True, attempts=attempt + 1)
                     if tr.enabled:
@@ -162,7 +150,7 @@ class FrequencyScaler:
                 if backoff > 0.0:
                     self.device.clock.advance(backoff)
                     self.retry_backoff_s += backoff
-                backoff = min(2.0 * backoff, self.backoff_cap_s)
+                backoff = min(2.0 * backoff, DEFAULT_BACKOFF_CAP_S)
                 continue
             self.switch_count += 1
             sp.set(applied=True, attempts=attempt + 1)
@@ -189,7 +177,7 @@ class FrequencyScaler:
             pass
         self._log_recovery(
             f"clock-set {mem_mhz}/{core_mhz} MHz abandoned after "
-            f"{self.max_retries} retries ({exc}); degraded to driver defaults"
+            f"{DEFAULT_MAX_RETRIES} retries ({exc}); degraded to driver defaults"
         )
 
     def _log_recovery(self, detail: str) -> None:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
 from repro.core.compiler import FrequencyPlan
-from repro.core.frequency import DEFAULT_SWITCH_OVERHEAD_S
 from repro.core.predictor import FrequencyPredictor
 from repro.core.queue import SynergyQueue
 from repro.hw.device import SimulatedGPU
@@ -59,18 +58,11 @@ class MultiGpuSynergyQueue:
         gpus: list[SimulatedGPU],
         plan: FrequencyPlan | None = None,
         predictor: FrequencyPredictor | None = None,
-        switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S,
     ) -> None:
         if not gpus:
             raise ValidationError("multi-GPU queue needs at least one device")
         self.queues = [
-            SynergyQueue(
-                gpu,
-                plan=plan,
-                predictor=predictor,
-                switch_overhead_s=switch_overhead_s,
-            )
-            for gpu in gpus
+            SynergyQueue(gpu, plan=plan, predictor=predictor) for gpu in gpus
         ]
 
     @property

@@ -32,12 +32,11 @@ class EnergyProfiler:
     def __init__(
         self,
         device: SimulatedGPU,
-        sensor: PowerSensor | None = None,
         trace: TraceSession | None = None,
     ) -> None:
         self.device = device
         self.trace = resolve_trace(trace)
-        self.sensor = sensor if sensor is not None else PowerSensor(device, trace=trace)
+        self.sensor = PowerSensor(device, trace=trace)
         #: Start of the coarse-grained window (queue construction time).
         self.window_start_s = device.clock.now
         #: Measurements served from the analytic fallback (sensor dropout).

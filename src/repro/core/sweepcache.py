@@ -283,7 +283,7 @@ def cache_report() -> dict[str, dict[str, float | int]]:
 
 
 @contextlib.contextmanager
-def scoped_cache(max_entries: int = 2048) -> Iterator[SweepCache]:
+def scoped_cache() -> Iterator[SweepCache]:
     """Run a block against a fresh global cache and curve counters.
 
     Deterministic replays (the golden-trace scenarios) need cache *state*
@@ -298,7 +298,7 @@ def scoped_cache(max_entries: int = 2048) -> Iterator[SweepCache]:
     global _GLOBAL_CACHE
     prev_cache = _GLOBAL_CACHE
     prev_stats = (CURVE_STATS.hits, CURVE_STATS.misses)
-    _GLOBAL_CACHE = SweepCache(max_entries=max_entries)
+    _GLOBAL_CACHE = SweepCache()
     CURVE_STATS.reset()
     try:
         yield _GLOBAL_CACHE

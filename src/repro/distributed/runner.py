@@ -34,7 +34,6 @@ import numpy as np
 from repro.common.clock import VirtualClock
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.core.compiler import GlobalFrequencyPlan
-from repro.core.frequency import DEFAULT_SWITCH_OVERHEAD_S
 from repro.distributed.graph import GATHER_CODE, HALO_CODE, KERNEL_CODE, CommandGraph
 from repro.hw.device import SimulatedGPU
 from repro.hw.specs import GPUSpec
@@ -140,8 +139,6 @@ def run_graph_scalar(
     graph: CommandGraph,
     comm: SimulatedComm,
     plan: GlobalFrequencyPlan,
-    *,
-    switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S,
 ) -> ExecutionResult:
     """Execute a graph through per-event SYnergy queues (the reference).
 
@@ -155,10 +152,7 @@ def run_graph_scalar(
     from repro.core.queue import SynergyQueue
 
     _check_plan(graph, comm, plan)
-    queues = [
-        SynergyQueue(gpu, switch_overhead_s=switch_overhead_s)
-        for gpu in comm.gpus
-    ]
+    queues = [SynergyQueue(gpu) for gpu in comm.gpus]
     kinds = graph.kind.tolist()
     ranks = graph.rank.tolist()
     codes = graph.kernel_code.tolist()
@@ -193,8 +187,11 @@ def run_graph_scalar(
             finish_s[nid] = ready + costs[nid]
     finish = np.asarray(finish_s, dtype=float)
     rank_time = np.asarray([g.clock.now for g in comm.gpus])
+    # Every submission here is per-event, so each event carries its
+    # record; summing in submission order is bitwise the queue summary's
+    # ``kernel_energy_j``.
     rank_energy = np.asarray(
-        [q.summary()["kernel_energy_j"] for q in queues]
+        [float(sum(e.record.energy_j for e in q.events)) for q in queues]
     )
     rank_switches = np.asarray(
         [q.scaler.switch_count for q in queues], dtype=int
@@ -219,8 +216,6 @@ def run_graph(
     graph: CommandGraph,
     comm: SimulatedComm,
     plan: GlobalFrequencyPlan,
-    *,
-    switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S,
 ) -> ExecutionResult:
     """Execute a graph, vectorized when exact bulk replay is possible.
 
@@ -249,10 +244,6 @@ def run_graph(
     elif any(g.power_limit_w < g.default_power_limit_w for g in comm.gpus):
         fallback = "powercap"
     else:
-        return execute_graph_batched(
-            graph, comm, plan, switch_overhead_s=switch_overhead_s
-        )
-    result = run_graph_scalar(
-        graph, comm, plan, switch_overhead_s=switch_overhead_s
-    )
+        return execute_graph_batched(graph, comm, plan)
+    result = run_graph_scalar(graph, comm, plan)
     return replace(result, fallback=fallback)

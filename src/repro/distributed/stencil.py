@@ -35,9 +35,6 @@ def build_stencil_graph(
     elems_per_rank: int = 1 << 20,
     halo_elems: int = 4096,
     gather_every: int = 2,
-    boundary_kernel: str = "gemm",
-    flux_kernel: str = "sobel3",
-    update_kernel: str = "median",
     graph: CommandGraph | None = None,
 ) -> CommandGraph:
     """Build the stencil command graph over a communicator's ranks.
@@ -53,9 +50,9 @@ def build_stencil_graph(
     if gather_every <= 0:
         raise ValidationError(f"gather_every must be positive ({gather_every})")
     n_ranks = comm.size
-    flux_k = get_benchmark(flux_kernel).kernel
-    update_k = get_benchmark(update_kernel).kernel
-    boundary_k = get_benchmark(boundary_kernel).kernel
+    flux_k = get_benchmark("sobel3").kernel
+    update_k = get_benchmark("median").kernel
+    boundary_k = get_benchmark("gemm").kernel
 
     rng = DistributedRange(elems_per_rank * n_ranks, n_ranks)
     field = DistributedBuffer(rng, name="field")

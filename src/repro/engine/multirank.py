@@ -62,8 +62,6 @@ def execute_graph_batched(
     graph: CommandGraph,
     comm,
     plan: GlobalFrequencyPlan,
-    *,
-    switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S,
 ):
     """Evaluate a command graph in bulk; returns an ``ExecutionResult``.
 
@@ -82,7 +80,7 @@ def execute_graph_batched(
             f"graph spans {graph.n_ranks} ranks; communicator has {comm.size}"
         )
     spec = gpus[0].spec
-    oh = float(switch_overhead_s)
+    oh = DEFAULT_SWITCH_OVERHEAD_S
     kind = graph.kind
     rank = graph.rank
     n = len(kind)

@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.compiler import FrequencyPlan
-from repro.core.frequency import DEFAULT_SWITCH_OVERHEAD_S
 from repro.core.queue import SynergyQueue
 from repro.engine.batch import KernelBatch
 from repro.experiments.sweep import sweep_kernel
@@ -72,7 +71,6 @@ class KernelBatchPayload:
 
     requests: tuple
     plan: FrequencyPlan | None = None
-    switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S
     owner: str | None = None
 
     def __call__(self, context: JobContext) -> dict[str, object]:
@@ -84,11 +82,7 @@ class KernelBatchPayload:
         summaries = []
         for gpu in context.gpus:
             queue = SynergyQueue(
-                gpu,
-                plan=self.plan,
-                switch_overhead_s=self.switch_overhead_s,
-                trace=context.trace,
-                owner=self.owner,
+                gpu, plan=self.plan, trace=context.trace, owner=self.owner
             )
             result = queue.submit_batch(batch)
             queue.wait()

@@ -77,10 +77,9 @@ def microbench_training_set(
 def train_bundles(
     training: TrainingSet,
     algorithms: Sequence[str] = ALGORITHM_NAMES,
-    seed: int = 11,
 ) -> dict[str, EnergyModelBundle]:
     """Fit one single-family bundle per algorithm on a shared training set."""
     bundles: dict[str, EnergyModelBundle] = {}
     for algorithm in algorithms:
-        bundles[algorithm] = make_bundle(algorithm, seed=seed).fit(training)
+        bundles[algorithm] = make_bundle(algorithm).fit(training)
     return bundles

@@ -74,7 +74,6 @@ def _loop_invariant_trips(
 def _spatial_neighbor(
     index: tuple[AffineIndex, ...],
     seen: list[tuple[AffineIndex, ...]],
-    window: int,
 ) -> bool:
     for other in seen:
         if len(other) != len(index):
@@ -83,14 +82,12 @@ def _spatial_neighbor(
             continue
         if any(a.const != b.const for a, b in zip(index[:-1], other[:-1])):
             continue
-        if abs(index[-1].const - other[-1].const) <= window:
+        if abs(index[-1].const - other[-1].const) <= REUSE_WINDOW_WORDS:
             return True
     return False
 
 
-def estimate_locality(
-    region: Region, *, window: int = REUSE_WINDOW_WORDS
-) -> LocalityEstimate:
+def estimate_locality(region: Region) -> LocalityEstimate:
     """Run the reuse analysis over a lowered kernel body."""
     per_array: dict[str, list[float]] = {}
     seen_indices: dict[str, list[tuple[AffineIndex, ...]]] = {}
@@ -99,7 +96,7 @@ def estimate_locality(
             continue
         stats = per_array.setdefault(access.array, [0.0, 0.0])
         stats[1] += weight
-        hits = _classify(access, weight, loops, seen_indices, window)
+        hits = _classify(access, weight, loops, seen_indices)
         stats[0] += hits
     total = sum(s[1] for s in per_array.values())
     hit_count = sum(s[0] for s in per_array.values())
@@ -117,7 +114,6 @@ def _classify(
     weight: float,
     loops: tuple[tuple[str, int], ...],
     seen_indices: dict[str, list[tuple[AffineIndex, ...]]],
-    window: int,
 ) -> float:
     """Dynamic hit count contributed by one static access."""
     if access.index is None:
@@ -128,7 +124,7 @@ def _classify(
         # Exact temporal repeat of an earlier static access: every dynamic
         # instance lands on a resident line.
         hits = weight
-    elif _spatial_neighbor(access.index, seen, window):
+    elif _spatial_neighbor(access.index, seen):
         # Stencil neighbour within the cache window: the line is resident.
         hits = weight
     else:

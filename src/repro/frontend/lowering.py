@@ -801,7 +801,6 @@ def lower_kernel(
     fn: ast.FunctionDef,
     *,
     name: str | None = None,
-    sink: D.DiagnosticSink | None = None,
     constants: dict[str, int | float] | None = None,
 ) -> tuple[KernelCFG, D.DiagnosticSink]:
     """Lower one kernel ``FunctionDef``; returns the CFG and its sink.
@@ -810,6 +809,6 @@ def lower_kernel(
     check ``sink.has_errors`` before trusting the counts.
     """
     kernel_name = name or fn.name
-    sink = sink or D.DiagnosticSink(kernel_name)
+    sink = D.DiagnosticSink(kernel_name)
     cfg = Lowerer(kernel_name, sink, constants).lower(fn)
     return cfg, sink

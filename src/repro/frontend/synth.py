@@ -30,7 +30,7 @@ _TEMPLATES: dict[str, str] = {
 }
 
 
-def source_for_mix(mix: InstructionMix, *, name: str = "synth_kernel") -> str:
+def source_for_mix(mix: InstructionMix) -> str:
     """Emit kernel source whose extracted mix equals ``mix`` exactly.
 
     Counts must be non-negative integers (the synthesizer emits whole
@@ -42,7 +42,7 @@ def source_for_mix(mix: InstructionMix, *, name: str = "synth_kernel") -> str:
             raise ValidationError(
                 f"cannot synthesize fractional count {cls}={value!r}"
             )
-    lines = [f"def {name}(gid, lid: i32, a: global_f32):"]
+    lines = ["def synth_kernel(gid, lid: i32, a: global_f32):"]
     body: list[str] = []
     if counts["loc_access"]:
         body.append("tile = local(f32, 16)")

@@ -192,20 +192,15 @@ class SimulatedGPU:
         i = bisect.bisect_right(self._clock_times, t) - 1
         return self._clock_values[max(i, 0)]
 
-    def apply_clock_plan(
-        self,
-        times_s,
-        pairs,
-        *,
-        privileged: bool = False,
-    ) -> None:
+    def apply_clock_plan(self, times_s, pairs) -> None:
         """Commit a whole sequence of clock changes in one call.
 
         The batched engine's analogue of repeated
         :meth:`set_application_clocks` calls: ``pairs[i] = (core_mhz,
         mem_mhz)`` lands on the history at ``times_s[i]`` (ascending).
-        The same privilege model applies; every pair is validated before
-        anything is committed, so a bad plan leaves the board untouched.
+        An API-restricted board refuses the whole plan; every pair is
+        validated before anything is committed, so a bad plan leaves the
+        board untouched.
         ``times_s`` (floats) and ``pairs`` (tuples of ints) are stored as
         given; the time checks are array comparisons over the plan.
         """
@@ -215,7 +210,7 @@ class SimulatedGPU:
             )
         if not pairs:
             return
-        if self.api_restricted and not privileged:
+        if self.api_restricted:
             raise ClockPermissionError(
                 f"{self.spec.name}[{self.index}]: application clocks are "
                 "root-restricted (no SetAPIRestriction lowering in effect)"

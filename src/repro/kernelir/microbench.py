@@ -139,7 +139,7 @@ class MicrobenchGenerator:
 
 
 def generate_microbenchmarks(
-    seed: int = 7, random_count: int = 24, work_items: int = 1 << 22
+    seed: int = 7, random_count: int = 24
 ) -> list[KernelIR]:
     """Convenience wrapper building the default training suite."""
-    return MicrobenchGenerator(seed=seed, work_items=work_items).generate(random_count)
+    return MicrobenchGenerator(seed=seed).generate(random_count)

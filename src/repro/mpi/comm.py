@@ -35,7 +35,6 @@ class SimulatedComm:
         self,
         gpus: list[SimulatedGPU],
         node_of_rank: list[int],
-        network: NetworkModel | None = None,
         node_names: list[str] | None = None,
         injector: FaultInjector | None = None,
         trace: TraceSession | None = None,
@@ -48,7 +47,7 @@ class SimulatedComm:
             )
         self.gpus = list(gpus)
         self.node_of_rank = list(node_of_rank)
-        self.network = network if network is not None else NetworkModel()
+        self.network = NetworkModel()
         #: Node name per node index, for node-failure attribution. Defaults
         #: to synthetic names when the communicator is built bare.
         n_nodes = max(node_of_rank) + 1
@@ -190,12 +189,12 @@ class SimulatedComm:
         self._record_collective("allreduce", t, done, nbytes=nbytes)
         return done
 
-    def halo_exchange(self, nbytes_per_neighbor: float, ring: bool = True) -> float:
+    def halo_exchange(self, nbytes_per_neighbor: float) -> float:
         """Nearest-neighbour exchange (both directions); returns finish time.
 
-        Each rank swaps halos with its ±1 neighbours (periodic when
-        ``ring``). All exchanges proceed concurrently; every rank completes
-        at ``max(own, neighbours) + 2·worst-link transfer``.
+        Each rank swaps halos with its ±1 neighbours on a periodic ring.
+        All exchanges proceed concurrently; every rank completes at
+        ``max(own, neighbours) + 2·worst-link transfer``.
         """
         if self.size == 1:
             # A lone rank has no neighbours to swap with, but the fault
@@ -210,14 +209,7 @@ class SimulatedComm:
         factor = self._link_factor(t_entry)
         new_times = times.copy()
         for rank in range(self.size):
-            neighbours = []
-            if ring:
-                neighbours = [(rank - 1) % self.size, (rank + 1) % self.size]
-            else:
-                if rank > 0:
-                    neighbours.append(rank - 1)
-                if rank < self.size - 1:
-                    neighbours.append(rank + 1)
+            neighbours = [(rank - 1) % self.size, (rank + 1) % self.size]
             ready = max([times[rank]] + [times[n] for n in neighbours])
             worst = max(
                 self.network.transfer_time(

@@ -9,13 +9,11 @@ from __future__ import annotations
 
 from repro.common.errors import ValidationError
 from repro.mpi.comm import SimulatedComm
-from repro.mpi.network import NetworkModel
 from repro.slurm.job import JobContext
 
 
 def launch_ranks(
     context: JobContext,
-    network: NetworkModel | None = None,
     ranks_per_node: int | None = None,
     trace=None,
 ) -> SimulatedComm:
@@ -49,7 +47,6 @@ def launch_ranks(
     return SimulatedComm(
         gpus,
         node_of_rank,
-        network=network,
         node_names=node_names,
         injector=injector,
         trace=trace,

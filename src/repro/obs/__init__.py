@@ -25,8 +25,6 @@ from repro.obs.session import (
     NULL_TRACE,
     TraceSession,
     absorb_cache_report,
-    absorb_fault_log,
-    absorb_queue,
     absorb_scheduler,
     resolve_trace,
 )
@@ -44,8 +42,6 @@ __all__ = [
     "TraceSession",
     "Tracer",
     "absorb_cache_report",
-    "absorb_fault_log",
-    "absorb_queue",
     "absorb_scheduler",
     "chrome_trace",
     "dump_json",

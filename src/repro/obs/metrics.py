@@ -125,16 +125,10 @@ class MetricsRegistry:
             g = self._gauges[name] = Gauge()
         return g
 
-    def histogram(
-        self, name: str, bounds: tuple[float, ...] = DEFAULT_BOUNDS
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         h = self._histograms.get(name)
         if h is None:
-            h = self._histograms[name] = Histogram(bounds)
-        elif h.bounds != tuple(float(b) for b in bounds):
-            raise ValidationError(
-                f"histogram {name!r} already registered with different bounds"
-            )
+            h = self._histograms[name] = Histogram()
         return h
 
     # ----------------------------------------------------------- convenience
@@ -200,7 +194,7 @@ class NullMetrics(MetricsRegistry):
     def gauge(self, name: str) -> Gauge:
         return self._null_gauge
 
-    def histogram(self, name, bounds=DEFAULT_BOUNDS) -> Histogram:
+    def histogram(self, name) -> Histogram:
         return self._null_histogram
 
 

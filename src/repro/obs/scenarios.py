@@ -67,8 +67,6 @@ from repro.obs.dist import emit_graph_trace
 from repro.obs.session import (
     TraceSession,
     absorb_cache_report,
-    absorb_fault_log,
-    absorb_queue,
     absorb_scheduler,
     absorb_service,
     resolve_trace,
@@ -129,7 +127,6 @@ def run_single_gpu(seed: int, trace: TraceSession | None = None) -> SynergyQueue
         queue.profiler.reset_window()
         queue.device_energy_consumption()
         queue.reset_frequency()
-        absorb_queue(trace, queue)
         absorb_cache_report(trace)
     return queue
 
@@ -175,8 +172,6 @@ def run_slurm_faults(seed: int, trace: TraceSession | None = None):
         )
         trace.gauge("slurm.last_job_energy_j", job.gpu_energy_j or 0.0)
         absorb_scheduler(trace, scheduler)
-        assert cluster.fault_injector is not None
-        absorb_fault_log(trace, cluster.fault_injector.log)
         absorb_cache_report(trace)
     return app, compiled, job
 

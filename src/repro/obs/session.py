@@ -7,17 +7,16 @@ session's recording methods directly (no-ops when disabled) or guard a
 block with ``if self.trace.enabled:`` when building attributes would
 itself cost something.
 
-The five ``absorb_*`` helpers pull the stack's pre-existing scattered
-counters (queue/scaler/profiler statistics, the sweep-cache report,
-fault-log totals, service-plane tenancy accounting, scheduler requeues)
-into the session's metrics registry, so one exported document accounts
-for a whole run.
+Queue, scaler, profiler and fault-injector counters are recorded live,
+as they happen. The three ``absorb_*`` helpers copy the end-of-run
+reports that have no live twin (the sweep-cache report, service-plane
+tenancy accounting, scheduler job states) into the session's metrics
+registry, so one exported document accounts for a whole run.
 """
 
 from __future__ import annotations
 
 from repro.obs.metrics import (
-    DEFAULT_BOUNDS,
     MetricsRegistry,
     NULL_METRICS,
     NullMetrics,
@@ -100,28 +99,6 @@ def resolve_trace(trace: "TraceSession | None") -> TraceSession:
 
 # ------------------------------------------------------------------ absorb
 
-def absorb_queue(trace: TraceSession, queue, prefix: str = "queue") -> None:
-    """Pull a SynergyQueue's scattered statistics into the metrics plane.
-
-    Covers the scaler (switches, retries, degraded requests) and profiler
-    (fallbacks, zero-width windows) counters plus per-kernel totals.
-    """
-    if not trace.enabled:
-        return
-    summary = queue.summary()
-    m = trace.metrics
-    m.inc(f"{prefix}.kernels", int(summary["kernels"]))
-    m.inc(f"{prefix}.clock_switches", int(summary["clock_switches"]))
-    m.inc(f"{prefix}.clock_retries", int(summary["clock_retries"]))
-    m.inc(f"{prefix}.degraded_kernels", int(summary["degraded_kernels"]))
-    m.inc(f"{prefix}.failed_switches", queue.scaler.failed_switches)
-    m.inc(f"{prefix}.energy_fallbacks", queue.profiler.fallback_count)
-    m.inc(f"{prefix}.zero_width_windows", queue.profiler.zero_width_windows)
-    h = m.histogram(f"{prefix}.kernel_time_s")
-    for row in queue.kernel_stats():
-        h.observe(row["time_s"])
-
-
 def absorb_cache_report(trace: TraceSession) -> None:
     """Snapshot the fast-path cache counters (sweep + predictor curves)."""
     if not trace.enabled:
@@ -134,17 +111,6 @@ def absorb_cache_report(trace: TraceSession) -> None:
         m.counter(f"cache.{domain}.misses").value = int(stats["misses"])
         if "entries" in stats:
             m.set_gauge(f"cache.{domain}.entries", stats["entries"])
-
-
-def absorb_fault_log(trace: TraceSession, log) -> None:
-    """Pull a FaultLog's totals into the metrics plane."""
-    if not trace.enabled:
-        return
-    m = trace.metrics
-    m.counter("faults.injected").value = len(log.faults)
-    m.counter("faults.recoveries").value = len(log.recoveries)
-    for site, n in sorted(log.counts().items()):
-        m.counter(f"faults.site.{site}").value = n
 
 
 def absorb_service(trace: TraceSession, service) -> None:

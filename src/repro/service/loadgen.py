@@ -17,8 +17,6 @@ drain cycles cost about what its first ones do.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.apps.syclbench.definitions import get_benchmark
@@ -30,7 +28,6 @@ from repro.hw.specs import NVIDIA_V100, GPUSpec
 from repro.metrics.targets import ES_50, MAX_PERF, MIN_EDP, MIN_ENERGY, PL_50
 from repro.obs.session import TraceSession
 from repro.service.plane import SchedulingService
-from repro.service.store import JobStore
 from repro.service.tenant import Tenant
 
 #: Kernel pool the generator draws from (§8 benchmark suite members
@@ -48,6 +45,10 @@ DEFAULT_KERNELS: tuple[str, ...] = (
 
 #: Tenant energy targets, cycled across the fleet.
 _TENANT_TARGETS = (MIN_EDP, MIN_ENERGY, ES_50, PL_50)
+
+#: Mean of the exponential inter-arrival draw (virtual seconds).
+MEAN_INTERARRIVAL_S = 0.05
+
 
 def seeded_tenants(n_tenants: int, seed: int = 7) -> list[Tenant]:
     """A deterministic, attribute-diverse tenant fleet.
@@ -102,11 +103,8 @@ def run_service_session(
     n_submissions: int = 160_000,
     n_partitions: int = 8,
     n_cycles: int = 16,
-    mean_interarrival_s: float = 0.05,
-    kernels: tuple[str, ...] = DEFAULT_KERNELS,
     spec: GPUSpec = NVIDIA_V100,
     trace: TraceSession | None = None,
-    store: JobStore | None = None,
 ) -> SchedulingService:
     """Drive one complete seeded service session; returns the plane.
 
@@ -118,15 +116,8 @@ def run_service_session(
             f"need >= 1 submission and cycle "
             f"({n_submissions!r}, {n_cycles!r})"
         )
-    if not (math.isfinite(mean_interarrival_s) and mean_interarrival_s >= 0.0):
-        raise ConfigurationError(
-            "mean_interarrival_s must be finite and >= 0 "
-            f"({mean_interarrival_s!r})"
-        )
-    if not kernels:
-        raise ConfigurationError("need >= 1 kernel name (kernels=())")
     tenants = seeded_tenants(n_tenants, seed)
-    kernel_objs = [get_benchmark(name).kernel for name in kernels]
+    kernel_objs = [get_benchmark(name).kernel for name in DEFAULT_KERNELS]
     # Plan over every tenant target (plus MAX_PERF for the baseline), in
     # sorted name order for deterministic sweep-cache population.
     target_by_name = {t.target.name: t.target for t in tenants}
@@ -141,7 +132,6 @@ def run_service_session(
         n_partitions=n_partitions,
         plan=plan,
         baseline_j=baseline_energies(spec, kernel_objs),
-        store=store,
         trace=trace,
     )
     for tenant in tenants:
@@ -149,7 +139,7 @@ def run_service_session(
 
     rng = make_rng(derive_seed("service.loadgen", seed))
     arrival_s = np.cumsum(
-        rng.exponential(mean_interarrival_s, size=n_submissions)
+        rng.exponential(MEAN_INTERARRIVAL_S, size=n_submissions)
     )
     tenant_idx = rng.integers(0, n_tenants, size=n_submissions)
     kernel_idx = rng.integers(0, len(kernel_objs), size=n_submissions)

@@ -60,7 +60,6 @@ class SchedulingService:
         n_partitions: int = 4,
         plan: FrequencyPlan | None = None,
         baseline_j: dict[str, float] | None = None,
-        store: JobStore | None = None,
         trace: TraceSession | None = None,
     ) -> None:
         if n_partitions < 1:
@@ -70,7 +69,7 @@ class SchedulingService:
         self.spec = spec
         self.trace = resolve_trace(trace)
         self.registry = TenantRegistry()
-        self.store = store if store is not None else JobStore()
+        self.store = JobStore()
         #: Per-kernel MAX_PERF energy (J per execution), the savings baseline.
         self.baseline_j = dict(baseline_j or {})
         self.shards = [

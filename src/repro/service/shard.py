@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.common.clock import VirtualClock
 from repro.core.compiler import FrequencyPlan
-from repro.core.frequency import DEFAULT_SWITCH_OVERHEAD_S
 from repro.engine.payload import KernelBatchPayload
 from repro.hw.specs import GPUSpec
 from repro.obs.session import TraceSession
@@ -50,23 +49,20 @@ class PartitionShard:
         shard_id: int,
         spec: GPUSpec,
         *,
-        n_nodes: int = 1,
-        gpus_per_node: int = 1,
         plan: FrequencyPlan | None = None,
-        switch_overhead_s: float = DEFAULT_SWITCH_OVERHEAD_S,
         trace: TraceSession | None = None,
     ) -> None:
         self.shard_id = int(shard_id)
         self.plan = plan
-        self.switch_overhead_s = switch_overhead_s
+        # One single-GPU node per shard: GPU index = shard id.
         self.cluster = Cluster.build(
             spec,
-            n_nodes,
-            gpus_per_node=gpus_per_node,
+            1,
+            gpus_per_node=1,
             gres={NVGPUFREQ_GRES},
             clock=VirtualClock(),
             trace=trace,
-            index_base=self.shard_id * n_nodes * gpus_per_node,
+            index_base=self.shard_id,
             node_prefix=f"s{self.shard_id}n",
         )
         self.scheduler = Scheduler(
@@ -103,7 +99,6 @@ class PartitionShard:
                 payload=KernelBatchPayload(
                     requests=tuple(reqs),
                     plan=self.plan,
-                    switch_overhead_s=self.switch_overhead_s,
                     owner=tenant,
                 ),
             )

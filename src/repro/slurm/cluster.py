@@ -28,7 +28,6 @@ class Node:
         name: str,
         gpus: list[SimulatedGPU],
         gres: set[str] | None = None,
-        nvml_available: bool = True,
     ) -> None:
         if not gpus:
             raise ConfigurationError(f"node {name!r} needs at least one GPU")
@@ -36,7 +35,7 @@ class Node:
         self.gpus = list(gpus)
         self.gres: set[str] = set(gres or ())
         if all(g.spec.vendor == "nvidia" for g in gpus):
-            self.nvml = NVMLLibrary(self.gpus, available=nvml_available)
+            self.nvml = NVMLLibrary(self.gpus)
         else:
             self.nvml = None
         #: Job id currently running here, None when idle.

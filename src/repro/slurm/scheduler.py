@@ -16,7 +16,7 @@ Resilience: when a payload dies with :class:`~repro.faults.NodeFailure`
 the scheduler behaves like slurmctld on a lost node — the job moves to
 ``NODE_FAIL``, the dead nodes are drained (marked down, their boards
 marked lost so NVML reports ``GPU_IS_LOST``), and the job is requeued on
-the surviving nodes, up to ``max_requeues`` times. Requeue lineage is
+the surviving nodes, at most :data:`MAX_REQUEUES` times. Requeue lineage is
 recorded on the job objects (``requeued_as`` / ``requeue_of``).
 """
 
@@ -30,6 +30,9 @@ from repro.faults import NodeFailure
 from repro.obs.session import TraceSession, resolve_trace
 from repro.slurm.cluster import Cluster, Node
 from repro.slurm.job import Job, JobContext, JobSpec, JobState
+
+#: Requeues after a node failure before a job stays ``NODE_FAIL``.
+MAX_REQUEUES = 1
 
 
 class SchedulerPlugin(Protocol):
@@ -63,19 +66,13 @@ class Scheduler:
         self,
         cluster: Cluster,
         plugins: list[SchedulerPlugin] | None = None,
-        max_requeues: int = 1,
         trace: TraceSession | None = None,
     ):
-        if max_requeues < 0:
-            raise ConfigurationError(
-                f"max_requeues cannot be negative ({max_requeues!r})"
-            )
         self.cluster = cluster
         # Default to the cluster's session so one Cluster.build(trace=...)
         # call wires the whole SLURM layer.
         self.trace = cluster.trace if trace is None else resolve_trace(trace)
         self.plugins = list(plugins or [])
-        self.max_requeues = int(max_requeues)
         self._job_ids = itertools.count(1)
         self.jobs: dict[int, Job] = {}
 
@@ -91,7 +88,7 @@ class Scheduler:
         _job_specs([spec])
         job = self._run_one(spec)
         requeues = 0
-        while job.state is JobState.NODE_FAIL and requeues < self.max_requeues:
+        while job.state is JobState.NODE_FAIL and requeues < MAX_REQUEUES:
             if len(self.cluster.idle_nodes()) < spec.n_nodes:
                 job.error = (job.error or "") + (
                     "; requeue impossible: "

@@ -253,21 +253,13 @@ def adapt_setup():
     return bundle, compiled.plan, kernels
 
 
-def _controller(adapt_setup, **kwargs) -> AdaptiveController:
+def _controller(adapt_setup) -> AdaptiveController:
     bundle, plan, _kernels = adapt_setup
     queue = SynergyQueue(SimulatedGPU(NVIDIA_V100, index=0))
-    return AdaptiveController(queue, bundle, plan, SLA_SLACK(1.35), **kwargs)
+    return AdaptiveController(queue, bundle, plan, SLA_SLACK(1.35))
 
 
 class TestControllerGuards:
-    def test_constructor_validation(self, adapt_setup):
-        with pytest.raises(ValidationError):
-            _controller(adapt_setup, window=0)
-        with pytest.raises(ValidationError):
-            _controller(adapt_setup, min_refresh_rows=1)
-        with pytest.raises(ValidationError):
-            _controller(adapt_setup, miss_grace=0.99)
-
     def test_run_stream_validation(self, adapt_setup):
         controller = _controller(adapt_setup)
         kernels = adapt_setup[2]

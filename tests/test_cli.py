@@ -155,19 +155,54 @@ def test_every_subcommand_is_known():
     assert sorted(_subparsers()) == sorted(ALL_SUBCOMMANDS)
 
 
+def _flags_after(command_re: str, text: str):
+    """``(command, --flag)`` for each flag that follows a CLI command on
+    its line, up to the end of its code span, a comment or the next
+    command."""
+    for line in text.splitlines():
+        for match in re.finditer(command_re, line):
+            rest = re.split(r"[`#]|repro-synergy |repro\.cli ", line[match.end():])[0]
+            for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", rest):
+                yield match.group(1), flag
+
+
+def _unknown_flags(command_re: str, text: str) -> list[tuple[str, str]]:
+    parsers = _subparsers()
+    return sorted(
+        (command, flag)
+        for command, flag in _flags_after(command_re, text)
+        if command in parsers and flag not in parsers[command]._option_string_actions
+    )
+
+
 def test_check_sh_runs_only_known_commands():
     """Every CLI step of the CI gate, and every command the docs show,
-    names a command that still exists."""
+    names a command that still exists, with flags that command takes."""
     script = ROOT / "scripts" / "check.sh"
-    used = re.findall(r"python -m repro\.cli ([\w-]+)", script.read_text())
+    cli_re = r"python -m repro\.cli ([\w-]+)"
+    used = re.findall(cli_re, script.read_text())
     assert used
     assert set(used) <= set(COMMANDS), sorted(set(used) - set(COMMANDS))
+    assert not _unknown_flags(cli_re, script.read_text())
     docs = [ROOT / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]
     docs += sorted((ROOT / "docs").glob("*.md"))
+    doc_re = r"repro-synergy ([a-z][\w-]*)"
     for doc in docs:
-        named = re.findall(r"repro-synergy ([a-z][\w-]*)", doc.read_text())
+        named = re.findall(doc_re, doc.read_text())
         unknown = sorted(set(named) - set(COMMANDS))
         assert not unknown, (doc.name, unknown)
+        unknown_flags = _unknown_flags(doc_re, doc.read_text())
+        assert not unknown_flags, (doc.name, unknown_flags)
+
+
+def test_flag_scan_flags_an_unknown_flag():
+    text = (
+        "repro-synergy validate --strict --bogus  # a --comment-flag\n"
+        "`repro-synergy paper fig1 --json` then `validate --only paper`\n"
+    )
+    assert _unknown_flags(r"repro-synergy ([a-z][\w-]*)", text) == [
+        ("validate", "--bogus")
+    ]
 
 
 def test_choice_defaults_are_valid_choices():
@@ -224,7 +259,7 @@ def test_trace_writes_trace_and_metrics_json(tmp_path, capsys):
 
     metrics = json.loads(metrics_path.read_text())
     assert metrics["kind"] == "metrics"
-    assert metrics["counters"]["queue.kernels"] > 0
+    assert metrics["counters"]["queue.kernels_executed"] > 0
     assert metrics["span_counts"]["queue.kernel"] > 0
 
 

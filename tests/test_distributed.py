@@ -492,6 +492,28 @@ class TestExecutors:
         result = run_graph(graph, comm, plan)
         assert result.mode == "scalar" and result.fallback == "powercap"
 
+    def test_capped_rank_energy_is_the_sum_of_its_records(self):
+        # Half the ranks capped: the facade falls back to the per-event
+        # path, whose rank energy is that board's record energies summed
+        # in submission order, bitwise.
+        with scoped_cache():
+            comm = build_comm(SPEC, 8)
+            graph = build_stencil_graph(comm, steps=2, elems_per_rank=1 << 16)
+            plan = plan_global_frequencies(
+                SPEC, graph.rank_kernels(), sla_factor=1.25, cache=True
+            )
+            for gpu in comm.gpus[::2]:
+                gpu.set_power_limit(
+                    0.6 * gpu.default_power_limit_w, privileged=True
+                )
+            result = run_graph(graph, comm, plan)
+        assert result.fallback == "powercap"
+        for r, gpu in enumerate(comm.gpus):
+            assert gpu.records
+            assert result.rank_energy_j[r] == sum(
+                record.energy_j for record in gpu.records
+            )
+
     def test_heterogeneous_boards_rejected_before_any_node_runs(self, stencil):
         _, graph, plan, _ = stencil
         comm = build_comm(SPEC, graph.n_ranks)

@@ -30,7 +30,7 @@ from repro.mpi.launcher import launch_ranks
 from repro.slurm.cluster import NVGPUFREQ_GRES, Cluster
 from repro.slurm.job import JobSpec, JobState
 from repro.slurm.plugin import NvGpuFreqPlugin, PluginDecision
-from repro.slurm.scheduler import Scheduler
+from repro.slurm.scheduler import MAX_REQUEUES, Scheduler
 from repro.vendor.errors import (
     NVML_ERROR_GPU_IS_LOST,
     NVML_ERROR_TIMEOUT,
@@ -491,6 +491,28 @@ class TestSchedulerResilience:
         assert all(
             cluster.fault_injector.device_lost(g.index) for g in node.gpus
         )
+
+    def test_requeued_job_that_loses_a_node_again_stays_node_fail(self):
+        # One requeue (MAX_REQUEUES): the second node failure ends the job
+        # although a healthy node is still idle, and no third job is made.
+        cluster, plugin, scheduler = _build(
+            3,
+            [
+                FaultSpec(site="slurm.node_fail", at_s=0.0, target="node000"),
+                FaultSpec(site="slurm.node_fail", at_s=0.0, target="node001"),
+            ],
+        )
+        job = scheduler.submit(
+            JobSpec(name="j", n_nodes=1, payload=_mpi_payload)
+        )
+        assert MAX_REQUEUES == 1
+        assert job.state is JobState.NODE_FAIL
+        assert job.requeued_as is None
+        first = scheduler.jobs[job.requeue_of]
+        assert first.state is JobState.NODE_FAIL
+        assert first.requeue_of is None and first.requeued_as == job.job_id
+        assert len(scheduler.jobs) == 2
+        assert cluster.get_node("node002").idle
 
     def test_requeue_impossible_without_healthy_nodes(self):
         cluster, plugin, scheduler = _build(
