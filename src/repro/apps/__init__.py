@@ -9,7 +9,6 @@
 """
 
 from repro.apps.cloverleaf import CloverLeaf
-from repro.apps.hostimpl import black_scholes_app, median_app, sobel3_app
 from repro.apps.miniweather import MiniWeather
 from repro.apps.syclbench import (
     BENCHMARK_NAMES,
@@ -25,7 +24,4 @@ __all__ = [
     "iter_benchmarks",
     "CloverLeaf",
     "MiniWeather",
-    "black_scholes_app",
-    "sobel3_app",
-    "median_app",
 ]

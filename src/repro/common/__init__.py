@@ -13,15 +13,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.common.rng import derive_seed, make_rng
-from repro.common.units import (
-    JOULE,
-    MHZ,
-    MILLISECOND,
-    SECOND,
-    WATT,
-    hz_to_mhz,
-    mhz_to_hz,
-)
+from repro.common.units import MHZ, mhz_to_hz
 
 __all__ = [
     "VirtualClock",
@@ -32,10 +24,5 @@ __all__ = [
     "make_rng",
     "derive_seed",
     "mhz_to_hz",
-    "hz_to_mhz",
     "MHZ",
-    "SECOND",
-    "MILLISECOND",
-    "WATT",
-    "JOULE",
 ]

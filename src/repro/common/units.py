@@ -14,27 +14,10 @@ from __future__ import annotations
 #: One MHz expressed in Hz.
 MHZ: float = 1.0e6
 
-#: One second (the base time unit).
-SECOND: float = 1.0
-
-#: One millisecond in seconds.
-MILLISECOND: float = 1.0e-3
-
-#: One watt (the base power unit).
-WATT: float = 1.0
-
-#: One joule (the base energy unit).
-JOULE: float = 1.0
-
 
 def mhz_to_hz(mhz: float) -> float:
     """Convert a frequency in MHz to Hz."""
     return float(mhz) * MHZ
-
-
-def hz_to_mhz(hz: float) -> float:
-    """Convert a frequency in Hz to MHz."""
-    return float(hz) / MHZ
 
 
 def joules(power_watts: float, duration_s: float) -> float:

@@ -252,7 +252,7 @@ def plan_global_frequencies(
 
     from repro.experiments.sweep import sweep_kernel
 
-    if sla_factor < 1.0:
+    if not sla_factor >= 1.0:  # also rejects NaN
         raise ConfigurationError(
             f"global SLA factor must be >= 1 ({sla_factor!r})"
         )

@@ -216,11 +216,3 @@ class FrequencyScaler:
                 self.device.clock.now, self._track, "freq.reset", "reset"
             )
         self.set_frequency(spec.default_mem_mhz, spec.default_core_mhz)
-
-    def supported_core_freqs(self) -> tuple[int, ...]:
-        """Core clock table from the vendor backend (MHz, ascending)."""
-        return self.backend.supported_core_freqs()
-
-    def supported_mem_freqs(self) -> tuple[int, ...]:
-        """Memory clock table from the vendor backend (MHz, ascending)."""
-        return self.backend.supported_mem_freqs()

@@ -68,24 +68,6 @@ class TrainingSet:
         """Number of (kernel, frequency) measurement rows."""
         return self.X.shape[0]
 
-    def merged_with(self, other: "TrainingSet") -> "TrainingSet":
-        """Concatenate two training sets measured on the same device."""
-        if other.device_name != self.device_name:
-            raise ValidationError(
-                "cannot merge training sets from different devices "
-                f"({self.device_name!r} vs {other.device_name!r})"
-            )
-        offset = int(self.kernel_ids.max()) + 1 if self.kernel_ids.size else 0
-        return TrainingSet(
-            X=np.vstack([self.X, other.X]),
-            time_s=np.concatenate([self.time_s, other.time_s]),
-            energy_j=np.concatenate([self.energy_j, other.energy_j]),
-            edp_js=np.concatenate([self.edp_js, other.edp_js]),
-            ed2p_js2=np.concatenate([self.ed2p_js2, other.ed2p_js2]),
-            device_name=self.device_name,
-            kernel_ids=np.concatenate([self.kernel_ids, other.kernel_ids + offset]),
-        )
-
 
 def _compute_sweep(
     spec: GPUSpec, kernel: KernelIR, freqs: np.ndarray

@@ -139,10 +139,6 @@ class OnlineFrequencyTuner:
         """Whether this kernel's search has settled."""
         return self._state(kernel_name).converged
 
-    def probes_used(self, kernel_name: str) -> int:
-        """Number of measured launches consumed by the search so far."""
-        return len(self._state(kernel_name).history)
-
     # ------------------------------------------------------------- internals
 
     def _probe_indices(self, state: _SearchState) -> tuple[int, int]:

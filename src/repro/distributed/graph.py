@@ -613,10 +613,6 @@ class CommandGraph:
         """Number of submitted waves."""
         return len(self._waves)
 
-    def kernel_nodes(self) -> list[CommandNode]:
-        """All kernel nodes in id (= topological) order."""
-        return [n for n in self.nodes if n.kind == KERNEL]
-
     def counts(self) -> dict[str, int]:
         """Node count per kind, in order of each kind's first node."""
         kind = self.kind

@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.apps.syclbench import SyclBenchmark, iter_benchmarks
+from repro.common.errors import ValidationError
 from repro.core.models import EnergyModelBundle
 from repro.core.predictor import FrequencyPredictor
 from repro.experiments.sweep import FrequencySweep, sweep_kernel
@@ -116,6 +117,10 @@ def run_accuracy_analysis(
 ) -> AccuracyAnalysis:
     """Run the full §8.3 protocol on one device, one bundle per family."""
     suite = list(benchmarks) if benchmarks is not None else list(iter_benchmarks())
+    if not bundles:
+        raise ValidationError("accuracy analysis needs at least one bundle")
+    if not suite:
+        raise ValidationError("accuracy analysis needs at least one benchmark")
     predictors = {
         name: FrequencyPredictor(bundle, spec) for name, bundle in bundles.items()
     }

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.common.errors import ValidationError
 from repro.experiments.sweep import FrequencySweep, sweep_kernel
 from repro.hw.specs import GPUSpec
 from repro.kernelir.kernel import KernelIR
@@ -78,6 +79,8 @@ def fine_vs_coarse(
     curves, and reports that optimum — the best any application-wide
     setting could do.
     """
+    if not kernels:
+        raise ValidationError("fine vs coarse needs at least one kernel")
     sweeps = [sweep_kernel(spec, k) for k in kernels]
     freqs = sweeps[0].freqs_mhz
     default_index = sweeps[0].default_index

@@ -87,6 +87,8 @@ def run_scaling_experiment(
 ) -> ScalingResult:
     """Run the Fig. 10 experiment for one application on V100 nodes, with
     the per-kernel clocks ``bundle`` predicts."""
+    if not gpu_counts:
+        raise ValidationError("scaling needs at least one GPU count")
     for count in gpu_counts:
         if count < 1 or count % GPUS_PER_NODE:
             raise ValidationError(

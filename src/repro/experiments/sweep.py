@@ -130,16 +130,6 @@ class FrequencySweep2D:
     time_s: np.ndarray
     energy_j: np.ndarray
 
-    def min_energy_config(self) -> tuple[int, int]:
-        """``(mem_mhz, core_mhz)`` of the minimum-energy configuration."""
-        i, j = np.unravel_index(int(np.argmin(self.energy_j)), self.energy_j.shape)
-        return int(self.mem_mhz[i]), int(self.core_mhz[j])
-
-    def max_perf_config(self) -> tuple[int, int]:
-        """``(mem_mhz, core_mhz)`` of the fastest configuration."""
-        i, j = np.unravel_index(int(np.argmin(self.time_s)), self.time_s.shape)
-        return int(self.mem_mhz[i]), int(self.core_mhz[j])
-
 
 def _compute_sweep_2d(
     spec: GPUSpec, kernel: KernelIR, core: np.ndarray, mem: np.ndarray

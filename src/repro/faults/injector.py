@@ -303,10 +303,3 @@ class FaultInjector:
     def device_lost(self, index: int) -> bool:
         """Whether a board is in the lost state."""
         return int(index) in self._lost_devices
-
-    # ------------------------------------------------------------ reporting
-
-    @property
-    def total_faults(self) -> int:
-        """Number of faults injected so far."""
-        return len(self.log.faults)

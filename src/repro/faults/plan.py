@@ -161,10 +161,6 @@ class FaultPlan:
     def __bool__(self) -> bool:
         return bool(self.specs)
 
-    def for_site(self, site: str) -> tuple[FaultSpec, ...]:
-        """All specs bound to one site."""
-        return tuple(s for s in self.specs if s.site == site)
-
     def injector(self, trace=None):
         """Build a fresh injector (fresh RNG streams and fault log)."""
         from repro.faults.injector import FaultInjector

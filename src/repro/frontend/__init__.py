@@ -16,7 +16,6 @@ from repro.frontend.decorator import (
     device_kernel,
 )
 from repro.frontend.diagnostics import (
-    ALL_CODES,
     Diagnostic,
     DiagnosticSink,
     FrontendError,
@@ -26,7 +25,6 @@ from repro.frontend.lowering import lower_kernel
 from repro.frontend.synth import source_for_mix
 
 __all__ = [
-    "ALL_CODES",
     "AnalysisResult",
     "DeviceKernel",
     "Diagnostic",

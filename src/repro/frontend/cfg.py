@@ -53,14 +53,6 @@ class ArrayType:
 
 # ------------------------------------------------------------- instructions
 
-#: The ten Table-1 operation classes plus the access classes the memory
-#: instructions resolve to. ``OpClass`` values match InstructionMix fields.
-OP_CLASSES: tuple[str, ...] = (
-    "int_add", "int_mul", "int_div", "int_bw",
-    "float_add", "float_mul", "float_div", "sf",
-    "gl_access", "loc_access",
-)
-
 
 @dataclass(frozen=True)
 class AffineIndex:

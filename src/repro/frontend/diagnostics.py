@@ -56,23 +56,6 @@ WRITE_WRITE_RACE = "FE011"
 READ_WRITE_RACE = "FE012"
 OUT_OF_BOUNDS = "FE013"
 
-#: All known codes (used by tests and the ``analyze`` JSON export).
-ALL_CODES: tuple[str, ...] = (
-    UNSUPPORTED_STATEMENT,
-    DYNAMIC_LOOP_BOUND,
-    UNKNOWN_CALL,
-    UNSUPPORTED_EXPRESSION,
-    ARRAY_ALIASING,
-    TYPE_ERROR,
-    MALFORMED_LOOP,
-    BAD_ASSIGNMENT_TARGET,
-    BAD_SIGNATURE,
-    RETURN_VALUE,
-    WRITE_WRITE_RACE,
-    READ_WRITE_RACE,
-    OUT_OF_BOUNDS,
-)
-
 
 @dataclass(frozen=True)
 class Diagnostic:

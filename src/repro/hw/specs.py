@@ -157,11 +157,6 @@ class GPUSpec:
                 f"{self.name}: unsupported memory clock {mem_mhz} MHz"
             )
 
-    def nearest_core_mhz(self, core_mhz: float) -> int:
-        """Snap an arbitrary frequency to the nearest supported core clock."""
-        table = np.asarray(self.core_freqs_mhz, dtype=float)
-        return int(self.core_freqs_mhz[int(np.argmin(np.abs(table - core_mhz)))])
-
 
 def _freq_table(lo: int, hi: int, count: int) -> tuple[int, ...]:
     """Evenly spaced integer clock table with exactly ``count`` entries."""

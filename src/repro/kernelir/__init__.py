@@ -9,7 +9,7 @@ pass that produces the 10-dimensional static feature vector of Table 1.
 used to build the training set.
 """
 
-from repro.kernelir.features import FEATURE_NAMES, extract_features, feature_matrix
+from repro.kernelir.features import FEATURE_NAMES, extract_features
 from repro.kernelir.instructions import InstructionMix
 from repro.kernelir.kernel import KernelIR
 from repro.kernelir.microbench import MicrobenchGenerator, generate_microbenchmarks
@@ -19,7 +19,6 @@ __all__ = [
     "KernelIR",
     "FEATURE_NAMES",
     "extract_features",
-    "feature_matrix",
     "MicrobenchGenerator",
     "generate_microbenchmarks",
 ]

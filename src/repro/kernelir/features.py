@@ -13,8 +13,6 @@ matrix ``T = (k, f, e, t, edp, ed2p)``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from repro.kernelir.kernel import KernelIR
@@ -32,9 +30,6 @@ FEATURE_NAMES: tuple[str, ...] = (
     "gl_access",
     "loc_access",
 )
-
-#: Dimensionality of the static feature vector.
-N_FEATURES: int = len(FEATURE_NAMES)
 
 
 def extract_features(kernel: KernelIR) -> np.ndarray:
@@ -56,21 +51,3 @@ def extract_features(kernel: KernelIR) -> np.ndarray:
     gl_index = FEATURE_NAMES.index("gl_access")
     vec[gl_index] *= 1.0 - kernel.locality
     return vec
-
-
-def feature_matrix(kernels: Iterable[KernelIR]) -> np.ndarray:
-    """Stack feature vectors of many kernels into an ``(n, 10)`` matrix."""
-    rows = [extract_features(k) for k in kernels]
-    if not rows:
-        return np.empty((0, N_FEATURES), dtype=float)
-    return np.vstack(rows)
-
-
-def describe_features(vector: Sequence[float]) -> dict[str, float]:
-    """Label a raw feature vector with the Table-1 feature names."""
-    values = list(vector)
-    if len(values) != N_FEATURES:
-        raise ValueError(
-            f"expected {N_FEATURES} features, got {len(values)}"
-        )
-    return dict(zip(FEATURE_NAMES, map(float, values)))

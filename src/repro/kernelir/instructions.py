@@ -90,17 +90,6 @@ class InstructionMix:
         """Total static instruction count."""
         return self.compute_ops + self.memory_ops
 
-    def arithmetic_intensity(self, word_bytes: int = 4) -> float:
-        """Compute ops per byte of *global* traffic (roofline x-axis).
-
-        Kernels that never touch global memory get ``inf`` — they are purely
-        compute-bound by construction.
-        """
-        traffic = self.gl_access * word_bytes
-        if traffic == 0:
-            return float("inf")
-        return self.compute_ops / traffic
-
     def scaled(self, factor: float) -> "InstructionMix":
         """Return a copy with every count multiplied by ``factor``.
 

@@ -78,18 +78,6 @@ class KernelIR:
             * (1.0 - self.locality)
         )
 
-    @property
-    def total_compute_ops(self) -> float:
-        """Total dynamic arithmetic operations across all work-items."""
-        return self.mix.compute_ops * self.work_items
-
-    @property
-    def arithmetic_intensity(self) -> float:
-        """Compute ops per byte of DRAM traffic (post-locality roofline)."""
-        if self.global_bytes == 0:
-            return float("inf")
-        return self.total_compute_ops / self.global_bytes
-
     def with_work_items(self, work_items: int) -> "KernelIR":
         """Return a copy launched over a different global size."""
         return replace(self, work_items=work_items)

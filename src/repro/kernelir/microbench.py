@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
 from repro.kernelir.instructions import InstructionMix
 from repro.kernelir.kernel import KernelIR
@@ -112,6 +113,8 @@ class MicrobenchGenerator:
         localities uniform over [0, 0.9), covering the streaming-to-cached
         spectrum of real applications.
         """
+        if count < 0:
+            raise ConfigurationError(f"random mix count must be >= 0 ({count!r})")
         rng = make_rng(self.seed)
         names = list(_ARCHETYPE_CLASSES) + ["gl_access", "loc_access"]
         kernels: list[KernelIR] = []

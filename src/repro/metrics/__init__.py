@@ -13,7 +13,7 @@
 
 from repro.metrics.energy import ed2p, edp
 from repro.metrics.errors import ape, mape, rmse
-from repro.metrics.pareto import pareto_front_mask, pareto_points
+from repro.metrics.pareto import pareto_front_mask
 from repro.metrics.targets import (
     DEADLINE,
     ES_25,
@@ -41,7 +41,6 @@ __all__ = [
     "mape",
     "rmse",
     "pareto_front_mask",
-    "pareto_points",
     "EnergyTarget",
     "TargetKind",
     "MAX_PERF",

@@ -65,14 +65,3 @@ def front_violations(speedup, energy, mask) -> tuple[int, int]:
         1 for i in np.flatnonzero(~m) if not dominated_by_front(i)
     )
     return dominated_front, uncovered_off
-
-
-def pareto_points(speedup, energy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pareto-optimal ``(indices, speedup, energy)`` sorted by speedup."""
-    s = np.asarray(speedup, dtype=float)
-    e = np.asarray(energy, dtype=float)
-    mask = pareto_front_mask(s, e)
-    idx = np.flatnonzero(mask)
-    order = np.argsort(s[idx])
-    idx = idx[order]
-    return idx, s[idx], e[idx]

@@ -1,4 +1,4 @@
-"""Ordinary least squares and ridge regression."""
+"""Ordinary least squares."""
 
 from __future__ import annotations
 
@@ -29,45 +29,6 @@ class LinearRegression(Estimator):
         coef, *_ = np.linalg.lstsq(Xc, yc, rcond=None)
         self.coef_ = coef
         self.intercept_ = y_mean - float(x_mean @ coef)
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        self._check_fitted("coef_")
-        X, _ = check_Xy(X)
-        assert self.coef_ is not None
-        if X.shape[1] != self.coef_.shape[0]:
-            raise ValidationError(
-                f"feature count mismatch: fitted {self.coef_.shape[0]}, "
-                f"got {X.shape[1]}"
-            )
-        return X @ self.coef_ + self.intercept_
-
-
-class Ridge(Estimator):
-    """L2-regularized least squares solved in closed form."""
-
-    def __init__(self, alpha: float = 1.0, fit_intercept: bool = True) -> None:
-        if alpha < 0:
-            raise ValidationError(f"alpha cannot be negative ({alpha!r})")
-        self.alpha = float(alpha)
-        self.fit_intercept = fit_intercept
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float = 0.0
-
-    def fit(self, X, y) -> "Ridge":
-        X, y = check_Xy(X, y)
-        assert y is not None
-        if self.fit_intercept:
-            x_mean = X.mean(axis=0)
-            y_mean = float(y.mean())
-            Xc, yc = X - x_mean, y - y_mean
-        else:
-            x_mean, y_mean = np.zeros(X.shape[1]), 0.0
-            Xc, yc = X, y
-        n_features = X.shape[1]
-        gram = Xc.T @ Xc + self.alpha * np.eye(n_features)
-        self.coef_ = np.linalg.solve(gram, Xc.T @ yc)
-        self.intercept_ = y_mean - float(x_mean @ self.coef_)
         return self
 
     def predict(self, X) -> np.ndarray:

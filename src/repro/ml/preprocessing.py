@@ -1,13 +1,10 @@
-"""Feature scaling and data-splitting utilities."""
+"""Feature scaling."""
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.common.rng import make_rng
 from repro.ml.base import check_Xy
 
 
@@ -38,59 +35,3 @@ class StandardScaler:
                 f"got {X.shape[1]}"
             )
         return (X - self.mean_) / self.scale_
-
-    def fit_transform(self, X) -> np.ndarray:
-        """Fit then transform in one step."""
-        return self.fit(X).transform(X)
-
-    def inverse_transform(self, X) -> np.ndarray:
-        """Undo the scaling."""
-        if self.mean_ is None or self.scale_ is None:
-            raise ValidationError("StandardScaler is not fitted")
-        X, _ = check_Xy(X)
-        return X * self.scale_ + self.mean_
-
-
-def train_test_split(
-    X, y, test_fraction: float = 0.25, seed: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shuffled split into ``(X_train, X_test, y_train, y_test)``."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValidationError(f"test fraction must be in (0, 1) ({test_fraction!r})")
-    X, y = check_Xy(X, y)
-    assert y is not None
-    n = X.shape[0]
-    n_test = max(1, int(round(n * test_fraction)))
-    if n_test >= n:
-        raise ValidationError(
-            f"test fraction {test_fraction} leaves no training samples for n={n}"
-        )
-    perm = make_rng(seed).permutation(n)
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-    return X[train_idx], X[test_idx], y[train_idx], y[test_idx]
-
-
-class KFold:
-    """K-fold cross-validation index generator (optionally shuffled)."""
-
-    def __init__(self, n_splits: int = 5, shuffle: bool = True, seed: int | None = None):
-        if n_splits < 2:
-            raise ValidationError(f"n_splits must be >= 2 ({n_splits!r})")
-        self.n_splits = n_splits
-        self.shuffle = shuffle
-        self.seed = seed
-
-    def split(self, n_samples: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(train_idx, test_idx)`` pairs over ``n_samples``."""
-        if n_samples < self.n_splits:
-            raise ValidationError(
-                f"cannot split {n_samples} samples into {self.n_splits} folds"
-            )
-        indices = np.arange(n_samples)
-        if self.shuffle:
-            indices = make_rng(self.seed).permutation(n_samples)
-        folds = np.array_split(indices, self.n_splits)
-        for i in range(self.n_splits):
-            test_idx = folds[i]
-            train_idx = np.concatenate([folds[j] for j in range(self.n_splits) if j != i])
-            yield train_idx, test_idx

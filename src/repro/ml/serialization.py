@@ -16,7 +16,7 @@ from repro.common.errors import ValidationError
 from repro.ml.base import Estimator
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.lasso import Lasso
-from repro.ml.linear import LinearRegression, Ridge
+from repro.ml.linear import LinearRegression
 from repro.ml.preprocessing import StandardScaler
 from repro.ml.svr import SVR
 from repro.ml.tree import DecisionTreeRegressor, FlatTree
@@ -67,7 +67,7 @@ def _tree_from_dict(root: dict[str, Any]) -> FlatTree:
 
 def serialize_estimator(estimator: Estimator) -> dict[str, Any]:
     """Serialize any fitted repro estimator to a JSON-compatible dict."""
-    if isinstance(estimator, (LinearRegression, Ridge, Lasso)):
+    if isinstance(estimator, (LinearRegression, Lasso)):
         if estimator.coef_ is None:
             raise ValidationError("cannot serialize an unfitted linear model")
         data: dict[str, Any] = {
@@ -75,8 +75,6 @@ def serialize_estimator(estimator: Estimator) -> dict[str, Any]:
             "coef": _array(estimator.coef_),
             "intercept": float(estimator.intercept_),
         }
-        if isinstance(estimator, Ridge):
-            data["alpha"] = estimator.alpha
         if isinstance(estimator, Lasso):
             data["alpha"] = estimator.alpha
         return data
@@ -117,11 +115,9 @@ def serialize_estimator(estimator: Estimator) -> dict[str, Any]:
 def deserialize_estimator(data: dict[str, Any]) -> Estimator:
     """Rebuild an estimator serialized by :func:`serialize_estimator`."""
     kind = data.get("type")
-    if kind in ("LinearRegression", "Ridge", "Lasso"):
+    if kind in ("LinearRegression", "Lasso"):
         if kind == "LinearRegression":
             est: Any = LinearRegression()
-        elif kind == "Ridge":
-            est = Ridge(alpha=float(data.get("alpha", 1.0)))
         else:
             est = Lasso(alpha=float(data.get("alpha", 0.01)))
         est.coef_ = np.asarray(data["coef"], dtype=float)

@@ -133,10 +133,3 @@ class SVR(Estimator):
         Xs = self._scaler.transform(X)
         K = rbf_kernel(Xs, self._X, self.gamma_) + 1.0
         return K @ self.beta_
-
-    @property
-    def support_(self) -> np.ndarray:
-        """Indices of support vectors (nonzero dual coefficients)."""
-        self._check_fitted("beta_")
-        assert self.beta_ is not None
-        return np.flatnonzero(np.abs(self.beta_) > 1e-12)

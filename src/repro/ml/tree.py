@@ -418,7 +418,3 @@ class DecisionTreeRegressor(Estimator):
                 return depth
             frontier = np.concatenate([flat.left[inner], flat.right[inner]])
             depth += 1
-
-    def n_leaves(self) -> int:
-        """Number of leaves in the fitted tree."""
-        return int(np.count_nonzero(self.flat_tree().feature < 0))

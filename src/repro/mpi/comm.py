@@ -84,10 +84,6 @@ class SimulatedComm:
         """Number of ranks."""
         return len(self.gpus)
 
-    def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self.size:
-            raise ValidationError(f"rank {rank} out of range (size {self.size})")
-
     # ---------------------------------------------------------------- faults
 
     def _check_faults(self, t: float) -> None:
@@ -147,35 +143,6 @@ class SimulatedComm:
             gpu.clock.advance_to(t)
         self._record_collective("barrier", t0, t)
         return t
-
-    def send_recv(self, src: int, dst: int, nbytes: float) -> float:
-        """Blocking transfer ``src → dst``; returns completion time.
-
-        The receiver completes at ``max(t_src, t_dst) + transfer``; the
-        sender is released once the message is handed off (eager model) at
-        ``t_src + software overhead``.
-        """
-        self._check_rank(src)
-        self._check_rank(dst)
-        if src == dst:
-            raise ValidationError("send_recv needs distinct ranks")
-        t_src = self.gpus[src].clock.now
-        t_dst = self.gpus[dst].clock.now
-        self._check_faults(max(t_src, t_dst))
-        cost = self.network.transfer_time(
-            nbytes, self.node_of_rank[src], self.node_of_rank[dst]
-        ) * self._link_factor(max(t_src, t_dst))
-        done = max(t_src, t_dst) + cost
-        self.comm_time_s[dst] += done - t_dst
-        self.gpus[dst].clock.advance_to(done)
-        sender_done = t_src + self.network.software_overhead_s
-        if sender_done > self.gpus[src].clock.now:
-            self.comm_time_s[src] += sender_done - t_src
-            self.gpus[src].clock.advance_to(sender_done)
-        self._record_collective(
-            "sendrecv", max(t_src, t_dst), done, src=src, dst=dst, nbytes=nbytes
-        )
-        return done
 
     def allreduce(self, nbytes: float) -> float:
         """Ring allreduce over all ranks; returns the completion time."""

@@ -226,10 +226,6 @@ class Tracer:
             out[ev.category] = out.get(ev.category, 0) + 1
         return dict(sorted(out.items()))
 
-    def open_spans(self) -> list[Span]:
-        """Spans not yet closed (should be empty after a finished run)."""
-        return [sp for sp in self.spans if sp.t1 is None]
-
 
 class NullTracer(Tracer):
     """Recording-free tracer: every method is (amortized) allocation-free."""

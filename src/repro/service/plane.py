@@ -123,14 +123,6 @@ class SchedulingService:
         )
         return tenant
 
-    def pending_count(self, name: str) -> int:
-        """Admitted-but-undrained submissions for one tenant."""
-        return len(self._pending[name])
-
-    def energy_of(self, name: str) -> float:
-        """Accounted modeled kernel energy (J) for one tenant."""
-        return self._energy_j[name]
-
     # ----------------------------------------------------------- admission
 
     def submit(

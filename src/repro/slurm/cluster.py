@@ -151,11 +151,6 @@ class Cluster:
             cluster.attach_faults(fault_plan.injector(trace=trace))
         return cluster
 
-    @property
-    def total_gpus(self) -> int:
-        """Total boards across the cluster."""
-        return sum(n.gpu_count for n in self.nodes)
-
     def idle_nodes(self) -> list[Node]:
         """Nodes with no running job."""
         return [n for n in self.nodes if n.idle]

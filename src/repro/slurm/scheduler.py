@@ -292,20 +292,3 @@ class Scheduler:
             for gpu in node.gpus:
                 total += gpu.energy_between(job.start_time_s, job.end_time_s)
         return total
-
-    def job_report(self, job_id: int) -> dict[str, object]:
-        """``sacct``-style summary for one job."""
-        if job_id not in self.jobs:
-            raise ConfigurationError(f"unknown job id {job_id}")
-        job = self.jobs[job_id]
-        return {
-            "job_id": job.job_id,
-            "name": job.spec.name,
-            "state": job.state.value,
-            "nodes": [n.name for n in job.nodes],
-            "elapsed_s": job.elapsed_s,
-            "gpu_energy_j": job.gpu_energy_j,
-            "error": job.error,
-            "requeued_as": job.requeued_as,
-            "requeue_of": job.requeue_of,
-        }

@@ -390,7 +390,10 @@ BAD_INPUTS = {
     "compile-bundle": ["compile", "--bundle", "{tmp}/missing.json",
                        "--benchmarks", "gemm"],
     "train-stride": ["train", "--out", "{tmp}/bundle.json", "--stride", "0"],
+    "train-random-count": ["train", "--out", "{tmp}/bundle.json",
+                           "--random-count", "-1"],
     "distributed-ranks": ["distributed", "--ranks", "0"],
+    "distributed-sla-nan": ["distributed", "--sla", "nan"],
     "serve-tenants": ["serve", "--tenants", "0"],
     "serve-submissions": ["serve", "--submissions", "0"],
     "serve-partitions": ["serve", "--partitions", "0"],

@@ -99,8 +99,8 @@ def test_reset_when_already_default_is_free(v100):
 
 def test_supported_tables_from_backend(v100):
     scaler = FrequencyScaler(v100)
-    assert scaler.supported_core_freqs() == NVIDIA_V100.core_freqs_mhz
-    assert scaler.supported_mem_freqs() == NVIDIA_V100.mem_freqs_mhz
+    assert scaler.backend.supported_core_freqs() == NVIDIA_V100.core_freqs_mhz
+    assert scaler.backend.supported_mem_freqs() == NVIDIA_V100.mem_freqs_mhz
 
 
 def test_negative_overhead_rejected(v100):

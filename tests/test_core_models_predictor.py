@@ -62,25 +62,6 @@ class TestTrainingSet:
         with pytest.raises(ValidationError):
             build_training_set(NVIDIA_V100, [])
 
-    def test_merge(self, kernels):
-        freqs = NVIDIA_V100.core_freqs_mhz[::32]
-        a = build_training_set(NVIDIA_V100, kernels[:2], core_freqs_mhz=freqs)
-        b = build_training_set(NVIDIA_V100, kernels[2:], core_freqs_mhz=freqs)
-        merged = a.merged_with(b)
-        assert merged.n_samples == a.n_samples + b.n_samples
-
-    def test_merge_device_mismatch(self, kernels):
-        from repro.hw.specs import AMD_MI100
-
-        a = build_training_set(
-            NVIDIA_V100, kernels[:1], core_freqs_mhz=NVIDIA_V100.core_freqs_mhz[::32]
-        )
-        b = build_training_set(
-            AMD_MI100, kernels[:1], core_freqs_mhz=AMD_MI100.core_freqs_mhz
-        )
-        with pytest.raises(ValidationError):
-            a.merged_with(b)
-
 
 class TestExpandDesign:
     def test_column_count(self):

@@ -239,7 +239,7 @@ class TestGraphDerivation:
     def test_rank_kernels_matches_kernel_nodes(self, stencil):
         _, graph, _, _ = stencil
         per_rank = graph.rank_kernels()
-        assert sum(len(ks) for ks in per_rank) == len(graph.kernel_nodes())
+        assert sum(len(ks) for ks in per_rank) == graph.counts()[KERNEL]
         # Edge ranks carry the boundary kernel; interior ranks don't.
         names0 = {k.name for k in per_rank[0]}
         names_mid = {k.name for k in per_rank[2]}
@@ -388,6 +388,8 @@ class TestGlobalPlanner:
         k = _kernel("sobel3")
         with pytest.raises(ConfigurationError):
             plan_global_frequencies(SPEC, [[k]], sla_factor=0.5)
+        with pytest.raises(ConfigurationError):
+            plan_global_frequencies(SPEC, [[k]], sla_factor=float("nan"))
         with pytest.raises(ConfigurationError):
             plan_global_frequencies(SPEC, [])
         with pytest.raises(ConfigurationError):

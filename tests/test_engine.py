@@ -742,7 +742,7 @@ class TestFaultFallbacks:
         )
         assert result.fallback is None
         assert queue.scaler.retry_count == 0
-        assert gpu.fault_injector.total_faults == 0
+        assert not gpu.fault_injector.log.faults
 
 
 # ------------------------------------------------------- columnar records

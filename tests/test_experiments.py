@@ -11,8 +11,10 @@ from repro.experiments.accuracy import (
     OBJECTIVE_ALGORITHMS,
     run_accuracy_analysis,
 )
+from repro.experiments import accuracy, characterization, scaling
 from repro.experiments.characterization import fine_vs_coarse
 from repro.experiments.report import format_table
+from repro.experiments.scaling import run_scaling_experiment
 from repro.experiments.sweep import sweep_kernel
 from repro.experiments.training import (
     ALGORITHM_NAMES,
@@ -156,3 +158,30 @@ class TestReport:
             format_table([], [])
         with pytest.raises(ValidationError):
             format_table(["a"], [[1, 2]])
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work ran before the inputs were checked")
+
+
+EMPTY_INPUTS = {
+    "fine-vs-coarse-no-kernels": lambda: fine_vs_coarse(NVIDIA_V100, [], MIN_ENERGY),
+    "accuracy-no-bundles": lambda: run_accuracy_analysis(NVIDIA_V100, bundles={}),
+    "accuracy-no-benchmarks": lambda: run_accuracy_analysis(
+        NVIDIA_V100, bundles={"Linear": None}, benchmarks=[]
+    ),
+    "scaling-no-gpu-counts": lambda: run_scaling_experiment(
+        CloverLeaf, bundle=None, gpu_counts=()
+    ),
+}
+
+
+@pytest.mark.parametrize("call", EMPTY_INPUTS.values(), ids=EMPTY_INPUTS.keys())
+def test_empty_inputs_rejected_before_any_work(call, monkeypatch):
+    """An empty input raises ValidationError before any sweep, fit or job."""
+    monkeypatch.setattr(characterization, "sweep_kernel", _no_work)
+    monkeypatch.setattr(accuracy, "sweep_kernel", _no_work)
+    monkeypatch.setattr(accuracy, "FrequencyPredictor", _no_work)
+    monkeypatch.setattr(scaling, "SynergyCompiler", _no_work)
+    with pytest.raises(ValidationError):
+        call()

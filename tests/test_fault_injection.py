@@ -89,7 +89,8 @@ class TestFaultPlan:
     def test_transient_nvml_plan(self):
         assert not transient_nvml_plan(0.0)
         plan = transient_nvml_plan(0.1, seed=3)
-        assert plan.for_site("nvml.set_clocks")[0].probability == 0.1
+        (spec,) = plan.specs
+        assert spec.site == "nvml.set_clocks" and spec.probability == 0.1
         with pytest.raises(ValidationError):
             transient_nvml_plan(1.5)
 
@@ -102,7 +103,7 @@ class TestInjectorMechanics:
         assert inj.fires("slurm.node_fail", 0.5) is None
         assert inj.fires("slurm.node_fail", 1.2) is not None
         assert inj.fires("slurm.node_fail", 1.3) is None  # count exhausted
-        assert inj.total_faults == 1
+        assert len(inj.log.faults) == 1
 
     def test_target_filtering(self):
         inj = FaultPlan(
@@ -138,7 +139,7 @@ class TestInjectorMechanics:
         assert inj.active("mpi.link_degraded", 1.5) is not None
         assert inj.active("mpi.link_degraded", 2.5) is not None
         assert inj.active("mpi.link_degraded", 3.5) is None  # window over
-        assert inj.total_faults == 1  # one window, one fault record
+        assert len(inj.log.faults) == 1  # one window, one fault record
 
     def test_first_active_matches_active_without_logging(self):
         """The pure query agrees with ``active`` on every time: half-open
@@ -445,6 +446,35 @@ class TestQueueResilience:
         summary = queue.summary()
         assert summary["degraded_kernels"] == 1.0
         assert summary["clock_retries"] > 0
+
+    def test_miniapp_reports_degraded_kernels(self, trained_bundle, monkeypatch):
+        """The app report counts what the rank queues' summaries flag."""
+        import repro.apps.miniapp as miniapp
+
+        queues = []
+
+        class RecordingQueue(SynergyQueue):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                queues.append(self)
+
+        monkeypatch.setattr(miniapp, "SynergyQueue", RecordingQueue)
+        plan = FaultPlan(specs=(FaultSpec(site="nvml.set_clocks", probability=1.0),))
+        gpus = [SimulatedGPU(NVIDIA_V100, index=i) for i in range(2)]
+        for gpu in gpus:
+            gpu.fault_injector = plan.injector()
+        app = CloverLeaf(steps=2)
+        compiled = SynergyCompiler(trained_bundle, NVIDIA_V100).compile(
+            list(app.timestep_kernels()), (MIN_EDP,)
+        )
+        report = app.run(
+            SimulatedComm(gpus, [0, 0]), target=MIN_EDP, plan=compiled.plan
+        )
+        assert len(queues) == 2
+        assert report.degraded_kernels > 0
+        assert report.degraded_kernels == sum(
+            q.summary()["degraded_kernels"] for q in queues
+        )
 
 
 # -------------------------------------------------------------- slurm + mpi

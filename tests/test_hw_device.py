@@ -383,7 +383,7 @@ class TestOperatingPointMemo:
             assert {r.core_mhz for r in records} == {
                 max(f for f in NVIDIA_V100.core_freqs_mhz if f <= 900)
             }
-            assert gpu.fault_injector.total_faults == 1
+            assert len(gpu.fault_injector.log.faults) == 1
 
     def test_per_event_run_leaves_cache_report_unchanged(self, compute_kernel):
         before = cache_report()

@@ -76,11 +76,6 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             NVIDIA_V100.validate_clocks(900, NVIDIA_V100.max_core_mhz)
 
-    def test_nearest_core_snaps(self):
-        nearest = NVIDIA_V100.nearest_core_mhz(1312.0)
-        assert nearest in NVIDIA_V100.core_freqs_mhz
-        assert abs(nearest - 1312) <= 4
-
     def test_bad_default_rejected(self):
         with pytest.raises(ConfigurationError):
             GPUSpec(

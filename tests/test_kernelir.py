@@ -1,15 +1,11 @@
 """Kernel IR: instruction mixes, kernels, the feature pass, micro-benchmarks."""
 
-import numpy as np
 import pytest
 
 from repro.common.errors import ValidationError
 from repro.kernelir.features import (
     FEATURE_NAMES,
-    N_FEATURES,
-    describe_features,
     extract_features,
-    feature_matrix,
 )
 from repro.kernelir.instructions import InstructionMix
 from repro.kernelir.kernel import KernelIR
@@ -33,13 +29,6 @@ class TestInstructionMix:
 
     def test_as_dict_order_matches_table1(self):
         assert tuple(InstructionMix().as_dict().keys()) == FEATURE_NAMES
-
-    def test_arithmetic_intensity(self):
-        mix = InstructionMix(float_add=8, gl_access=2)
-        assert mix.arithmetic_intensity(word_bytes=4) == pytest.approx(1.0)
-
-    def test_arithmetic_intensity_no_memory(self):
-        assert InstructionMix(float_add=8).arithmetic_intensity() == float("inf")
 
     def test_scaled(self):
         mix = InstructionMix(float_add=2, gl_access=1).scaled(3.0)
@@ -69,15 +58,6 @@ class TestKernelIR:
         )
         assert k.global_bytes == pytest.approx(10 * 100 * 4 * 0.5)
 
-    def test_arithmetic_intensity_post_locality(self):
-        k = KernelIR(
-            "k",
-            InstructionMix(float_add=8, gl_access=2),
-            work_items=10,
-            locality=0.5,
-        )
-        assert k.arithmetic_intensity == pytest.approx(8 * 10 / (2 * 10 * 4 * 0.5))
-
     def test_with_work_items(self):
         k = KernelIR("k", InstructionMix(gl_access=1), work_items=10)
         k2 = k.with_work_items(20)
@@ -97,7 +77,7 @@ class TestFeatureExtraction:
         )
         k = KernelIR("k", mix, work_items=64)
         vec = extract_features(k)
-        assert vec.shape == (N_FEATURES,)
+        assert vec.shape == (len(FEATURE_NAMES),)
         assert list(vec) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
 
     def test_launch_size_not_a_feature(self):
@@ -105,26 +85,6 @@ class TestFeatureExtraction:
         a = extract_features(KernelIR("a", mix, work_items=64))
         b = extract_features(KernelIR("b", mix, work_items=1 << 20))
         assert (a == b).all()
-
-    def test_feature_matrix(self):
-        ks = [
-            KernelIR("a", InstructionMix(float_add=1, gl_access=1), work_items=8),
-            KernelIR("b", InstructionMix(int_div=2, gl_access=1), work_items=8),
-        ]
-        M = feature_matrix(ks)
-        assert M.shape == (2, N_FEATURES)
-
-    def test_feature_matrix_empty(self):
-        assert feature_matrix([]).shape == (0, N_FEATURES)
-
-    def test_describe_features(self):
-        labels = describe_features(np.arange(10.0))
-        assert labels["int_add"] == 0.0
-        assert labels["loc_access"] == 9.0
-
-    def test_describe_wrong_length(self):
-        with pytest.raises(ValueError):
-            describe_features([1.0, 2.0])
 
 
 class TestMicrobenchGenerator:
@@ -153,6 +113,6 @@ class TestMicrobenchGenerator:
 
     def test_roofline_ramp_increases_intensity(self):
         ramp = MicrobenchGenerator().roofline_ramp(steps=6)
-        intensities = [k.mix.arithmetic_intensity() for k in ramp]
+        intensities = [k.mix.compute_ops / k.mix.gl_access for k in ramp]
         assert intensities == sorted(intensities)
         assert intensities[-1] > 4 * intensities[0]

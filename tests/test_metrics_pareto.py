@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.metrics.pareto import pareto_front_mask, pareto_points
+from repro.metrics.pareto import pareto_front_mask
 
 
 def test_single_point_is_optimal():
@@ -35,21 +35,14 @@ def test_classic_staircase():
     assert mask.tolist() == [True, False, True, True, True]
 
 
-def test_pareto_points_sorted_by_speedup():
-    speedup = np.array([1.1, 0.5, 0.9])
-    energy = np.array([1.0, 0.6, 0.65])
-    idx, s, e = pareto_points(speedup, energy)
-    assert list(s) == sorted(s)
-    assert set(idx.tolist()) <= {0, 1, 2}
-
-
 def test_front_energy_decreasing_as_speedup_decreases():
     rng = np.random.default_rng(0)
     speedup = rng.uniform(0.5, 1.2, 200)
     energy = rng.uniform(0.5, 1.2, 200)
-    _, s, e = pareto_points(speedup, energy)
+    mask = pareto_front_mask(speedup, energy)
+    order = np.argsort(speedup[mask])
     # Along the front, higher speedup must cost at least as much energy.
-    assert np.all(np.diff(e) >= 0)
+    assert np.all(np.diff(energy[mask][order]) >= 0)
 
 
 def test_shape_mismatch_rejected():

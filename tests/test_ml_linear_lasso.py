@@ -6,7 +6,7 @@ import pytest
 from repro.common.errors import ValidationError
 from repro.ml.base import r2_score
 from repro.ml.lasso import Lasso
-from repro.ml.linear import LinearRegression, Ridge
+from repro.ml.linear import LinearRegression
 
 
 @pytest.fixture
@@ -59,24 +59,6 @@ class TestLinearRegression:
         y = np.full(10, 5.0)
         model = LinearRegression().fit(X, y)
         assert np.allclose(model.predict(X), 5.0)
-
-
-class TestRidge:
-    def test_shrinks_vs_ols(self, linear_data):
-        X, y, _ = linear_data
-        ols = LinearRegression().fit(X, y)
-        ridge = Ridge(alpha=1000.0).fit(X, y)
-        assert np.linalg.norm(ridge.coef_) < np.linalg.norm(ols.coef_)
-
-    def test_alpha_zero_matches_ols(self, linear_data):
-        X, y, _ = linear_data
-        ols = LinearRegression().fit(X, y)
-        ridge = Ridge(alpha=0.0).fit(X, y)
-        assert np.allclose(ridge.coef_, ols.coef_, atol=1e-8)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValidationError):
-            Ridge(alpha=-1.0)
 
 
 class TestLasso:

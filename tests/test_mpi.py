@@ -80,22 +80,6 @@ class TestSimulatedComm:
         assert comm.comm_time_s[1] == pytest.approx(2.0)
         assert comm.comm_time_s[0] == pytest.approx(0.0)
 
-    def test_send_recv_orders_receiver(self):
-        comm = _make_comm(2)
-        done = comm.send_recv(0, 1, nbytes=1 << 20)
-        assert comm.gpus[1].clock.now == pytest.approx(done)
-        assert done > 0
-
-    def test_send_recv_same_rank_rejected(self):
-        comm = _make_comm(2)
-        with pytest.raises(ValidationError):
-            comm.send_recv(1, 1, 8)
-
-    def test_send_recv_rank_bounds(self):
-        comm = _make_comm(2)
-        with pytest.raises(ValidationError):
-            comm.send_recv(0, 5, 8)
-
     def test_allreduce_synchronizes_all(self):
         comm = _make_comm(4)
         comm.gpus[2].clock.advance(0.5)

@@ -132,17 +132,11 @@ class TestSweep2D:
         # Streaming kernels slow down dramatically at low memory clocks.
         assert core_top[0] > 3 * core_top[-1]
 
-    def test_min_energy_config_valid(self, kernel):
-        sweep = sweep_kernel_2d(NVIDIA_TITAN_X, kernel)
-        mem, core = sweep.min_energy_config()
-        assert mem in NVIDIA_TITAN_X.mem_freqs_mhz
-        assert core in NVIDIA_TITAN_X.core_freqs_mhz
-
     def test_max_perf_config_at_high_clocks(self):
         compute = KernelIR(
             "comp", InstructionMix(float_add=64, float_mul=64, gl_access=1),
             work_items=1 << 22,
         )
         sweep = sweep_kernel_2d(NVIDIA_TITAN_X, compute)
-        mem, core = sweep.max_perf_config()
-        assert core == NVIDIA_TITAN_X.max_core_mhz
+        _, j = np.unravel_index(int(np.argmin(sweep.time_s)), sweep.time_s.shape)
+        assert sweep.core_mhz[j] == NVIDIA_TITAN_X.max_core_mhz

@@ -51,7 +51,6 @@ class TestTracerProperties:
     @settings(max_examples=80)
     def test_spans_close_and_have_nonnegative_duration(self, ops):
         tracer = _run_workload(ops)
-        assert tracer.open_spans() == []
         for sp in tracer.spans:
             assert sp.t1 is not None
             assert sp.t1 >= sp.t0 >= 0.0

@@ -15,7 +15,7 @@ from repro.core.persistence import (
 )
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.lasso import Lasso
-from repro.ml.linear import LinearRegression, Ridge
+from repro.ml.linear import LinearRegression
 from repro.ml.serialization import deserialize_estimator, serialize_estimator
 from repro.ml.svr import SVR
 from repro.ml.tree import DecisionTreeRegressor
@@ -33,7 +33,6 @@ def data():
     "factory",
     [
         LinearRegression,
-        lambda: Ridge(alpha=0.5),
         lambda: Lasso(alpha=0.001),
         lambda: DecisionTreeRegressor(max_depth=6),
         lambda: RandomForestRegressor(n_estimators=8, seed=3),
@@ -131,7 +130,7 @@ def test_v1_tree_dict_loads_and_predicts_its_structure():
     tree = deserialize_estimator(payload)
     X = [[0.0, -1.0], [1.5, 0.0], [1.0, 2.0], [1.6, -5.0], [9.0, 9.0]]
     assert tree.predict(X).tolist() == [10.0, 10.0, 20.0, 30.0, 30.0]
-    assert (tree.depth(), tree.n_leaves()) == (2, 3)
+    assert (tree.depth(), int(np.count_nonzero(tree.flat_tree().feature < 0))) == (2, 3)
     assert serialize_estimator(tree) == payload
     stump = {"type": "DecisionTreeRegressor", "n_features": 2, "root": {"value": 4.0}}
     forest = deserialize_estimator(

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.metrics.energy import ed2p, edp
-from repro.metrics.pareto import pareto_front_mask, pareto_points
+from repro.metrics.pareto import pareto_front_mask
 from repro.metrics.targets import EnergyTarget, TargetKind
 from repro.metrics.tradeoff import energy_saving_index, performance_loss_index
 
@@ -35,9 +35,10 @@ class TestParetoProperties:
     @settings(max_examples=60)
     def test_front_points_mutually_nondominating(self, sweep):
         speedup, energy, _ = sweep
-        idx, s, e = pareto_points(speedup, energy)
-        for i in range(len(idx)):
-            for j in range(len(idx)):
+        mask = pareto_front_mask(speedup, energy)
+        s, e = speedup[mask], energy[mask]
+        for i in range(len(s)):
+            for j in range(len(s)):
                 if i == j:
                     continue
                 strictly_dominates = (
@@ -59,12 +60,12 @@ class TestParetoProperties:
     @settings(max_examples=60)
     def test_adding_dominated_point_preserves_front(self, sweep):
         speedup, energy, _ = sweep
-        idx, s, e = pareto_points(speedup, energy)
+        mask = pareto_front_mask(speedup, energy)
         # Append a clearly dominated point.
         speedup2 = np.append(speedup, speedup.min() / 2)
         energy2 = np.append(energy, energy.max() * 2)
-        idx2, s2, e2 = pareto_points(speedup2, energy2)
-        assert set(map(tuple, zip(s2, e2))) == set(map(tuple, zip(s, e)))
+        mask2 = pareto_front_mask(speedup2, energy2)
+        assert mask2.tolist() == mask.tolist() + [False]
 
 
 class TestTradeoffProperties:

@@ -97,7 +97,7 @@ class TestMLProperties:
     @settings(max_examples=30, deadline=None)
     def test_scaler_roundtrip(self, X):
         scaler = StandardScaler().fit(X)
-        back = scaler.inverse_transform(scaler.transform(X))
+        back = scaler.transform(X) * scaler.scale_ + scaler.mean_
         assert np.allclose(back, X, atol=1e-8)
 
     @given(st.integers(min_value=1, max_value=6))

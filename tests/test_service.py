@@ -103,24 +103,24 @@ def test_quota_conservation(setup, ops):
         if op == "drain":
             t += 1.0
             service.drain(t)
-            assert all(service.pending_count(x.name) == 0 for x in tenants)
+            assert all(service.tenant_report(x.name)["pending"] == 0 for x in tenants)
             continue
         ti, ki = op
         tenant = tenants[ti]
-        before = service.pending_count(tenant.name)
+        before = service.tenant_report(tenant.name)["pending"]
         decision = service.submit(tenant.name, kernels[ki], t)
         if before >= tenant.quota:
             assert not decision
             assert decision.reason is RejectReason.QUOTA_EXCEEDED
         else:
             assert decision
-        assert service.pending_count(tenant.name) <= tenant.quota
+        assert service.tenant_report(tenant.name)["pending"] <= tenant.quota
     # The fold re-derives state from the log alone and raises if any
     # admit/drain event ever violated the quota.
     folded = fold_events(service.store.events)
     for tenant in tenants:
         st_ = folded[tenant.name]
-        assert st_["pending"] == service.pending_count(tenant.name)
+        assert st_["pending"] == service.tenant_report(tenant.name)["pending"]
         assert st_["admitted"] == st_["pending"] + st_["drained"]
 
 
@@ -177,7 +177,7 @@ def test_priority_non_starvation(setup, n_subs, seed):
     service.drain(1.0)
     folded = fold_events(service.store.events)
     for tenant in tenants:
-        assert service.pending_count(tenant.name) == 0
+        assert service.tenant_report(tenant.name)["pending"] == 0
         assert folded[tenant.name]["drained"] == folded[tenant.name]["admitted"]
     # Within each (shard, cycle), batches drain in priority-band order.
     bands = {t.name: t.priority for t in tenants}
@@ -208,7 +208,7 @@ def test_batch_order_permutation_invariance(setup, subs, perm_seed):
         for ti, ki in order:
             service.submit(TENANT_NAMES[ti], kernels[ki], 0.0)
         service.drain(1.0)
-        return {x.name: service.energy_of(x.name) for x in tenants}
+        return {x.name: service.tenant_report(x.name)["energy_j"] for x in tenants}
 
     rng = make_rng(perm_seed)
     permuted = [subs[i] for i in rng.permutation(len(subs))]
@@ -284,7 +284,7 @@ class TestAdmission:
         service = _make_service(setup, [tenant])
         assert service.submit("alpha", kernels[0], 0.0)
         service.drain(1.0)
-        assert service.energy_of("alpha") > 1e-6
+        assert service.tenant_report("alpha")["energy_j"] > 1e-6
         decision = service.submit("alpha", kernels[0], 2.0)
         assert not decision
         assert decision.reason is RejectReason.ENERGY_BUDGET_EXHAUSTED

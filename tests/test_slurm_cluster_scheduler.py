@@ -38,7 +38,6 @@ def _work_payload(context):
 class TestCluster:
     def test_topology(self, cluster):
         assert len(cluster.nodes) == 3
-        assert cluster.total_gpus == 12
         assert all(n.gpu_count == 4 for n in cluster.nodes)
 
     def test_production_posture(self, cluster):
@@ -137,14 +136,6 @@ class TestScheduler:
         t0 = cluster.clock.now
         scheduler.submit(JobSpec(name="t", n_nodes=1, payload=_work_payload))
         assert cluster.clock.now > t0
-
-    def test_job_report(self, scheduler):
-        job = scheduler.submit(JobSpec(name="r", n_nodes=2, payload=_work_payload))
-        report = scheduler.job_report(job.job_id)
-        assert report["state"] == "COMPLETED"
-        assert len(report["nodes"]) == 2
-        with pytest.raises(ConfigurationError):
-            scheduler.job_report(999)
 
     def test_exclusive_flag_propagates(self, scheduler):
         seen = {}
