@@ -24,7 +24,6 @@ from repro.analysis.footprints import (
     analyze_bounds,
     analyze_kernel_cfg,
     analyze_races,
-    footprint,
     iter_reduced_accesses,
 )
 from repro.analysis.graphaudit import (
@@ -47,7 +46,6 @@ __all__ = [
     "analyze_bounds",
     "analyze_kernel_cfg",
     "analyze_races",
-    "footprint",
     "iter_reduced_accesses",
     "GraphAudit",
     "TimedAccess",

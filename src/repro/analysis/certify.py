@@ -124,14 +124,11 @@ def certify_graph(
     Pass a MAX_PERF-plan certificate as ``baseline`` to statically prove
     the global SLA bound ``completion ≤ sla_factor × baseline``.
     """
-    from repro.hw.device import SimulatedGPU
-
     from repro.engine.executor import operating_table
 
     if boot not in ("default", "unknown"):
         raise ValidationError(f"unknown boot mode {boot!r}")
     oh = DEFAULT_SWITCH_OVERHEAD_S
-    probe = SimulatedGPU(spec)  # table lookups only; never executes
     tables: dict[tuple[int, int], tuple] = {}
     core_index = {int(f): i for i, f in enumerate(spec.core_freqs_mhz)}
 
@@ -160,7 +157,7 @@ def certify_graph(
         key = (id(kernel), mem)
         tab = tables.get(key)
         if tab is None:
-            tab = operating_table(probe, kernel, float(mem))
+            tab = operating_table(spec, kernel, float(mem))
             tables[key] = tab
         try:
             ci = core_index[int(core)]

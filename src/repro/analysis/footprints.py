@@ -136,22 +136,6 @@ def iter_reduced_accesses(cfg: KernelCFG, *, combo_cap: int = COMBO_CAP):
                 yield ReducedAccess(access=access, env=combo, dims=tuple(dims))
 
 
-def footprint(
-    cfg: KernelCFG, id_value: int, *, combo_cap: int = COMBO_CAP
-) -> set[tuple[str, bool, tuple[int, ...]]]:
-    """The concrete elements one work item provably touches.
-
-    Returns ``{(array, is_store, index_tuple)}`` with every reducible
-    access evaluated at ``id = id_value`` — the shape the concrete
-    -enumeration oracle in the property tests compares against.
-    """
-    out: set[tuple[str, bool, tuple[int, ...]]] = set()
-    for red in iter_reduced_accesses(cfg, combo_cap=combo_cap):
-        idx = tuple(coeff * id_value + const for coeff, const in red.dims)
-        out.add((red.access.array, red.access.is_store, idx))
-    return out
-
-
 # ------------------------------------------------------------ conflict solve
 
 

@@ -2,7 +2,7 @@
 
 Every certificate bound is an :class:`Interval` ``[lo, hi]``. The
 operations used by the static executor walk (addition, scaling by a
-non-negative factor, max, hull) are all monotone, so evaluating the
+non-negative factor, max) are all monotone, so evaluating the
 execution recurrence once at every interval's lower endpoint and once at
 the upper endpoint yields sound bounds — the classic endpoint argument
 for monotone dataflow. ``contains`` applies the certification plane's
@@ -56,10 +56,6 @@ class Interval:
 
     def max(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
-
-    def hull(self, other: "Interval") -> "Interval":
-        """Smallest interval containing both."""
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def contains(self, x: float) -> bool:
         """Whether ``x`` lies inside, up to :data:`CONTAINS_RTOL` slack."""

@@ -18,8 +18,3 @@ MHZ: float = 1.0e6
 def mhz_to_hz(mhz: float) -> float:
     """Convert a frequency in MHz to Hz."""
     return float(mhz) * MHZ
-
-
-def joules(power_watts: float, duration_s: float) -> float:
-    """Energy (J) of a constant draw ``power_watts`` over ``duration_s``."""
-    return float(power_watts) * float(duration_s)

@@ -27,17 +27,16 @@ table per launch.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.common.clock import VirtualClock
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.core.compiler import GlobalFrequencyPlan
 from repro.distributed.graph import GATHER_CODE, HALO_CODE, KERNEL_CODE, CommandGraph
-from repro.hw.device import SimulatedGPU
 from repro.hw.specs import GPUSpec
-from repro.mpi.comm import SimulatedComm
+from repro.mpi.comm import BoardState, Boards, SimulatedComm
 
 
 def build_comm(
@@ -52,17 +51,20 @@ def build_comm(
     Each rank gets its own virtual clock (ranks progress independently
     between collectives); ranks pack onto nodes ``ranks_per_node`` at a
     time, which the network model prices (intra-node vs inter-node vs
-    inter-group links).
+    inter-group links). The boards are a :class:`~repro.mpi.comm.Boards`
+    sequence: rank ``r``'s ``SimulatedGPU`` is built the first time
+    something reads ``comm.gpus[r]``, and a batched graph run reads none
+    (it reads :meth:`~repro.mpi.comm.SimulatedComm.board_state`).
     """
+    for name, value in (("n_ranks", n_ranks), ("ranks_per_node", ranks_per_node)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer ({value!r})")
     if n_ranks <= 0:
         raise ValidationError(f"need at least one rank ({n_ranks})")
     if ranks_per_node <= 0:
         raise ValidationError(f"ranks_per_node must be positive ({ranks_per_node})")
-    gpus = [
-        SimulatedGPU(spec, clock=VirtualClock(), index=r) for r in range(n_ranks)
-    ]
     node_of_rank = [r // ranks_per_node for r in range(n_ranks)]
-    return SimulatedComm(gpus, node_of_rank, injector=injector)
+    return SimulatedComm(Boards(spec, n_ranks), node_of_rank, injector=injector)
 
 
 @dataclass(frozen=True)
@@ -110,13 +112,16 @@ class ExecutionResult:
         }
 
 
-def _check_plan(graph: CommandGraph, comm: SimulatedComm, plan: GlobalFrequencyPlan) -> None:
+def _check_plan(
+    graph: CommandGraph, comm: SimulatedComm, plan: GlobalFrequencyPlan
+) -> BoardState:
     """Reject a run whose inputs disagree, before any node runs.
 
     A communicator of another size is a :class:`ValidationError` (the
     graph and the boards disagree); a plan made for another device or
     another rank count is a :class:`ConfigurationError`, as for
-    :meth:`repro.slurm.scheduler.Scheduler.submit`.
+    :meth:`repro.slurm.scheduler.Scheduler.submit`. Returns the boards'
+    state, read as arrays without building a board.
     """
     if comm.size != graph.n_ranks:
         raise ValidationError(
@@ -127,12 +132,16 @@ def _check_plan(graph: CommandGraph, comm: SimulatedComm, plan: GlobalFrequencyP
             f"plan covers {len(plan.rank_clocks)} ranks; graph spans "
             f"{graph.n_ranks}"
         )
-    for r, gpu in enumerate(comm.gpus):
-        if gpu.spec.name != plan.device_name:
-            raise ConfigurationError(
-                f"plan is for {plan.device_name}; rank {r} runs on "
-                f"{gpu.spec.name}"
-            )
+    state = comm.board_state()
+    wrong = np.asarray([s.name != plan.device_name for s in state.specs])
+    foreign = wrong[state.spec_index]
+    if foreign.any():
+        r = int(np.argmax(foreign))
+        raise ConfigurationError(
+            f"plan is for {plan.device_name}; rank {r} runs on "
+            f"{state.specs[state.spec_index[r]].name}"
+        )
+    return state
 
 
 def run_graph_scalar(
@@ -230,18 +239,20 @@ def run_graph(
     throttled clock by one exact memo lookup per (kernel, ceiling, memory
     clock, cap).
 
-    The batched path is a pure computation — it leaves the communicator's
-    devices untouched — while the scalar path commits events, records and
-    clock advances to them, exactly like the single-queue engine's
-    fallback. Differential parity between the two is part of the
-    validation plane.
+    The plan check and the power-cap test read the boards' state as
+    arrays (:meth:`~repro.mpi.comm.SimulatedComm.board_state`), so they
+    build no board. The batched path is a pure computation over those
+    arrays — it builds and changes no board — while the scalar path
+    reads every board, and commits events, records and clock advances to
+    them, exactly like the single-queue engine's fallback. Differential
+    parity between the two is part of the validation plane.
     """
     from repro.engine.multirank import execute_graph_batched
 
-    _check_plan(graph, comm, plan)
+    state = _check_plan(graph, comm, plan)
     if comm.injector is not None:
         fallback = "faults"
-    elif any(g.power_limit_w < g.default_power_limit_w for g in comm.gpus):
+    elif (state.power_limit_w < state.default_power_limit_w).any():
         fallback = "powercap"
     else:
         return execute_graph_batched(graph, comm, plan)

@@ -68,6 +68,7 @@ import numpy as np
 from repro.common.errors import ValidationError
 from repro.core.sweepcache import core_table, resolve_cache
 from repro.engine.batch import KernelBatch
+from repro.hw.cache import models_for
 from repro.hw.records import RecordBlock
 from repro.metrics.targets import EnergyTarget
 from repro.sycl.event import Event, EventBlock, EventLog
@@ -153,23 +154,24 @@ def _submit_one(queue: "SynergyQueue", kernel, clocks) -> Event:
     return queue.submit(int(clocks[0]), int(clocks[1]), cgf)
 
 
-def operating_table(gpu, kernel, mem_mhz: float):
+def operating_table(spec, kernel, mem_mhz: float):
     """Timing/power columns over the full core table at one memory clock.
 
     Returns read-only ``(time_s, u_core, u_mem, power_w)`` arrays aligned
     with ``spec.core_freqs_mhz``, memoized in the keyed sweep cache (one
-    lookup per call). The columns depend only on the device *spec*
-    (timing/power models are shared per spec), so the single-queue fast
-    path and the multi-rank graph engine (:mod:`repro.engine.multirank`)
-    share cache entries.
+    lookup per call). The columns depend only on the device *spec* (its
+    boards share the spec's timing/power models), so the single-queue
+    fast path and the multi-rank graph engine
+    (:mod:`repro.engine.multirank`) share cache entries, and neither
+    needs a board to read them.
     """
-    spec = gpu.spec
 
     def compute():
+        timing_model, power_model = models_for(spec)
         table = core_table(spec).mhz_float
-        timing = gpu.timing_model.sweep(kernel, table, float(mem_mhz))
+        timing = timing_model.sweep(kernel, table, float(mem_mhz))
         power = np.asarray(
-            gpu.power_model.power(
+            power_model.power(
                 table,
                 float(mem_mhz),
                 timing.core_power_utilization,
@@ -298,7 +300,7 @@ def _choose_operating_points(
     gpu = queue.device.gpu
     table = core_table(gpu.spec).mhz
     group_of = decoded.group_of
-    tables = [operating_table(gpu, k, float(m)) for k, m in decoded.members]
+    tables = [operating_table(gpu.spec, k, float(m)) for k, m in decoded.members]
     time_mat = np.stack([t[0] for t in tables])
     u_core_mat = np.stack([t[1] for t in tables])
     u_mem_mat = np.stack([t[2] for t in tables])

@@ -25,9 +25,10 @@ Communication costs were computed once at graph build and are shared
 with the scalar path, so comm timelines agree bitwise; kernel physics
 agree within rel 1e-12 (the vectorized sweep vs scalar ``execute``, the
 same contract as the single-queue engine). The whole computation is
-*pure* — boards, queues and clocks are left untouched — which is what
-lets the weak-scaling benchmark sweep thousands of ranks in milliseconds
-and the differential harness replay both paths on one communicator.
+*pure* — boards, queues and clocks are left untouched, and unbuilt
+boards stay unbuilt — which is what lets the weak-scaling benchmark
+sweep thousands of ranks in milliseconds and the differential harness
+replay both paths on one communicator.
 """
 
 from __future__ import annotations
@@ -71,15 +72,20 @@ def execute_graph_batched(
     for this device and rank count. Every kernel of rank ``r`` runs at
     ``plan.rank_clocks[r]``, the rank-uniform clocks
     :func:`~repro.core.compiler.plan_global_frequencies` plans.
+
+    The boards' clocks and ``clock.now`` come from
+    :meth:`~repro.mpi.comm.SimulatedComm.board_state`, as arrays, so the
+    run builds no board that ``build_comm`` left unbuilt, and the
+    operating tables are read by spec.
     """
     from repro.distributed.runner import ExecutionResult
 
-    gpus = comm.gpus
     if comm.size != graph.n_ranks:
         raise ValidationError(
             f"graph spans {graph.n_ranks} ranks; communicator has {comm.size}"
         )
-    spec = gpus[0].spec
+    state = comm.board_state()
+    spec = state.specs[state.spec_index[0]]
     oh = DEFAULT_SWITCH_OVERHEAD_S
     kind = graph.kind
     rank = graph.rank
@@ -109,9 +115,7 @@ def execute_graph_batched(
         at_mem = kmem == mem
         for code in np.unique(kcodes[at_mem]).tolist():
             members = at_mem & (kcodes == code)
-            tab = operating_table(
-                gpus[int(kranks[np.argmax(members)])], table[code], float(mem)
-            )
+            tab = operating_table(spec, table[code], float(mem))
             ci = ci_r[kranks[members]]
             time_of[knids[members]] = tab[0][ci]
             power_of[knids[members]] = tab[3][ci]
@@ -122,8 +126,7 @@ def execute_graph_batched(
     by_rank = kranks[order]
     first = np.ones(by_rank.size, dtype=bool)
     first[1:] = by_rank[1:] != by_rank[:-1]
-    board_mem = np.asarray([g.mem_mhz for g in gpus], dtype=np.int64)
-    board_core = np.asarray([g.core_mhz for g in gpus], dtype=np.int64)
+    board_mem, board_core = state.mem_mhz, state.core_mhz
     req_mem, req_core = mem_r[by_rank], core_r[by_rank]
     prev_mem = np.where(first, board_mem[by_rank], np.roll(req_mem, 1))
     prev_core = np.where(first, board_core[by_rank], np.roll(req_core, 1))
@@ -133,7 +136,7 @@ def execute_graph_batched(
     # --- the wave walk ---------------------------------------------------
     finish = np.zeros(n + 1)  # slot n: padding sentinel, reads 0.0
     start_s = np.zeros(n)
-    clock_now = np.asarray([g.clock.now for g in gpus])
+    clock_now = state.now_s
     rank_energy = np.zeros(comm.size)
     cost = graph.cost_s
     wave = graph.wave

@@ -119,11 +119,6 @@ class FaultLog:
         """Injected faults only, in injection order."""
         return tuple(e for e in self.entries if e.kind == "fault")
 
-    @property
-    def recoveries(self) -> tuple[FaultRecord, ...]:
-        """Recovery actions only, in order."""
-        return tuple(e for e in self.entries if e.kind == "recovery")
-
     def counts(self) -> dict[str, int]:
         """Injected-fault count per site."""
         out: dict[str, int] = {}

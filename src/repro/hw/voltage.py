@@ -52,6 +52,11 @@ class VoltageCurve:
         if self.gamma <= 0:
             raise ConfigurationError(f"gamma must be positive ({self.gamma!r})")
 
+    def _clip(self, f_mhz):
+        # ``np.clip``'s values without its wrapper's per-call cost: each
+        # ``normalized_v2f`` clips twice, once itself and once in ``voltage``.
+        return np.minimum(np.maximum(f_mhz, self.f_min_mhz), self.f_max_mhz)
+
     def voltage(self, f_mhz: float | np.ndarray) -> float | np.ndarray:
         """Voltage (V) at core frequency ``f_mhz``.
 
@@ -59,12 +64,9 @@ class VoltageCurve:
         outside their tables, but model-search code may probe continuous
         frequencies in between.
         """
-        f = np.clip(f_mhz, self.f_min_mhz, self.f_max_mhz)
+        f = self._clip(f_mhz)
         x = (f - self.f_min_mhz) / (self.f_max_mhz - self.f_min_mhz)
-        v = self.v_min + (self.v_max - self.v_min) * np.power(x, self.gamma)
-        if np.isscalar(f_mhz):
-            return float(v)
-        return v
+        return self.v_min + (self.v_max - self.v_min) * np.power(x, self.gamma)
 
     def normalized_v2f(self, f_mhz: float | np.ndarray) -> float | np.ndarray:
         """Dynamic-power scale factor ``(V(f)/V_max)² · (f/f_max)``.
@@ -72,10 +74,8 @@ class VoltageCurve:
         Equals 1 at the top of the table; this is the factor the core-domain
         dynamic power is multiplied by.
         """
-        f = np.clip(f_mhz, self.f_min_mhz, self.f_max_mhz)
-        x = (f - self.f_min_mhz) / (self.f_max_mhz - self.f_min_mhz)
-        v = self.v_min + (self.v_max - self.v_min) * np.power(x, self.gamma)
-        scale = (v / self.v_max) ** 2 * (f / self.f_max_mhz)
+        f = self._clip(f_mhz)
+        scale = (self.voltage(f) / self.v_max) ** 2 * (f / self.f_max_mhz)
         if np.isscalar(f_mhz):
             return float(scale)
         return scale

@@ -19,21 +19,106 @@ by ``1/param`` for the fault window without aborting anything.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from repro.common.clock import VirtualClock
 from repro.common.errors import ValidationError
+from repro.common.lazyseq import LazyRows
 from repro.faults import FaultInjector, NodeFailure, RankFailure
+from repro.hw.cache import models_for
 from repro.hw.device import SimulatedGPU
+from repro.hw.specs import GPUSpec
 from repro.mpi.network import NetworkModel
 from repro.obs.session import TraceSession, resolve_trace
 
 
+class Boards(LazyRows):
+    """One board per rank; rank ``r``'s board is built on first read.
+
+    ``Boards(spec, n)`` makes ``SimulatedGPU(spec, VirtualClock(),
+    index=r)`` the first time someone reads rank ``r``. Each rank gets
+    its own fresh clock and its own index, so a board built late is the
+    board an eager build would have made. ``Boards.of(gpus)`` holds
+    boards that are already built (a job's allocation). Slicing returns
+    a list, and a rank's board can be replaced by item assignment.
+    """
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: GPUSpec, n: int) -> None:
+        super().__init__(n)
+        self.spec = spec
+
+    @classmethod
+    def of(cls, gpus) -> Boards:
+        """Built boards, one per rank in order."""
+        gpus = list(gpus)
+        boards = cls(gpus[0].spec if gpus else None, len(gpus))
+        boards._rows, boards._unbuilt = gpus, 0
+        return boards
+
+    def _build(self, i: int) -> SimulatedGPU:
+        return SimulatedGPU(self.spec, VirtualClock(), index=i)
+
+    def _build_all(self) -> list:
+        return [self._build(i) for i in range(len(self))]
+
+    def _release(self) -> None:
+        pass  # boards are built from the spec alone: nothing to drop
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return super().__getitem__(i)
+
+    def __setitem__(self, i: int, gpu: SimulatedGPU) -> None:
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("board index out of range")
+        if self._rows is None:
+            self._rows = [None] * n
+        if self._rows[i] is None:
+            self._unbuilt -= 1
+        self._rows[i] = gpu
+
+    def built_boards(self) -> list[tuple[int, SimulatedGPU]]:
+        """``(rank, board)`` for each board built so far, in rank order."""
+        if not self.built:
+            return []
+        return [(r, g) for r, g in enumerate(self._rows) if g is not None]
+
+
+@dataclass(frozen=True)
+class BoardState:
+    """Per-rank board state as arrays (:meth:`SimulatedComm.board_state`).
+
+    Rank ``r`` runs on ``specs[spec_index[r]]``.
+    """
+
+    mem_mhz: np.ndarray
+    core_mhz: np.ndarray
+    now_s: np.ndarray
+    power_limit_w: np.ndarray
+    default_power_limit_w: np.ndarray
+    specs: tuple[GPUSpec, ...]
+    spec_index: np.ndarray
+
+
 class SimulatedComm:
-    """An MPI_COMM_WORLD over a list of GPUs (one rank per board)."""
+    """An MPI_COMM_WORLD over a sequence of GPUs (one rank per board).
+
+    ``gpus`` is a :class:`Boards` sequence, or the built boards
+    themselves. The communicator keeps them as :class:`Boards`, so a
+    rank's board is built only when something reads it.
+    """
 
     def __init__(
         self,
-        gpus: list[SimulatedGPU],
+        gpus: Boards | list[SimulatedGPU],
         node_of_rank: list[int],
         node_names: list[str] | None = None,
         injector: FaultInjector | None = None,
@@ -45,7 +130,7 @@ class SimulatedComm:
             raise ValidationError(
                 f"node_of_rank length {len(node_of_rank)} != ranks {len(gpus)}"
             )
-        self.gpus = list(gpus)
+        self.gpus = gpus if isinstance(gpus, Boards) else Boards.of(gpus)
         self.node_of_rank = list(node_of_rank)
         self.network = NetworkModel()
         #: Node name per node index, for node-failure attribution. Defaults
@@ -83,6 +168,43 @@ class SimulatedComm:
     def size(self) -> int:
         """Number of ranks."""
         return len(self.gpus)
+
+    def board_state(self) -> BoardState:
+        """Each rank's clocks, ``clock.now``, power limits and spec, as arrays.
+
+        A rank whose board is not built reads what a fresh board would
+        hold (the spec's default clocks, time 0 and an uncapped limit);
+        a built board is read as it stands. Reading the state builds no
+        board.
+        """
+        boards = self.gpus
+        n = len(boards)
+        spec = boards.spec
+        peak = models_for(spec)[1].peak_power()
+        mem = np.full(n, spec.default_mem_mhz, dtype=np.int64)
+        core = np.full(n, spec.default_core_mhz, dtype=np.int64)
+        now = np.zeros(n)
+        limit = np.full(n, peak)
+        default_limit = np.full(n, peak)
+        specs = [spec]
+        spec_index = np.zeros(n, dtype=np.int64)
+        built = boards.built_boards()
+        if built:
+            ranks = [r for r, _ in built]
+            gpus = [g for _, g in built]
+            mem[ranks] = [g.mem_mhz for g in gpus]
+            core[ranks] = [g.core_mhz for g in gpus]
+            now[ranks] = [g.clock.now for g in gpus]
+            limit[ranks] = [g.power_limit_w for g in gpus]
+            default_limit[ranks] = [g.default_power_limit_w for g in gpus]
+            for r, g in built:
+                if g.spec is not spec:
+                    if g.spec not in specs:
+                        specs.append(g.spec)
+                    spec_index[r] = specs.index(g.spec)
+        return BoardState(
+            mem, core, now, limit, default_limit, tuple(specs), spec_index
+        )
 
     # ---------------------------------------------------------------- faults
 

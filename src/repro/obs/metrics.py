@@ -1,13 +1,12 @@
-"""Metrics registry: counters, gauges and mergeable histograms.
+"""Metrics registry: counters, gauges and histograms.
 
 One :class:`MetricsRegistry` per trace session absorbs the counters that
 were previously scattered across the stack (profiler fallbacks, sweep-cache
 hits/misses, clock-set retries, scheduler requeues, fault-injector totals)
 into a single named namespace, exported as one flat JSON document.
 
-Everything is deterministic: no timestamps, no ordering dependence in the
-export (names are sorted), and :meth:`Histogram.merge` is associative and
-commutative so per-rank histograms can be combined in any grouping.
+Everything is deterministic: no timestamps and no ordering dependence in
+the export (names are sorted).
 """
 
 from __future__ import annotations
@@ -78,20 +77,6 @@ class Histogram:
         self.counts[bisect_right(self.bounds, value)] += 1
         self.count += 1
         self.sum += value
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Combine two histograms with identical bounds (associative and
-        commutative; returns a new histogram, operands unchanged)."""
-        if self.bounds != other.bounds:
-            raise ValidationError(
-                f"cannot merge histograms with different bounds: "
-                f"{self.bounds!r} vs {other.bounds!r}"
-            )
-        out = Histogram(self.bounds)
-        out.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        out.count = self.count + other.count
-        out.sum = self.sum + other.sum
-        return out
 
     def as_dict(self) -> dict:
         """Plain-dict form for JSON export."""

@@ -34,7 +34,6 @@ def test_interval_basics():
     assert iv.width == 1.0
     assert iv.add(Interval.point(0.5)) == Interval(1.5, 2.5)
     assert iv.max(Interval(0.0, 3.0)) == Interval(1.0, 3.0)
-    assert iv.hull(Interval(-1.0, 1.5)) == Interval(-1.0, 2.0)
     assert iv.scale(2.0) == Interval(2.0, 4.0)
 
 

@@ -4,7 +4,8 @@ Unit cases pin each diagnostic family (FE011/FE012/FE013, barrier-phase
 suppression, provable-only skipping); the property suites compare the
 symbolic machinery against concrete-enumeration oracles:
 
-- ``footprint`` vs a recording interpreter that actually executes the
+- the reduced accesses evaluated per work item (``_footprint``) vs a
+  recording interpreter that actually executes the
   kernel body per work item,
 - ``analyze_races`` vs brute-force collision search over a bounded range,
 - ``_solve_pair`` vs exhaustive witness search on generated affine dims.
@@ -27,7 +28,6 @@ from hypothesis import strategies as st
 from repro.analysis.footprints import (
     _solve_pair,
     analyze_kernel_cfg,
-    footprint,
     iter_reduced_accesses,
 )
 from repro.frontend.decorator import analyze_source, device_kernel
@@ -244,6 +244,19 @@ def _build_kernel_src(stmts: list[tuple[int, int, int, int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _footprint(cfg, gid: int) -> set:
+    """The concrete elements work item ``gid`` provably touches:
+    ``{(array, is_store, index_tuple)}`` from every reducible access."""
+    return {
+        (
+            red.access.array,
+            red.access.is_store,
+            tuple(coeff * gid + const for coeff, const in red.dims),
+        )
+        for red in iter_reduced_accesses(cfg)
+    }
+
+
 def _oracle_footprint(src: str, gid: int) -> set:
     ns: dict = {}
     exec(compile(src, "<oracle>", "exec"), ns)
@@ -263,7 +276,7 @@ def test_footprint_matches_concrete_enumeration_oracle(stmts):
     src = _build_kernel_src(stmts)
     cfg = analyze_source(src).cfg
     for gid in (0, 1, 5):
-        assert footprint(cfg, gid) == _oracle_footprint(src, gid)
+        assert _footprint(cfg, gid) == _oracle_footprint(src, gid)
 
 
 @settings(max_examples=60, deadline=None)

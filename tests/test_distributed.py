@@ -12,11 +12,15 @@ and the retroactive per-rank trace tracks.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.clock import VirtualClock
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.core.compiler import plan_global_frequencies
 from repro.core.sweepcache import scoped_cache
@@ -30,7 +34,9 @@ from repro.distributed import (
     run_graph_scalar,
 )
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.hw.device import SimulatedGPU
 from repro.hw.specs import get_spec
+from repro.mpi.comm import SimulatedComm
 from repro.mpi.network import NetworkModel
 from repro.sycl import DistributedAccess, DistributedBuffer, DistributedRange
 from repro.sycl.accessor import AccessMode
@@ -546,6 +552,22 @@ class TestExecutors:
         with pytest.raises(ValidationError):
             build_comm(SPEC, 4, ranks_per_node=0)
 
+    @pytest.mark.parametrize(
+        "n_ranks, ranks_per_node",
+        [
+            pytest.param(2.5, 4, id="fractional-ranks"),
+            pytest.param(float("nan"), 4, id="nan-ranks"),
+            pytest.param(True, 4, id="bool-ranks"),
+            pytest.param("4", 4, id="str-ranks"),
+            pytest.param(4, 1.5, id="fractional-per-node"),
+            pytest.param(4, float("nan"), id="nan-per-node"),
+            pytest.param(4, True, id="bool-per-node"),
+        ],
+    )
+    def test_build_comm_rejects_non_integer_counts(self, n_ranks, ranks_per_node):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            build_comm(SPEC, n_ranks, ranks_per_node=ranks_per_node)
+
 
 def _comm_on_path(path: str, n_ranks: int):
     """A communicator that sends ``run_graph`` down ``path``."""
@@ -581,6 +603,154 @@ def test_foreign_plan_rejected_before_any_node_runs(stencil, path, mistake, runn
     with pytest.raises(ConfigurationError):
         runner(graph, comm, plan)
     assert all(not g.records and g.clock.now == 0.0 for g in comm.gpus)
+
+
+# ------------------------------------------------------- boards on demand
+
+
+@pytest.fixture
+def board_count(monkeypatch):
+    """How many ``SimulatedGPU`` boards have been built so far."""
+    made = [0]
+    init = SimulatedGPU.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimulatedGPU, "__init__", counting_init)
+    return lambda: made[0]
+
+
+def _stencil_run(n_ranks: int, comm=None, steps: int = 2):
+    """Graph, plan and ``run_graph`` result on ``comm`` (default: a fresh
+    ``build_comm``)."""
+    comm = build_comm(SPEC, n_ranks) if comm is None else comm
+    graph = build_stencil_graph(comm, steps=steps, elems_per_rank=1 << 16)
+    plan = plan_global_frequencies(
+        SPEC, graph.rank_kernels(), sla_factor=1.25, cache=True
+    )
+    return comm, graph, plan, run_graph(graph, comm, plan)
+
+
+class TestBoardsOnDemand:
+    """``build_comm`` builds no board; a batched graph run reads the
+    boards' state as arrays, and only what reads a board builds it."""
+
+    def test_batched_run_builds_no_board(self, board_count):
+        with scoped_cache():
+            comm, _, _, result = _stencil_run(2048)
+        assert result.mode == "batched"
+        assert board_count() == 0
+        assert comm.gpus.built == 0
+
+    def test_batched_run_leaves_few_collectable_objects(self):
+        with scoped_cache():
+            _stencil_run(2048)  # warm the sweep cache and the model memos
+            gc.collect()
+            before = len(gc.get_objects())
+            kept = _stencil_run(2048)
+            gc.collect()
+            grown = len(gc.get_objects()) - before
+        assert kept[3].mode == "batched"
+        # Far fewer than one gc-tracked object per rank; a board alone
+        # carries several lists and dicts.
+        assert grown < 2048 // 4, grown
+
+    def test_capping_a_rank_builds_only_its_board(self, board_count, monkeypatch):
+        import repro.distributed.runner as runner
+
+        built_at_fallback = []
+        scalar = runner.run_graph_scalar
+
+        def recording_scalar(graph, comm, plan):
+            built_at_fallback.append((board_count(), comm.gpus.built))
+            return scalar(graph, comm, plan)
+
+        monkeypatch.setattr(runner, "run_graph_scalar", recording_scalar)
+        comm = build_comm(SPEC, 16)
+        gpu = comm.gpus[5]
+        gpu.set_power_limit(0.6 * gpu.default_power_limit_w, privileged=True)
+        assert board_count() == comm.gpus.built == 1
+        with scoped_cache():
+            _, _, _, result = _stencil_run(16, comm)
+        assert result.fallback == "powercap"
+        assert built_at_fallback == [(1, 1)]
+        assert comm.gpus.built == 16 and board_count() == 16
+
+    def test_board_sequence_is_a_mutable_sequence(self):
+        comm = build_comm(SPEC, 6)
+        assert len(comm.gpus) == comm.size == 6 and comm.gpus.built == 0
+        evens = comm.gpus[::2]
+        assert [g.index for g in evens] == [0, 2, 4] and comm.gpus.built == 3
+        assert comm.gpus[-1] is comm.gpus[5] and comm.gpus.built == 4
+        board = SimulatedGPU(SPEC, VirtualClock(), index=9)
+        comm.gpus[1] = board
+        assert comm.gpus[1] is board and comm.gpus.built == 5
+        with pytest.raises(IndexError):
+            comm.gpus[6] = board
+        assert [g.index for g in comm.gpus] == [0, 9, 2, 3, 4, 5]
+        assert comm.gpus.built == 6
+
+
+_TOUCHES = ("read", "advance", "clocks", "cap")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    n_ranks=st.integers(1, 32),
+    steps=st.integers(1, 2),
+)
+def test_lazy_boards_match_eager_boards(data, n_ranks, steps):
+    """A communicator whose boards are built on demand runs a graph
+    exactly like one whose boards were all built up front: every
+    ``ExecutionResult`` field and every board's records are bitwise
+    equal, whichever ranks were touched before the run and how."""
+    touched = data.draw(
+        st.dictionaries(
+            st.integers(0, n_ranks - 1),
+            st.tuples(
+                st.sampled_from(_TOUCHES),
+                st.integers(0, len(SPEC.core_freqs_mhz) - 1),
+                st.sampled_from((0.0, 1e-4, 0.25)),
+            ),
+            max_size=n_ranks,
+        )
+    )
+    lazy = build_comm(SPEC, n_ranks)
+    eager = SimulatedComm(
+        [SimulatedGPU(SPEC, VirtualClock(), index=r) for r in range(n_ranks)],
+        [r // 4 for r in range(n_ranks)],
+    )
+    for comm in (lazy, eager):
+        for rank, (touch, core_index, delta) in touched.items():
+            gpu = comm.gpus[rank]
+            if touch == "advance":
+                gpu.clock.advance(delta)
+            elif touch == "clocks":
+                gpu.set_application_clocks(
+                    SPEC.default_mem_mhz, SPEC.core_freqs_mhz[core_index]
+                )
+            elif touch == "cap":
+                gpu.set_power_limit(
+                    0.6 * gpu.default_power_limit_w, privileged=True
+                )
+    assert lazy.gpus.built == len(touched)
+    with scoped_cache():
+        *_, got = _stencil_run(n_ranks, lazy, steps)
+        *_, want = _stencil_run(n_ranks, eager, steps)
+    capped = any(t == "cap" for t, _, _ in touched.values())
+    assert got.mode == ("scalar" if capped else "batched")
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+    for r in range(n_ranks):
+        assert list(lazy.gpus[r].records) == list(eager.gpus[r].records)
+        assert lazy.gpus[r].clock.now == eager.gpus[r].clock.now
 
 
 # ------------------------------------------------------------- obs tracks

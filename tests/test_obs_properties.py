@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.clock import VirtualClock
-from repro.obs.metrics import DEFAULT_BOUNDS, Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 pytestmark = pytest.mark.obs
@@ -78,33 +78,7 @@ class TestTracerProperties:
 
 # -------------------------------------------------------------------- metrics
 
-_samples = st.lists(
-    st.floats(min_value=0.0, max_value=1e4, allow_nan=False), max_size=50
-)
-
-
-def _hist(values) -> Histogram:
-    h = Histogram(DEFAULT_BOUNDS)
-    for v in values:
-        h.observe(v)
-    return h
-
-
 class TestMetricsProperties:
-    @given(_samples, _samples, _samples)
-    @settings(max_examples=80)
-    def test_histogram_merge_is_associative(self, a, b, c):
-        left = _hist(a).merge(_hist(b)).merge(_hist(c))
-        right = _hist(a).merge(_hist(b).merge(_hist(c)))
-        assert left.counts == right.counts
-        assert left.count == right.count == len(a) + len(b) + len(c)
-        assert left.sum == pytest.approx(right.sum)
-
-    @given(_samples, _samples)
-    @settings(max_examples=60)
-    def test_histogram_merge_commutes(self, a, b):
-        assert _hist(a).merge(_hist(b)).counts == _hist(b).merge(_hist(a)).counts
-
     @given(
         st.lists(
             st.tuples(

@@ -2,10 +2,12 @@
 
 An AST scan over ``src/repro`` lists each public module-level function,
 class and assigned name, and each public method of a module-level class.
-A name counts as reached when it appears, in code, a string or a comment,
-in ``src/``, ``bench/``, ``examples/`` or ``scripts/``. Its own definition
+A name counts as reached when code in ``src/``, ``bench/``, ``examples/``
+or ``scripts/`` uses it as an identifier: a name, an attribute or an
+import (or any word of a shell script there). A mention in a comment, a
+docstring or a string does not count, and neither do its own definition
 (body included), other definitions that bind the same name and the
-re-exports of a package ``__init__.py`` do not count. A definition that
+re-exports of a package ``__init__.py``. A definition that
 only tests reach is dead weight in the library, so the scan fails on it.
 
 Three packages are exempt, because tests drive other code with them: the
@@ -17,9 +19,7 @@ definitions that exist for tests to drive the program with.
 from __future__ import annotations
 
 import ast
-import io
 import re
-import tokenize
 from collections import defaultdict
 from pathlib import Path
 
@@ -114,39 +114,37 @@ _WORD = re.compile(r"[A-Za-z_]\w*")
 
 
 def _python_words(path: Path):
-    """Yield ``(word, line)`` for a Python file's words that use a name.
+    """Yield ``(word, line)`` for each code identifier that uses a name.
 
-    Code, strings and comments all count. A ``def`` or ``class`` name and
-    a module-level assignment target bind a name rather than use it, and
-    so do the imports and the ``__all__`` list of a package
-    ``__init__.py``, which only re-export it.
+    Only code counts: a name (``ast.Name``), an attribute
+    (``ast.Attribute``) or an imported name. A mention in a comment, a
+    docstring or another string does not. A module-level assignment
+    target binds a name rather than use it, and the imports of a package
+    ``__init__.py`` only re-export it.
     """
-    source = path.read_text()
-    binding = set()
-    skip_lines = set()
-    for stmt in ast.parse(source).body:
-        targets = _assigned(stmt)
-        binding.update((n.lineno, n.col_offset) for n in targets)
-        if path.name == "__init__.py" and (
-            isinstance(stmt, (ast.Import, ast.ImportFrom))
-            or "__all__" in [n.id for n in targets]
-        ):
-            skip_lines.update(_span(stmt))
-    binds = False
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        line = tok.start[0]
-        if line in skip_lines:
-            continue
-        if tok.type == tokenize.NAME:
-            if not binds and tok.start not in binding:
-                yield tok.string, line
-            binds = tok.string in ("def", "class")
-        elif tok.type in (tokenize.STRING, tokenize.COMMENT):
-            yield from ((w, line) for w in _WORD.findall(tok.string))
+    tree = ast.parse(path.read_text())
+    binding = {
+        (n.lineno, n.col_offset) for stmt in tree.body for n in _assigned(stmt)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            if (node.lineno, node.col_offset) not in binding:
+                yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.end_lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if path.name != "__init__.py":
+                for alias in node.names:
+                    yield alias.name.rpartition(".")[2], node.lineno
 
 
 def occurrences() -> dict[str, list[tuple[Path, int]]]:
-    """Where each word appears in the program, scripts and examples."""
+    """Where each name is used in the program, scripts and examples.
+
+    Python files count their code identifiers, and shell scripts every
+    word (their commands run the program); prose and data files do not
+    count.
+    """
     seen = defaultdict(list)
     for top in SEARCH_DIRS:
         for path in sorted((ROOT / top).rglob("*")):
@@ -154,7 +152,7 @@ def occurrences() -> dict[str, list[tuple[Path, int]]]:
                 continue
             if path.suffix == ".py":
                 words = _python_words(path)
-            elif path.suffix in (".sh", ".md", ".json", ".toml"):
+            elif path.suffix == ".sh":
                 words = ((w, 0) for w in _WORD.findall(path.read_text()))
             else:
                 continue
