@@ -3,8 +3,9 @@
 # `coverage` package is available (the floor lives in pyproject.toml's
 # [tool.coverage.report] section). CI images without coverage installed
 # still get the full test run — the gate degrades, it never skips tests.
-# After tests: the repo determinism linter (always available — it ships in
-# src/repro), ruff when installed, and the strict validation plane.
+# After tests: a smoke run of every bench workload, the repo determinism
+# linter (always available — it ships in src/repro), ruff when installed,
+# and the strict validation plane.
 #
 # Usage: scripts/check.sh [extra pytest args...]
 set -euo pipefail
@@ -20,6 +21,9 @@ else
     echo "== coverage not installed; running plain pytest =="
     python -m pytest -x -q "$@"
 fi
+
+echo "== bench smoke (every workload once at smoke size; writes no file under bench/) =="
+python -m pytest bench -q
 
 echo "== determinism lint (repro-synergy lint) =="
 python -m repro.cli lint

@@ -255,25 +255,41 @@ class EnergyModelBundle:
             reference[rows] = y[top]
         return reference
 
-    def fit(self, training: TrainingSet) -> "EnergyModelBundle":
-        """Fit all four models on a training set."""
+    def _log_shapes(self, training: TrainingSet) -> dict[str, np.ndarray]:
+        """Each target's normalized log shape (see the class docstring)."""
         targets = {
             "time": training.time_s,
             "energy": training.energy_j,
             "edp": training.edp_js,
             "ed2p": training.ed2p_js2,
         }
-        X = expand_design(training.X)
-        self.models_ = {
-            name: self._factories[name]().fit(
-                X,
-                np.log(
-                    np.maximum(y, 1e-300)
-                    / np.maximum(self._reference_values(training, y), 1e-300)
-                ),
+        return {
+            name: np.log(
+                np.maximum(y, 1e-300)
+                / np.maximum(self._reference_values(training, y), 1e-300)
             )
             for name, y in targets.items()
         }
+
+    def fit(self, training: TrainingSet) -> "EnergyModelBundle":
+        """Fit all four models on a training set.
+
+        Targets built by the same factory object share a family and its
+        parameters, so each factory's targets are fitted together in one
+        :meth:`~repro.ml.base.Estimator.fit_many` pass.
+        """
+        X = expand_design(training.X)
+        shapes = self._log_shapes(training)
+        groups: dict[EstimatorFactory, list[str]] = {}
+        for name, factory in self._factories.items():
+            groups.setdefault(factory, []).append(name)
+        models: dict[str, Estimator] = {}
+        for factory, names in groups.items():
+            fitted = factory().fit_many(
+                X, np.column_stack([shapes[name] for name in names])
+            )
+            models.update(zip(names, fitted))
+        self.models_ = {name: models[name] for name in self._factories}
         self.device_name = training.device_name
         return self
 
@@ -301,18 +317,8 @@ class EnergyModelBundle:
                 "refresh window measured on a different device "
                 f"({window.device_name!r} vs {self.device_name!r})"
             )
-        targets = {
-            "time": window.time_s,
-            "energy": window.energy_j,
-            "edp": window.edp_js,
-            "ed2p": window.ed2p_js2,
-        }
         X = expand_design(window.X)
-        for name, y in targets.items():
-            y_log = np.log(
-                np.maximum(y, 1e-300)
-                / np.maximum(self._reference_values(window, y), 1e-300)
-            )
+        for name, y_log in self._log_shapes(window).items():
             model = models[name]
             refresh = getattr(model, "refresh", None)
             if callable(refresh):

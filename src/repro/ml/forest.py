@@ -1,11 +1,12 @@
 """Random forest regression: bagged CART trees with feature subsampling.
 
 Every member tree is grown in one level-synchronous pass
-(:meth:`DecisionTreeRegressor.fit_batch`). Determinism is by construction:
-bootstrap resamples are drawn serially from the forest-level RNG, and each
-tree's feature draws come from its own Generator seeded with
-``derive_seed(seed, "tree", i)``, so a tree does not depend on which
-other trees it is grown with.
+(:meth:`DecisionTreeRegressor.fit_batch`); ``fit_many`` grows the trees of
+every target column in that same pass. Determinism is by construction:
+bootstrap resamples are drawn serially from the forest-level RNG (so all
+columns share them), and each tree's feature draws come from its own
+Generator seeded with ``derive_seed(seed, "tree", i)``, so a tree does not
+depend on which other trees it is grown with.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from repro.common.errors import ValidationError
 from repro.common.rng import derive_seed, make_rng
-from repro.ml.base import Estimator, check_Xy
+from repro.ml.base import Estimator, check_count, check_Xy
 from repro.ml.tree import DecisionTreeRegressor, FlatTree
 
 
@@ -66,11 +67,11 @@ class RandomForestRegressor(Estimator):
         bootstrap: bool = True,
         seed: int | None = None,
     ) -> None:
-        if n_estimators < 1:
-            raise ValidationError(f"n_estimators must be >= 1 ({n_estimators!r})")
-        self.n_estimators = int(n_estimators)
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
+        self.n_estimators = check_count("n_estimators", n_estimators)
+        self.max_depth = (
+            None if max_depth is None else check_count("max_depth", max_depth)
+        )
+        self.min_samples_leaf = check_count("min_samples_leaf", min_samples_leaf)
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.seed = seed
@@ -81,9 +82,13 @@ class RandomForestRegressor(Estimator):
         #: yet deterministic).
         self.refresh_generation_: int = 0
 
-    def _grow(self, X, y, rng, seeds: list[int]) -> list[DecisionTreeRegressor]:
-        """One tree per seed, each on a resample drawn serially from ``rng``."""
-        n = X.shape[0]
+    def _grow(self, X, Y, rng, seeds: list[int]) -> list[list[DecisionTreeRegressor]]:
+        """Per column of ``Y``, one tree per seed, all grown in one pass.
+
+        Resamples are drawn serially from ``rng``, one per seed, and every
+        column's trees share them; each tree gets its own Generator.
+        """
+        n, n_targets = Y.shape
         samples = [
             rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
             for _ in seeds
@@ -93,17 +98,19 @@ class RandomForestRegressor(Estimator):
             min_samples_leaf=self.min_samples_leaf,
             max_features=self.max_features,
         )
-        return template.fit_batch(X, y, samples, seeds)
+        trees = template.fit_batch(
+            X, Y, np.repeat(np.arange(n_targets), len(seeds)),
+            samples * n_targets, seeds * n_targets,
+        )
+        return [trees[t * len(seeds) : (t + 1) * len(seeds)] for t in range(n_targets)]
 
-    def fit(self, X, y) -> "RandomForestRegressor":
-        """Fit all trees in one level-synchronous pass."""
-        X, y = check_Xy(X, y)
-        assert y is not None
+    def _fit_columns(self, X, Y, models) -> None:
+        """Every column's forest in one level-synchronous pass."""
         seeds = [derive_seed(self.seed, "tree", i) for i in range(self.n_estimators)]
-        self.trees_ = self._grow(X, y, make_rng(self.seed), seeds)
-        self._stacked = None
-        self.refresh_generation_ = 0
-        return self
+        for model, trees in zip(models, self._grow(X, Y, make_rng(self.seed), seeds)):
+            model.trees_ = trees
+            model._stacked = None
+            model.refresh_generation_ = 0
 
     def refresh(self, X, y, *, fraction: float = 0.5) -> "RandomForestRegressor":
         """Incrementally refresh the forest from a recent measurement window.
@@ -138,7 +145,8 @@ class RandomForestRegressor(Estimator):
             derive_seed(self.seed, "refresh", generation, i)
             for i in range(n_replace)
         ]
-        self.trees_ = self._grow(X, y, rng, seeds) + self.trees_[n_replace:]
+        (fresh,) = self._grow(X, y[:, None], rng, seeds)
+        self.trees_ = fresh + self.trees_[n_replace:]
         self._stacked = None
         self.refresh_generation_ = generation
         return self

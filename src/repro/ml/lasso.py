@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.ml.base import Estimator, check_Xy
+from repro.ml.base import Estimator, check_count, check_Xy
 
 
 def _soft_threshold(value: float, threshold: float) -> float:
@@ -34,53 +34,65 @@ class Lasso(Estimator):
     ) -> None:
         if alpha < 0:
             raise ValidationError(f"alpha cannot be negative ({alpha!r})")
-        if max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1 ({max_iter!r})")
         self.alpha = float(alpha)
-        self.max_iter = int(max_iter)
+        self.max_iter = check_count("max_iter", max_iter)
         self.tol = float(tol)
         self.fit_intercept = fit_intercept
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
         self.n_iter_: int = 0
 
-    def fit(self, X, y) -> "Lasso":
-        X, y = check_Xy(X, y)
-        assert y is not None
-        n, p = X.shape
+    def _fit_columns(self, X, Y, models) -> None:
+        """Cyclic coordinate descent, every column's chain in lockstep.
 
+        All chains share the standardized design; each keeps its own
+        residual row and its own ``Xs[:, j] @ residual`` dot (a batched
+        product rounds differently). A chain whose largest move falls
+        below ``tol`` stops and is masked out of later sweeps.
+        """
+        n, p = X.shape
         x_mean = X.mean(axis=0) if self.fit_intercept else np.zeros(p)
-        y_mean = float(y.mean()) if self.fit_intercept else 0.0
         x_scale = X.std(axis=0)
         x_scale[x_scale == 0.0] = 1.0
         Xs = (X - x_mean) / x_scale
-        yc = y - y_mean
-
-        w = np.zeros(p)
-        residual = yc.copy()  # residual = yc − Xs @ w, maintained incrementally
-        col_sq = (Xs**2).sum(axis=0)
+        columns = np.ascontiguousarray(Y.T)
+        n_targets = len(models)
+        y_mean = [float(y.mean()) if self.fit_intercept else 0.0 for y in columns]
+        # residual[t] = yc_t − Xs @ w[t], maintained incrementally
+        residual = list(columns - np.array(y_mean)[:, None])
+        w = [[0.0] * p for _ in range(n_targets)]
+        col_sq = (Xs**2).sum(axis=0).tolist()
         threshold = self.alpha * n
+        n_iter = [0] * n_targets
+        chains = list(range(n_targets))
 
         for iteration in range(1, self.max_iter + 1):
-            max_delta = 0.0
+            max_delta = [0.0] * n_targets
             for j in range(p):
                 if col_sq[j] == 0.0:
                     continue
-                rho = float(Xs[:, j] @ residual) + col_sq[j] * w[j]
-                w_new = _soft_threshold(rho, threshold) / col_sq[j]
-                delta = w_new - w[j]
-                if delta != 0.0:
-                    residual -= delta * Xs[:, j]
-                    w[j] = w_new
-                    max_delta = max(max_delta, abs(delta))
-            self.n_iter_ = iteration
-            if max_delta < self.tol:
+                xj = Xs[:, j]
+                for t in chains:
+                    wt = w[t]
+                    rho = float(xj @ residual[t]) + col_sq[j] * wt[j]
+                    w_new = _soft_threshold(rho, threshold) / col_sq[j]
+                    delta = w_new - wt[j]
+                    if delta != 0.0:
+                        residual[t] -= delta * xj
+                        wt[j] = w_new
+                        if abs(delta) > max_delta[t]:
+                            max_delta[t] = abs(delta)
+            for t in chains:
+                n_iter[t] = iteration
+            chains = [t for t in chains if not max_delta[t] < self.tol]
+            if not chains:
                 break
 
-        # Map back to the original feature scale.
-        self.coef_ = w / x_scale
-        self.intercept_ = y_mean - float(x_mean @ self.coef_)
-        return self
+        for t, model in enumerate(models):
+            # Map back to the original feature scale.
+            model.coef_ = np.array(w[t]) / x_scale
+            model.intercept_ = y_mean[t] - float(x_mean @ model.coef_)
+            model.n_iter_ = n_iter[t]
 
     def predict(self, X) -> np.ndarray:
         self._check_fitted("coef_")

@@ -16,20 +16,16 @@ class LinearRegression(Estimator):
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
 
-    def fit(self, X, y) -> "LinearRegression":
-        X, y = check_Xy(X, y)
-        assert y is not None
-        if self.fit_intercept:
-            x_mean = X.mean(axis=0)
-            y_mean = float(y.mean())
-            Xc, yc = X - x_mean, y - y_mean
-        else:
-            x_mean, y_mean = np.zeros(X.shape[1]), 0.0
-            Xc, yc = X, y
-        coef, *_ = np.linalg.lstsq(Xc, yc, rcond=None)
-        self.coef_ = coef
-        self.intercept_ = y_mean - float(x_mean @ coef)
-        return self
+    def _fit_columns(self, X, Y, models) -> None:
+        """One ``lstsq`` per column (a multi-column solve rounds differently)."""
+        x_mean = X.mean(axis=0) if self.fit_intercept else np.zeros(X.shape[1])
+        Xc = X - x_mean if self.fit_intercept else X
+        for model, y in zip(models, np.ascontiguousarray(Y.T)):
+            y_mean = float(y.mean()) if self.fit_intercept else 0.0
+            yc = y - y_mean if self.fit_intercept else y
+            coef, *_ = np.linalg.lstsq(Xc, yc, rcond=None)
+            model.coef_ = coef
+            model.intercept_ = y_mean - float(x_mean @ coef)
 
     def predict(self, X) -> np.ndarray:
         self._check_fitted("coef_")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import ValidationError
-from repro.ml.base import Estimator, check_Xy
+from repro.ml.base import Estimator, check_count, check_Xy
 from repro.ml.preprocessing import StandardScaler
 
 
@@ -61,7 +61,7 @@ class SVR(Estimator):
         self.C = float(C)
         self.epsilon = float(epsilon)
         self.gamma = gamma
-        self.max_iter = int(max_iter)
+        self.max_iter = check_count("max_iter", max_iter)
         self.tol = float(tol)
         self._scaler: StandardScaler | None = None
         self._X: np.ndarray | None = None
@@ -77,49 +77,71 @@ class SVR(Estimator):
         var = float(X.var())
         return 1.0 / (X.shape[1] * var) if var > 0 else 1.0
 
-    def fit(self, X, y) -> "SVR":
-        X, y = check_Xy(X, y)
-        assert y is not None
-        self._scaler = StandardScaler().fit(X)
-        Xs = self._scaler.transform(X)
-        self.gamma_ = self._resolve_gamma(Xs)
+    def _fit_columns(self, X, Y, models) -> None:
+        """Coordinate maximization, every column's chain in lockstep.
+
+        The scaler, ``gamma_``, the kernel matrix and its contiguous
+        columns are built once. Each coordinate step reads every chain's
+        gradient entry with one ``tolist`` and runs the scalar update in
+        Python floats; a chain that moves updates its own gradient row
+        (one row at a time is cheaper than a ``(t, n)`` update). A chain
+        whose largest move falls below tolerance stops and is masked out
+        of later sweeps. Per chain, the float operations are those of a
+        single-column fit, so each ``beta_`` is bitwise the same.
+        """
+        scaler = StandardScaler().fit(X)
+        Xs = scaler.transform(X)
+        gamma = self._resolve_gamma(Xs)
         n = Xs.shape[0]
-        K = rbf_kernel(Xs, Xs, self.gamma_) + 1.0  # +1 absorbs the bias term
+        K = rbf_kernel(Xs, Xs, gamma) + 1.0  # +1 absorbs the bias term
         diag = np.diag(K).copy()
         # Row i of K.T is column i of K, laid out contiguously: the same
         # values as the strided K[:, i] without the gather on every update.
         columns = np.ascontiguousarray(K.T)
+        eps, C = self.epsilon, self.C
 
-        beta = np.zeros(n)
-        # gradient residual: g_i = y_i − Σ_j K_ij β_j, maintained incrementally
-        g = y.astype(float).copy()
+        n_targets = len(models)
+        beta = [[0.0] * n for _ in range(n_targets)]
+        # gradient residual: G[t, i] = Y[i, t] − Σ_j K_ij β_tj, maintained
+        # incrementally
+        G = Y.T.copy()
+        g_rows = list(G)                      # one view per chain's row
+        n_iter = [0] * n_targets
+        chains = list(range(n_targets))
         for iteration in range(1, self.max_iter + 1):
-            max_move = 0.0
-            for i in range(n):
-                # Unconstrained maximizer of the i-th coordinate with the
-                # ε-L1 term: soft-threshold of the partial residual.
-                rho = g[i] + diag[i] * beta[i]
-                if rho > self.epsilon:
-                    target = (rho - self.epsilon) / diag[i]
-                elif rho < -self.epsilon:
-                    target = (rho + self.epsilon) / diag[i]
-                else:
-                    target = 0.0
-                # Scalar box clip; check_Xy rejects non-finite inputs, so
-                # no NaN can reach it.
-                new_beta = min(max(target, -self.C), self.C)
-                delta = new_beta - beta[i]
-                if delta != 0.0:
-                    g -= delta * columns[i]
-                    beta[i] = new_beta
-                    max_move = max(max_move, abs(delta))
-            self.n_iter_ = iteration
-            if max_move < self.tol * max(self.C, 1.0):
+            max_move = [0.0] * n_targets
+            for i, d in enumerate(diag.tolist()):
+                g = G[:, i].tolist()
+                for t in chains:
+                    # Unconstrained maximizer of the i-th coordinate with
+                    # the ε-L1 term: soft-threshold of the partial residual.
+                    b = beta[t]
+                    rho = g[t] + d * b[i]
+                    if rho > eps:
+                        target = (rho - eps) / d
+                    elif rho < -eps:
+                        target = (rho + eps) / d
+                    else:
+                        target = 0.0
+                    # Scalar box clip; check_Xy rejects non-finite inputs,
+                    # so no NaN can reach it.
+                    new_beta = min(max(target, -C), C)
+                    delta = new_beta - b[i]
+                    if delta != 0.0:
+                        g_rows[t] -= delta * columns[i]
+                        b[i] = new_beta
+                        if abs(delta) > max_move[t]:
+                            max_move[t] = abs(delta)
+            for t in chains:
+                n_iter[t] = iteration
+            chains = [t for t in chains if not max_move[t] < self.tol * max(C, 1.0)]
+            if not chains:
                 break
 
-        self._X = Xs
-        self.beta_ = beta
-        return self
+        for t, model in enumerate(models):
+            model._scaler, model._X, model.gamma_ = scaler, Xs, gamma
+            model.beta_ = np.array(beta[t])
+            model.n_iter_ = n_iter[t]
 
     def predict(self, X) -> np.ndarray:
         self._check_fitted("beta_")
