@@ -1,23 +1,33 @@
-"""Struct-of-arrays batch representations.
+"""Columnar kernel batches.
 
 :class:`KernelBatch` holds one queue's worth of kernel submissions as
-parallel tuples; the executor decodes them against a queue
-(:func:`repro.engine.executor.execute_batch`) into the per-submission
-clock arrays it broadcasts over.
+columns: the distinct kernels and energy targets, and per submission an
+int code into each plus an explicit clock pair. The executor decodes
+the columns against a queue (:func:`repro.engine.executor.execute_batch`)
+in array passes.
 
 Request forms mirror :meth:`repro.core.queue.SynergyQueue.submit`:
 
 - a bare :class:`~repro.kernelir.kernel.KernelIR` (queue clocks or
-  driver defaults apply),
-- ``(EnergyTarget, kernel)`` — resolved through the plan/predictor,
+  driver defaults apply): ``target_code`` :data:`NO_REQUEST`,
+- ``(EnergyTarget, kernel)`` — resolved through the plan/predictor:
+  ``target_code`` indexes ``targets``,
 - ``(mem_mhz, core_mhz, kernel)`` — explicit clocks, validated at
-  assembly time.
+  assembly time: ``target_code`` :data:`EXPLICIT`, the pair in
+  ``mem_mhz``/``core_mhz``.
+
+:meth:`KernelBatch.from_requests` is the one adapter for submit-style
+items and the only walk over them; producers that already hold the
+kernels per submission (the service shards) build the columns directly
+with :meth:`KernelBatch.of`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.common.errors import ValidationError
 from repro.hw.specs import GPUSpec
@@ -31,45 +41,112 @@ _ITEM_FORMS = (
     "or (mem_mhz, core_mhz, KernelIR)"
 )
 
+#: ``target_code`` of a submission without a clock request.
+NO_REQUEST = -1
+#: ``target_code`` of a submission with an explicit ``(mem_mhz, core_mhz)``.
+EXPLICIT = -2
 
-@dataclass(frozen=True)
+
+def _int_column(name: str, values, n: int) -> np.ndarray:
+    """``values`` as a read-only int64 column of length ``n``.
+
+    A read-only int64 array is taken as is; anything else is copied, so a
+    batch never freezes or shares its caller's writable array.
+    """
+    column = np.asarray(values)
+    if column.size == 0 and n == 0:
+        column = np.zeros(0, dtype=np.int64)
+    if column.ndim != 1 or column.dtype.kind not in "iu":
+        raise ValidationError(
+            f"{_ITEM_FORMS}; got {name} of dtype {column.dtype} "
+            f"and shape {column.shape}"
+        )
+    if len(column) != n:
+        raise ValidationError(
+            f"{name} length mismatch ({len(column)} vs {n} submissions)"
+        )
+    if column.flags.writeable or column.dtype != np.int64:
+        column = column.astype(np.int64)
+        column.setflags(write=False)
+    return column
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only int64 array of ``values``."""
+    column = np.array(values, dtype=np.int64)
+    column.setflags(write=False)
+    return column
+
+
+@dataclass(frozen=True, eq=False)
 class KernelBatch:
-    """A batch of kernel submissions in struct-of-arrays form.
+    """A batch of kernel submissions as columns.
 
-    ``requests[i]`` is ``None``, an :class:`EnergyTarget` or an
-    ``(int, int)`` clock pair; construction checks every entry, so a batch
-    built directly fails on the same items :meth:`from_requests` rejects.
+    Submission ``i`` runs ``kernels[kernel_code[i]]``; its request is
+    ``targets[target_code[i]]``, nothing (:data:`NO_REQUEST`) or the
+    explicit pair ``(mem_mhz[i], core_mhz[i])`` (:data:`EXPLICIT`; the
+    pair columns hold 0 elsewhere). Construction checks the columns in
+    array passes and every distinct kernel and target once, so a batch
+    built directly fails on the same requests :meth:`from_requests`
+    rejects.
     """
 
     kernels: tuple[KernelIR, ...]
-    requests: tuple[object, ...]
+    kernel_code: np.ndarray
+    targets: tuple[EnergyTarget, ...]
+    target_code: np.ndarray
+    mem_mhz: np.ndarray
+    core_mhz: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.kernels) != len(self.requests):
-            raise ValidationError(
-                f"kernels/requests length mismatch "
-                f"({len(self.kernels)} vs {len(self.requests)})"
+        n = len(self.kernel_code)
+        object.__setattr__(self, "kernels", tuple(self.kernels))
+        object.__setattr__(self, "targets", tuple(self.targets))
+        for name in ("kernel_code", "target_code", "mem_mhz", "core_mhz"):
+            object.__setattr__(
+                self, name, _int_column(name, getattr(self, name), n)
             )
-        for kernel, request in zip(self.kernels, self.requests):
-            if not (
-                isinstance(kernel, KernelIR)
-                and (
-                    request is None
-                    or isinstance(request, EnergyTarget)
-                    or (
-                        isinstance(request, tuple)
-                        and len(request) == 2
-                        and isinstance(request[0], int)
-                        and isinstance(request[1], int)
-                    )
-                )
-            ):
-                raise ValidationError(
-                    f"{_ITEM_FORMS}; got kernel {kernel!r} with request {request!r}"
-                )
+        for kernel in self.kernels:
+            if not isinstance(kernel, KernelIR):
+                raise ValidationError(f"{_ITEM_FORMS}; got kernel {kernel!r}")
+        for target in self.targets:
+            if not isinstance(target, EnergyTarget):
+                raise ValidationError(f"{_ITEM_FORMS}; got request {target!r}")
+        # Viewed as unsigned, a negative code is out of range too.
+        if n and not (
+            self.kernel_code.view(np.uint64).max() < len(self.kernels)
+            and (self.target_code - EXPLICIT).view(np.uint64).max()
+            < len(self.targets) - EXPLICIT
+        ):
+            raise ValidationError(
+                f"batch codes out of range ({len(self.kernels)} kernels, "
+                f"{len(self.targets)} targets)"
+            )
 
     def __len__(self) -> int:
-        return len(self.kernels)
+        return len(self.kernel_code)
+
+    @classmethod
+    def of(
+        cls, kernels: Sequence[KernelIR], target: EnergyTarget | None = None
+    ) -> "KernelBatch":
+        """One submission per entry of ``kernels``, all with request ``target``.
+
+        ``None`` submits bare kernels. The distinct kernels are coded by
+        identity, in first-use order.
+        """
+        distinct = {id(k): k for k in kernels}
+        code_of = {key: code for code, key in enumerate(distinct)}
+        n = len(kernels)
+        zeros = _frozen(np.zeros(n, dtype=np.int64))
+        return cls(
+            kernels=tuple(distinct.values()),
+            kernel_code=_frozen(list(map(code_of.__getitem__, map(id, kernels)))),
+            targets=() if target is None else (target,),
+            target_code=_frozen(np.full(n, NO_REQUEST if target is None else 0)),
+            mem_mhz=zeros,
+            core_mhz=zeros,
+        )
 
     @classmethod
     def from_requests(cls, requests: Iterable[object]) -> "KernelBatch":
@@ -79,33 +156,90 @@ class KernelBatch:
         or ``(mem_mhz, core_mhz, kernel)`` — the same three forms
         :meth:`SynergyQueue.submit` accepts, minus the command-group
         indirection (batched submissions are dependency-free
-        ``parallel_for`` launches). Items are split by form here; the
-        constructor checks every kernel and clock pair.
+        ``parallel_for`` launches). This is the only walk over the
+        items: it splits them by form, checks each kernel and clock pair
+        and codes the kernels and targets by identity, in first-use
+        order. A 2-tuple is only ever ``(EnergyTarget, kernel)``, so
+        ``(None, kernel)`` is rejected as ``submit(None, cgf)`` is.
         """
-        kernels: list[object] = []
-        reqs: list[object] = []
+        kernels: dict[int, int] = {}  # id(kernel) -> code
+        targets: dict[int, int] = {}  # id(target) -> code
+        kernel_list: list[KernelIR] = []
+        target_list: list[EnergyTarget] = []
+        kernel_code: list[int] = []
+        target_code: list[int] = []
+        mems: list[int] = []  # explicit pairs only, in order
+        cores: list[int] = []
+        add_kernel, add_target = kernel_code.append, target_code.append
+        kernel_of, target_of = kernels.get, targets.get
         for item in requests:
             if not isinstance(item, tuple):
-                kernels.append(item)
-                reqs.append(None)
-            elif len(item) == 2 and isinstance(item[0], EnergyTarget):
-                kernels.append(item[1])
-                reqs.append(item[0])
+                kernel, code = item, NO_REQUEST
+            elif len(item) == 2:
+                target, kernel = item
+                code = target_of(id(target))
+                if code is None:
+                    if not isinstance(target, EnergyTarget):
+                        raise ValidationError(f"{_ITEM_FORMS}; got {item!r}")
+                    code = targets[id(target)] = len(target_list)
+                    target_list.append(target)
             elif len(item) == 3:
-                kernels.append(item[2])
-                reqs.append((item[0], item[1]))
+                mem, core, kernel = item
+                code = EXPLICIT
+                if not (isinstance(mem, int) and isinstance(core, int)):
+                    raise ValidationError(
+                        f"{_ITEM_FORMS}; got kernel {kernel!r} with request "
+                        f"{(mem, core)!r}"
+                    )
+                mems.append(mem)
+                cores.append(core)
             else:
                 raise ValidationError(f"{_ITEM_FORMS}; got {item!r}")
-        return cls(kernels=tuple(kernels), requests=tuple(reqs))
+            k = kernel_of(id(kernel))
+            if k is None:
+                if not isinstance(kernel, KernelIR):
+                    request = (
+                        None if code == NO_REQUEST
+                        else (mem, core) if code == EXPLICIT
+                        else target
+                    )
+                    raise ValidationError(
+                        f"{_ITEM_FORMS}; got kernel {kernel!r} with request "
+                        f"{request!r}"
+                    )
+                k = kernels[id(kernel)] = len(kernel_list)
+                kernel_list.append(kernel)
+            add_kernel(k)
+            add_target(code)
+        target_code = _frozen(target_code)
+        pair = np.zeros((2, len(target_code)), dtype=np.int64)
+        if mems:
+            try:
+                pair[:, target_code == EXPLICIT] = mems, cores
+            except OverflowError:
+                raise ValidationError(
+                    f"explicit clocks out of the int64 range: "
+                    f"{max(mems + cores, key=abs)}"
+                ) from None
+        pair.setflags(write=False)
+        return cls(
+            kernels=tuple(kernel_list),
+            kernel_code=_frozen(kernel_code),
+            targets=tuple(target_list),
+            target_code=target_code,
+            mem_mhz=pair[0],
+            core_mhz=pair[1],
+        )
 
     def validate_explicit_clocks(self, spec: GPUSpec) -> None:
         """Submit-time validation of every explicit clock pair.
 
         Mirrors the scalar path, where an invalid pair raises in
         ``submit`` rather than later inside ``_pre_kernel`` — for a batch
-        the whole assembly is validated before anything executes.
+        the whole assembly is validated before anything executes, once
+        per distinct clock (:meth:`GPUSpec.validate_clock_columns`).
         """
-        unique = {r for r in self.requests if isinstance(r, tuple)}
-        for mem_mhz, core_mhz in unique:
-            spec.validate_clocks(mem_mhz, core_mhz)
-
+        explicit = self.target_code == EXPLICIT
+        spec.validate_clock_columns(
+            self.mem_mhz[explicit].tolist(), self.core_mhz[explicit].tolist()
+        )

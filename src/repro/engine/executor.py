@@ -8,17 +8,21 @@ broadcasted NumPy passes over per-kernel operating-point tables
 (:meth:`TimingModel.sweep` + :meth:`PowerModel.power`, memoized in the
 keyed sweep cache) and commits the device/scaler/queue state in bulk.
 
-Per batch, :func:`_decode` makes one Python pass over the submissions:
-it resolves each request, carries the clocks forward and numbers the
-``(kernel, memory clock)`` groups; the lists it builds become arrays
-once. Everything after that is array passes, and a bulk commit makes
-no object per kernel. A bulk segment's records are one
-:class:`~repro.hw.records.RecordBlock` of the columns the commit
-already holds as lists, and its events one
-:class:`~repro.sycl.event.EventBlock` over that block; a row becomes a
-frozen ``KernelExecutionRecord`` or a ``BlockEvent`` when someone first
-reads it (the board's ``records[i]`` and the event's ``record`` are the
-same object).
+The batch arrives as columns (:class:`~repro.engine.batch.KernelBatch`),
+and nothing here walks it per submission. :func:`_decode` resolves one
+target per distinct ``(kernel_code, target_code)`` and gathers it
+(traced runs resolve per submission, for span and counter parity);
+:meth:`_Plan.derive` carries the clocks forward with an index
+forward-fill, marks switches by comparing shifted arrays, numbers the
+``(kernel, memory clock)`` groups and checks every core clock against
+the device table in one pass. A bulk commit makes no object per
+kernel: the board takes the clock plan and the power timeline as
+arrays, a bulk segment's records are one
+:class:`~repro.hw.records.RecordBlock` over the segment's arrays, and
+its events one :class:`~repro.sycl.event.EventBlock` over that block; a
+row becomes a frozen ``KernelExecutionRecord`` or a ``BlockEvent`` when
+someone first reads it (the board's ``records[i]`` and the event's
+``record`` are the same object).
 
 Exactness contract (checked by ``repro-synergy validate --only engine``):
 
@@ -67,10 +71,9 @@ import numpy as np
 
 from repro.common.errors import ValidationError
 from repro.core.sweepcache import core_table, resolve_cache
-from repro.engine.batch import KernelBatch
+from repro.engine.batch import NO_REQUEST, KernelBatch
 from repro.hw.cache import models_for
 from repro.hw.records import RecordBlock
-from repro.metrics.targets import EnergyTarget
 from repro.sycl.event import Event, EventBlock, EventLog
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -187,86 +190,76 @@ def operating_table(spec, kernel, mem_mhz: float):
 
 @dataclass
 class _Decoded:
-    """One pass over a batch's submissions, against a queue and board.
+    """A batch's clock requests, resolved against a queue.
 
-    ``resolved`` holds each submission's clock request — ``(mem_mhz,
-    core_mhz)``, or ``None`` for a request-free submission that runs at
-    whatever clocks are then in effect. ``mem_mhz``/``core_mhz`` are the
-    effective application clocks, ``switches`` marks the submissions that
-    change them, and submission ``i`` reads operating-point table
-    ``group_of[i]``, one per distinct ``(kernel, memory clock)`` in
-    ``members``, in first-use order.
+    Submission ``i`` runs ``kernels[kernel_code[i]]``. Where
+    ``requested[i]`` it asks for ``(mem_mhz[i], core_mhz[i])``; elsewhere
+    it makes no request and runs at whatever clocks are then in effect.
+    Targets are already resolved and request-free submissions already
+    inherit the queue clocks, so a tail re-derived after a degrade
+    (:meth:`_Plan.rederive_tail`) reads these columns again.
     """
 
-    resolved: list
+    kernels: tuple
+    kernel_code: np.ndarray
+    requested: np.ndarray
     mem_mhz: np.ndarray
     core_mhz: np.ndarray
-    switches: np.ndarray
-    group_of: np.ndarray
-    members: list
+
+    def clocks(self, i: int) -> tuple[int, int] | None:
+        """Submission ``i``'s clock request, ``None`` for none."""
+        if not self.requested[i]:
+            return None
+        return int(self.mem_mhz[i]), int(self.core_mhz[i])
 
 
-def _decode(queue: "SynergyQueue", kernels, requests) -> _Decoded:
-    """Resolve, carry forward and group the submissions in one pass.
+def _decode(queue: "SynergyQueue", batch: KernelBatch) -> _Decoded:
+    """Resolve every submission's clock request, in array passes.
 
-    ``requests`` holds :class:`KernelBatch` requests, or an earlier
-    decode's ``resolved`` entries (which re-decode to themselves).
     Targets go through the queue's plan/predictor with the scalar path's
     counter semantics (``predict.plan_lookups`` per plan hit,
     ``predict.calls`` per predictor inference). Untraced, resolution is
-    pure (deterministic per ``(kernel, target)``), so repeated pairs hit
-    a memo; traced runs resolve per submission, for exact counter parity.
-    A request-free submission inherits the queue clocks or, absent
-    those, makes no request. The effective clocks replicate the scalar
-    path exactly: a request-free submission runs at the previous
-    submission's clocks (the board's at batch start), and a switch is a
-    request that changes them (the redundancy skip of
-    ``FrequencyScaler``). Everything comes out as lists, made arrays once.
+    pure (deterministic per ``(kernel, target)``), so each distinct
+    ``(kernel_code, target_code)`` pair resolves once and is gathered;
+    traced runs resolve per submission, in submission order, for exact
+    counter and span parity. A request-free submission inherits the
+    queue clocks or, absent those, makes no request.
     """
-    gpu = queue.device.gpu
-    traced = queue.trace.enabled
-    inherit = queue._queue_clocks
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
-    groups: dict[tuple[int, object], int] = {}
-    members: list[tuple[object, object]] = []
-    resolved: list = []
-    mems: list = []
-    cores: list = []
-    group_of: list[int] = []
-    add_resolved, add_mem, add_core, add_group = (
-        resolved.append, mems.append, cores.append, group_of.append
-    )
-    first_mem, first_core = mem, core = gpu.mem_mhz, gpu.core_mhz
-    for kernel, request in zip(kernels, requests):
-        if request is None:
-            clocks = inherit
-        elif type(request) is tuple or not isinstance(request, EnergyTarget):
-            clocks = request
-        elif traced:
-            clocks = queue._resolve_target(kernel, request)
+    code = batch.target_code
+    mem_mhz, core_mhz = batch.mem_mhz.copy(), batch.core_mhz.copy()
+    at = np.flatnonzero(code >= 0)
+    if at.size:
+        kernels, targets = batch.kernels, batch.targets
+        if queue.trace.enabled:
+            resolved = [
+                queue._resolve_target(kernels[k], targets[t])
+                for k, t in zip(
+                    batch.kernel_code[at].tolist(), code[at].tolist()
+                )
+            ]
+            mem_mhz[at] = [mem for mem, _ in resolved]
+            core_mhz[at] = [core for _, core in resolved]
         else:
-            key = (id(kernel), id(request))
-            clocks = memo.get(key)
-            if clocks is None:
-                clocks = memo[key] = queue._resolve_target(kernel, request)
-        add_resolved(clocks)
-        if clocks is not None:
-            mem, core = clocks
-        add_mem(mem)
-        add_core(core)
-        key = (id(kernel), mem)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = len(members)
-            members.append((kernel, mem))
-        add_group(group)
-    mem_mhz = np.array(mems, dtype=int)
-    core_mhz = np.array(cores, dtype=int)
-    prev_mem = np.concatenate(([first_mem], mem_mhz[:-1]))
-    prev_core = np.concatenate(([first_core], core_mhz[:-1]))
-    switches = (mem_mhz != prev_mem) | (core_mhz != prev_core)
+            n_targets = len(targets)
+            pair = batch.kernel_code[at] * n_targets + code[at]
+            used = np.zeros(len(kernels) * n_targets, dtype=bool)
+            used[pair] = True
+            distinct = np.flatnonzero(used)
+            table = np.zeros((len(used), 2), dtype=np.int64)
+            table[distinct] = [
+                queue._resolve_target(kernels[p // n_targets], targets[p % n_targets])
+                for p in distinct.tolist()
+            ]
+            mem_mhz[at], core_mhz[at] = table[pair].T
+    free = code == NO_REQUEST
+    inherit = queue._queue_clocks
+    if inherit is None:
+        requested = ~free
+    else:
+        mem_mhz[free], core_mhz[free] = inherit
+        requested = np.ones(len(code), dtype=bool)
     return _Decoded(
-        resolved, mem_mhz, core_mhz, switches, np.array(group_of), members
+        batch.kernels, batch.kernel_code, requested, mem_mhz, core_mhz
     )
 
 
@@ -277,17 +270,43 @@ def _core_index(spec, core_mhz: np.ndarray) -> np.ndarray:
     from the table raises :class:`ValidationError`.
     """
     table = core_table(spec).mhz
-    idx = np.clip(np.searchsorted(table, core_mhz), 0, len(table) - 1)
-    if not np.array_equal(table[idx], core_mhz):
-        bad = core_mhz[table[idx] != core_mhz]
+    idx = np.minimum(np.searchsorted(table, core_mhz), len(table) - 1)
+    bad = table[idx] != core_mhz
+    if bad.any():
         raise ValidationError(
-            f"core clocks not in the device table: {sorted(set(bad.tolist()))}"
+            f"core clocks not in the device table: "
+            f"{sorted(set(core_mhz[bad].tolist()))}"
         )
     return idx
 
 
+def _groups(kernel_code: np.ndarray, mem_mhz: np.ndarray, kernels: tuple):
+    """Number the distinct ``(kernel, memory clock)`` pairs.
+
+    Returns ``(group_of, members)``: submission ``i`` reads operating-point
+    table ``group_of[i]``, one per ``(kernel, mem_mhz)`` in ``members``.
+    """
+    n_kernels = len(kernels)
+    if (mem_mhz == mem_mhz[0]).all():
+        mems, key = mem_mhz[:1], kernel_code
+    else:
+        mems, mem_code = np.unique(mem_mhz, return_inverse=True)
+        key = mem_code * n_kernels + kernel_code
+    used = np.zeros(len(mems) * n_kernels, dtype=bool)
+    used[key] = True
+    distinct = np.flatnonzero(used)
+    group = np.empty(len(used), dtype=np.int64)
+    group[distinct] = np.arange(len(distinct))
+    mems = mems.tolist()
+    members = [
+        (kernels[k % n_kernels], mems[k // n_kernels]) for k in distinct.tolist()
+    ]
+    return group[key], members
+
+
 def _choose_operating_points(
-    queue: "SynergyQueue", decoded: _Decoded, core_index: np.ndarray
+    queue: "SynergyQueue", group_of: np.ndarray, members: list,
+    core_index: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """Gather per-submission timing/power at the throttled operating point.
 
@@ -299,41 +318,29 @@ def _choose_operating_points(
     """
     gpu = queue.device.gpu
     table = core_table(gpu.spec).mhz
-    group_of = decoded.group_of
-    tables = [operating_table(gpu.spec, k, float(m)) for k, m in decoded.members]
-    time_mat = np.stack([t[0] for t in tables])
-    u_core_mat = np.stack([t[1] for t in tables])
-    u_mem_mat = np.stack([t[2] for t in tables])
-    power_mat = np.stack([t[3] for t in tables])
-
-    req_idx = core_index
+    # (group, column, core clock): time, u_core, u_mem and power tables.
+    ops = np.array([operating_table(gpu.spec, k, float(m)) for k, m in members])
     if gpu.power_limit_w >= gpu.default_power_limit_w:
         # Unconstrained board: modeled power is strictly below the peak
         # at every operating point, so throttling never engages.
-        chosen = req_idx
+        chosen = core_index
     else:
-        ok = power_mat <= gpu.power_limit_w
+        ok = ops[:, 3] <= gpu.power_limit_w
         ranked = np.where(ok, np.arange(len(table))[None, :], -1)
         best_upto = np.maximum.accumulate(ranked, axis=1)
-        chosen = best_upto[group_of, req_idx]
+        chosen = best_upto[group_of, core_index]
         chosen = np.where(chosen >= 0, chosen, 0)
-    return (
-        table[chosen],
-        time_mat[group_of, chosen],
-        u_core_mat[group_of, chosen],
-        u_mem_mat[group_of, chosen],
-        power_mat[group_of, chosen],
-    )
+    return table[chosen], *np.ascontiguousarray(ops[group_of, :, chosen].T)
 
 
 @dataclass
 class _Plan:
     """Per-submission clocks and operating points of one batch.
 
-    Derived once per batch from its :func:`_decode` and the clocks'
-    device-table indices. The entries of a submission run per
-    event are overwritten with what the board did; after a degrade the
-    tail is re-derived from the board state (:meth:`rederive_tail`).
+    Derived once per batch from its :func:`_decode`. The entries of a
+    submission run per event are overwritten with what the board did;
+    after a degrade the tail is re-derived from the board state
+    (:meth:`rederive_tail`).
     """
 
     #: Effective application clocks (int MHz).
@@ -350,21 +357,46 @@ class _Plan:
 
     @classmethod
     def derive(
-        cls, queue: "SynergyQueue", decoded: _Decoded, core_index: np.ndarray
+        cls, queue: "SynergyQueue", decoded: _Decoded, lo: int = 0
     ) -> "_Plan":
+        """The plan of submissions ``lo:`` from the board's current clocks.
+
+        The effective clocks replicate the scalar path exactly: a
+        request-free submission runs at the previous submission's clocks
+        (the board's before ``lo``), carried forward by an index
+        forward-fill, and a switch is a request that changes them (the
+        redundancy skip of ``FrequencyScaler``). A core clock off the
+        device table raises here, before anything runs.
+        """
+        gpu = queue.device.gpu
+        requested = decoded.requested[lo:]
+        mem_mhz, core_mhz = decoded.mem_mhz[lo:], decoded.core_mhz[lo:]
+        if requested.all():
+            mem_mhz, core_mhz = mem_mhz.copy(), core_mhz.copy()
+        else:
+            last = np.where(requested, np.arange(1, len(requested) + 1), 0)
+            np.maximum.accumulate(last, out=last)
+            mem_mhz = np.concatenate(([gpu.mem_mhz], mem_mhz))[last]
+            core_mhz = np.concatenate(([gpu.core_mhz], core_mhz))[last]
+        switches = np.empty(len(mem_mhz), dtype=bool)
+        switches[0] = mem_mhz[0] != gpu.mem_mhz or core_mhz[0] != gpu.core_mhz
+        switches[1:] = (mem_mhz[1:] != mem_mhz[:-1]) | (
+            core_mhz[1:] != core_mhz[:-1]
+        )
+        core_index = _core_index(gpu.spec, core_mhz)
+        group_of, members = _groups(
+            decoded.kernel_code[lo:], mem_mhz, decoded.kernels
+        )
         return cls(
-            decoded.mem_mhz, decoded.core_mhz, decoded.switches,
-            *_choose_operating_points(queue, decoded, core_index),
+            mem_mhz, core_mhz, switches,
+            *_choose_operating_points(queue, group_of, members, core_index),
         )
 
     def rederive_tail(
-        self, queue: "SynergyQueue", kernels, resolved, lo: int
+        self, queue: "SynergyQueue", decoded: _Decoded, lo: int
     ) -> None:
         """Recompute submissions ``lo:`` from the board's current clocks."""
-        decoded = _decode(queue, kernels[lo:], resolved[lo:])
-        new = _Plan.derive(
-            queue, decoded, _core_index(queue.device.gpu.spec, decoded.core_mhz)
-        )
+        new = _Plan.derive(queue, decoded, lo)
         for f in fields(self):
             getattr(self, f.name)[lo:] = getattr(new, f.name)
 
@@ -388,19 +420,19 @@ def execute_batch(queue: "SynergyQueue", batch: KernelBatch) -> BatchResult:
         return _empty_result()
 
     batch.validate_explicit_clocks(gpu.spec)
-    decoded = _decode(queue, batch.kernels, batch.requests)
-    # Checked before the walk: a resolved clock off the table raises here.
-    core_index = _core_index(gpu.spec, decoded.core_mhz)
+    decoded = _decode(queue, batch)
+    # Derived before the walk: a resolved clock off the table raises here.
+    plan = _Plan.derive(queue, decoded)
     # Bulk-committed segments as ``(event block, switches)``: the
     # submissions run per event trace and count themselves.
     bulk: list[tuple[EventBlock, int]] = []
     if not tr.enabled:
-        return _execute_segmented(queue, batch.kernels, decoded, core_index, bulk)
+        return _execute_segmented(queue, decoded, plan, bulk)
     try:
         with tr.span(
             gpu.clock, track, "engine.batch", f"batch[{n}]",
         ) as sp:
-            result = _execute_segmented(queue, batch.kernels, decoded, core_index, bulk)
+            result = _execute_segmented(queue, decoded, plan, bulk)
             sp.set(kernels=n, switches=result.n_switches, fallback=None)
         tr.count("engine.batches")
         tr.count("engine.batched_kernels", n)
@@ -488,23 +520,22 @@ def _bulk_end(queue: "SynergyQueue", plan: _Plan, lo: int):
 
 
 def _execute_segmented(
-    queue: "SynergyQueue", kernels, decoded: _Decoded, core_index, bulk: list
+    queue: "SynergyQueue", decoded: _Decoded, plan: _Plan, bulk: list
 ) -> BatchResult:
     """Commit the batch in bulk segments, split where :func:`_bulk_end` cuts.
 
-    ``decoded`` is the batch's :func:`_decode` and ``core_index`` its
-    clocks' device-table indices. Each bulk segment's event block and
-    switch count are appended to ``bulk`` as it commits.
+    ``decoded`` is the batch's :func:`_decode` and ``plan`` its
+    :class:`_Plan`. Each bulk segment's event block and switch count are
+    appended to ``bulk`` as it commits.
     """
     gpu = queue.device.gpu
     scaler = queue.scaler
-    n = len(kernels)
-    resolved = decoded.resolved
-    plan = _Plan.derive(queue, decoded, core_index)
+    n = len(decoded.kernel_code)
+    # The kernel of every submission, gathered once from the distinct ones.
+    distinct = np.empty(len(decoded.kernels), dtype=object)
+    distinct[:] = decoded.kernels
+    kernels = distinct[decoded.kernel_code]
     out = (np.empty(n), np.empty(n), np.empty(n))  # start_s, end_s, energy_j
-    # Records and clock plan share one boxed int per distinct clock value,
-    # and the clock plan one tuple per distinct (core, mem) pair.
-    box: dict = {}
     switches_before = scaler.switch_count
     events = EventLog()
     # Submissions run per event, as (index, record, app core, app mem).
@@ -514,7 +545,7 @@ def _execute_segmented(
         hi, clockline = _bulk_end(queue, plan, lo)
         if hi > lo:
             segment = _commit_segment(
-                queue, kernels, plan, slice(lo, hi), clockline, out, box
+                queue, kernels, plan, slice(lo, hi), clockline, out
             )
             events.append_block(segment[0])
             bulk.append(segment)
@@ -522,12 +553,12 @@ def _execute_segmented(
             break
         # Run submission `hi` per event with its resolved clocks and keep
         # what the board actually did.
-        event = _submit_one(queue, kernels[hi], resolved[hi])
+        event = _submit_one(queue, kernels[hi], decoded.clocks(hi))
         events.append(event)
         stepped.append((hi, event.record, gpu.core_mhz, gpu.mem_mhz))
         lo = hi + 1
         if lo < n and event in queue._degraded_events:
-            plan.rederive_tail(queue, kernels, resolved, lo)
+            plan.rederive_tail(queue, decoded, lo)
     if stepped:
         # The walk never reads a stepped submission's entries again.
         idx, records, app_core, app_mem = (list(c) for c in zip(*stepped))
@@ -555,19 +586,19 @@ def _execute_segmented(
 
 def _commit_segment(
     queue: "SynergyQueue",
-    kernels,
+    kernels: np.ndarray,
     plan: _Plan,
     seg: slice,
     clockline: np.ndarray,
     out: tuple[np.ndarray, np.ndarray, np.ndarray],
-    box: dict,
 ) -> tuple[EventBlock, int]:
     """Bulk commit of submissions ``seg``: clock plan, scaler charges,
     power timeline, clock advance, records and events.
 
-    ``clockline`` is the segment's virtual-time walk, starting at the
-    current time; the segment's start/end times and energies land in
-    ``out``. Returns the segment's event block and switch count.
+    ``kernels`` holds every submission's kernel and ``clockline`` the
+    segment's virtual-time walk, starting at the current time; the
+    segment's start/end times and energies land in ``out``. Returns the
+    segment's event block and switch count.
     """
     gpu = queue.device.gpu
     scaler = queue.scaler
@@ -578,43 +609,33 @@ def _commit_segment(
     energy_j = power_w * time_s
     out[0][seg], out[1][seg], out[2][seg] = start_s, end_s, energy_j
 
-    # Box every value once: the records, the power timeline and the
-    # clock plan share the same Python floats and ints.
-    starts, ends, powers = start_s.tolist(), end_s.tolist(), power_w.tolist()
-    cores = _interned(plan.exec_core[seg].tolist(), box)
-    mems = _interned(plan.mem_mhz[seg].tolist(), box)
+    # The board's clock plan and power timeline take the arrays.
     switch_idx = np.flatnonzero(plan.switches[seg])
     if switch_idx.size:
-        app_cores = _interned(plan.core_mhz[seg][switch_idx].tolist(), box)
         gpu.apply_clock_plan(
-            (start_s[switch_idx] + scaler.switch_overhead_s).tolist(),
-            _interned(
-                list(zip(app_cores, [mems[i] for i in switch_idx.tolist()])), box
+            start_s[switch_idx] + scaler.switch_overhead_s,
+            np.column_stack(
+                (plan.core_mhz[seg][switch_idx], plan.mem_mhz[seg][switch_idx])
             ),
         )
         scaler.charge_batched(int(switch_idx.size))
-    gpu.extend_power_timeline(starts, ends, powers)
+    gpu.extend_power_timeline(start_s, end_s, power_w)
     final = float(clockline[-1])
     if final > gpu.clock.now:
         gpu.clock.advance_to(final)
 
     # The records stay columns until someone reads them: the block holds
-    # the lists built above, and each row becomes a frozen
+    # the segment's arrays, and each row becomes a frozen
     # KernelExecutionRecord on first read (``gpu.records[i]`` or
     # ``event.record``, the same object). The events stay a block too,
     # checked in one array pass; nothing here is made per kernel.
     block = RecordBlock(
-        kernels[seg], gpu.spec.name, cores, mems, starts, ends,
-        energy_j.tolist(), powers, plan.u_core[seg].tolist(),
-        plan.u_mem[seg].tolist(),
+        kernels[seg].tolist(), gpu.spec.name, plan.exec_core[seg].copy(),
+        plan.mem_mhz[seg].copy(), start_s, end_s, energy_j,
+        power_w.copy(), plan.u_core[seg].copy(), plan.u_mem[seg].copy(),
     )
     gpu.records.append_block(block)
-    events = EventBlock(gpu, block, starts, ends)
+    events = EventBlock(gpu, block, start_s, end_s)
     queue._absorb_block(events)
     return events, int(switch_idx.size)
 
-
-def _interned(items: list, box: dict) -> list:
-    """``items`` with every distinct value (an int or a clock pair) boxed
-    once per batch, via ``box``."""
-    return list(map(box.setdefault, items, items))

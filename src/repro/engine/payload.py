@@ -59,9 +59,10 @@ def plan_from_sweeps(
 class KernelBatchPayload:
     """Job payload submitting one kernel batch per allocated GPU.
 
-    ``requests`` holds submit-style items (bare :class:`KernelIR`,
-    ``(EnergyTarget, kernel)`` or ``(mem_mhz, core_mhz, kernel)``); each
-    GPU runs them through :meth:`SynergyQueue.submit_batch`. ``owner``
+    ``requests`` is a :class:`KernelBatch` or holds submit-style items
+    (bare :class:`KernelIR`, ``(EnergyTarget, kernel)`` or ``(mem_mhz,
+    core_mhz, kernel)``); each GPU runs them through
+    :meth:`SynergyQueue.submit_batch`. ``owner``
     tags the queues (the service plane sets it to the tenant name, so
     every ``queue.kernel`` span carries it). Returns the per-submission
     start times, the modeled kernel energy summed over every GPU — the
@@ -69,14 +70,16 @@ class KernelBatchPayload:
     queue summaries.
     """
 
-    requests: tuple
+    requests: tuple | KernelBatch
     plan: FrequencyPlan | None = None
     owner: str | None = None
 
     def __call__(self, context: JobContext) -> dict[str, object]:
         # Assemble the batch once; every allocated GPU replays the same
-        # immutable struct-of-arrays submission stream.
-        batch = KernelBatch.from_requests(self.requests)
+        # immutable columnar submission stream.
+        batch = self.requests
+        if not isinstance(batch, KernelBatch):
+            batch = KernelBatch.from_requests(batch)
         start_s: list[float] = []
         kernel_energy_j = 0.0
         summaries = []

@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from array import array
 
 import numpy as np
 
@@ -70,12 +71,14 @@ class SimulatedGPU:
         self.api_restricted: bool = False
         self._busy_until: float = self.clock.now
         # Busy power segments: parallel arrays (start, end, power_w).
-        self._seg_start: list[float] = []
-        self._seg_end: list[float] = []
-        self._seg_power: list[float] = []
-        # Clock history: (time, core_mhz, mem_mhz), ascending in time.
-        self._clock_times: list[float] = [self.clock.now]
-        self._clock_values: list[tuple[int, int]] = [(self._core_mhz, self._mem_mhz)]
+        self._seg_start = array("d")
+        self._seg_end = array("d")
+        self._seg_power = array("d")
+        # Clock history: parallel (time, core_mhz, mem_mhz) arrays,
+        # ascending in time.
+        self._clock_times = array("d", [self.clock.now])
+        self._clock_cores = array("q", [self._core_mhz])
+        self._clock_mems = array("q", [self._mem_mhz])
         # Made on first use (:attr:`records`): boards are built by the
         # thousand, and one more container per board costs collector time.
         self._records: RecordLog | None = None
@@ -179,18 +182,30 @@ class SimulatedGPU:
         """
         self.api_restricted = bool(restricted)
 
+    @property
+    def _clock_values(self) -> list[tuple[int, int]]:
+        """The clock history's ``(core_mhz, mem_mhz)`` pairs, in time order."""
+        return list(zip(self._clock_cores, self._clock_mems))
+
+    @_clock_values.setter
+    def _clock_values(self, pairs) -> None:
+        self._clock_cores = array("q", [core for core, _ in pairs])
+        self._clock_mems = array("q", [mem for _, mem in pairs])
+
     def _record_clock_change(self) -> None:
         now = self.clock.now
         if self._clock_times and self._clock_times[-1] == now:
-            self._clock_values[-1] = (self._core_mhz, self._mem_mhz)
+            self._clock_cores[-1] = self._core_mhz
+            self._clock_mems[-1] = self._mem_mhz
         else:
             self._clock_times.append(now)
-            self._clock_values.append((self._core_mhz, self._mem_mhz))
+            self._clock_cores.append(self._core_mhz)
+            self._clock_mems.append(self._mem_mhz)
 
     def clocks_at(self, t: float) -> tuple[int, int]:
         """Application clocks (core, mem) in effect at virtual time ``t``."""
-        i = bisect.bisect_right(self._clock_times, t) - 1
-        return self._clock_values[max(i, 0)]
+        i = max(bisect.bisect_right(self._clock_times, t) - 1, 0)
+        return self._clock_cores[i], self._clock_mems[i]
 
     def apply_clock_plan(self, times_s, pairs) -> None:
         """Commit a whole sequence of clock changes in one call.
@@ -198,47 +213,49 @@ class SimulatedGPU:
         The batched engine's analogue of repeated
         :meth:`set_application_clocks` calls: ``pairs[i] = (core_mhz,
         mem_mhz)`` lands on the history at ``times_s[i]`` (ascending).
-        An API-restricted board refuses the whole plan; every pair is
-        validated before anything is committed, so a bad plan leaves the
-        board untouched.
-        ``times_s`` (floats) and ``pairs`` (tuples of ints) are stored as
-        given; the time checks are array comparisons over the plan.
+        ``pairs`` is any ``(n, 2)`` array-like, a list of tuples or an
+        int array. An API-restricted board refuses the whole plan; every
+        distinct clock is validated before anything is committed, so a
+        bad plan leaves the board untouched. The checks are array passes
+        and the plan is appended to the history as arrays.
         """
         if len(times_s) != len(pairs):
             raise SimulationError(
                 f"clock plan length mismatch ({len(times_s)} vs {len(pairs)})"
             )
-        if not pairs:
+        times = np.asarray(times_s, dtype=float)
+        cores, mems = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        if not len(times):
             return
         if self.api_restricted:
             raise ClockPermissionError(
                 f"{self.spec.name}[{self.index}]: application clocks are "
                 "root-restricted (no SetAPIRestriction lowering in effect)"
             )
-        for core, mem in set(pairs):
-            self.spec.validate_clocks(mem, core)
-        steps = np.diff(np.asarray(times_s, dtype=float))
+        self.spec.validate_clock_columns(mems.tolist(), cores.tolist())
+        steps = np.diff(times)
         if (steps < 0).any():
             raise SimulationError("clock plan times must be ascending")
         last = self._clock_times[-1]
-        if times_s[0] < last:
+        if times[0] < last:
             raise SimulationError(
-                f"clock plan starts at {times_s[0]!r}s, before the last "
+                f"clock plan starts at {float(times[0])!r}s, before the last "
                 f"recorded change at {last!r}s"
             )
-        if last != times_s[0] and (steps > 0).all():
+        history = self._clock_times, self._clock_cores, self._clock_mems
+        if last != times[0] and (steps > 0).all():
             # No merge-at-equal-time anywhere in this plan: bulk append.
-            self._clock_times.extend(times_s)
-            self._clock_values.extend(pairs)
+            for column, values in zip(history, (times, cores, mems)):
+                column.frombytes(values.tobytes())
         else:
-            for t, value in zip(times_s, pairs):
-                if self._clock_times[-1] == t:
-                    self._clock_values[-1] = value
+            for entry in zip(times.tolist(), cores.tolist(), mems.tolist()):
+                if self._clock_times[-1] == entry[0]:
+                    self._clock_cores[-1], self._clock_mems[-1] = entry[1:]
                 else:
-                    self._clock_times.append(t)
-                    self._clock_values.append(value)
-        self._core_mhz, self._mem_mhz = pairs[-1]
-        self.clock_set_calls += len(pairs)
+                    for column, value in zip(history, entry):
+                        column.append(value)
+        self._core_mhz, self._mem_mhz = int(cores[-1]), int(mems[-1])
+        self.clock_set_calls += len(times)
 
     # -------------------------------------------------------------- execution
 
@@ -344,12 +361,14 @@ class SimulatedGPU:
         earlier than the current queue drain time — the same invariant
         serial :meth:`execute` calls maintain one segment at a time. The
         device's busy horizon moves to the last segment's end; the caller
-        is responsible for advancing the virtual clock. The floats are
-        stored as given; the order check is one array comparison.
+        is responsible for advancing the virtual clock. The columns may
+        be sequences or arrays; the order check is one array comparison.
         """
-        if not (len(starts) == len(ends) == len(powers)):
+        columns = [np.asarray(c, dtype=float) for c in (starts, ends, powers)]
+        starts, ends, _ = columns
+        if not (len(starts) == len(ends) == len(columns[2])):
             raise SimulationError("segment arrays must have equal length")
-        if not starts:
+        if not len(starts):
             return
         bounds = np.empty(2 * len(starts) + 1)
         bounds[0] = self._busy_until
@@ -360,10 +379,11 @@ class SimulatedGPU:
                 "batched segments must be ascending and non-overlapping, "
                 "starting at or after the device busy horizon"
             )
-        self._seg_start.extend(starts)
-        self._seg_end.extend(ends)
-        self._seg_power.extend(powers)
-        self._busy_until = ends[-1]
+        for timeline, values in zip(
+            (self._seg_start, self._seg_end, self._seg_power), columns
+        ):
+            timeline.frombytes(values.tobytes())
+        self._busy_until = float(ends[-1])
 
     # ------------------------------------------------------------------ power
 
@@ -399,22 +419,29 @@ class SimulatedGPU:
         i1 = bisect.bisect_left(self._seg_start, t1, i0)
         c0 = max(bisect.bisect_right(self._clock_times, t0) - 1, 0)
         c1 = max(bisect.bisect_left(self._clock_times, t1), c0 + 1)
+        # The timeline and the clock history are flat arrays: each slice
+        # below is one copy, not a conversion per element.
         seg_s = np.asarray(self._seg_start[i0:i1], dtype=float)
         seg_e = np.asarray(self._seg_end[i0:i1], dtype=float)
         clk_t = np.asarray(self._clock_times[c0:c1], dtype=float)
-        clk_v = np.asarray(self._clock_values[c0:c1], dtype=float)
+        # Idle power once per clock record, gathered per interval below.
+        idle = self.power_model.power(
+            np.asarray(self._clock_cores[c0:c1], dtype=float),
+            np.asarray(self._clock_mems[c0:c1], dtype=float),
+            0.0,
+            0.0,
+        )
         edges = np.unique(
             np.clip(np.concatenate(([t0, t1], seg_s, seg_e, clk_t)), t0, t1)
         )
         lo, hi = edges[:-1], edges[1:]
         # Power over each interval [lo, hi): idle at the clocks then in
         # effect, unless a busy segment covers it.
-        j = np.maximum(np.searchsorted(clk_t, lo, side="right") - 1, 0)
-        p = self.power_model.power(clk_v[j, 0], clk_v[j, 1], 0.0, 0.0)
+        p = idle[np.maximum(np.searchsorted(clk_t, lo, side="right") - 1, 0)]
         if seg_s.size:
             k = np.searchsorted(seg_s, lo, side="right") - 1
             busy = (k >= 0) & (lo < seg_e[np.maximum(k, 0)])
-            p = np.where(busy, np.asarray(self._seg_power[i0:i1])[k], p)
+            p = np.where(busy, np.asarray(self._seg_power[i0:i1], dtype=float)[k], p)
         return math.fsum((p * (hi - lo)).tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -15,6 +15,8 @@ from collections.abc import MutableSequence, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
+import numpy as np
+
 from repro.common.lazyseq import LazyRows, PartLog
 
 
@@ -43,11 +45,13 @@ class RecordBlock(LazyRows):
     """A run of kernel executions as columns; rows are built on first read.
 
     ``kernels`` supplies the kernel names (read only when a row is
-    built); every other column holds the Python ints and floats the
-    records carry, so a built row is the record the per-event path would
-    have made from the same values. Row ``i`` is built once and cached:
-    ``block[i] is block[i]``. Once every row is built the block drops its
-    columns, so a fully read block holds no more than a list of records.
+    built); every other column is a sequence or a NumPy array of the
+    records' ints and floats (the batched engine hands over its arrays),
+    read as Python ``int``/``float`` values, so a built row is the record
+    the per-event path would have made from the same values. Row ``i`` is
+    built once and cached: ``block[i] is block[i]``. Once every row is
+    built the block drops its columns, so a fully read block holds no
+    more than a list of records.
     """
 
     __slots__ = ("_kernels", "_device_name", "_columns")
@@ -73,10 +77,10 @@ class RecordBlock(LazyRows):
         )
 
     def _build(self, i: int) -> KernelExecutionRecord:
-        core, mem, t0, t1, energy, power, u_core, u_mem = self._columns
+        core, mem, *floats = (column[i] for column in self._columns)
         return KernelExecutionRecord(
-            self._kernels[i].name, self._device_name, core[i], mem[i],
-            t0[i], t1[i], energy[i], power[i], u_core[i], u_mem[i],
+            self._kernels[i].name, self._device_name, int(core), int(mem),
+            *map(float, floats),
         )
 
     def _build_all(self) -> list[KernelExecutionRecord]:
@@ -87,7 +91,7 @@ class RecordBlock(LazyRows):
                 u_core, u_mem,
             )
             for kernel, core, mem, t0, t1, energy, power, u_core, u_mem
-            in zip(self._kernels, *self._columns)
+            in zip(self._kernels, *map(_as_list, self._columns))
         ]
 
     def _release(self) -> None:
@@ -96,14 +100,21 @@ class RecordBlock(LazyRows):
     def stat_columns(self) -> tuple[Sequence, ...]:
         """The :data:`STAT_FIELDS` columns, building no row.
 
-        While the block holds its columns they are read directly; once
-        every row is built they are read off the rows. Either way they
-        hold the same Python objects the records carry.
+        While the block holds its columns they are read directly, as
+        Python values; once every row is built they are read off the
+        rows. Either way they hold the values the records carry.
         """
         if self._columns is None:
             return record_columns(self._rows)
-        core, mem, t0, t1, energy, power, _, _ = self._columns
-        return ([k.name for k in self._kernels], core, mem, t0, t1, energy, power)
+        return (
+            [k.name for k in self._kernels],
+            *map(_as_list, self._columns[:6]),
+        )
+
+
+def _as_list(column: Sequence) -> list:
+    """A column as a list of Python ints and floats."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 #: The record fields per-kernel statistics read, in

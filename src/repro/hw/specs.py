@@ -157,6 +157,24 @@ class GPUSpec:
                 f"{self.name}: unsupported memory clock {mem_mhz} MHz"
             )
 
+    def validate_clock_columns(self, mem_mhz, core_mhz) -> None:
+        """:meth:`validate_clocks` over every pair of two clock columns.
+
+        A pair is supported iff its core and its memory clock both are,
+        so the columns' distinct values are checked against the tables as
+        sets; the smallest unsupported core clock, then memory clock, is
+        named.
+        """
+        cores, mems = self._clock_sets
+        for what, values, table in (
+            ("core", core_mhz, cores), ("memory", mem_mhz, mems)
+        ):
+            bad = set(values) - table
+            if bad:
+                raise ConfigurationError(
+                    f"{self.name}: unsupported {what} clock {min(bad)} MHz"
+                )
+
 
 def _freq_table(lo: int, hi: int, count: int) -> tuple[int, ...]:
     """Evenly spaced integer clock table with exactly ``count`` entries."""

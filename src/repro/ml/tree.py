@@ -333,26 +333,40 @@ def grow_trees(
     return _split_by_tree(levels, len(samples))
 
 
-def _split_by_tree(levels, n_trees: int) -> list[FlatTree]:
-    """Per-tree breadth-first :class:`FlatTree` s from per-depth node arrays."""
+def _split_by_tree(levels: list, n_trees: int) -> list[FlatTree]:
+    """Per-tree breadth-first :class:`FlatTree` s from per-depth node arrays.
+
+    Consumes ``levels``. Each node-sized temporary is dropped once it has
+    been used, so the peak is about the node arrays plus the reordered
+    copy of one field, not every intermediate at once.
+    """
+    inner = [np.flatnonzero(level[2] >= 0) for level in levels]
+    widths = [level[2].size for level in levels]
     tree, value, feature, threshold = (np.concatenate(a) for a in zip(*levels))
+    levels.clear()
+    # Global child index of each inner node (children follow their level).
     left = np.full(tree.size, -1, dtype=np.intp)
     base = 0
-    for level in levels:
-        inner = np.flatnonzero(level[2] >= 0)
-        left[base + inner] = base + level[2].size + 2 * np.arange(inner.size)
-        base += level[2].size
-    right = np.where(left >= 0, left + 1, -1)
+    for nodes, width in zip(inner, widths):
+        left[base + nodes] = base + width + 2 * np.arange(nodes.size)
+        base += width
+    del inner
     order = np.argsort(tree, kind="stable")
     counts = np.bincount(tree, minlength=n_trees)
-    local = np.empty(tree.size, dtype=np.intp)
-    local[order] = np.arange(tree.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    del tree
+    # Each node's index within its own tree.
+    local = np.empty(order.size, dtype=np.intp)
+    local[order] = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    right = np.where(left >= 0, local[left + 1], -1)
     left = np.where(left >= 0, local[left], -1)
-    right = np.where(right >= 0, local[right], -1)
+    del local
     bounds = np.cumsum(counts)[:-1]
-    parts = (
-        np.split(a[order], bounds) for a in (feature, threshold, left, right, value)
-    )
+    columns = [feature, threshold, left, right, value]
+    del feature, threshold, left, right, value
+    parts = []
+    for i in range(len(columns)):
+        parts.append(np.split(columns[i][order], bounds))
+        columns[i] = None
     return [FlatTree(*arrays) for arrays in zip(*parts)]
 
 

@@ -32,6 +32,7 @@ import numpy as np
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_seed
 from repro.core.compiler import FrequencyPlan
+from repro.engine.batch import KernelBatch
 from repro.hw.specs import GPUSpec
 from repro.kernelir.kernel import KernelIR
 from repro.obs.session import TraceSession, resolve_trace
@@ -233,15 +234,18 @@ class SchedulingService:
             ]
             if not names:
                 continue
-            queues = []
-            for name in self._drain_order(names):
-                target = self.registry.get(name).target
-                queues.append(
-                    (
-                        name,
-                        [(target, k) for _, _, k in self._pending[name]],
-                    )
+            # A tenant's queue is one batch: its kernels, all with the
+            # tenant's target.
+            queues = [
+                (
+                    name,
+                    KernelBatch.of(
+                        [k for _, _, k in self._pending[name]],
+                        self.registry.get(name).target,
+                    ),
                 )
+                for name in self._drain_order(names)
+            ]
             results = shard.drain(queues)
             for res in results:
                 pending = self._pending[res.tenant]

@@ -6,7 +6,8 @@ posture with the ``nvgpufreq`` GRES so the plugin's privilege dance
 runs), its own :class:`Scheduler` with the :class:`NvGpuFreqPlugin`
 attached. Shards run cooperatively in virtual time — the plane advances
 every shard's clock to each drain boundary, and each shard then drains
-its tenants' queues through ``Scheduler.submit_many``, whose per-job
+its tenants' queues (one columnar :class:`KernelBatch` each) through
+``Scheduler.submit_many``, whose per-job
 accounting reads only each board's in-window timeline. GPU indices and
 node names are offset per shard (``index_base``/``node_prefix``) so all
 shards can share one trace session without track collisions — the
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.common.clock import VirtualClock
 from repro.core.compiler import FrequencyPlan
+from repro.engine.batch import KernelBatch
 from repro.engine.payload import KernelBatchPayload
 from repro.hw.specs import GPUSpec
 from repro.obs.session import TraceSession
@@ -79,15 +81,16 @@ class PartitionShard:
         if t_s > self.cluster.clock.now:
             self.cluster.clock.advance_to(t_s)
 
-    def drain(self, queues: "list[tuple[str, list]]") -> list[DrainResult]:
+    def drain(self, queues: "list[tuple[str, KernelBatch]]") -> list[DrainResult]:
         """Drain tenant queues in the given order via ``submit_many``.
 
-        ``queues`` holds ``(tenant_name, requests)`` pairs, already in the
-        plane's priority order; each becomes one exclusive ``nvgpufreq``
-        job so the plugin grants clock privileges for the batch and the
-        epilogue restores production posture between tenants.
+        ``queues`` holds ``(tenant_name, batch)`` pairs, already in the
+        plane's priority order; each non-empty batch becomes one
+        exclusive ``nvgpufreq`` job so the plugin grants clock privileges
+        for the batch and the epilogue restores production posture
+        between tenants.
         """
-        queues = [(tenant, reqs) for tenant, reqs in queues if reqs]
+        queues = [(tenant, batch) for tenant, batch in queues if len(batch)]
         if not queues:
             return []
         specs = [
@@ -97,22 +100,20 @@ class PartitionShard:
                 exclusive=True,
                 gres=frozenset({NVGPUFREQ_GRES}),
                 payload=KernelBatchPayload(
-                    requests=tuple(reqs),
-                    plan=self.plan,
-                    owner=tenant,
+                    requests=batch, plan=self.plan, owner=tenant
                 ),
             )
-            for tenant, reqs in queues
+            for tenant, batch in queues
         ]
         jobs = self.scheduler.submit_many(specs)
         results = []
-        for (tenant, reqs), job in zip(queues, jobs):
+        for (tenant, batch), job in zip(queues, jobs):
             payload_result = job.result or {}
             results.append(
                 DrainResult(
                     tenant=tenant,
                     job=job,
-                    n=len(reqs),
+                    n=len(batch),
                     start_s=tuple(payload_result.get("start_s", ())),
                     kernel_energy_j=float(
                         payload_result.get("kernel_energy_j", 0.0)

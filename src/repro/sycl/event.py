@@ -136,9 +136,10 @@ class EventBlock(LazyRows):
     becomes a :class:`BlockEvent` the first time someone reads it and is
     cached, so ``block[i] is block[i]``. The block takes its run of
     event ids when it is made, so ids keep submission order however late
-    its rows are built. The timestamp-order check :class:`Event` makes
-    runs here, once, as one array comparison: it raises the same
-    :class:`SimulationError` for the first kernel out of order.
+    its rows are built. The timestamps are held as float arrays; the
+    timestamp-order check :class:`Event` makes runs here, once, as one
+    array comparison: it raises the same :class:`SimulationError` for the
+    first kernel out of order.
     """
 
     __slots__ = ("device", "records", "first_id", "_start", "_end")
@@ -147,12 +148,14 @@ class EventBlock(LazyRows):
         self,
         device: "SimulatedGPU",
         records: "RecordBlock",
-        start_s: list[float],
-        end_s: list[float],
+        start_s,
+        end_s,
     ) -> None:
-        bad = np.flatnonzero(~(np.asarray(start_s) <= np.asarray(end_s)))
+        start_s = np.asarray(start_s, dtype=float)
+        end_s = np.asarray(end_s, dtype=float)
+        bad = np.flatnonzero(~(start_s <= end_s))
         if bad.size:
-            t0, t1 = start_s[bad[0]], end_s[bad[0]]
+            t0, t1 = float(start_s[bad[0]]), float(end_s[bad[0]])
             raise SimulationError(
                 f"event timestamps out of order: submit={t0}, "
                 f"start={t0}, end={t1}"
@@ -170,8 +173,8 @@ class EventBlock(LazyRows):
 
     def _build(self, i: int) -> BlockEvent:
         return BlockEvent(
-            self.device, self._start[i], self._end[i], self.records, i,
-            self.first_id + i,
+            self.device, float(self._start[i]), float(self._end[i]),
+            self.records, i, self.first_id + i,
         )
 
     def _build_all(self) -> list[BlockEvent]:
@@ -180,8 +183,8 @@ class EventBlock(LazyRows):
             map(
                 BlockEvent,
                 itertools.repeat(self.device, n),
-                self._start,
-                self._end,
+                self._start.tolist(),
+                self._end.tolist(),
                 itertools.repeat(self.records, n),
                 range(n),
                 range(first, first + n),

@@ -31,8 +31,9 @@ from repro.engine import (
     KernelBatchPayload,
     plan_from_sweeps,
 )
+from repro.engine.batch import EXPLICIT, NO_REQUEST
 from repro.hw.device import SimulatedGPU
-from repro.hw.specs import NVIDIA_V100
+from repro.hw.specs import NVIDIA_TITAN_X, NVIDIA_V100
 from repro.metrics.targets import (
     DEADLINE,
     MAX_PERF,
@@ -100,6 +101,20 @@ def _failing_record_checks(gpu: SimulatedGPU) -> list[tuple[str, str]]:
 # ------------------------------------------------------------ batch assembly
 
 
+def _columns(kernel, **columns) -> dict:
+    """Column-constructor arguments for one submission of ``kernel``:
+    a bare kernel unless ``columns`` overrides a column."""
+    return {
+        "kernels": (kernel,),
+        "kernel_code": [0],
+        "targets": (),
+        "target_code": [NO_REQUEST],
+        "mem_mhz": [0],
+        "core_mhz": [0],
+        **columns,
+    }
+
+
 class TestKernelBatch:
     def test_from_requests_accepts_all_submit_forms(self, kernel_pool):
         gemm = kernel_pool[0]
@@ -107,29 +122,117 @@ class TestKernelBatch:
             [gemm, (MIN_EDP, gemm), (877, 1200, gemm)]
         )
         assert len(batch) == 3
-        assert batch.requests == (None, MIN_EDP, (877, 1200))
+        assert batch.kernels == (gemm,) and batch.targets == (MIN_EDP,)
+        assert batch.kernel_code.tolist() == [0, 0, 0]
+        assert batch.target_code.tolist() == [NO_REQUEST, 0, EXPLICIT]
+        assert batch.mem_mhz.tolist() == [0, 0, 877]
+        assert batch.core_mhz.tolist() == [0, 0, 1200]
+
+    def test_from_requests_codes_by_first_use(self, kernel_pool):
+        gemm, sobel = kernel_pool[:2]
+        batch = KernelBatch.from_requests(
+            [(MAX_PERF, sobel), gemm, (MIN_EDP, sobel), (MAX_PERF, gemm)]
+        )
+        assert batch.kernels == (sobel, gemm)
+        assert batch.targets == (MAX_PERF, MIN_EDP)
+        assert batch.kernel_code.tolist() == [0, 1, 0, 1]
+        assert batch.target_code.tolist() == [0, NO_REQUEST, 1, 0]
+
+    def test_of_gives_every_submission_one_request(self, kernel_pool):
+        gemm, sobel = kernel_pool[:2]
+        batch = KernelBatch.of([gemm, sobel, gemm], MIN_EDP)
+        assert batch.kernels == (gemm, sobel) and batch.targets == (MIN_EDP,)
+        assert batch.kernel_code.tolist() == [0, 1, 0]
+        assert batch.target_code.tolist() == [0, 0, 0]
+        bare = KernelBatch.of([gemm])
+        assert bare.targets == () and bare.target_code.tolist() == [NO_REQUEST]
+
+    def test_batch_columns_are_read_only_copies(self, kernel_pool):
+        codes = np.zeros(2, dtype=np.int64)
+        batch = KernelBatch(**_columns(
+            kernel_pool[0], kernel_code=codes, target_code=[-1, -1],
+            mem_mhz=[0, 0], core_mhz=[0, 0],
+        ))
+        codes[1] = 5
+        assert codes.flags.writeable and batch.kernel_code.tolist() == [0, 0]
+        with pytest.raises(ValueError):
+            batch.kernel_code[0] = 1
 
     def test_from_requests_rejects_unknown_items(self, kernel_pool):
         with pytest.raises(ValidationError, match="batch items"):
             KernelBatch.from_requests([("not", "a", "request")])
 
     @pytest.mark.parametrize(
-        ("request_", "item"),
+        ("columns", "item"),
         [
-            ((877.0, 1516.0), lambda k: (877.0, 1516.0, k)),
-            ("877,1516", lambda k: ("877,1516", k)),
-            ((877, 1516, 3), lambda k: ((877, 1516, 3), k)),
+            (
+                lambda k: _columns(
+                    k, target_code=[EXPLICIT], mem_mhz=[877.0], core_mhz=[1516.0]
+                ),
+                lambda k: (877.0, 1516.0, k),
+            ),
+            (
+                lambda k: _columns(k, targets=("877,1516",), target_code=[0]),
+                lambda k: ("877,1516", k),
+            ),
+            (
+                lambda k: _columns(k, targets=((877, 1516, 3),), target_code=[0]),
+                lambda k: ((877, 1516, 3), k),
+            ),
+            (
+                lambda k: _columns(k, targets=(None,), target_code=[0]),
+                lambda k: (None, k),
+            ),
+            (
+                lambda k: _columns("gemm"),
+                lambda k: "gemm",
+            ),
+            (
+                lambda k: _columns("gemm", targets=(MIN_EDP,), target_code=[0]),
+                lambda k: (MIN_EDP, "gemm"),
+            ),
+            (
+                lambda k: _columns(
+                    None, target_code=[EXPLICIT], mem_mhz=[877], core_mhz=[1530]
+                ),
+                lambda k: (877, 1530, None),
+            ),
         ],
-        ids=["float-pair", "string", "3-tuple"],
+        ids=[
+            "float-pair", "string", "3-tuple", "none-target", "bare-non-kernel",
+            "target-non-kernel", "pair-non-kernel",
+        ],
     )
     def test_both_constructors_reject_the_same_requests(
-        self, kernel_pool, request_, item
+        self, kernel_pool, columns, item
     ):
         kernel = kernel_pool[0]
         with pytest.raises(ValidationError, match="batch items"):
-            KernelBatch(kernels=(kernel,), requests=(request_,))
+            KernelBatch(**columns(kernel))
         with pytest.raises(ValidationError, match="batch items"):
-            KernelBatch.from_requests([item(kernel)])
+            KernelBatch.from_requests([kernel, item(kernel)])
+
+    @pytest.mark.parametrize(
+        ("override", "match"),
+        [
+            ({"kernel_code": [1]}, "out of range"),
+            ({"kernel_code": [-1]}, "out of range"),
+            ({"target_code": [0]}, "out of range"),
+            ({"target_code": [EXPLICIT - 1]}, "out of range"),
+            ({"target_code": [0.0]}, "batch items"),
+            ({"mem_mhz": [0, 0]}, "length mismatch"),
+            ({"core_mhz": [[0]]}, "batch items"),
+        ],
+        ids=[
+            "kernel-high", "kernel-negative", "target-high", "target-low",
+            "float-code", "length", "2-d",
+        ],
+    )
+    def test_column_constructor_rejects_bad_columns(
+        self, kernel_pool, override, match
+    ):
+        with pytest.raises(ValidationError, match=match):
+            KernelBatch(**_columns(kernel_pool[0], **override))
 
     def test_from_requests_rejects_a_none_target_like_submit(self, kernel_pool):
         kernel = kernel_pool[0]
@@ -142,6 +245,9 @@ class TestKernelBatch:
     def test_explicit_clock_validation_runs_at_assembly(self, kernel_pool):
         batch = KernelBatch.from_requests([(877, 123456, kernel_pool[0])])
         with pytest.raises(ConfigurationError, match="unsupported core"):
+            batch.validate_explicit_clocks(NVIDIA_V100)
+        batch = KernelBatch.from_requests([(1, 1530, kernel_pool[0])])
+        with pytest.raises(ConfigurationError, match="unsupported memory"):
             batch.validate_explicit_clocks(NVIDIA_V100)
 
 
@@ -294,6 +400,61 @@ class TestSubmitBatchBoundary:
         assert gpu.clock.now == 0.0 and gpu.clock_set_calls == 0
         if gpu.fault_injector is not None:
             assert gpu.fault_injector.log.entries == []
+
+
+    @pytest.mark.parametrize("form", ["tuples", "columns", "resolved"])
+    def test_off_table_clock_leaves_the_board_history_untouched(
+        self, kernel_pool, plan, form
+    ):
+        """A batch whose explicit pair, or plan-resolved core clock, is off
+        the device table raises before anything runs, on a board that
+        already has history: its records, clock history and power
+        timeline stay as they were."""
+        from repro.core.compiler import FrequencyPlan
+
+        gemm = kernel_pool[0]
+        gpu = SimulatedGPU(NVIDIA_V100, index=0)
+        SynergyQueue(gpu, plan=plan).submit_batch(
+            [(MIN_EDP, gemm), (877, 1380, gemm), gemm]
+        )
+        before = _board_history(gpu)
+        if form == "resolved":
+            bad_plan = FrequencyPlan(
+                device_name=NVIDIA_V100.name,
+                entries={(gemm.name, MIN_EDP.name): (877, 123)},
+            )
+            with pytest.raises(ValidationError, match="not in the device table"):
+                SynergyQueue(gpu, plan=bad_plan).submit_batch(
+                    [(877, 1380, gemm), (MIN_EDP, gemm)]
+                )
+        else:
+            batch = (
+                KernelBatch.from_requests([(MAX_PERF, gemm), (877, 123456, gemm)])
+                if form == "tuples"
+                else KernelBatch(
+                    kernels=(gemm,), kernel_code=[0, 0], targets=(MAX_PERF,),
+                    target_code=[0, EXPLICIT], mem_mhz=[0, 877],
+                    core_mhz=[0, 123456],
+                )
+            )
+            with pytest.raises(ConfigurationError, match="unsupported core"):
+                SynergyQueue(gpu, plan=plan).submit_batch(batch)
+        assert _board_history(gpu) == before
+
+
+def _board_history(gpu: SimulatedGPU) -> tuple:
+    """Everything a batch commits to a board, as comparable values."""
+    return (
+        list(gpu.records),
+        gpu._clock_values,
+        list(gpu._clock_times),
+        list(gpu._seg_start),
+        list(gpu._seg_end),
+        list(gpu._seg_power),
+        gpu.clock.now,
+        gpu.clock_set_calls,
+        (gpu.core_mhz, gpu.mem_mhz),
+    )
 
 
 # ------------------------------------------------------- bulk device APIs
@@ -503,14 +664,14 @@ def clock_set_faults(draw):
     )
 
 
-def _clean_run_s(plan, requests) -> float:
-    """Virtual duration of ``requests`` as a batch on a clean V100."""
-    clean = SimulatedGPU(NVIDIA_V100, index=0)
+def _clean_run_s(plan, requests, spec=NVIDIA_V100) -> float:
+    """Virtual duration of ``requests`` as a batch on a clean board."""
+    clean = SimulatedGPU(spec, index=0)
     SynergyQueue(clean, plan=plan).submit_batch(requests)
     return clean.clock.now
 
 
-def _clock_set_plan(plan, requests, faults):
+def _clock_set_plan(plan, requests, faults, spec=NVIDIA_V100):
     """The fault plan ``faults`` draws, scheduled against a clean run."""
     from repro.faults import FaultPlan, FaultSpec
 
@@ -523,7 +684,8 @@ def _clock_set_plan(plan, requests, faults):
     if at_frac is not None:
         specs.append(
             FaultSpec(
-                site="nvml.set_clocks", at_s=at_frac * _clean_run_s(plan, requests)
+                site="nvml.set_clocks",
+                at_s=at_frac * _clean_run_s(plan, requests, spec),
             )
         )
     return FaultPlan(seed=seed, specs=tuple(specs))
@@ -1044,3 +1206,162 @@ class TestEventBlocks:
         grown = len(gc.get_objects()) - before
         assert len(result) == summary["kernels"] == 384
         assert grown < 64, grown
+
+
+#: Boards of the columnar property: one memory clock (V100) and four
+#: (Titan X), so memory-clock switches and groups are drawn too.
+MIX_SPECS = (NVIDIA_V100, NVIDIA_TITAN_X)
+
+
+@pytest.fixture(scope="module")
+def mix_plans(kernel_pool):
+    return {
+        spec.name: plan_from_sweeps(spec, kernel_pool, TARGETS)
+        for spec in MIX_SPECS
+    }
+
+
+@st.composite
+def request_mixes(draw):
+    """A board and a request stream over it (bare kernels, explicit pairs
+    from its tables, plan targets), plus the queue it runs through:
+    queue clocks or none, traced or not, and an armed transient
+    clock-set fault plan or none."""
+    from repro.apps import get_benchmark
+
+    spec = draw(st.sampled_from(MIX_SPECS))
+    kernels = [get_benchmark(n).kernel for n in ("gemm", "sobel3", "median")]
+    # Half the core clocks are the board's default, so memory-only
+    # switches are common.
+    pairs = st.tuples(
+        st.sampled_from(spec.mem_freqs_mhz),
+        st.just(spec.default_core_mhz) | st.sampled_from(spec.core_freqs_mhz),
+    )
+    requests = []
+    for _ in range(draw(st.integers(1, 24))):
+        kernel = draw(st.sampled_from(kernels))
+        form = draw(st.integers(0, 2))
+        if form == 0:
+            requests.append(kernel)
+        elif form == 1:
+            requests.append((*draw(pairs), kernel))
+        else:
+            requests.append((draw(st.sampled_from(TARGETS)), kernel))
+    return {
+        "spec": spec,
+        "requests": requests,
+        "queue_clocks": draw(st.none() | pairs),
+        "traced": draw(st.booleans()),
+        "faults": draw(st.none() | clock_set_faults()),
+    }
+
+
+def _column_batch(requests) -> KernelBatch:
+    """``requests`` as a batch built directly from columns, coded against
+    fixed kernel and target pools (in reverse, so the codes differ from
+    the first-use codes of :meth:`KernelBatch.from_requests`)."""
+    from repro.apps import get_benchmark
+
+    kernels = tuple(get_benchmark(n).kernel for n in ("median", "sobel3", "gemm"))
+    targets = tuple(reversed(TARGETS))
+    columns = []
+    for item in requests:
+        if not isinstance(item, tuple):
+            columns.append((kernels.index(item), NO_REQUEST, 0, 0))
+        elif len(item) == 2:
+            columns.append((kernels.index(item[1]), targets.index(item[0]), 0, 0))
+        else:
+            columns.append((kernels.index(item[2]), EXPLICIT, item[0], item[1]))
+    kernel_code, target_code, mem_mhz, core_mhz = zip(*columns)
+    return KernelBatch(
+        kernels=kernels, kernel_code=kernel_code, targets=targets,
+        target_code=target_code, mem_mhz=mem_mhz, core_mhz=core_mhz,
+    )
+
+
+def _batch_state(result: BatchResult) -> tuple:
+    arrays = (
+        result.start_s, result.end_s, result.time_s, result.energy_j,
+        result.avg_power_w, result.core_mhz, result.mem_mhz,
+        result.app_core_mhz, result.app_mem_mhz,
+    )
+    return (
+        [(a.dtype.str, a.tobytes()) for a in arrays],
+        result.n_switches,
+        result.fallback,
+        # Event ids come from a process-wide counter: compare offsets.
+        [
+            (e.event_id - result.events[0].event_id, e.start_s, e.end_s, e.record)
+            for e in result.events
+        ],
+    )
+
+
+def _queue_state(queue: SynergyQueue, trace) -> tuple:
+    scaler = queue.scaler
+    return (
+        _board_history(queue.gpu),
+        [type(v) for r in queue.gpu.records for v in vars(r).values()],
+        (scaler.switch_count, scaler.retry_count, scaler.failed_switches,
+         scaler.total_overhead_s),
+        queue.kernel_stats(),
+        queue.summary(),
+        queue.gpu.fault_injector.log.to_dicts(),
+        None if trace is None else trace.metrics.as_dict(),
+        None if trace is None else [sp.as_dict() for sp in trace.tracer.spans],
+    )
+
+
+class TestColumnarBatchProperties:
+    @given(request_mixes())
+    @settings(max_examples=50, deadline=None)
+    def test_tuple_column_and_per_event_runs_agree(self, mix_plans, mix):
+        """Tuple input and column input run bitwise alike: every
+        ``BatchResult`` field, record, clock history entry, span and
+        counter. Against ``replay_per_event`` the executor's exactness
+        contract holds: the same error, clocks, switches, counters and
+        fault log, times and energies within rel 1e-12."""
+        from repro.common.errors import ReproError
+        from repro.faults import FaultPlan
+
+        spec, requests, faults = mix["spec"], mix["requests"], mix["faults"]
+        plan = mix_plans[spec.name]
+        fault_plan = (
+            FaultPlan() if faults is None
+            else _clock_set_plan(plan, requests, faults, spec)
+        )
+        runs = []
+        for submit in (
+            lambda q: replay_per_event(q, requests),
+            lambda q: q.submit_batch(requests),
+            lambda q: q.submit_batch(_column_batch(requests)),
+        ):
+            gpu = SimulatedGPU(spec, index=0)
+            gpu.fault_injector = fault_plan.injector()
+            trace = TraceSession() if mix["traced"] else None
+            queue = SynergyQueue(
+                *(mix["queue_clocks"] or ()), gpu, plan=plan, trace=trace
+            )
+            result = error = None
+            try:
+                result = submit(queue)
+                queue.wait()
+            except ReproError as exc:
+                error = exc
+            runs.append((queue, trace, result, error))
+        (scalar_q, scalar_tr, _, scalar_err), tuples, columns = runs
+        assert (type(tuples[3]), str(tuples[3])) == (
+            type(columns[3]), str(columns[3])
+        )
+        assert _queue_state(*tuples[:2]) == _queue_state(*columns[:2])
+        if tuples[2] is not None:
+            assert _batch_state(tuples[2]) == _batch_state(columns[2])
+        _assert_split_parity(scalar_q, tuples[0], tuples[2], (scalar_err, tuples[3]))
+        if mix["traced"]:
+            names = (
+                "freq.retries", "faults.injected", "queue.kernels_executed",
+                "freq.switches", "predict.plan_lookups",
+            )
+            assert [scalar_tr.metrics.counter(n).value for n in names] == [
+                tuples[1].metrics.counter(n).value for n in names
+            ]
