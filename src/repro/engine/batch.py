@@ -24,7 +24,7 @@ with :meth:`KernelBatch.of`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,9 +71,21 @@ def _int_column(name: str, values, n: int) -> np.ndarray:
     return column
 
 
+def _check_members(kernels: Iterable, targets: Iterable) -> None:
+    """Reject a distinct kernel that is not a :class:`KernelIR`, or a
+    distinct target that is not an :class:`EnergyTarget`."""
+    for kernel in kernels:
+        if not isinstance(kernel, KernelIR):
+            raise ValidationError(f"{_ITEM_FORMS}; got kernel {kernel!r}")
+    for target in targets:
+        if not isinstance(target, EnergyTarget):
+            raise ValidationError(f"{_ITEM_FORMS}; got request {target!r}")
+
+
 def _frozen(values) -> np.ndarray:
-    """A read-only int64 array of ``values``."""
-    column = np.array(values, dtype=np.int64)
+    """``values`` as a read-only int64 array (a fresh int64 array is not
+    copied)."""
+    column = np.asarray(values, dtype=np.int64)
     column.setflags(write=False)
     return column
 
@@ -106,12 +118,7 @@ class KernelBatch:
             object.__setattr__(
                 self, name, _int_column(name, getattr(self, name), n)
             )
-        for kernel in self.kernels:
-            if not isinstance(kernel, KernelIR):
-                raise ValidationError(f"{_ITEM_FORMS}; got kernel {kernel!r}")
-        for target in self.targets:
-            if not isinstance(target, EnergyTarget):
-                raise ValidationError(f"{_ITEM_FORMS}; got request {target!r}")
+        _check_members(self.kernels, self.targets)
         # Viewed as unsigned, a negative code is out of range too.
         if n and not (
             self.kernel_code.view(np.uint64).max() < len(self.kernels)
@@ -127,6 +134,20 @@ class KernelBatch:
         return len(self.kernel_code)
 
     @classmethod
+    def _built(cls, kernels: tuple, *columns: np.ndarray) -> "KernelBatch":
+        """A batch from columns its producer built valid, unchecked.
+
+        For :meth:`of` and :meth:`from_requests`, which check every kernel
+        and target as they code them: ``columns`` are read-only int64
+        arrays in field order after ``kernels``, with codes in range. A
+        small batch then pays no per-column NumPy checks.
+        """
+        batch = object.__new__(cls)
+        for field, value in zip(fields(cls), (kernels, *columns)):
+            object.__setattr__(batch, field.name, value)
+        return batch
+
+    @classmethod
     def of(
         cls, kernels: Sequence[KernelIR], target: EnergyTarget | None = None
     ) -> "KernelBatch":
@@ -136,16 +157,20 @@ class KernelBatch:
         identity, in first-use order.
         """
         distinct = {id(k): k for k in kernels}
+        targets = () if target is None else (target,)
+        _check_members(distinct.values(), targets)
         code_of = {key: code for code, key in enumerate(distinct)}
         n = len(kernels)
         zeros = _frozen(np.zeros(n, dtype=np.int64))
-        return cls(
-            kernels=tuple(distinct.values()),
-            kernel_code=_frozen(list(map(code_of.__getitem__, map(id, kernels)))),
-            targets=() if target is None else (target,),
-            target_code=_frozen(np.full(n, NO_REQUEST if target is None else 0)),
-            mem_mhz=zeros,
-            core_mhz=zeros,
+        return cls._built(
+            tuple(distinct.values()),
+            _frozen(
+                np.fromiter(map(code_of.__getitem__, map(id, kernels)), np.int64, n)
+            ),
+            targets,
+            _frozen(np.full(n, NO_REQUEST if target is None else 0)),
+            zeros,
+            zeros,
         )
 
     @classmethod
@@ -222,13 +247,9 @@ class KernelBatch:
                     f"{max(mems + cores, key=abs)}"
                 ) from None
         pair.setflags(write=False)
-        return cls(
-            kernels=tuple(kernel_list),
-            kernel_code=_frozen(kernel_code),
-            targets=tuple(target_list),
-            target_code=target_code,
-            mem_mhz=pair[0],
-            core_mhz=pair[1],
+        return cls._built(
+            tuple(kernel_list), _frozen(kernel_code), tuple(target_list),
+            target_code, pair[0], pair[1],
         )
 
     def validate_explicit_clocks(self, spec: GPUSpec) -> None:
