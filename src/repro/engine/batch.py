@@ -48,11 +48,8 @@ EXPLICIT = -2
 
 
 def _int_column(name: str, values, n: int) -> np.ndarray:
-    """``values`` as a read-only int64 column of length ``n``.
-
-    A read-only int64 array is taken as is; anything else is copied, so a
-    batch never freezes or shares its caller's writable array.
-    """
+    """``values`` as a read-only int64 copy of length ``n``: a batch never
+    freezes or shares its caller's array."""
     column = np.asarray(values)
     if column.size == 0 and n == 0:
         column = np.zeros(0, dtype=np.int64)
@@ -65,9 +62,8 @@ def _int_column(name: str, values, n: int) -> np.ndarray:
         raise ValidationError(
             f"{name} length mismatch ({len(column)} vs {n} submissions)"
         )
-    if column.flags.writeable or column.dtype != np.int64:
-        column = column.astype(np.int64)
-        column.setflags(write=False)
+    column = column.astype(np.int64)
+    column.setflags(write=False)
     return column
 
 

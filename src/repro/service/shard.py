@@ -7,8 +7,8 @@ runs), its own :class:`Scheduler` with the :class:`NvGpuFreqPlugin`
 attached. Shards run cooperatively in virtual time — the plane advances
 every shard's clock to each drain boundary, and each shard then drains
 its tenants' queues (one columnar :class:`KernelBatch` each) through
-``Scheduler.submit_many``, whose per-job
-accounting reads only each board's in-window timeline. GPU indices and
+``Scheduler.submit_many``, whose per-job accounting reads only each
+board's in-window timeline. GPU indices and
 node names are offset per shard (``index_base``/``node_prefix``) so all
 shards can share one trace session without track collisions — the
 lumos-style fan-out.
