@@ -1184,12 +1184,11 @@ class TestEventBlocks:
 
     def test_a_batch_leaves_no_object_per_kernel(self, kernel_pool, plan):
         """Allocation guard: an untraced 384-kernel batch leaves new
-        gc-tracked objects per segment (blocks, their column lists, the
+        gc-tracked objects per segment (blocks, their kernel lists, the
         result), not per kernel.
 
-        Counted after a full collection, which also untracks tuples of
-        plain ints (the interned clock pairs), so a per-kernel event,
-        record or dict shows as at least 384 new objects.
+        Counted after a full collection, so a per-kernel event, record or
+        dict shows as at least 384 new objects.
         """
         import gc
 
