@@ -24,7 +24,7 @@ with :meth:`KernelBatch.of`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,14 +78,6 @@ def _check_members(kernels: Iterable, targets: Iterable) -> None:
             raise ValidationError(f"{_ITEM_FORMS}; got request {target!r}")
 
 
-def _frozen(values) -> np.ndarray:
-    """``values`` as a read-only int64 array (a fresh int64 array is not
-    copied)."""
-    column = np.asarray(values, dtype=np.int64)
-    column.setflags(write=False)
-    return column
-
-
 @dataclass(frozen=True, eq=False)
 class KernelBatch:
     """A batch of kernel submissions as columns.
@@ -130,20 +122,6 @@ class KernelBatch:
         return len(self.kernel_code)
 
     @classmethod
-    def _built(cls, kernels: tuple, *columns: np.ndarray) -> "KernelBatch":
-        """A batch from columns its producer built valid, unchecked.
-
-        For :meth:`of` and :meth:`from_requests`, which check every kernel
-        and target as they code them: ``columns`` are read-only int64
-        arrays in field order after ``kernels``, with codes in range. A
-        small batch then pays no per-column NumPy checks.
-        """
-        batch = object.__new__(cls)
-        for field, value in zip(fields(cls), (kernels, *columns)):
-            object.__setattr__(batch, field.name, value)
-        return batch
-
-    @classmethod
     def of(
         cls, kernels: Sequence[KernelIR], target: EnergyTarget | None = None
     ) -> "KernelBatch":
@@ -153,18 +131,14 @@ class KernelBatch:
         identity, in first-use order.
         """
         distinct = {id(k): k for k in kernels}
-        targets = () if target is None else (target,)
-        _check_members(distinct.values(), targets)
         code_of = {key: code for code, key in enumerate(distinct)}
         n = len(kernels)
-        zeros = _frozen(np.zeros(n, dtype=np.int64))
-        return cls._built(
+        zeros = np.zeros(n, dtype=np.int64)
+        return cls(
             tuple(distinct.values()),
-            _frozen(
-                np.fromiter(map(code_of.__getitem__, map(id, kernels)), np.int64, n)
-            ),
-            targets,
-            _frozen(np.full(n, NO_REQUEST if target is None else 0)),
+            np.fromiter(map(code_of.__getitem__, map(id, kernels)), np.int64, n),
+            () if target is None else (target,),
+            np.full(n, NO_REQUEST if target is None else 0),
             zeros,
             zeros,
         )
@@ -232,7 +206,7 @@ class KernelBatch:
                 kernel_list.append(kernel)
             add_kernel(k)
             add_target(code)
-        target_code = _frozen(target_code)
+        target_code = np.array(target_code, dtype=np.int64)
         pair = np.zeros((2, len(target_code)), dtype=np.int64)
         if mems:
             try:
@@ -242,10 +216,9 @@ class KernelBatch:
                     f"explicit clocks out of the int64 range: "
                     f"{max(mems + cores, key=abs)}"
                 ) from None
-        pair.setflags(write=False)
-        return cls._built(
-            tuple(kernel_list), _frozen(kernel_code), tuple(target_list),
-            target_code, pair[0], pair[1],
+        return cls(
+            tuple(kernel_list), kernel_code, tuple(target_list),
+            target_code, *pair,
         )
 
     def validate_explicit_clocks(self, spec: GPUSpec) -> None:

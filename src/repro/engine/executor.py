@@ -13,16 +13,16 @@ and nothing here walks it per submission. :func:`_decode` resolves one
 target per distinct ``(kernel_code, target_code)`` and gathers it
 (traced runs resolve per submission, for span and counter parity);
 :meth:`_Plan.derive` carries the clocks forward with an index
-forward-fill, marks switches by comparing shifted arrays, numbers the
-``(kernel, memory clock)`` groups and checks every core clock against
-the device table in one pass. A bulk commit makes no object per
-kernel: the board takes the clock plan and the power timeline as
-arrays, a bulk segment's records are one
-:class:`~repro.hw.records.RecordBlock` over the segment's arrays, and
-its events one :class:`~repro.sycl.event.EventBlock` over that block; a
-row becomes a frozen ``KernelExecutionRecord`` or a ``BlockEvent`` when
-someone first reads it (the board's ``records[i]`` and the event's
-``record`` are the same object).
+forward-fill, marks switches by comparing shifted arrays, checks every
+core and memory clock against the device tables in one ``searchsorted``
+each and numbers the ``(kernel, memory clock)`` groups from the memory
+index. A bulk commit makes no object per kernel: the board takes the
+clock plan and the power timeline as arrays, a bulk segment's records
+are one :class:`~repro.hw.records.RecordBlock` over the segment's
+arrays, and its events one :class:`~repro.sycl.event.EventBlock` over
+that block; a row becomes a frozen ``KernelExecutionRecord`` or a
+``BlockEvent`` when someone first reads it (the board's ``records[i]``
+and the event's ``record`` are the same object).
 
 Exactness contract (checked by ``repro-synergy validate --only engine``):
 
@@ -263,41 +263,40 @@ def _decode(queue: "SynergyQueue", batch: KernelBatch) -> _Decoded:
     )
 
 
-def _core_index(spec, core_mhz: np.ndarray) -> np.ndarray:
-    """Index of each core clock in ``spec.core_freqs_mhz``.
+def _clock_index(table, clocks: np.ndarray, what: str) -> np.ndarray:
+    """Index of each clock in the ascending device ``table``.
 
-    The executor gathers timing/power columns with it; a clock missing
-    from the table raises :class:`ValidationError`.
+    The executor gathers timing/power columns with the core index and
+    numbers operating-point tables with the memory index; a clock
+    missing from the table raises :class:`ValidationError`.
     """
-    table = core_table(spec).mhz
-    idx = np.minimum(np.searchsorted(table, core_mhz), len(table) - 1)
-    bad = table[idx] != core_mhz
+    table = np.asarray(table)
+    idx = np.minimum(np.searchsorted(table, clocks), len(table) - 1)
+    bad = table[idx] != clocks
     if bad.any():
         raise ValidationError(
-            f"core clocks not in the device table: "
-            f"{sorted(set(core_mhz[bad].tolist()))}"
+            f"{what} clocks not in the device table: "
+            f"{sorted(set(clocks[bad].tolist()))}"
         )
     return idx
 
 
-def _groups(kernel_code: np.ndarray, mem_mhz: np.ndarray, kernels: tuple):
+def _groups(kernel_code: np.ndarray, mem_index: np.ndarray, kernels: tuple, mems):
     """Number the distinct ``(kernel, memory clock)`` pairs.
 
-    Returns ``(group_of, members)``: submission ``i`` reads operating-point
-    table ``group_of[i]``, one per ``(kernel, mem_mhz)`` in ``members``.
+    ``mem_index[i]`` indexes submission ``i``'s memory clock in the
+    device table ``mems``. Returns ``(group_of, members)``: submission
+    ``i`` reads operating-point table ``group_of[i]``, one per
+    ``(kernel, mem_mhz)`` in ``members``, numbered by memory clock, then
+    kernel code.
     """
     n_kernels = len(kernels)
-    if (mem_mhz == mem_mhz[0]).all():
-        mems, key = mem_mhz[:1], kernel_code
-    else:
-        mems, mem_code = np.unique(mem_mhz, return_inverse=True)
-        key = mem_code * n_kernels + kernel_code
+    key = mem_index * n_kernels + kernel_code
     used = np.zeros(len(mems) * n_kernels, dtype=bool)
     used[key] = True
     distinct = np.flatnonzero(used)
     group = np.empty(len(used), dtype=np.int64)
     group[distinct] = np.arange(len(distinct))
-    mems = mems.tolist()
     members = [
         (kernels[k % n_kernels], mems[k // n_kernels]) for k in distinct.tolist()
     ]
@@ -365,27 +364,27 @@ class _Plan:
         request-free submission runs at the previous submission's clocks
         (the board's before ``lo``), carried forward by an index
         forward-fill, and a switch is a request that changes them (the
-        redundancy skip of ``FrequencyScaler``). A core clock off the
-        device table raises here, before anything runs.
+        redundancy skip of ``FrequencyScaler``). A core or memory clock
+        off the device table raises here, before anything runs.
         """
         gpu = queue.device.gpu
         requested = decoded.requested[lo:]
-        mem_mhz, core_mhz = decoded.mem_mhz[lo:], decoded.core_mhz[lo:]
-        if requested.all():
-            mem_mhz, core_mhz = mem_mhz.copy(), core_mhz.copy()
-        else:
-            last = np.where(requested, np.arange(1, len(requested) + 1), 0)
-            np.maximum.accumulate(last, out=last)
-            mem_mhz = np.concatenate(([gpu.mem_mhz], mem_mhz))[last]
-            core_mhz = np.concatenate(([gpu.core_mhz], core_mhz))[last]
+        last = np.where(requested, np.arange(1, len(requested) + 1), 0)
+        np.maximum.accumulate(last, out=last)
+        mem_mhz = np.concatenate(([gpu.mem_mhz], decoded.mem_mhz[lo:]))[last]
+        core_mhz = np.concatenate(([gpu.core_mhz], decoded.core_mhz[lo:]))[last]
         switches = np.empty(len(mem_mhz), dtype=bool)
         switches[0] = mem_mhz[0] != gpu.mem_mhz or core_mhz[0] != gpu.core_mhz
         switches[1:] = (mem_mhz[1:] != mem_mhz[:-1]) | (
             core_mhz[1:] != core_mhz[:-1]
         )
-        core_index = _core_index(gpu.spec, core_mhz)
+        spec = gpu.spec
+        core_index = _clock_index(core_table(spec).mhz, core_mhz, "core")
         group_of, members = _groups(
-            decoded.kernel_code[lo:], mem_mhz, decoded.kernels
+            decoded.kernel_code[lo:],
+            _clock_index(spec.mem_freqs_mhz, mem_mhz, "memory"),
+            decoded.kernels,
+            spec.mem_freqs_mhz,
         )
         return cls(
             mem_mhz, core_mhz, switches,
@@ -602,7 +601,7 @@ def _commit_segment(
     """
     gpu = queue.device.gpu
     scaler = queue.scaler
-    start_s = clockline[:-1]
+    start_s = clockline[:-1].copy()
     time_s = plan.time_s[seg]
     end_s = start_s + time_s
     power_w = plan.power_w[seg]

@@ -182,16 +182,6 @@ class SimulatedGPU:
         """
         self.api_restricted = bool(restricted)
 
-    @property
-    def _clock_values(self) -> list[tuple[int, int]]:
-        """The clock history's ``(core_mhz, mem_mhz)`` pairs, in time order."""
-        return list(zip(self._clock_cores, self._clock_mems))
-
-    @_clock_values.setter
-    def _clock_values(self, pairs) -> None:
-        self._clock_cores = array("q", [core for core, _ in pairs])
-        self._clock_mems = array("q", [mem for _, mem in pairs])
-
     def _record_clock_change(self) -> None:
         now = self.clock.now
         if self._clock_times and self._clock_times[-1] == now:
@@ -213,25 +203,37 @@ class SimulatedGPU:
         The batched engine's analogue of repeated
         :meth:`set_application_clocks` calls: ``pairs[i] = (core_mhz,
         mem_mhz)`` lands on the history at ``times_s[i]`` (ascending).
-        ``pairs`` is any ``(n, 2)`` array-like, a list of tuples or an
-        int array. An API-restricted board refuses the whole plan; every
+        ``pairs`` is any ``(n, 2)`` integer array-like, a list of tuples
+        or an int array; any other shape, or clocks that are not integers,
+        raise. An API-restricted board refuses the whole plan; every
         distinct clock is validated before anything is committed, so a
         bad plan leaves the board untouched. The checks are array passes
         and the plan is appended to the history as arrays.
         """
-        if len(times_s) != len(pairs):
-            raise SimulationError(
-                f"clock plan length mismatch ({len(times_s)} vs {len(pairs)})"
-            )
         times = np.asarray(times_s, dtype=float)
-        cores, mems = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        clocks = np.asarray(pairs)
+        if len(times) != len(clocks):
+            raise SimulationError(
+                f"clock plan length mismatch ({len(times)} vs {len(clocks)})"
+            )
         if not len(times):
             return
+        if clocks.shape != (len(times), 2):
+            raise SimulationError(
+                f"clock plan pairs must be (core_mhz, mem_mhz); got shape "
+                f"{clocks.shape}"
+            )
         if self.api_restricted:
             raise ClockPermissionError(
                 f"{self.spec.name}[{self.index}]: application clocks are "
                 "root-restricted (no SetAPIRestriction lowering in effect)"
             )
+        if clocks.dtype.kind not in "iu":
+            raise ConfigurationError(
+                f"{self.spec.name}: clock plan clocks must be integers; got "
+                f"dtype {clocks.dtype}"
+            )
+        cores, mems = clocks.astype(np.int64).T
         self.spec.validate_clock_columns(mems.tolist(), cores.tolist())
         steps = np.diff(times)
         if (steps < 0).any():

@@ -115,10 +115,14 @@ class GPUSpec:
     def __post_init__(self) -> None:
         if not self.core_freqs_mhz or not self.mem_freqs_mhz:
             raise ConfigurationError(f"{self.name}: empty frequency table")
-        if list(self.core_freqs_mhz) != sorted(set(self.core_freqs_mhz)):
-            raise ConfigurationError(
-                f"{self.name}: core frequency table must be ascending and unique"
-            )
+        for what, table in (
+            ("core", self.core_freqs_mhz), ("memory", self.mem_freqs_mhz)
+        ):
+            if list(table) != sorted(set(table)):
+                raise ConfigurationError(
+                    f"{self.name}: {what} frequency table must be ascending "
+                    "and unique"
+                )
         if self.default_core_mhz not in self.core_freqs_mhz:
             raise ConfigurationError(
                 f"{self.name}: default core clock {self.default_core_mhz} MHz "

@@ -107,8 +107,8 @@ def _record_checks(name: str, context: str, scalar_gpu, batched_gpu) -> list[Che
             context,
             ([r.core_mhz for r in r1], [r.core_mhz for r in r2]),
             ([r.mem_mhz for r in r1], [r.mem_mhz for r in r2]),
-            ([h for h in scalar_gpu._clock_values],
-             [h for h in batched_gpu._clock_values]),
+            (scalar_gpu._clock_cores, batched_gpu._clock_cores),
+            (scalar_gpu._clock_mems, batched_gpu._clock_mems),
         )
     )
     results.append(

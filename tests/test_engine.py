@@ -79,7 +79,8 @@ def _assert_twin_parity(scalar_gpu: SimulatedGPU, batched_gpu: SimulatedGPU):
     assert [(r.core_mhz, r.mem_mhz) for r in a] == [
         (r.core_mhz, r.mem_mhz) for r in b
     ]
-    assert scalar_gpu._clock_values == batched_gpu._clock_values
+    assert scalar_gpu._clock_cores == batched_gpu._clock_cores
+    assert scalar_gpu._clock_mems == batched_gpu._clock_mems
     np.testing.assert_allclose(
         [r.start_s for r in a], [r.start_s for r in b], rtol=RTOL
     )
@@ -446,7 +447,8 @@ def _board_history(gpu: SimulatedGPU) -> tuple:
     """Everything a batch commits to a board, as comparable values."""
     return (
         list(gpu.records),
-        gpu._clock_values,
+        list(gpu._clock_cores),
+        list(gpu._clock_mems),
         list(gpu._clock_times),
         list(gpu._seg_start),
         list(gpu._seg_end),
@@ -478,10 +480,19 @@ class TestBulkDeviceAPIs:
         assert (v100.core_mhz, v100.mem_mhz) == (135, 877)
 
     def test_apply_clock_plan_validates_before_committing(self, v100):
-        history = list(v100._clock_values)
-        with pytest.raises(ConfigurationError):
-            v100.apply_clock_plan([0.5, 1.0], [(1523, 877), (1523, 1)])
-        assert v100._clock_values == history
+        history = _board_history(v100)
+        for pairs, error in (
+            ([(1523, 877), (1523, 1)], ConfigurationError),
+            # Not truncated to 1523, not parsed from a string.
+            ([(1523, 877), (1523.7, 877)], ConfigurationError),
+            ([(1523, 877), ("1530", 877)], ConfigurationError),
+            # Not reshaped into misaligned pairs.
+            ([(1523, 877, 1530), (877, 1523, 877)], SimulationError),
+            ([(1523, 877, 1530, 877)], SimulationError),
+        ):
+            with pytest.raises(error):
+                v100.apply_clock_plan([0.5, 1.0][: len(pairs)], pairs)
+            assert _board_history(v100) == history
 
 
 # ------------------------------------------------------ scheduler batching

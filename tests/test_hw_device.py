@@ -264,7 +264,8 @@ class TestWindowIntegral:
         fresh._seg_end = [gpu._seg_end[i] for i in keep]
         fresh._seg_power = [gpu._seg_power[i] for i in keep]
         fresh._clock_times = [gpu._clock_times[i] for i in clocks]
-        fresh._clock_values = [gpu._clock_values[i] for i in clocks]
+        fresh._clock_cores = [gpu._clock_cores[i] for i in clocks]
+        fresh._clock_mems = [gpu._clock_mems[i] for i in clocks]
         assert fresh.energy_between(t0, t1) == gpu.energy_between(t0, t1)
 
     @staticmethod

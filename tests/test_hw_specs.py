@@ -92,6 +92,26 @@ class TestSpecValidation:
                 mem_power_w=20.0,
             )
 
+    @pytest.mark.parametrize(
+        "core, mem",
+        [((200, 100), (500,)), ((100, 200), (810, 405)), ((100, 200), (500, 500))],
+    )
+    def test_unordered_table_rejected(self, core, mem):
+        with pytest.raises(ConfigurationError, match="ascending and unique"):
+            GPUSpec(
+                name="bogus",
+                vendor="nvidia",
+                compute_units=1,
+                core_freqs_mhz=core,
+                mem_freqs_mhz=mem,
+                default_core_mhz=100,
+                default_mem_mhz=mem[0],
+                peak_bandwidth_gbs=100.0,
+                idle_power_w=10.0,
+                core_power_w=100.0,
+                mem_power_w=20.0,
+            )
+
     def test_empty_table_rejected(self):
         with pytest.raises(ConfigurationError):
             GPUSpec(
